@@ -196,10 +196,18 @@ def _bearing(dx, dy_row):
 
 
 @njit(cache=True, parallel=True)
-def trace_count(building, vegetation, walls, tx_x, tx_y, tx_z, rx_z, res, max_refl):
-    """Number of valid paths per pixel (direct + first-order reflections)."""
+def trace_count(building, vegetation, walls, tx_x, tx_y, tx_z, rx_z, res):
+    """Visibility of every candidate path; each candidate is marched once.
+
+    Returns (visible, veg_len). visible has shape (rows*cols, 1 + n_walls)
+    in row-major pixel order: column 0 flags the direct path, column 1+w
+    the first-order reflection off wall w. veg_len is the direct path's
+    vegetated length (0 where there is none). Building pixels get no paths.
+    """
     rows, cols = building.shape
-    counts = np.zeros(rows * cols, dtype=np.int64)
+    n_walls = walls.shape[0]
+    visible = np.zeros((rows * cols, 1 + n_walls), dtype=np.uint8)
+    veg_len = np.zeros(rows * cols)
     eps = 1e-6 * res
     for idx in prange(rows * cols):
         r = idx // cols
@@ -208,95 +216,80 @@ def trace_count(building, vegetation, walls, tx_x, tx_y, tx_z, rx_z, res, max_re
             continue
         rx_x = (c + 0.5) * res
         rx_y = (r + 0.5) * res
-        n = 0
         d2 = (rx_x - tx_x) ** 2 + (rx_y - tx_y) ** 2 + (rx_z - tx_z) ** 2
         if d2 > 0.0:
-            clear, _ = march(building, vegetation, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z, res)
+            clear, vl = march(building, vegetation, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z, res)
             if clear:
-                n += 1
-        if max_refl > 0:
-            for w in range(walls.shape[0]):
-                ok, hx, hy, hz, _ = mirror_hit(walls[w], tx_x, tx_y, tx_z, rx_x, rx_y, rx_z)
-                if not ok:
-                    continue
-                if walls[w, 0] == 0.0:
-                    hx += eps * walls[w, 5]
-                else:
-                    hy += eps * walls[w, 5]
-                ok1, _ = march(building, vegetation, tx_x, tx_y, tx_z, hx, hy, hz, res)
-                if not ok1:
-                    continue
-                ok2, _ = march(building, vegetation, hx, hy, hz, rx_x, rx_y, rx_z, res)
-                if ok2:
-                    n += 1
-        counts[idx] = n
-    return counts
+                visible[idx, 0] = 1
+                veg_len[idx] = vl
+        for w in range(n_walls):
+            ok, hx, hy, hz, _ = mirror_hit(walls[w], tx_x, tx_y, tx_z, rx_x, rx_y, rx_z)
+            if not ok:
+                continue
+            if walls[w, 0] == 0.0:
+                hx += eps * walls[w, 5]
+            else:
+                hy += eps * walls[w, 5]
+            ok1, _ = march(building, vegetation, tx_x, tx_y, tx_z, hx, hy, hz, res)
+            if not ok1:
+                continue
+            ok2, _ = march(building, vegetation, hx, hy, hz, rx_x, rx_y, rx_z, res)
+            if ok2:
+                visible[idx, 1 + w] = 1
+    return visible, veg_len
 
 
 @njit(cache=True, parallel=True)
-def trace_fill(building, vegetation, walls, offsets,
-               tx_x, tx_y, tx_z, rx_z, res, lam, refl_amp, veg_db_per_m, max_refl,
-               amp_out, psi_out, aod_az_out, aod_el_out, aoa_az_out,
-               direct_flag, direct_veg_db):
-    """Fill per-path arrays; pixel layout given by the prefix-sum offsets.
+def trace_fill(visible, veg_len, walls, offsets, cols,
+               tx_x, tx_y, tx_z, rx_z, res, lam, refl_amp, veg_db_per_m,
+               amp_out, psi_out, aod_az_out, aod_el_out, aoa_az_out):
+    """Fill per-path arrays for the paths trace_count found visible.
 
-    The direct path, when present, occupies the first slot of its pixel.
-    Amplitudes follow the free-space law lam/(4*pi*d); the direct path is
-    further attenuated by the vegetated length, reflections by the fixed
-    per-bounce loss. The phase is the carrier phase of the path length.
+    Pixel p's paths occupy slots offsets[p]:offsets[p+1], the direct path
+    first, then reflections in wall order. Amplitudes follow the free-space
+    law lam/(4*pi*d); the direct path is further attenuated by its
+    vegetated length, reflections by the fixed per-bounce loss. The phase
+    is the carrier phase of the path length. Nothing is marched: only the
+    specular point of each visible reflection is recomputed.
     """
-    rows, cols = building.shape
     eps = 1e-6 * res
     four_pi = 4.0 * math.pi
-    for idx in prange(rows * cols):
+    for idx in prange(visible.shape[0]):
+        k = offsets[idx]
+        end = offsets[idx + 1]
         r = idx // cols
         c = idx % cols
-        if building[r, c] > 0.0:
-            continue
         rx_x = (c + 0.5) * res
         rx_y = (r + 0.5) * res
-        k = offsets[idx]
-        d2 = (rx_x - tx_x) ** 2 + (rx_y - tx_y) ** 2 + (rx_z - tx_z) ** 2
-        if d2 > 0.0:
-            clear, veg_len = march(building, vegetation, tx_x, tx_y, tx_z,
-                                   rx_x, rx_y, rx_z, res)
-            if clear:
-                d = math.sqrt(d2)
-                att_db = veg_db_per_m * veg_len
-                amp_out[k] = lam / (four_pi * d) * 10.0 ** (-att_db / 20.0)
-                psi_out[k] = (-TWO_PI * d / lam) % TWO_PI
-                dxh = rx_x - tx_x
-                dyh = rx_y - tx_y
-                aod_az_out[k] = _bearing(dxh, dyh)
-                aod_el_out[k] = math.atan2(rx_z - tx_z, math.hypot(dxh, dyh))
-                aoa_az_out[k] = _bearing(-dxh, -dyh)
-                direct_flag[idx] = 1
-                direct_veg_db[idx] = att_db
-                k += 1
-        if max_refl > 0:
-            for w in range(walls.shape[0]):
-                ok, hx, hy, hz, plen = mirror_hit(walls[w], tx_x, tx_y, tx_z,
-                                                  rx_x, rx_y, rx_z)
-                if not ok:
-                    continue
-                if walls[w, 0] == 0.0:
-                    hx += eps * walls[w, 5]
-                else:
-                    hy += eps * walls[w, 5]
-                ok1, _ = march(building, vegetation, tx_x, tx_y, tx_z, hx, hy, hz, res)
-                if not ok1:
-                    continue
-                ok2, _ = march(building, vegetation, hx, hy, hz, rx_x, rx_y, rx_z, res)
-                if not ok2:
-                    continue
-                amp_out[k] = lam / (four_pi * plen) * refl_amp
-                psi_out[k] = (-TWO_PI * plen / lam) % TWO_PI
-                dxh = hx - tx_x
-                dyh = hy - tx_y
-                aod_az_out[k] = _bearing(dxh, dyh)
-                aod_el_out[k] = math.atan2(hz - tx_z, math.hypot(dxh, dyh))
-                aoa_az_out[k] = _bearing(hx - rx_x, hy - rx_y)
-                k += 1
+        if visible[idx, 0]:
+            d = math.sqrt((rx_x - tx_x) ** 2 + (rx_y - tx_y) ** 2 + (rx_z - tx_z) ** 2)
+            att_db = veg_db_per_m * veg_len[idx]
+            amp_out[k] = lam / (four_pi * d) * 10.0 ** (-att_db / 20.0)
+            psi_out[k] = (-TWO_PI * d / lam) % TWO_PI
+            dxh = rx_x - tx_x
+            dyh = rx_y - tx_y
+            aod_az_out[k] = _bearing(dxh, dyh)
+            aod_el_out[k] = math.atan2(rx_z - tx_z, math.hypot(dxh, dyh))
+            aoa_az_out[k] = _bearing(-dxh, -dyh)
+            k += 1
+        for w in range(walls.shape[0]):
+            if k == end:
+                break
+            if not visible[idx, 1 + w]:
+                continue
+            _, hx, hy, hz, plen = mirror_hit(walls[w], tx_x, tx_y, tx_z, rx_x, rx_y, rx_z)
+            if walls[w, 0] == 0.0:
+                hx += eps * walls[w, 5]
+            else:
+                hy += eps * walls[w, 5]
+            amp_out[k] = lam / (four_pi * plen) * refl_amp
+            psi_out[k] = (-TWO_PI * plen / lam) % TWO_PI
+            dxh = hx - tx_x
+            dyh = hy - tx_y
+            aod_az_out[k] = _bearing(dxh, dyh)
+            aod_el_out[k] = math.atan2(hz - tx_z, math.hypot(dxh, dyh))
+            aoa_az_out[k] = _bearing(hx - rx_x, hy - rx_y)
+            k += 1
 
 
 @njit(cache=True)

@@ -11,6 +11,7 @@ worker threads and has no effect without numba.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -138,8 +139,12 @@ def _prediction_from_args(args, cfg, tensors, valid):
 
 def cmd_evaluate(args):
     cfg = _load_config(args.config)
+    if args.mask is None and not args.tensors.endswith(".tensors.bgrd"):
+        print("error: --mask is required unless --tensors ends in .tensors.bgrd",
+              file=sys.stderr)
+        return 2
     tensors = gridio.read_grid(args.tensors).astype(np.float64)
-    mask_path = args.mask or args.tensors.replace(".tensors.bgrd", ".mask.bgrd")
+    mask_path = args.mask or args.tensors[:-len(".tensors.bgrd")] + ".mask.bgrd"
     valid = gridio.read_grid(mask_path)[:, :, 0].astype(bool)
     if valid.shape != tensors.shape[:2]:
         raise GridParseError(
@@ -161,7 +166,8 @@ def cmd_evaluate(args):
     if args.scene and args.tx:
         hm = _heightmap_from_grid(gridio.read_grid(args.scene), cfg.scene.resolution_m)
         tx = gridio.load_tx_site(args.tx)
-        channels = scene.trace_paths(hm, tx, cfg.scene.scene_config(),
+        direct_only = dataclasses.replace(cfg.scene.scene_config(), max_reflections=0)
+        channels = scene.trace_paths(hm, tx, direct_only,  # LoS needs no reflections
                                      rx_height_m=cfg.scene.rx_height_m)
         los = metrics.los_class_map(hm, tx, channels)
         shades = np.array([64, 160, 255], dtype=np.uint8)  # nlos, attenuated, dominant

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import IterationLimitError, UnsupportedFormError
 
@@ -279,6 +278,7 @@ def sinkhorn(p, q, cost, epsilon, tol=1e-9, max_iter=10_000):
 
 def exact_transport_cost(p, q, cost):
     """Exact optimal-transport cost via the linear program (oracle path)."""
+    from scipy import optimize  # dev dependency; imported here to keep imports light
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     cost = np.asarray(cost, dtype=np.float64)

@@ -145,22 +145,19 @@ def los_class_map(hm, tx, channels):
     """Classify each pixel by its direct-path status.
 
     LOS_DOMINANT: unattenuated direct path that is also the strongest
-    arrival; LOS_ATTENUATED: direct path exists but crossed vegetation or is
-    beaten by a reflection; NLOS: no direct path (building interiors
-    included). Requires tracer-produced channels (direct-path metadata).
+    arrival; LOS_ATTENUATED: direct path that crossed vegetation; NLOS: no
+    direct path (building interiors included). An unattenuated direct path
+    is always the strongest arrival: mirror_hit keeps both endpoints
+    strictly on a wall's outward side, so every first-order reflection is
+    strictly longer than the direct path, and its loss is >= 0 dB. The map
+    therefore depends on the direct path only, and channels traced with
+    max_reflections=0 give the same map. Requires tracer-produced channels
+    (direct-path metadata).
     """
     if channels.has_direct is None or channels.direct_veg_db is None:
         raise ValueError("channels lack direct-path metadata; re-trace the scene")
     if (hm.rows, hm.cols) != (channels.rows, channels.cols):
         raise ValueError("height map and channels disagree on the grid shape")
-    out = np.zeros((hm.rows, hm.cols), dtype=np.int8)
-    for r in range(hm.rows):
-        for c in range(hm.cols):
-            if not channels.has_direct[r, c]:
-                continue
-            s = channels.pixel_slice(r, c)
-            mags = channels.magnitude[s]
-            direct = mags[0]  # tracer stores the direct path first
-            attenuated = channels.direct_veg_db[r, c] > 0.0 or direct < mags.max()
-            out[r, c] = LosClass.LOS_ATTENUATED if attenuated else LosClass.LOS_DOMINANT
-    return out
+    los = np.where(channels.direct_veg_db > 0.0,
+                   LosClass.LOS_ATTENUATED, LosClass.LOS_DOMINANT)
+    return np.where(channels.has_direct, los, LosClass.NLOS).astype(np.int8)

@@ -104,9 +104,10 @@ class SceneChannels:
     """Traced paths for every pixel of a scene, stored as flat arrays.
 
     counts/offsets index the row-major pixel order; when a pixel has a
-    direct path it occupies the first slot. has_direct/direct_veg_db are
-    populated only by the tracer (they are not recoverable from a paths
-    CSV) and are None on channels loaded from file.
+    direct path it occupies the first slot. has_direct/direct_veg_db (direct
+    path flag and its vegetation loss in dB) come from the tracer alone, do
+    not depend on the reflections traced, and are None on channels loaded
+    from a paths CSV, which does not store them.
     """
 
     rows: int
@@ -322,6 +323,8 @@ def trace_paths(hm, tx, cfg, rx_height_m=1.5):
 
     Pixels inside buildings get zero paths. Deterministic: pure geometry,
     fixed wall enumeration order, direct path stored first per pixel.
+    trace_count marches every candidate path once; trace_fill writes the
+    values of the visible ones. max_reflections=0 skips wall extraction.
     """
     r, c = tx.pixel
     if not (0 <= r < hm.rows and 0 <= c < hm.cols):
@@ -333,9 +336,9 @@ def trace_paths(hm, tx, cfg, rx_height_m=1.5):
     lam = cfg.wavelength_m
     refl_amp = 10.0 ** (-cfg.reflection_loss_db / 20.0)
 
-    counts = _kernels.trace_count(hm.building, hm.vegetation, walls,
-                                  tx_x, tx_y, tx.height_m, rx_height_m, res,
-                                  cfg.max_reflections)
+    visible, veg_len = _kernels.trace_count(hm.building, hm.vegetation, walls,
+                                            tx_x, tx_y, tx.height_m, rx_height_m, res)
+    counts = visible.sum(axis=1, dtype=np.int64)
     offsets = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     total = int(offsets[-1])
@@ -344,19 +347,19 @@ def trace_paths(hm, tx, cfg, rx_height_m=1.5):
     aod_az = np.zeros(total)
     aod_el = np.zeros(total)
     aoa_az = np.zeros(total)
-    direct_flag = np.zeros(counts.size, dtype=np.int8)
-    direct_veg = np.zeros(counts.size)
-    _kernels.trace_fill(hm.building, hm.vegetation, walls, offsets,
+    _kernels.trace_fill(visible, veg_len, walls, offsets, hm.cols,
                         tx_x, tx_y, tx.height_m, rx_height_m, res,
-                        lam, refl_amp, cfg.vegetation_db_per_m, cfg.max_reflections,
-                        amp, psi, aod_az, aod_el, aoa_az, direct_flag, direct_veg)
+                        lam, refl_amp, cfg.vegetation_db_per_m,
+                        amp, psi, aod_az, aod_el, aoa_az)
+    has_direct = visible[:, 0].astype(bool)
+    direct_veg_db = np.where(has_direct, cfg.vegetation_db_per_m * veg_len, 0.0)
     return SceneChannels(
         rows=hm.rows, cols=hm.cols, rx_height_m=rx_height_m,
         counts=counts.reshape(hm.rows, hm.cols), offsets=offsets,
         magnitude=amp, phase=psi, aod_azimuth=aod_az,
         aod_elevation=aod_el, aoa_azimuth=aoa_az,
-        has_direct=direct_flag.reshape(hm.rows, hm.cols).astype(bool),
-        direct_veg_db=direct_veg.reshape(hm.rows, hm.cols))
+        has_direct=has_direct.reshape(hm.rows, hm.cols),
+        direct_veg_db=direct_veg_db.reshape(hm.rows, hm.cols))
 
 
 def effective_tensor_map(channels, codebook, frame):

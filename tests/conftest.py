@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from beamgrid import channel as ch
+from beamgrid import metrics as mt
 from beamgrid import scene as sc
 
 
@@ -32,3 +34,41 @@ def on_grid_direction(ia, ie, na, ne):
     assert rad <= 1.0, "infeasible grid point for a physical direction"
     xdir = np.sqrt(1.0 - rad)
     return float(np.arctan2(ydir, xdir)), float(np.arcsin(np.clip(zdir, -1, 1)))
+
+
+@st.composite
+def small_scenes(draw):
+    """A random 16-24 px city with a transmitter above any pixel."""
+    rows = draw(st.integers(16, 24))
+    cols = draw(st.integers(16, 24))
+    style = sc.CityStyle(building_fraction=draw(st.sampled_from([0.1, 0.3, 0.5])),
+                         vegetation_fraction=draw(st.sampled_from([0.0, 0.1, 0.3])),
+                         street_width=draw(st.integers(2, 4)),
+                         block_size=draw(st.integers(4, 8)))
+    hm = sc.generate_city(rows, cols, draw(st.integers(0, 2**16)), style)
+    r = draw(st.integers(0, rows - 1))
+    c = draw(st.integers(0, cols - 1))
+    height = float(hm.building[r, c]) + draw(st.sampled_from([0.5, 2.0, 15.0]))
+    return hm, sc.TxSite((r, c), height, ch.ArrayFrame(0.0, np.pi / 4))
+
+
+scene_configs = st.builds(
+    sc.SceneConfig,
+    reflection_loss_db=st.sampled_from([0.0, 0.5, 6.0]),
+    vegetation_db_per_m=st.sampled_from([0.0, 0.5, 8.0]))
+
+
+def los_class_reference(channels):
+    """LoS classes by the per-pixel rule on the stored paths: a direct path
+    is dominant only when it crossed no vegetation and no other arrival of
+    the pixel is stronger."""
+    out = np.zeros((channels.rows, channels.cols), dtype=np.int8)
+    for r in range(channels.rows):
+        for c in range(channels.cols):
+            if not channels.has_direct[r, c]:
+                continue
+            mags = channels.magnitude[channels.pixel_slice(r, c)]
+            attenuated = channels.direct_veg_db[r, c] > 0.0 or mags[0] < mags.max()
+            out[r, c] = mt.LosClass.LOS_ATTENUATED if attenuated \
+                else mt.LosClass.LOS_DOMINANT
+    return out

@@ -1,14 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beamgrid
 from beamgrid import channel as ch
 from beamgrid import gridio as io
 from beamgrid import metrics as mt
 from beamgrid import predictor as pr
 from beamgrid import scene as sc
 from beamgrid.cli import main
+
+from conftest import los_class_reference
 
 
 def run_cli(*args):
@@ -202,6 +209,46 @@ class TestEvaluate:
         los = (tmp / "r3.los.pgm").read_bytes()
         assert los.startswith(b"P5\n32 32\n255\n")
 
+    def test_los_map_traces_direct_paths_only(self, tensorized, monkeypatch):
+        tmp, cfg = tensorized
+        conf = io.load_config(cfg)
+        grid = io.read_grid(tmp / "s.scene.bgrd")
+        grid[:16, :, 1] = np.where(grid[:16, :, 0] > 0, 0.0, 12.0)  # canopy: attenuated LoS
+        io.write_grid(tmp / "veg.scene.bgrd", grid)
+        grid = grid.astype(np.float64)
+        hm = sc.HeightMap(grid[:, :, 0], grid[:, :, 1], conf.scene.resolution_m)
+        tx = io.load_tx_site(tmp / "s.tx.json")
+        full = sc.trace_paths(hm, tx, conf.scene.scene_config(),
+                              rx_height_m=conf.scene.rx_height_m)
+        classes = los_class_reference(full)
+        assert set(np.unique(classes)) == {0, 1, 2}
+        img = np.array([64, 160, 255], dtype=np.uint8)[classes]
+        img[hm.building > 0] = 0
+
+        def no_walls(*args, **kwargs):
+            raise AssertionError("the LoS map needs no reflections")
+
+        monkeypatch.setattr(sc, "exterior_walls", no_walls)
+        assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd",
+                       "--pred", "oracle", "--config", cfg,
+                       "--report", tmp / "r6.json",
+                       "--scene", tmp / "veg.scene.bgrd", "--tx", tmp / "s.tx.json") == 0
+        assert (tmp / "r6.los.pgm").read_bytes() == b"P5\n32 32\n255\n" + img.tobytes()
+
+    def test_tensors_without_suffix_need_mask(self, tensorized, capsys):
+        tmp, cfg = tensorized
+        (tmp / "x.bgrd").write_bytes((tmp / "t.tensors.bgrd").read_bytes())
+        code = run_cli("evaluate", "--tensors", tmp / "x.bgrd", "--pred", "oracle",
+                       "--config", cfg, "--report", tmp / "rx.json")
+        assert code == 2
+        assert "--mask" in capsys.readouterr().err
+        assert not (tmp / "rx.json").exists()
+        assert run_cli("evaluate", "--tensors", tmp / "x.bgrd",
+                       "--mask", tmp / "t.mask.bgrd", "--pred", "oracle",
+                       "--config", cfg, "--report", tmp / "rx.json") == 0
+        valid = io.read_grid(tmp / "t.mask.bgrd")[:, :, 0].astype(bool)
+        assert io.load_report(tmp / "rx.json").samples == int(valid.sum())
+
     def test_full_k_list_saturates(self, tensorized):
         tmp, _ = tensorized
         cfg2 = tmp / "cfg128.json"
@@ -316,6 +363,16 @@ class TestTrainCli:
         assert code == 0
         rep = io.load_report(tmp / "mr.json")
         assert 0.0 <= rep.accuracy[0] <= 1.0
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(beamgrid.__file__).parents[1]))
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, beamgrid.cli; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert res.stdout.strip() == "False"
 
 
 class TestHelp:

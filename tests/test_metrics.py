@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from beamgrid import channel as ch
 from beamgrid import metrics as mt
 from beamgrid import scene as sc
 from beamgrid.errors import UndefinedResultError
+
+from conftest import los_class_reference, scene_configs, small_scenes
 
 
 class TestNoisePower:
@@ -201,6 +205,16 @@ class TestLosClassMap:
         assert mc.magnitude[0] < mc.magnitude[1:].max()  # reflection wins
         los = mt.los_class_map(hm, tx, chans)
         assert los[r, c] == mt.LosClass.LOS_ATTENUATED
+
+    @given(small_scenes(), scene_configs)
+    @settings(deadline=None, max_examples=25)
+    def test_direct_only_trace_gives_same_map(self, scene, cfg):
+        hm, tx = scene
+        full = sc.trace_paths(hm, tx, cfg)
+        direct = sc.trace_paths(hm, tx, dataclasses.replace(cfg, max_reflections=0))
+        expect = los_class_reference(full)
+        assert np.array_equal(mt.los_class_map(hm, tx, full), expect)
+        assert np.array_equal(mt.los_class_map(hm, tx, direct), expect)
 
     def test_requires_trace_metadata(self):
         hm = sc.HeightMap(np.zeros((4, 4)), np.zeros((4, 4)))

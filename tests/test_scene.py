@@ -1,12 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from beamgrid import _kernels
 from beamgrid import channel as ch
 from beamgrid import metrics
 from beamgrid import scene as sc
 from beamgrid.errors import NoValidSiteError
+
+from conftest import scene_configs, small_scenes
 
 NO_VEG = sc.SceneConfig(vegetation_db_per_m=0.0)
 
@@ -163,6 +169,82 @@ class TestTracePaths:
         with pytest.raises(ValueError):
             sc.trace_paths(flat_map(), sc.TxSite((99, 0), 5.0,
                                                  ch.ArrayFrame(0, 0)), NO_VEG)
+
+
+def reference_trace(hm, tx, cfg, rx_z=1.5):
+    """Per-pixel loop tracer: march each candidate with segment_clear and
+    find specular points with mirror_hit, using the tracer's formulas.
+
+    Returns (counts, paths, has_direct, direct_veg_db); paths holds one
+    (magnitude, phase, aod_az, aod_el, aoa_az) row per path in storage order.
+    """
+    res = hm.resolution_m
+    walls = sc.exterior_walls(hm.building, res) if cfg.max_reflections else np.zeros((0, 6))
+    tx_x, tx_y = sc.pixel_center(tx.pixel, res)
+    tx_z = tx.height_m
+    lam = cfg.wavelength_m
+    refl_amp = 10.0 ** (-cfg.reflection_loss_db / 20.0)
+    eps = 1e-6 * res
+    counts = np.zeros((hm.rows, hm.cols), dtype=np.int64)
+    has_direct = np.zeros((hm.rows, hm.cols), dtype=bool)
+    direct_veg_db = np.zeros((hm.rows, hm.cols))
+    paths = []
+
+    def add(r, c, amp, length, toward, arrival):
+        # toward: the point the path leaves tx for; arrival: the horizontal
+        # vector from rx back along the arriving path
+        dx, dy = toward[0] - tx_x, toward[1] - tx_y
+        paths.append((amp, (-ch.TWO_PI * length / lam) % ch.TWO_PI,
+                      _kernels._bearing(dx, dy),
+                      math.atan2(toward[2] - tx_z, math.hypot(dx, dy)),
+                      _kernels._bearing(*arrival)))
+        counts[r, c] += 1
+
+    for r in range(hm.rows):
+        for c in range(hm.cols):
+            if hm.building[r, c] > 0.0:
+                continue
+            rx_x, rx_y = sc.pixel_center((r, c), res)
+            d2 = (rx_x - tx_x) ** 2 + (rx_y - tx_y) ** 2 + (rx_z - tx_z) ** 2
+            if d2 > 0.0:
+                clear, veg_len = sc.segment_clear(hm, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z)
+                if clear:
+                    d = math.sqrt(d2)
+                    att_db = cfg.vegetation_db_per_m * veg_len
+                    has_direct[r, c] = True
+                    direct_veg_db[r, c] = att_db
+                    add(r, c, lam / (4.0 * math.pi * d) * 10.0 ** (-att_db / 20.0), d,
+                        (rx_x, rx_y, rx_z), (-(rx_x - tx_x), -(rx_y - tx_y)))
+            for wall in walls:
+                ok, hx, hy, hz, plen = _kernels.mirror_hit(wall, tx_x, tx_y, tx_z,
+                                                           rx_x, rx_y, rx_z)
+                if not ok:
+                    continue
+                if wall[0] == 0.0:
+                    hx += eps * wall[5]
+                else:
+                    hy += eps * wall[5]
+                if (sc.segment_clear(hm, tx_x, tx_y, tx_z, hx, hy, hz)[0]
+                        and sc.segment_clear(hm, hx, hy, hz, rx_x, rx_y, rx_z)[0]):
+                    add(r, c, lam / (4.0 * math.pi * plen) * refl_amp, plen,
+                        (hx, hy, hz), (hx - rx_x, hy - rx_y))
+    return counts, np.array(paths).reshape(-1, 5), has_direct, direct_veg_db
+
+
+class TestTraceMatchesReference:
+    @given(small_scenes(), scene_configs, st.sampled_from([0, 1]))
+    @settings(deadline=None, max_examples=25)
+    def test_paths_identical(self, scene, cfg, max_reflections):
+        hm, tx = scene
+        cfg = dataclasses.replace(cfg, max_reflections=max_reflections)
+        chans = sc.trace_paths(hm, tx, cfg)
+        counts, paths, has_direct, direct_veg_db = reference_trace(hm, tx, cfg)
+        assert np.array_equal(chans.counts, counts)
+        got = np.stack([chans.magnitude, chans.phase, chans.aod_azimuth,
+                        chans.aod_elevation, chans.aoa_azimuth], axis=1)
+        assert np.array_equal(got, paths)
+        assert np.array_equal(chans.has_direct, has_direct)
+        assert np.array_equal(chans.direct_veg_db, direct_veg_db)
 
 
 class TestVisibilityProperties:
