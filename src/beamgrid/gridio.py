@@ -13,6 +13,7 @@ repr so parsing reproduces the exact doubles.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -56,6 +57,9 @@ def grid_from_bytes(data):
         itemsize = _DTYPES[dtype].itemsize
     except (ValueError, KeyError, UnicodeDecodeError) as exc:
         raise GridParseError(f"malformed header before byte offset {nl}: {exc}") from exc
+    if min(rows, cols, ch) < 0:
+        raise GridParseError(
+            f"negative dimension in header before byte offset {nl}: {rows}x{cols}x{ch}")
     expected = rows * cols * ch * itemsize
     payload = data[nl + 1:]
     if len(payload) != expected:
@@ -321,10 +325,29 @@ def tx_site_to_dict(tx):
 
 
 def tx_site_from_dict(doc):
-    return TxSite(pixel=(int(doc["pixel"][0]), int(doc["pixel"][1])),
+    """TxSite from its JSON form. A missing key, a pixel that is not two
+    integers or a non-finite height or angle raises GridParseError."""
+    if not isinstance(doc, dict):
+        raise GridParseError("tx site must be a JSON object")
+    missing = [k for k in ("pixel", "height_m", "boresight_azimuth", "downtilt")
+               if k not in doc]
+    if missing:
+        raise GridParseError(f"tx site lacks key(s) {missing}")
+    pixel = doc["pixel"]
+    if not (isinstance(pixel, list) and len(pixel) == 2
+            and all(_is_number(p) and math.isfinite(p) and p == int(p) for p in pixel)):
+        raise GridParseError(f"tx pixel must be two integers, got {pixel!r}")
+    for key in ("height_m", "boresight_azimuth", "downtilt"):
+        if not (_is_number(doc[key]) and math.isfinite(doc[key])):
+            raise GridParseError(f"tx {key} must be a finite number, got {doc[key]!r}")
+    return TxSite(pixel=(int(pixel[0]), int(pixel[1])),
                   height_m=float(doc["height_m"]),
                   frame=ArrayFrame(float(doc["boresight_azimuth"]),
                                    float(doc["downtilt"])))
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def save_tx_site(path, tx):

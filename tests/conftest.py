@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -38,14 +40,16 @@ def on_grid_direction(ia, ie, na, ne):
 
 @st.composite
 def small_scenes(draw):
-    """A random 16-24 px city with a transmitter above any pixel."""
+    """A random 16-24 px city at 0.5, 1 or 2 m per pixel with a transmitter
+    above any pixel."""
     rows = draw(st.integers(16, 24))
     cols = draw(st.integers(16, 24))
     style = sc.CityStyle(building_fraction=draw(st.sampled_from([0.1, 0.3, 0.5])),
                          vegetation_fraction=draw(st.sampled_from([0.0, 0.1, 0.3])),
                          street_width=draw(st.integers(2, 4)),
                          block_size=draw(st.integers(4, 8)))
-    hm = sc.generate_city(rows, cols, draw(st.integers(0, 2**16)), style)
+    hm = dataclasses.replace(sc.generate_city(rows, cols, draw(st.integers(0, 2**16)), style),
+                             resolution_m=draw(st.sampled_from([0.5, 1.0, 2.0])))
     r = draw(st.integers(0, rows - 1))
     c = draw(st.integers(0, cols - 1))
     height = float(hm.building[r, c]) + draw(st.sampled_from([0.5, 2.0, 15.0]))

@@ -113,6 +113,29 @@ class TestTrace:
         assert run_cli("trace", "--scene", bad, "--tx", tmp_path / "tx.json",
                        "--out", tmp_path / "p.csv") == 3
 
+    @pytest.mark.parametrize("field, value", [
+        ("height_m", float("nan")),
+        ("height_m", float("inf")),
+        ("boresight_azimuth", float("-inf")),
+        ("downtilt", float("nan")),
+        ("height_m", "12"),
+        ("pixel", [3.7, 2]),
+        ("pixel", [3]),
+        ("pixel", None),  # key missing
+    ])
+    def test_bad_tx_site_exit_code(self, pipeline, field, value):
+        tmp, cfg = pipeline
+        doc = json.loads((tmp / "s.tx.json").read_text())
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        (tmp / "bad.tx.json").write_text(json.dumps(doc))
+        assert run_cli("trace", "--scene", tmp / "s.scene.bgrd",
+                       "--tx", tmp / "bad.tx.json", "--config", cfg,
+                       "--out", tmp / "bad.csv") == 3
+        assert not (tmp / "bad.csv").exists()
+
 
 class TestTensorize:
     def test_downscale_one_matches_in_process(self, pipeline, codebook):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamgrid import channel as ch
 from beamgrid import gridio as io
@@ -9,6 +11,23 @@ from beamgrid import predictor as pr
 from beamgrid import scene as sc
 from beamgrid.errors import GridParseError
 from beamgrid.metrics import EvalReport
+
+
+@st.composite
+def bgrd_like_bytes(draw):
+    """Grid files with a well-formed or garbled header; the payload length
+    often matches what the header's dimensions multiply to."""
+    if draw(st.booleans()):
+        garbage = st.binary(max_size=4).map(lambda b: b.decode("latin-1"))
+        tokens = draw(st.lists(st.one_of(st.integers(-3, 4).map(str),
+                                         st.sampled_from(["u8", "f32", "f64", ""]),
+                                         garbage), max_size=6))
+        return (" ".join(["BGRD1", *tokens]) + "\n").encode() + draw(st.binary(max_size=80))
+    rows, cols, ch = (draw(st.integers(-3, 4)) for _ in range(3))
+    dtype = draw(st.sampled_from(["u8", "f32", "f64"]))
+    size = abs(rows * cols * ch) * (1 if dtype == "u8" else 4)
+    size = draw(st.sampled_from([size, draw(st.integers(0, 80))]))
+    return f"BGRD1 {rows} {cols} {ch} {dtype}\n".encode() + bytes(size)
 
 
 class TestGridFormat:
@@ -44,6 +63,25 @@ class TestGridFormat:
         data = io.grid_to_bytes(np.zeros((2, 2, 1), dtype=np.float32))
         with pytest.raises(GridParseError, match="expected 16 bytes"):
             io.grid_from_bytes(data[:-4])
+
+    def test_negative_dimensions_rejected(self):
+        with pytest.raises(GridParseError, match="negative dimension"):
+            io.grid_from_bytes(b"BGRD1 -2 -2 1 u8\n" + bytes(4))
+
+    @given(st.one_of(st.binary(max_size=80), bgrd_like_bytes()))
+    @settings(max_examples=300)
+    def test_garbage_raises_only_parse_error(self, data):
+        try:
+            io.grid_from_bytes(data)
+        except GridParseError:
+            pass
+
+    @given(st.data())
+    def test_truncated_file_rejected(self, data):
+        arr = np.arange(2 * 3 * 2, dtype=np.float32).reshape(2, 3, 2)
+        full = io.grid_to_bytes(arr, data.draw(st.sampled_from(["f32", "u8"])))
+        with pytest.raises(GridParseError):
+            io.grid_from_bytes(full[:data.draw(st.integers(0, len(full) - 1))])
 
     def test_unknown_dtype_rejected(self):
         with pytest.raises(ValueError):

@@ -331,6 +331,32 @@ class TestDownscale:
                     assert not lo_valid[br, bc]
                     assert not lo[br, bc].any()
 
+    @given(st.data())
+    @settings(deadline=None, max_examples=50)
+    def test_block_means_match_naive_loop(self, data):
+        factor = data.draw(st.sampled_from([1, 2, 4]))
+        br, bc = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        rows, cols = br * factor, bc * factor
+        seed = data.draw(st.integers(0, 2**16))
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0.0, 10.0, (rows, cols, 2, 3))
+        valid = None if data.draw(st.booleans()) \
+            else rng.uniform(size=(rows, cols)) < data.draw(st.sampled_from([0.0, 0.2, 0.7, 1.0]))
+        lo, lo_valid = sc.downscale_tensor_map(t, valid, factor=factor)
+        assert lo.shape == (br, bc, 2, 3) and lo_valid.shape == (br, bc)
+        for i in range(br):
+            for j in range(bc):
+                members = [t[r, c] for r in range(i * factor, (i + 1) * factor)
+                           for c in range(j * factor, (j + 1) * factor)
+                           if valid is None or valid[r, c]]
+                assert lo_valid[i, j] == bool(members)
+                if members:
+                    # summation order differs from the loop: 16 terms at most
+                    np.testing.assert_allclose(lo[i, j], sum(members) / len(members),
+                                               rtol=64 * np.finfo(np.float64).eps)
+                else:
+                    assert not lo[i, j].any()
+
     def test_empty_block_invalid(self):
         t = np.ones((4, 4, 3))
         valid = np.zeros((4, 4), dtype=bool)
