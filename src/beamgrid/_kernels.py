@@ -1,56 +1,26 @@
 """Hot numeric kernels: grid visibility marching and multipath tracing.
 
-The loop kernels (march, mirror_hit, trace_fill, accumulate_tensors) are
-plain loop code so the identical functions run either JIT-compiled through
-numba (default) or as ordinary Python when the environment variable
-BEAMGRID_BACKEND=numpy is set or numba is missing. BEAMGRID_THREADS caps the
-numba worker count for the parallel kernels; results are bit-identical for
-any thread count because every pixel writes only its own output slice.
-
-The visibility pass (trace_count, march_batch) is NumPy array code on every
-backend: it repeats the loop kernels' floating-point operations on arrays of
-rays, so its results equal theirs bit for bit.
+The tracer (trace_count, trace_fill) and accumulate_tensors are NumPy array
+code. They repeat the floating-point operations of the scalar kernels
+march and mirror_hit, which segment_clear and the tests use as the
+per-path reference, in the same order, so their results equal a per-pixel
+loop bit for bit. The math-library calls whose NumPy versions round
+differently (atan2, hypot, x ** y, and so _bearing) stay scalar math calls
+over the visible paths, a few thousand per scene.
 """
 
 import math
-import os
+from typing import NamedTuple
 
 import numpy as np
 
-BACKEND = os.environ.get("BEAMGRID_BACKEND", "numba").strip().lower()
-USE_NUMBA = BACKEND != "numpy"
-
-if USE_NUMBA:
-    try:
-        import numba
-        from numba import njit, prange
-    except ImportError:  # documented fallback: run the loops in the interpreter
-        USE_NUMBA = False
-
-if USE_NUMBA:
-    _threads = os.environ.get("BEAMGRID_THREADS")
-    if _threads:
-        try:
-            n = max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS))
-            numba.set_num_threads(n)
-        except ValueError:
-            pass
-else:
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-    prange = range
+# The kernels are plain NumPy; nothing is JIT-compiled. Kept because the
+# stage benchmark reads it to label the backend that ran.
+USE_NUMBA = False
 
 TWO_PI = 2.0 * math.pi
 
 
-@njit(cache=True)
 def march(building, vegetation, x0, y0, z0, x1, y1, z1, res):
     """Walk the 2D cell grid under the 3D segment (x0,y0,z0)->(x1,y1,z1).
 
@@ -275,7 +245,6 @@ def _vegetated_length(v, z0, dz, t_prev, t_next, seg_len):
     return add
 
 
-@njit(cache=True)
 def mirror_hit(wall, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z):
     """Specular reflection point on a vertical wall rectangle via mirroring.
 
@@ -321,7 +290,6 @@ def mirror_hit(wall, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z):
     return True, hx, hy, hz, math.sqrt(ddx * ddx + ddy * ddy + ddz * ddz)
 
 
-@njit(cache=True)
 def _bearing(dx, dy_row):
     """Azimuth with east = 0, counter-clockwise; grid rows grow southward."""
     a = math.atan2(-dy_row, dx)
@@ -330,12 +298,23 @@ def _bearing(dx, dy_row):
     return a
 
 
+def _math_map(fn, *arrays):
+    """fn over the arrays' elements as Python floats, as a float64 array.
+
+    NumPy's arctan2, hypot and power round differently from math.atan2,
+    math.hypot and Python's ** on some inputs; this keeps the scalar
+    results.
+    """
+    return np.array([fn(*v) for v in zip(*(a.tolist() for a in arrays))],
+                    dtype=np.float64)
+
+
 def _reflection_candidates(walls, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z, eps):
     """mirror_hit's tests for each wall on the vectors of receivers.
 
-    Returns (receiver index, wall index, hx, hy, hz) of the pairs that pass,
-    in wall order, with each hit point moved eps off the wall to its street
-    side as trace_count and trace_fill do.
+    Returns (receiver index, wall index, hx, hy, hz, path_len) of the pairs
+    that pass, in wall order, with each hit point moved eps off the wall to
+    its street side and path_len mirror_hit's image-to-receiver distance.
     """
     hits = []
     rx_z_tx = rx_z - tx_z
@@ -348,126 +327,121 @@ def _reflection_candidates(walls, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z, eps):
             continue
         side = np.flatnonzero((rx_al - plane) * nrm > 0.0)
         i_al = 2.0 * plane - tx_al
-        t = (plane - i_al) / (rx_al[side] - i_al)
-        h_ac = tx_ac + t * (rx_ac[side] - tx_ac)
+        d_al = rx_al[side] - i_al
+        d_ac = rx_ac[side] - tx_ac
+        t = (plane - i_al) / d_al
+        h_ac = tx_ac + t * d_ac
         hz = tx_z + t * rx_z_tx
         ok = ~((h_ac < lo) | (h_ac > hi) | (hz < 0.0) | (hz > height))
-        h_al = np.full(int(ok.sum()), plane + eps * nrm)
+        ddx, ddy = (d_al[ok], d_ac[ok]) if axis == 0.0 else (d_ac[ok], d_al[ok])
+        path_len = np.sqrt(ddx * ddx + ddy * ddy + rx_z_tx * rx_z_tx)
+        h_al = np.full(path_len.size, plane + eps * nrm)
         hx, hy = (h_al, h_ac[ok]) if axis == 0.0 else (h_ac[ok], h_al)
-        hits.append((side[ok], np.full(h_al.size, w), hx, hy, hz[ok]))
+        hits.append((side[ok], np.full(h_al.size, w), hx, hy, hz[ok], path_len))
     if not hits:
-        return (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),) * 3
+        return (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),) * 4
     return tuple(np.concatenate(a) for a in zip(*hits))
 
 
-def trace_count(building, vegetation, walls, tx_x, tx_y, tx_z, rx_z, res):
-    """Visibility of every candidate path; each candidate is marched once.
+class VisiblePaths(NamedTuple):
+    """One entry per visible path, sorted pixel-major and, within a pixel,
+    by slot: 0 for the direct path, 1 + w for the reflection off wall w.
 
-    Returns (visible, veg_len). visible has shape (rows*cols, 1 + n_walls)
-    in row-major pixel order: column 0 flags the direct path, column 1+w
-    the first-order reflection off wall w. veg_len is the direct path's
-    vegetated length (0 where there is none). Building pixels get no paths.
-
-    Plain NumPy on every backend: march_batch marches the direct paths of
-    all street pixels together; each wall screens the vector of street
-    pixels with mirror_hit's tests, and the surviving (pixel, wall) pairs
-    march their first leg together and their second leg where the first is
-    clear. Every step repeats the scalar kernels' operations, so the result
-    equals a per-pixel loop over march and mirror_hit bit for bit.
+    veg_len is the direct path's vegetated length (0 for reflections).
+    (x, y, z) is the point the path leaves the transmitter for: the
+    receiver of a direct path, the eps-offset hit point of a reflection.
+    length is the unfolded path length.
     """
-    rows, cols = building.shape
-    n_walls = walls.shape[0]
-    visible = np.zeros((rows * cols, 1 + n_walls), dtype=np.uint8)
-    veg_len = np.zeros(rows * cols)
-    eps = 1e-6 * res
+
+    pixel: np.ndarray
+    slot: np.ndarray
+    veg_len: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    length: np.ndarray
+
+
+def trace_count(building, vegetation, walls, tx_x, tx_y, tx_z, rx_z, res):
+    """The visible paths to every street pixel, as VisiblePaths; each
+    candidate path is marched once. Building pixels get no paths.
+
+    march_batch marches the direct paths of all street pixels together.
+    Each wall screens the vector of street pixels with mirror_hit's tests,
+    and the surviving (pixel, wall) pairs march their first leg together
+    and their second leg where the first is clear. Every step repeats the
+    scalar kernels' operations, so the list equals a per-pixel loop over
+    march and mirror_hit bit for bit.
+    """
+    cols = building.shape[1]
     street = np.flatnonzero(~(building > 0.0).ravel())
     rx_x = (street % cols + 0.5) * res
     rx_y = (street // cols + 0.5) * res
     d2 = (rx_x - tx_x) ** 2 + (rx_y - tx_y) ** 2 + (rx_z - tx_z) ** 2
-    sel = d2 > 0.0
-    clear, vl = march_batch(building, vegetation, tx_x, tx_y, tx_z,
-                            rx_x[sel], rx_y[sel], rx_z, res)
-    lit = street[sel][clear]
-    visible[lit, 0] = 1
-    veg_len[lit] = vl[clear]
+    sel = np.flatnonzero(d2 > 0.0)
+    clear, veg_len = march_batch(building, vegetation, tx_x, tx_y, tx_z,
+                                 rx_x[sel], rx_y[sel], rx_z, res)
+    lit = sel[clear]
+    n_dir = lit.size
+    # libm's pow(x, 2), which Python's ** calls, is not always x * x
+    dir_len = _math_map(lambda x, y, z: math.sqrt(x ** 2 + y ** 2 + z ** 2),
+                        rx_x[lit] - tx_x, rx_y[lit] - tx_y,
+                        np.full(n_dir, rx_z - tx_z))
 
-    pix, wall, hx, hy, hz = _reflection_candidates(walls, tx_x, tx_y, tx_z,
-                                                   rx_x, rx_y, rx_z, eps)
+    i, wall, hx, hy, hz, path_len = _reflection_candidates(
+        walls, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z, 1e-6 * res)
     ok1, _ = march_batch(building, vegetation, tx_x, tx_y, tx_z, hx, hy, hz, res)
-    pix, wall = pix[ok1], wall[ok1]
     ok2, _ = march_batch(building, vegetation, hx[ok1], hy[ok1], hz[ok1],
-                         rx_x[pix], rx_y[pix], rx_z, res)
-    visible[street[pix[ok2]], 1 + wall[ok2]] = 1
-    return visible, veg_len
+                         rx_x[i[ok1]], rx_y[i[ok1]], rx_z, res)
+    refl = np.flatnonzero(ok1)[ok2]
+
+    paths = VisiblePaths(
+        pixel=np.concatenate([street[lit], street[i[refl]]]),
+        slot=np.concatenate([np.zeros(n_dir, dtype=np.int64), 1 + wall[refl]]),
+        veg_len=np.concatenate([veg_len[clear], np.zeros(refl.size)]),
+        x=np.concatenate([rx_x[lit], hx[refl]]),
+        y=np.concatenate([rx_y[lit], hy[refl]]),
+        z=np.concatenate([np.full(n_dir, float(rx_z)), hz[refl]]),
+        length=np.concatenate([dir_len, path_len[refl]]))
+    # direct entries come first and reflections wall-major, so a stable sort
+    # by pixel puts each pixel's paths in slot order
+    order = np.argsort(paths.pixel, kind="stable")
+    return VisiblePaths(*(a[order] for a in paths))
 
 
-@njit(cache=True, parallel=True)
-def trace_fill(visible, veg_len, walls, offsets, cols,
-               tx_x, tx_y, tx_z, rx_z, res, lam, refl_amp, veg_db_per_m,
-               amp_out, psi_out, aod_az_out, aod_el_out, aoa_az_out):
-    """Fill per-path arrays for the paths trace_count found visible.
+def trace_fill(paths, cols, tx_x, tx_y, tx_z, res, lam, refl_amp, veg_db_per_m):
+    """Values of the VisiblePaths: (amp, psi, aod_az, aod_el, aoa_az).
 
-    Pixel p's paths occupy slots offsets[p]:offsets[p+1], the direct path
-    first, then reflections in wall order. Amplitudes follow the free-space
-    law lam/(4*pi*d); the direct path is further attenuated by its
-    vegetated length, reflections by the fixed per-bounce loss. The phase
-    is the carrier phase of the path length. Nothing is marched: only the
-    specular point of each visible reflection is recomputed.
+    Amplitudes follow the free-space law lam/(4*pi*d); the direct path is
+    further attenuated by its vegetated length, reflections by the fixed
+    per-bounce loss. The phase is the carrier phase of the path length.
+    Nothing is marched and no hit point is recomputed.
     """
-    eps = 1e-6 * res
-    four_pi = 4.0 * math.pi
-    for idx in prange(visible.shape[0]):
-        k = offsets[idx]
-        end = offsets[idx + 1]
-        r = idx // cols
-        c = idx % cols
-        rx_x = (c + 0.5) * res
-        rx_y = (r + 0.5) * res
-        if visible[idx, 0]:
-            d = math.sqrt((rx_x - tx_x) ** 2 + (rx_y - tx_y) ** 2 + (rx_z - tx_z) ** 2)
-            att_db = veg_db_per_m * veg_len[idx]
-            amp_out[k] = lam / (four_pi * d) * 10.0 ** (-att_db / 20.0)
-            psi_out[k] = (-TWO_PI * d / lam) % TWO_PI
-            dxh = rx_x - tx_x
-            dyh = rx_y - tx_y
-            aod_az_out[k] = _bearing(dxh, dyh)
-            aod_el_out[k] = math.atan2(rx_z - tx_z, math.hypot(dxh, dyh))
-            aoa_az_out[k] = _bearing(-dxh, -dyh)
-            k += 1
-        for w in range(walls.shape[0]):
-            if k == end:
-                break
-            if not visible[idx, 1 + w]:
-                continue
-            _, hx, hy, hz, plen = mirror_hit(walls[w], tx_x, tx_y, tx_z, rx_x, rx_y, rx_z)
-            if walls[w, 0] == 0.0:
-                hx += eps * walls[w, 5]
-            else:
-                hy += eps * walls[w, 5]
-            amp_out[k] = lam / (four_pi * plen) * refl_amp
-            psi_out[k] = (-TWO_PI * plen / lam) % TWO_PI
-            dxh = hx - tx_x
-            dyh = hy - tx_y
-            aod_az_out[k] = _bearing(dxh, dyh)
-            aod_el_out[k] = math.atan2(hz - tx_z, math.hypot(dxh, dyh))
-            aoa_az_out[k] = _bearing(hx - rx_x, hy - rx_y)
-            k += 1
+    direct = paths.slot == 0
+    gain = np.full(direct.size, refl_amp)
+    gain[direct] = _math_map(lambda a: 10.0 ** a,
+                             -(veg_db_per_m * paths.veg_len[direct]) / 20.0)
+    amp = lam / (4.0 * math.pi * paths.length) * gain
+    psi = (-TWO_PI * paths.length / lam) % TWO_PI
+    dep_x = paths.x - tx_x
+    dep_y = paths.y - tx_y
+    aod_az = _math_map(_bearing, dep_x, dep_y)
+    aod_el = _math_map(lambda x, y, z: math.atan2(z, math.hypot(x, y)),
+                       dep_x, dep_y, paths.z - tx_z)
+    # a direct path arrives from the transmitter, a reflection from its hit point
+    rx_x = (paths.pixel % cols + 0.5) * res
+    rx_y = (paths.pixel // cols + 0.5) * res
+    aoa_az = _math_map(_bearing, np.where(direct, -dep_x, paths.x - rx_x),
+                       np.where(direct, -dep_y, paths.y - rx_y))
+    return amp, psi, aod_az, aod_el, aoa_az
 
 
-@njit(cache=True)
 def accumulate_tensors(pixel_ids, sectors, c2, g_az, g_el, out):
     """Sum per-path rank-1 contributions into per-pixel beam tensors.
 
-    out has shape (n_pixels, Na, Ne, Nr); paths are grouped arbitrarily but
-    the summation order is the array order, so results are deterministic.
+    out has shape (n_pixels, Na, Ne, Nr). np.add.at adds the contributions
+    in path order, so every tensor element sums the same terms in the same
+    order as a per-path loop and results are deterministic.
     """
-    na = g_az.shape[1]
-    ne = g_el.shape[1]
-    for p in range(pixel_ids.size):
-        pix = pixel_ids[p]
-        s = sectors[p]
-        w = c2[p]
-        for ia in range(na):
-            ga = w * g_az[p, ia]
-            for ie in range(ne):
-                out[pix, ia, ie, s] += ga * g_el[p, ie]
+    contrib = (c2[:, None] * g_az)[:, :, None] * g_el[:, None, :]
+    np.add.at(out, (pixel_ids, slice(None), slice(None), sectors), contrib)

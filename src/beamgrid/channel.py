@@ -127,15 +127,6 @@ class BeamspaceAngles(NamedTuple):
     vartheta: float
 
 
-def direction_from_angles(azimuth, elevation):
-    """Unit direction (east, north, up) for azimuth/elevation in radians."""
-    ce = np.cos(elevation)
-    return np.stack(
-        [ce * np.cos(azimuth), ce * np.sin(azimuth), np.sin(elevation) * np.ones_like(ce)],
-        axis=-1,
-    )
-
-
 def global_to_array_frame(aod_azimuth, aod_elevation, frame):
     """Departure direction expressed in the array frame.
 

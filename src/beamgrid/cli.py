@@ -2,10 +2,6 @@
 
 Exit codes: 0 ok, 2 usage error, 3 data error (unreadable/malformed/
 inconsistent inputs), 4 numeric failure (solver or undefined statistic).
-The tracer's kernels run under numba when it imports and in the
-interpreter otherwise; BEAMGRID_BACKEND=numpy selects the interpreter
-kernels even where numba is installed. BEAMGRID_THREADS caps the numba
-worker threads and has no effect without numba.
 """
 
 from __future__ import annotations

@@ -95,32 +95,41 @@ def write_paths_csv(path, channels):
 
 
 def read_paths_csv(path, rows, cols, rx_height_m=1.5):
-    """Parse a path table back into SceneChannels (no direct-path metadata)."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != PATH_HEADER:
-            raise GridParseError(
-                f"path file header mismatch at byte offset 0: {header!r}")
-        pr, pc, vals = [], [], [[], [], [], [], []]
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise GridParseError(f"line {lineno}: expected 7 fields, got {len(parts)}")
-            try:
-                r, c = int(parts[0]), int(parts[1])
-                nums = [float(x) for x in parts[2:]]
-            except ValueError as exc:
-                raise GridParseError(f"line {lineno}: {exc}") from exc
-            if not (0 <= r < rows and 0 <= c < cols):
+    """Parse a path table back into SceneChannels (no direct-path metadata).
+
+    A malformed line, a pixel off the grid, a non-finite value or a
+    non-ASCII byte raises GridParseError.
+    """
+    pr, pc, vals = [], [], [[], [], [], [], []]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().strip()
+            if header != PATH_HEADER:
                 raise GridParseError(
-                    f"line {lineno}: pixel ({r},{c}) outside the {rows}x{cols} grid")
-            pr.append(r)
-            pc.append(c)
-            for v, x in zip(vals, nums):
-                v.append(x)
+                    f"path file header mismatch at byte offset 0: {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) != 7:
+                    raise GridParseError(f"line {lineno}: expected 7 fields, got {len(parts)}")
+                try:
+                    r, c = int(parts[0]), int(parts[1])
+                    nums = [float(x) for x in parts[2:]]
+                except ValueError as exc:
+                    raise GridParseError(f"line {lineno}: {exc}") from exc
+                if not all(map(math.isfinite, nums)):
+                    raise GridParseError(f"line {lineno}: non-finite value in {line!r}")
+                if not (0 <= r < rows and 0 <= c < cols):
+                    raise GridParseError(
+                        f"line {lineno}: pixel ({r},{c}) outside the {rows}x{cols} grid")
+                pr.append(r)
+                pc.append(c)
+                for v, x in zip(vals, nums):
+                    v.append(x)
+    except UnicodeDecodeError as exc:
+        raise GridParseError(f"path file {path}: {exc}") from exc
     pixel = np.asarray(pr, dtype=np.int64) * cols + np.asarray(pc, dtype=np.int64)
     counts = np.bincount(pixel, minlength=rows * cols)
     order = np.argsort(pixel, kind="stable")  # group by pixel, keep file order

@@ -323,8 +323,9 @@ def trace_paths(hm, tx, cfg, rx_height_m=1.5):
 
     Pixels inside buildings get zero paths. Deterministic: pure geometry,
     fixed wall enumeration order, direct path stored first per pixel.
-    trace_count marches every candidate path once; trace_fill writes the
-    values of the visible ones. max_reflections=0 skips wall extraction.
+    trace_count lists the visible paths, marching every candidate once;
+    trace_fill computes their values. max_reflections=0 skips wall
+    extraction.
     """
     r, c = tx.pixel
     if not (0 <= r < hm.rows and 0 <= c < hm.cols):
@@ -333,26 +334,21 @@ def trace_paths(hm, tx, cfg, rx_height_m=1.5):
     walls = exterior_walls(hm.building, res) if cfg.max_reflections >= 1 \
         else np.zeros((0, 6))
     tx_x, tx_y = pixel_center(tx.pixel, res)
-    lam = cfg.wavelength_m
     refl_amp = 10.0 ** (-cfg.reflection_loss_db / 20.0)
-
-    visible, veg_len = _kernels.trace_count(hm.building, hm.vegetation, walls,
-                                            tx_x, tx_y, tx.height_m, rx_height_m, res)
-    counts = visible.sum(axis=1, dtype=np.int64)
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    paths = _kernels.trace_count(hm.building, hm.vegetation, walls,
+                                 tx_x, tx_y, tx.height_m, rx_height_m, res)
+    amp, psi, aod_az, aod_el, aoa_az = _kernels.trace_fill(
+        paths, hm.cols, tx_x, tx_y, tx.height_m, res, cfg.wavelength_m, refl_amp,
+        cfg.vegetation_db_per_m)
+    n_px = hm.rows * hm.cols
+    counts = np.bincount(paths.pixel, minlength=n_px)
+    offsets = np.zeros(n_px + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    total = int(offsets[-1])
-    amp = np.zeros(total)
-    psi = np.zeros(total)
-    aod_az = np.zeros(total)
-    aod_el = np.zeros(total)
-    aoa_az = np.zeros(total)
-    _kernels.trace_fill(visible, veg_len, walls, offsets, hm.cols,
-                        tx_x, tx_y, tx.height_m, rx_height_m, res,
-                        lam, refl_amp, cfg.vegetation_db_per_m,
-                        amp, psi, aod_az, aod_el, aoa_az)
-    has_direct = visible[:, 0].astype(bool)
-    direct_veg_db = np.where(has_direct, cfg.vegetation_db_per_m * veg_len, 0.0)
+    direct = paths.slot == 0
+    has_direct = np.zeros(n_px, dtype=bool)
+    has_direct[paths.pixel[direct]] = True
+    direct_veg_db = np.zeros(n_px)
+    direct_veg_db[paths.pixel[direct]] = cfg.vegetation_db_per_m * paths.veg_len[direct]
     return SceneChannels(
         rows=hm.rows, cols=hm.cols, rx_height_m=rx_height_m,
         counts=counts.reshape(hm.rows, hm.cols), offsets=offsets,
@@ -377,11 +373,8 @@ def effective_tensor_map(channels, codebook, frame):
         bs = beamspace_angles(phi, theta)
         g_az, g_el = gain_profiles(bs.varphi, bs.vartheta, codebook)
         sectors = np.atleast_1d(sector_index(channels.aoa_azimuth, codebook.nr))
-        pixel_ids = np.repeat(np.arange(rows * cols), channels.counts.ravel())
-        _kernels.accumulate_tensors(pixel_ids, sectors.astype(np.int64),
-                                    channels.magnitude ** 2,
-                                    np.ascontiguousarray(g_az),
-                                    np.ascontiguousarray(g_el), out)
+        _kernels.accumulate_tensors(channels.pixel_ids(), sectors,
+                                    channels.magnitude ** 2, g_az, g_el, out)
     return out.reshape(rows, cols, codebook.na, codebook.ne, codebook.nr)
 
 

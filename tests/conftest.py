@@ -14,14 +14,6 @@ def codebook():
     return ch.dft_codebook(8, 4, 4)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # pay the JIT compile cost once, outside any timed test
-    hm = sc.HeightMap(np.zeros((16, 16)), np.zeros((16, 16)))
-    tx = sc.TxSite((8, 8), 10.0, ch.ArrayFrame(0.0, np.pi / 4))
-    sc.trace_paths(hm, tx, sc.SceneConfig())
-
-
 def on_grid_direction(ia, ie, na, ne):
     """Global (azimuth, elevation) whose beamspace angles land exactly on
     the (ia, ie) codebook grid point under an identity array frame.
@@ -76,3 +68,15 @@ def los_class_reference(channels):
             out[r, c] = mt.LosClass.LOS_ATTENUATED if attenuated \
                 else mt.LosClass.LOS_DOMINANT
     return out
+
+
+def accumulate_tensors_reference(pixel_ids, sectors, c2, g_az, g_el, out):
+    """The per-path loop that _kernels.accumulate_tensors must match bit for
+    bit: every element sums its terms in path order, each term formed as
+    (c2 * g_az) * g_el."""
+    for p in range(pixel_ids.size):
+        pix, s, w = pixel_ids[p], sectors[p], c2[p]
+        for ia in range(g_az.shape[1]):
+            ga = w * g_az[p, ia]
+            for ie in range(g_el.shape[1]):
+                out[pix, ia, ie, s] += ga * g_el[p, ie]

@@ -173,6 +173,20 @@ class TestTensorize:
         flat = np.argmax(tensors, axis=2)
         assert np.array_equal(gt[:, :, 0].astype(int), flat)
 
+    @pytest.mark.parametrize("column, value", [(2, "nan"), (4, "inf")])
+    def test_non_finite_path_value_exit_code(self, pipeline, column, value):
+        # column 2 is the amplitude, column 4 the departure azimuth
+        tmp, cfg = pipeline
+        lines = (tmp / "s.paths.csv").read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[column] = value
+        lines[1] = ",".join(fields)
+        (tmp / "bad.paths.csv").write_text("\n".join(lines) + "\n")
+        assert run_cli("tensorize", "--paths", tmp / "bad.paths.csv",
+                       "--tx", tmp / "s.tx.json", "--config", cfg,
+                       "--out", tmp / "bad", "--downscale", 1) == 3
+        assert not (tmp / "bad.tensors.bgrd").exists()
+
     def test_non_divisible_downscale_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", rows=18, cols=18)
         (tmp_path / "p.csv").write_text(io.PATH_HEADER + "\n")

@@ -30,6 +30,23 @@ def bgrd_like_bytes(draw):
     return f"BGRD1 {rows} {cols} {ch} {dtype}\n".encode() + bytes(size)
 
 
+@st.composite
+def paths_csv_like_bytes(draw):
+    """Path tables whose lines have garbled, missing, extra, non-finite or
+    non-ASCII fields, under a correct or damaged header."""
+    field = st.one_of(st.integers(-2, 5).map(str), st.floats().map(repr),
+                      st.sampled_from(["nan", "-inf", "1e999", "", " ", "x"]),
+                      st.binary(max_size=3).map(lambda b: b.decode("latin-1")))
+    lines = draw(st.lists(st.lists(field, max_size=8).map(",".join), max_size=5))
+    header = draw(st.sampled_from([io.PATH_HEADER, io.PATH_HEADER[:-3], ""]))
+    return "\n".join([header, *lines]).encode("latin-1")
+
+
+@pytest.fixture(scope="module")
+def csv_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "p.csv"
+
+
 class TestGridFormat:
     def test_f32_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -119,6 +136,40 @@ class TestPathCsv:
         path.write_text(io.PATH_HEADER + "\n0,0,xyz,0.0,0.0,0.0,0.0\n")
         with pytest.raises(GridParseError, match="line 2"):
             io.read_paths_csv(path, 4, 4)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(io.PATH_HEADER + "\n0,0,1.0,0.0,0.0,0.0,-inf\n")
+        with pytest.raises(GridParseError, match="line 2: non-finite"):
+            io.read_paths_csv(path, 4, 4)
+
+    def test_non_ascii_byte_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes((io.PATH_HEADER + "\n0,0,1.0,0.0,0.0,0.0,0.5\xb5\n").encode("latin-1"))
+        with pytest.raises(GridParseError):
+            io.read_paths_csv(path, 4, 4)
+
+    @given(st.one_of(st.binary(max_size=120), paths_csv_like_bytes()))
+    @settings(max_examples=300)
+    def test_garbage_raises_only_parse_error(self, csv_file, data):
+        csv_file.write_bytes(data)
+        try:
+            chans = io.read_paths_csv(csv_file, 4, 4)
+        except GridParseError:
+            return
+        values = [chans.magnitude, chans.phase, chans.aod_azimuth,
+                  chans.aod_elevation, chans.aoa_azimuth]
+        assert all(np.isfinite(v).all() for v in values)
+
+    @given(st.data())
+    def test_truncated_file_raises_only_parse_error(self, csv_file, data):
+        full = (io.PATH_HEADER + "\n0,0,0.001,0.25,1.0,-0.5,4.0\n"
+                "3,1,2.5e-4,6.0,4.5,0.125,0.5\n").encode("ascii")
+        csv_file.write_bytes(full[:data.draw(st.integers(0, len(full) - 1))])
+        try:
+            io.read_paths_csv(csv_file, 4, 4)
+        except GridParseError:
+            pass
 
 
 class TestRunConfig:

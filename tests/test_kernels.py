@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 from unittest import mock
 
 import numpy as np
@@ -11,92 +8,6 @@ from hypothesis import strategies as st
 
 from beamgrid import _kernels
 from beamgrid import scene as sc
-
-TRACE_SNIPPET = """
-import numpy as np
-from beamgrid import _kernels, channel as ch, scene as sc
-hm = sc.generate_city(16, 16, seed=3, style=sc.CityStyle(block_size=6, street_width=3))
-tx = sc.place_tx(hm, seed=3)
-chans = sc.trace_paths(hm, tx, sc.SceneConfig())
-cb = ch.dft_codebook(4, 2, 2)
-t = sc.effective_tensor_map(chans, cb, tx.frame)
-np.save(r"{out}", t)
-np.save(r"{out_counts}", chans.counts)
-np.save(r"{out_flag}", _kernels.USE_NUMBA)
-"""
-
-NUMBA_PROBE = """
-try:
-    import numba
-    have_numba = True
-except ImportError:
-    have_numba = False
-import beamgrid._kernels as k
-print(have_numba, k.USE_NUMBA, type(k.march).__name__)
-"""
-
-
-def numba_imports():
-    """Whether numba imports in a fresh interpreter of this environment."""
-    res = subprocess.run([sys.executable, "-c", "import numba"],
-                         capture_output=True)
-    return res.returncode == 0
-
-
-def run_backend(tmp_path, backend):
-    out = tmp_path / f"t_{backend}.npy"
-    out_counts = tmp_path / f"c_{backend}.npy"
-    out_flag = tmp_path / f"f_{backend}.npy"
-    env = dict(os.environ, BEAMGRID_BACKEND=backend)
-    code = TRACE_SNIPPET.format(out=out, out_counts=out_counts,
-                                out_flag=out_flag)
-    subprocess.run([sys.executable, "-c", code], check=True, env=env,
-                   timeout=300)
-    return np.load(out), np.load(out_counts), bool(np.load(out_flag))
-
-
-class TestBackendSelection:
-    def test_env_flag_disables_numba(self, tmp_path):
-        probe = ("import beamgrid._kernels as k; "
-                 "print(k.USE_NUMBA, k.march.__class__.__name__)")
-        res = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=dict(os.environ, BEAMGRID_BACKEND="numpy"),
-            capture_output=True, text=True, check=True)
-        flag, kind = res.stdout.split()
-        assert flag == "False" and kind == "function"
-
-    def test_default_backend_is_numba(self):
-        # documented default: numba when it imports, the interpreter otherwise
-        env = {k: v for k, v in os.environ.items() if k != "BEAMGRID_BACKEND"}
-        res = subprocess.run([sys.executable, "-c", NUMBA_PROBE],
-                             env=env, capture_output=True, text=True,
-                             check=True)
-        have_numba, flag, kind = res.stdout.split()
-        assert flag == have_numba
-        assert (kind == "function") == (have_numba == "False")
-
-
-class TestBackendEquivalence:
-    def test_trace_results_match(self, tmp_path):
-        t_nb, c_nb, ran_nb = run_backend(tmp_path, "numba")
-        t_np, c_np, ran_np = run_backend(tmp_path, "numpy")
-        assert ran_np is False
-        # without numba both runs are the interpreter; a broken install fails
-        assert ran_nb == numba_imports()
-        assert np.array_equal(c_nb, c_np)
-        np.testing.assert_allclose(t_nb, t_np, rtol=1e-12, atol=1e-30)
-
-    def test_thread_cap_env_accepted(self, tmp_path):
-        env = dict(os.environ, BEAMGRID_THREADS="1")
-        out = tmp_path / "t1.npy"
-        code = TRACE_SNIPPET.format(out=out, out_counts=tmp_path / "c1.npy",
-                                    out_flag=tmp_path / "f1.npy")
-        subprocess.run([sys.executable, "-c", code], check=True, env=env,
-                       timeout=300)
-        t_one = np.load(out)
-        t_ref, _, _ = run_backend(tmp_path, "numba")
-        assert np.array_equal(t_one, t_ref)
 
 
 class TestMarchEdgeCases:

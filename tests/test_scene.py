@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from beamgrid import metrics
 from beamgrid import scene as sc
 from beamgrid.errors import NoValidSiteError
 
-from conftest import scene_configs, small_scenes
+from conftest import accumulate_tensors_reference, scene_configs, small_scenes
 
 NO_VEG = sc.SceneConfig(vegetation_db_per_m=0.0)
 
@@ -247,6 +248,22 @@ class TestTraceMatchesReference:
         assert np.array_equal(chans.direct_veg_db, direct_veg_db)
 
 
+    def test_calls_no_scalar_kernel(self, monkeypatch):
+        hm = sc.generate_city(32, 32, seed=4)
+        tx = sc.place_tx(hm, seed=4)
+        expect = sc.trace_paths(hm, tx, sc.SceneConfig())
+
+        def scalar_kernel(*args):
+            raise AssertionError("the tracer called a scalar kernel")
+
+        monkeypatch.setattr(_kernels, "march", scalar_kernel)
+        monkeypatch.setattr(_kernels, "mirror_hit", scalar_kernel)
+        got = sc.trace_paths(hm, tx, sc.SceneConfig())
+        assert got.magnitude.size > 0
+        for f in ("counts", "magnitude", "phase", "aod_azimuth", "aod_elevation",
+                  "aoa_azimuth", "has_direct", "direct_veg_db"):
+            assert getattr(got, f).tobytes() == getattr(expect, f).tobytes()
+
 class TestVisibilityProperties:
     def test_reciprocity(self):
         hm = sc.generate_city(32, 32, seed=12)
@@ -284,6 +301,29 @@ class TestVisibilityProperties:
         assert np.all(np.diff(best) < 0)
 
 
+@st.composite
+def random_channels(draw):
+    """Random paths on a grid of at most 4x4 pixels, up to five per pixel,
+    with arrival azimuths that often share a receive sector."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    counts = np.array(draw(st.lists(st.integers(0, 5), min_size=rows * cols,
+                                    max_size=rows * cols)), dtype=np.int64)
+    n = int(counts.sum())
+
+    def values(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=np.float64)
+
+    return sc.SceneChannels(
+        rows=rows, cols=cols, rx_height_m=1.5, counts=counts.reshape(rows, cols),
+        offsets=np.r_[0, np.cumsum(counts)],
+        magnitude=values(st.floats(1e-9, 1.0)),
+        phase=values(st.floats(0.0, 2 * np.pi)),
+        aod_azimuth=values(st.floats(0.0, 2 * np.pi)),
+        aod_elevation=values(st.floats(-np.pi / 2, np.pi / 2)),
+        aoa_azimuth=values(st.one_of(st.sampled_from([0.1, 0.2, 3.0]),
+                                     st.floats(0.0, 2 * np.pi))))
+
+
 class TestEffectiveTensorMap:
     def test_matches_per_pixel_builder(self, codebook):
         hm = sc.generate_city(32, 32, seed=21)
@@ -296,6 +336,15 @@ class TestEffectiveTensorMap:
             c = int(rng.integers(32))
             expect = ch.effective_tensor(chans.channel_at(r, c), codebook, tx.frame)
             np.testing.assert_allclose(tensors[r, c], expect, rtol=1e-10, atol=1e-30)
+
+    @given(random_channels(), st.floats(0.0, 2 * np.pi), st.floats(0.0, np.pi / 2))
+    @settings(deadline=None, max_examples=100)
+    def test_accumulation_matches_path_loop_bitwise(self, codebook, chans, azimuth, tilt):
+        frame = ch.ArrayFrame(azimuth, tilt)
+        got = sc.effective_tensor_map(chans, codebook, frame)
+        with mock.patch.object(_kernels, "accumulate_tensors", accumulate_tensors_reference):
+            expect = sc.effective_tensor_map(chans, codebook, frame)
+        assert got.tobytes() == expect.tobytes()
 
 
 class TestDownscale:
