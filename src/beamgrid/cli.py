@@ -72,8 +72,7 @@ def cmd_trace(args):
 def cmd_tensorize(args):
     cfg = _load_config(args.config)
     rows, cols = cfg.scene.rows, cfg.scene.cols
-    channels = gridio.read_paths_csv(args.paths, rows, cols,
-                                     rx_height_m=cfg.scene.rx_height_m)
+    channels = gridio.read_paths_csv(args.paths, rows, cols)
     tx = gridio.load_tx_site(args.tx)
     codebook = gridio.codebook_from_config(cfg)
     tensors = scene.effective_tensor_map(channels, codebook, tx.frame)
@@ -94,8 +93,37 @@ def cmd_tensorize(args):
     return 0
 
 
-def _prediction_from_args(args, cfg, tensors, valid):
-    """Resolve --pred: 'oracle', a logits grid, or a model file."""
+def _read_site(scene_path, tx_path, cfg):
+    """The height map and tx site of one scene."""
+    hm = _heightmap_from_grid(gridio.read_grid(scene_path), cfg.scene.resolution_m)
+    return hm, gridio.load_tx_site(tx_path)
+
+
+def _read_tensors(tensors_path, mask_path):
+    """Beam tensors and their validity mask, checked to share one grid."""
+    tensors = gridio.read_grid(tensors_path).astype(np.float64)
+    valid = gridio.read_grid(mask_path)[:, :, 0].astype(bool)
+    if valid.shape != tensors.shape[:2]:
+        raise GridParseError(
+            f"mask grid {valid.shape} vs tensor grid {tensors.shape[:2]}")
+    return tensors, valid
+
+
+def _site_features(hm, tx, shape):
+    """Model features of a scene pooled onto a tensor grid of the given shape."""
+    rows, cols = shape
+    factor = hm.rows // rows if rows else 0
+    if factor < 1 or (factor * rows, factor * cols) != (hm.rows, hm.cols):
+        raise GridParseError(
+            f"scene grid {hm.rows}x{hm.cols} is not an integer multiple of "
+            f"the tensor grid {rows}x{cols}")
+    return predictor.build_features(scene.pool_heightmap(hm, factor),
+                                    scene.pool_tx(tx, factor))
+
+
+def _prediction_from_args(args, cfg, tensors, valid, site):
+    """Resolve --pred: 'oracle', a logits grid, or a model file (which
+    needs site, the (height map, tx site) pair)."""
     dims = cfg.codebook.dims
     b = dims[0] * dims[1] * dims[2]
     if args.pred == "oracle":
@@ -105,20 +133,11 @@ def _prediction_from_args(args, cfg, tensors, valid):
     if not path.exists():
         raise GridParseError(f"prediction input {path} does not exist")
     if gridio.is_model_file(path):
-        if not (args.scene and args.tx):
+        if site is None:
             raise GridParseError(
                 "evaluating a model file needs --scene and --tx to build features")
         model = gridio.load_model(path)
-        hm = _heightmap_from_grid(gridio.read_grid(args.scene), cfg.scene.resolution_m)
-        tx = gridio.load_tx_site(args.tx)
-        factor = hm.rows // tensors.shape[0]
-        if factor * tensors.shape[0] != hm.rows or factor * tensors.shape[1] != hm.cols:
-            raise GridParseError(
-                f"scene grid {hm.rows}x{hm.cols} is not an integer multiple of "
-                f"the tensor grid {tensors.shape[0]}x{tensors.shape[1]}")
-        feats = predictor.build_features(scene.pool_heightmap(hm, factor),
-                                         scene.pool_tx(tx, factor))
-        return predictor.predict(model, feats, valid)
+        return predictor.predict(model, _site_features(*site, tensors.shape[:2]), valid)
     grid = gridio.read_grid(path).astype(np.float64)
     if grid.shape[:2] != tensors.shape[:2]:
         raise GridParseError(
@@ -139,13 +158,10 @@ def cmd_evaluate(args):
         print("error: --mask is required unless --tensors ends in .tensors.bgrd",
               file=sys.stderr)
         return 2
-    tensors = gridio.read_grid(args.tensors).astype(np.float64)
     mask_path = args.mask or args.tensors[:-len(".tensors.bgrd")] + ".mask.bgrd"
-    valid = gridio.read_grid(mask_path)[:, :, 0].astype(bool)
-    if valid.shape != tensors.shape[:2]:
-        raise GridParseError(
-            f"mask grid {valid.shape} vs tensor grid {tensors.shape[:2]}")
-    pred = _prediction_from_args(args, cfg, tensors, valid)
+    tensors, valid = _read_tensors(args.tensors, mask_path)
+    site = _read_site(args.scene, args.tx, cfg) if args.scene and args.tx else None
+    pred = _prediction_from_args(args, cfg, tensors, valid, site)
     rankings = predictor.flat_ranking(pred)
     sample_tensors = tensors[valid]
     report = metrics.evaluate_ranking(sample_tensors, rankings, cfg.eval.k_list,
@@ -159,9 +175,8 @@ def cmd_evaluate(args):
         img = np.zeros(valid.shape, dtype=np.uint8)
         img[valid] = np.where(hit, 255, 64)
         gridio.write_pgm(f"{stem}.top{k}.pgm", img)
-    if args.scene and args.tx:
-        hm = _heightmap_from_grid(gridio.read_grid(args.scene), cfg.scene.resolution_m)
-        tx = gridio.load_tx_site(args.tx)
+    if site is not None:
+        hm, tx = site
         direct_only = dataclasses.replace(cfg.scene.scene_config(), max_reflections=0)
         channels = scene.trace_paths(hm, tx, direct_only,  # LoS needs no reflections
                                      rx_height_m=cfg.scene.rx_height_m)
@@ -189,16 +204,12 @@ def _split_scenes(stems, seed):
 
 def _load_scene_samples(stem, cfg):
     """Features and tensors of one scene's valid pixels (tensor resolution)."""
-    grid = gridio.read_grid(f"{stem}.scene.bgrd")
-    hm = _heightmap_from_grid(grid, cfg.scene.resolution_m)
-    tx = gridio.load_tx_site(f"{stem}.tx.json")
-    tensors = gridio.read_grid(f"{stem}.tensors.bgrd").astype(np.float64)
-    valid = gridio.read_grid(f"{stem}.mask.bgrd")[:, :, 0].astype(bool)
-    factor = hm.rows // tensors.shape[0]
-    if factor * tensors.shape[0] != hm.rows:
-        raise GridParseError(f"{stem}: scene/tensor grids are not factor-aligned")
-    feats = predictor.build_features(scene.pool_heightmap(hm, factor),
-                                     scene.pool_tx(tx, factor))
+    try:
+        tensors, valid = _read_tensors(f"{stem}.tensors.bgrd", f"{stem}.mask.bgrd")
+        site = _read_site(f"{stem}.scene.bgrd", f"{stem}.tx.json", cfg)
+        feats = _site_features(*site, valid.shape)
+    except GridParseError as exc:
+        raise GridParseError(f"{stem}: {exc}") from exc
     return feats.flat()[valid.ravel()], tensors[valid]
 
 

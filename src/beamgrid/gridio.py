@@ -21,7 +21,7 @@ import numpy as np
 from .channel import ArrayFrame
 from .errors import GridParseError
 from .metrics import EvalReport, LinkBudget
-from .predictor import FEATURE_VERSION, SoftmaxModel, TrainConfig
+from .predictor import FEATURE_VERSION, LOSS_KINDS, SoftmaxModel, TrainConfig
 from .scene import CityStyle, SceneChannels, SceneConfig, TxSite
 
 GRID_MAGIC = b"BGRD1"
@@ -94,7 +94,7 @@ def write_paths_csv(path, channels):
                      f"{float(channels.aod_elevation[i])!r},{float(channels.aoa_azimuth[i])!r}\n")
 
 
-def read_paths_csv(path, rows, cols, rx_height_m=1.5):
+def read_paths_csv(path, rows, cols):
     """Parse a path table back into SceneChannels (no direct-path metadata).
 
     A malformed line, a pixel off the grid, a non-finite value or a
@@ -137,7 +137,7 @@ def read_paths_csv(path, rows, cols, rx_height_m=1.5):
     np.cumsum(counts, out=offsets[1:])
     arrs = [np.asarray(v, dtype=np.float64)[order] for v in vals]
     return SceneChannels(
-        rows=rows, cols=cols, rx_height_m=rx_height_m,
+        rows=rows, cols=cols,
         counts=counts.reshape(rows, cols), offsets=offsets,
         magnitude=arrs[0], phase=arrs[1], aod_azimuth=arrs[2],
         aod_elevation=arrs[3], aoa_azimuth=arrs[4])
@@ -179,8 +179,7 @@ class SceneSection:
         return SceneConfig(carrier_hz=self.carrier_hz,
                            reflection_loss_db=self.reflection_loss_db,
                            vegetation_db_per_m=self.vegetation_db_per_m,
-                           max_reflections=self.max_reflections,
-                           tx_mast_m=self.tx_mast_m, seed=self.seed)
+                           max_reflections=self.max_reflections)
 
     def city_style(self):
         return CityStyle(
@@ -227,7 +226,7 @@ class TrainSection:
 
 @dataclass
 class EvalSection:
-    k_list: list = field(default_factory=lambda: [1, 2, 4, 8, 16, 32])
+    k_list: list[int] = field(default_factory=lambda: [1, 2, 4, 8, 16, 32])
 
 
 @dataclass
@@ -246,7 +245,12 @@ _SECTIONS = {"scene": SceneSection, "codebook": CodebookSection,
 
 
 def parse_config(doc):
-    """Build a RunConfig from a JSON document dict; unknown keys are errors."""
+    """Build a RunConfig from a JSON document dict.
+
+    Unknown keys, a value whose JSON type does not match its field (an int
+    passes for a float, a bool never for a number) and a non-finite number
+    raise GridParseError.
+    """
     if not isinstance(doc, dict):
         raise GridParseError("config root must be a JSON object")
     unknown = set(doc) - set(_SECTIONS)
@@ -261,8 +265,41 @@ def parse_config(doc):
         bad = set(section) - allowed
         if bad:
             raise GridParseError(f"unknown key(s) in config section {name!r}: {sorted(bad)}")
-        kwargs[name] = cls(**section)
+        for f in fields(cls):
+            if f.name in section and not _json_type_ok(f.type, section[f.name]):
+                raise GridParseError(
+                    f"config {name}.{f.name} must be {f.type} (finite numbers only), "
+                    f"got {section[f.name]!r}")
+        try:
+            kwargs[name] = cls(**section)
+        except ValueError as exc:
+            raise GridParseError(f"config section {name!r}: {exc}") from exc
     return RunConfig(**kwargs)
+
+
+def _json_type_ok(annotation, value):
+    """Whether a JSON value fits a field annotation such as 'int',
+    'float | None' or 'list[int]'."""
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(
+            _json_type_ok(annotation[5:-1], v) for v in value)
+    return any(_JSON_KINDS[kind.strip()](value) for kind in annotation.split("|"))
+
+
+def _is_finite(number):
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+_JSON_KINDS = {
+    "float": lambda v: _is_number(v) and _is_finite(v),
+    "int": lambda v: _is_number(v) and isinstance(v, int),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "None": lambda v: v is None,
+}
 
 
 def load_config(path):
@@ -392,26 +429,52 @@ def save_model(path, model):
         fh.write(grid_to_bytes(stacked, "f32"))
 
 
+_MODEL_KEYS = {"dims": "list[int]", "loss_kind": "str", "sep": "bool", "seed": "int",
+               "epsilon": "float | None", "floor_db": "float", "features": "int",
+               "outputs": "int"}
+
+
 def load_model(path):
+    """SoftmaxModel from a model file. A header that is not the object
+    save_model writes, or that disagrees with the weight grid, raises
+    GridParseError."""
     with open(path, "rb") as fh:
         head_line = fh.readline()
         rest = fh.read()
     try:
         header = json.loads(head_line.decode("ascii"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError) as exc:
         raise GridParseError(f"model header at byte offset 0: {exc}") from exc
+    if not isinstance(header, dict):
+        raise GridParseError("model header at byte offset 0 is not a JSON object")
     if header.get("magic") != MODEL_MAGIC.decode("ascii"):
         raise GridParseError("model header magic mismatch at byte offset 0")
     if header.get("feature_version") != FEATURE_VERSION:
         raise GridParseError(
             f"model feature schema v{header.get('feature_version')} "
             f"does not match v{FEATURE_VERSION}")
-    stacked = grid_from_bytes(rest)[:, :, 0].astype(np.float64)
-    return SoftmaxModel(weights=stacked[:-1], bias=stacked[-1],
-                        dims=tuple(header["dims"]), loss_kind=header["loss_kind"],
-                        sep=bool(header["sep"]), seed=int(header["seed"]),
-                        epsilon=header.get("epsilon"),
-                        floor_db=float(header.get("floor_db", -30.0)))
+    missing = [k for k in _MODEL_KEYS if k not in header]
+    if missing:
+        raise GridParseError(f"model header lacks key(s) {missing}")
+    for key, kind in _MODEL_KEYS.items():
+        if not _json_type_ok(kind, header[key]):
+            raise GridParseError(f"model header {key} must be {kind}, got {header[key]!r}")
+    dims = header["dims"]
+    if len(dims) != 3 or min(dims) < 1:
+        raise GridParseError(f"model dims must be three positive ints, got {dims!r}")
+    if header["loss_kind"] not in LOSS_KINDS:
+        raise GridParseError(f"unknown model loss kind {header['loss_kind']!r}")
+    stacked = grid_from_bytes(rest)
+    expect = (header["features"] + 1, header["outputs"], 1)  # bias in the last row
+    if header["features"] < 0 or stacked.shape != expect:
+        raise GridParseError(
+            f"model weight grid {stacked.shape} does not match the header's "
+            f"{header['features']} features and {header['outputs']} outputs")
+    stacked = stacked[:, :, 0].astype(np.float64)
+    return SoftmaxModel(weights=stacked[:-1], bias=stacked[-1], dims=tuple(dims),
+                        loss_kind=header["loss_kind"], sep=header["sep"],
+                        seed=header["seed"], epsilon=header["epsilon"],
+                        floor_db=float(header["floor_db"]))
 
 
 def is_model_file(path):

@@ -344,12 +344,16 @@ def ir_loss(pred_triple, target_triple):
 
 
 def ir_ranking(pred_triple, dims):
-    """Beams ordered by Euclidean index distance to the regressed triple."""
+    """Beams ordered by Euclidean index distance to the regressed triple.
+
+    pred_triple has shape (..., 3); the order runs over the last axis.
+    """
     na, ne, nr = dims
     lattice = np.stack(np.meshgrid(np.arange(na), np.arange(ne), np.arange(nr),
                                    indexing="ij"), axis=-1).reshape(-1, 3)
-    d2 = ((lattice - np.asarray(pred_triple, dtype=np.float64)) ** 2).sum(axis=1)
-    return np.argsort(d2, kind="stable")  # ties fall back to flat order
+    pred = np.asarray(pred_triple, dtype=np.float64)[..., None, :]
+    d2 = ((lattice - pred) ** 2).sum(axis=-1)
+    return np.argsort(d2, axis=-1, kind="stable")  # ties fall back to flat order
 
 
 def gr_target_db(tensor, floor_db=-30.0):

@@ -110,11 +110,6 @@ class PredictionMap:
         na, ne, nr = self.dims
         return na * ne * nr
 
-    def split_heads(self):
-        na, ne, nr = self.dims
-        return (self.scores[..., :na], self.scores[..., na:na + ne],
-                self.scores[..., na + ne:])
-
 
 def oracle_predictor(tensors, valid=None):
     """Ground-truth ranking: scores are the beam powers in dB (zeros last)."""
@@ -228,10 +223,7 @@ def ranking(pred):
                  + zr[:, None, None, :]).reshape(-1, b)
         order = ranking_from_scores(joint)
     elif pred.kind == "ir":
-        lattice = np.stack(np.meshgrid(np.arange(na), np.arange(ne), np.arange(nr),
-                                       indexing="ij"), axis=-1).reshape(-1, 3)
-        d2 = ((flat[:, None, :] - lattice[None, :, :]) ** 2).sum(axis=-1)
-        order = np.argsort(d2, axis=-1, kind="stable")
+        order = losses.ir_ranking(flat, pred.dims)
     else:
         raise ValueError(f"unknown prediction kind {pred.kind!r}")
     return order.reshape(pred.scores.shape[0], pred.scores.shape[1], b)

@@ -71,8 +71,6 @@ class SceneConfig:
     reflection_loss_db: float = 6.0
     vegetation_db_per_m: float = 0.5
     max_reflections: int = 1
-    tx_mast_m: float = 2.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.carrier_hz <= 0.0:
@@ -112,7 +110,6 @@ class SceneChannels:
 
     rows: int
     cols: int
-    rx_height_m: float
     counts: np.ndarray
     offsets: np.ndarray
     magnitude: np.ndarray
@@ -209,18 +206,11 @@ def _block_runs(n, street_width, pitch):
 
 def building_edge_pixels(hm):
     """Row-major list of building pixels with at least one 4-neighbour street pixel."""
-    b = hm.building
-    edges = []
-    for r in range(hm.rows):
-        for c in range(hm.cols):
-            if b[r, c] <= 0.0:
-                continue
-            for dr, dc in _NEIGHBORS:
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < hm.rows and 0 <= cc < hm.cols and b[rr, cc] <= 0.0:
-                    edges.append((r, c))
-                    break
-    return edges
+    street = hm.building <= 0.0
+    pad = np.pad(street, 1)
+    near_street = pad[:-2, 1:-1] | pad[1:-1, :-2] | pad[1:-1, 2:] | pad[2:, 1:-1]
+    rows, cols = np.nonzero(~street & near_street)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def place_tx(hm, seed, mast_m=2.0, downtilt=math.pi / 4):
@@ -250,57 +240,34 @@ def exterior_walls(building, res=1.0):
     plane of constant x (east coordinate), axis 1 constant y; lo/hi span the
     other axis; normal is +/-1 along the axis, pointing to the street side.
     Colinear unit faces merge only when the building height matches, so a
-    wall is always a well-defined rectangle from the ground up.
+    wall is always a well-defined rectangle from the ground up. Rows come
+    axis by axis, planes ascending, the +1 normal's walls before the -1
+    normal's, walls by start; the tracer's path slots follow this order.
     """
-    rows, cols = building.shape
     walls = []
+    for axis, grid in enumerate((building, building.T)):
+        plane, lo, hi, height, normal = _column_walls(grid)
+        walls.append(np.column_stack([np.full(plane.size, float(axis)), plane * res,
+                                      lo * res, hi * res, height, normal]))
+    return np.concatenate(walls)
 
-    def flush(axis, plane, lo, hi, height, normal):
-        walls.append((float(axis), plane * res, lo * res, hi * res, height, float(normal)))
 
-    for c in range(cols - 1):
-        plane = c + 1
-        for normal in (1.0, -1.0):
-            run_start = None
-            run_h = 0.0
-            for r in range(rows + 1):
-                if r < rows:
-                    left, right = building[r, c], building[r, c + 1]
-                    face = (left > 0.0 and right <= 0.0 and normal > 0) or \
-                           (right > 0.0 and left <= 0.0 and normal < 0)
-                    h = left if normal > 0 else right
-                else:
-                    face, h = False, 0.0
-                if face and run_start is not None and h == run_h:
-                    continue
-                if run_start is not None:
-                    flush(0, plane, run_start, r, run_h, normal)
-                    run_start = None
-                if face:
-                    run_start, run_h = r, h
-    for r in range(rows - 1):
-        plane = r + 1
-        for normal in (1.0, -1.0):
-            run_start = None
-            run_h = 0.0
-            for c in range(cols + 1):
-                if c < cols:
-                    top, bottom = building[r, c], building[r + 1, c]
-                    face = (top > 0.0 and bottom <= 0.0 and normal > 0) or \
-                           (bottom > 0.0 and top <= 0.0 and normal < 0)
-                    h = top if normal > 0 else bottom
-                else:
-                    face, h = False, 0.0
-                if face and run_start is not None and h == run_h:
-                    continue
-                if run_start is not None:
-                    flush(1, plane, run_start, c, run_h, normal)
-                    run_start = None
-                if face:
-                    run_start, run_h = c, h
-    if not walls:
-        return np.zeros((0, 6))
-    return np.array(walls, dtype=np.float64)
+def _column_walls(grid):
+    """Wall runs in the planes between neighbouring columns of grid.
+
+    Returns integer plane, start row and end row (exclusive) and the float
+    height and normal of each run, ordered by plane, then normal (+1 first),
+    then start row.
+    """
+    left, right = grid[:, :-1].T, grid[:, 1:].T  # (plane, row)
+    face = np.stack([(left > 0.0) & (right <= 0.0), (right > 0.0) & (left <= 0.0)], axis=1)
+    height = np.stack([left, right], axis=1)     # the face's building cell
+    # same[..., r] joins rows r-1 and r of one run; both ends are padded open
+    same = np.zeros(face.shape[:2] + (face.shape[2] + 1,), dtype=bool)
+    same[..., 1:-1] = face[..., :-1] & face[..., 1:] & (height[..., :-1] == height[..., 1:])
+    plane, side, lo = np.nonzero(face & ~same[..., :-1])
+    hi = np.nonzero(face & ~same[..., 1:])[2] + 1
+    return plane + 1, lo, hi, height[plane, side, lo], 1.0 - 2.0 * side
 
 
 def segment_clear(hm, x0, y0, z0, x1, y1, z1):
@@ -350,7 +317,7 @@ def trace_paths(hm, tx, cfg, rx_height_m=1.5):
     direct_veg_db = np.zeros(n_px)
     direct_veg_db[paths.pixel[direct]] = cfg.vegetation_db_per_m * paths.veg_len[direct]
     return SceneChannels(
-        rows=hm.rows, cols=hm.cols, rx_height_m=rx_height_m,
+        rows=hm.rows, cols=hm.cols,
         counts=counts.reshape(hm.rows, hm.cols), offsets=offsets,
         magnitude=amp, phase=psi, aod_azimuth=aod_az,
         aod_elevation=aod_el, aoa_azimuth=aoa_az,

@@ -80,3 +80,83 @@ def accumulate_tensors_reference(pixel_ids, sectors, c2, g_az, g_el, out):
             ga = w * g_az[p, ia]
             for ie in range(g_el.shape[1]):
                 out[pix, ia, ie, s] += ga * g_el[p, ie]
+
+
+def building_edge_pixels_reference(hm):
+    """The per-pixel loop that scene.building_edge_pixels must match: a
+    row-major list of building pixels with at least one 4-neighbour street
+    pixel, neighbours scanned north, west, east, south."""
+    b = hm.building
+    edges = []
+    for r in range(hm.rows):
+        for c in range(hm.cols):
+            if b[r, c] <= 0.0:
+                continue
+            for dr, dc in sc._NEIGHBORS:
+                rr, cc = r + dr, c + dc
+                if 0 <= rr < hm.rows and 0 <= cc < hm.cols and b[rr, cc] <= 0.0:
+                    edges.append((r, c))
+                    break
+    return edges
+
+
+def exterior_walls_reference(building, res=1.0):
+    """The two per-axis run loops that scene.exterior_walls must match byte
+    for byte: maximal vertical wall rectangles between building and street
+    cells.
+
+    Each row is (axis, plane, lo, hi, height, normal): axis 0 walls lie in a
+    plane of constant x (east coordinate), axis 1 constant y; lo/hi span the
+    other axis; normal is +/-1 along the axis, pointing to the street side.
+    Colinear unit faces merge only when the building height matches, so a
+    wall is always a well-defined rectangle from the ground up.
+    """
+    rows, cols = building.shape
+    walls = []
+
+    def flush(axis, plane, lo, hi, height, normal):
+        walls.append((float(axis), plane * res, lo * res, hi * res, height, float(normal)))
+
+    for c in range(cols - 1):
+        plane = c + 1
+        for normal in (1.0, -1.0):
+            run_start = None
+            run_h = 0.0
+            for r in range(rows + 1):
+                if r < rows:
+                    left, right = building[r, c], building[r, c + 1]
+                    face = (left > 0.0 and right <= 0.0 and normal > 0) or \
+                           (right > 0.0 and left <= 0.0 and normal < 0)
+                    h = left if normal > 0 else right
+                else:
+                    face, h = False, 0.0
+                if face and run_start is not None and h == run_h:
+                    continue
+                if run_start is not None:
+                    flush(0, plane, run_start, r, run_h, normal)
+                    run_start = None
+                if face:
+                    run_start, run_h = r, h
+    for r in range(rows - 1):
+        plane = r + 1
+        for normal in (1.0, -1.0):
+            run_start = None
+            run_h = 0.0
+            for c in range(cols + 1):
+                if c < cols:
+                    top, bottom = building[r, c], building[r + 1, c]
+                    face = (top > 0.0 and bottom <= 0.0 and normal > 0) or \
+                           (bottom > 0.0 and top <= 0.0 and normal < 0)
+                    h = top if normal > 0 else bottom
+                else:
+                    face, h = False, 0.0
+                if face and run_start is not None and h == run_h:
+                    continue
+                if run_start is not None:
+                    flush(1, plane, run_start, c, run_h, normal)
+                    run_start = None
+                if face:
+                    run_start, run_h = c, h
+    if not walls:
+        return np.zeros((0, 6))
+    return np.array(walls, dtype=np.float64)

@@ -136,6 +136,16 @@ class TestTrace:
                        "--out", tmp / "bad.csv") == 3
         assert not (tmp / "bad.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [("resolution_m", "1"),
+                                            ("rx_height_m", float("nan"))])
+    def test_bad_config_value_exit_code(self, pipeline, key, value):
+        tmp, _ = pipeline
+        cfg = write_config(tmp / "bad.json", **{key: value})
+        assert run_cli("trace", "--scene", tmp / "s.scene.bgrd",
+                       "--tx", tmp / "s.tx.json", "--config", cfg,
+                       "--out", tmp / "bad.csv") == 3
+        assert not (tmp / "bad.csv").exists()
+
 
 class TestTensorize:
     def test_downscale_one_matches_in_process(self, pipeline, codebook):
@@ -183,6 +193,14 @@ class TestTensorize:
         lines[1] = ",".join(fields)
         (tmp / "bad.paths.csv").write_text("\n".join(lines) + "\n")
         assert run_cli("tensorize", "--paths", tmp / "bad.paths.csv",
+                       "--tx", tmp / "s.tx.json", "--config", cfg,
+                       "--out", tmp / "bad", "--downscale", 1) == 3
+        assert not (tmp / "bad.tensors.bgrd").exists()
+
+    def test_string_grid_size_exit_code(self, pipeline):
+        tmp, _ = pipeline
+        cfg = write_config(tmp / "bad.json", rows="32")
+        assert run_cli("tensorize", "--paths", tmp / "s.paths.csv",
                        "--tx", tmp / "s.tx.json", "--config", cfg,
                        "--out", tmp / "bad", "--downscale", 1) == 3
         assert not (tmp / "bad.tensors.bgrd").exists()
@@ -340,6 +358,16 @@ class TestEvaluate:
         assert "(4, 4)" in err and "(8, 8)" in err
 
 
+    def test_model_header_not_an_object_exit_code(self, tensorized):
+        tmp, cfg = tensorized
+        (tmp / "m.bgmdl").write_bytes(
+            b'["BGMDL1"]\n' + io.grid_to_bytes(np.zeros((15, 128))))
+        assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd",
+                       "--pred", tmp / "m.bgmdl", "--config", cfg,
+                       "--report", tmp / "m.json", "--scene", tmp / "s.scene.bgrd",
+                       "--tx", tmp / "s.tx.json") == 3
+
+
 class TestTrainCli:
     @pytest.fixture()
     def scene_dir(self, tmp_path):
@@ -384,6 +412,19 @@ class TestTrainCli:
         scenes.mkdir()
         assert run_cli("train", "--scenes", scenes,
                        "--model-out", tmp_path / "m.bgmdl") == 3
+
+    def test_scene_tensor_column_mismatch_exit_code(self, tmp_path, capsys):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        for i in range(3):
+            stem = scenes / f"c{i}"
+            run_cli("generate", "--rows", 32, "--cols", 32, "--seed", i,
+                    "--out", f"{stem}.scene.bgrd", "--tx-out", f"{stem}.tx.json")
+            io.write_grid(f"{stem}.tensors.bgrd", np.ones((32, 48, 128), dtype=np.float32))
+            io.write_grid(f"{stem}.mask.bgrd", np.ones((32, 48), dtype=np.uint8), "u8")
+        assert run_cli("train", "--scenes", scenes,
+                       "--model-out", tmp_path / "m.bgmdl") == 3
+        assert "not an integer multiple of the tensor grid 32x48" in capsys.readouterr().err
 
     def test_model_evaluates_on_test_scene(self, scene_dir, capsys):
         tmp, cfg, scenes = scene_dir

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -42,9 +44,37 @@ def paths_csv_like_bytes(draw):
     return "\n".join([header, *lines]).encode("latin-1")
 
 
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def config_docs(draw):
+    """Config documents whose sections hold real keys with random JSON
+    values (strings, bools, NaN, lists, ...), or any JSON value at all."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    doc = {}
+    for section in dataclasses.fields(io.RunConfig):
+        keys = [f.name for f in dataclasses.fields(getattr(io.RunConfig(), section.name))]
+        if draw(st.booleans()):
+            doc[section.name] = draw(st.dictionaries(
+                st.sampled_from(keys), st.one_of(json_values, st.integers(-3, 40)),
+                max_size=min(4, len(keys))))
+    return doc
+
+
 @pytest.fixture(scope="module")
 def csv_file(tmp_path_factory):
     return tmp_path_factory.mktemp("csv") / "p.csv"
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("model") / "m.bgmdl"
 
 
 class TestGridFormat:
@@ -202,6 +232,50 @@ class TestRunConfig:
         with pytest.raises(GridParseError, match="offset"):
             io.load_config(path)
 
+    @pytest.mark.parametrize("doc", [
+        {"scene": {"rows": "32"}},
+        {"scene": {"rows": True}},
+        {"scene": {"rows": 32.0}},
+        {"scene": {"resolution_m": "1"}},
+        {"scene": {"rx_height_m": float("nan")}},
+        {"train": {"lr": float("inf")}},
+        {"budget": {"tx_power_dbm": False}},
+        {"loss": {"sep": 1}},
+        {"loss": {"epsilon": "0.1"}},
+        {"codebook": {"tx_weights": 3}},
+        {"eval": {"k_list": [1, "2"]}},
+        {"eval": {"k_list": 4}},
+    ])
+    def test_wrong_type_or_non_finite_rejected(self, doc):
+        with pytest.raises(GridParseError, match="must be"):
+            io.parse_config(doc)
+
+    def test_ints_pass_for_floats(self):
+        cfg = io.parse_config({"scene": {"rows": 128, "resolution_m": 2},
+                               "loss": {"epsilon": None}, "train": {"epochs": 2}})
+        assert cfg.scene.resolution_m == 2 and cfg.train.epochs == 2
+
+    @given(config_docs())
+    @settings(max_examples=300)
+    def test_garbage_raises_only_parse_error(self, doc):
+        try:
+            cfg = io.parse_config(doc)
+        except GridParseError:
+            return
+        defaults = io.RunConfig()
+        for section in dataclasses.fields(cfg):
+            got, default = getattr(cfg, section.name), getattr(defaults, section.name)
+            for f in dataclasses.fields(got):
+                value, base = getattr(got, f.name), getattr(default, f.name)
+                if isinstance(base, float) or f.name == "epsilon" and value is not None:
+                    assert type(value) in (int, float) and math.isfinite(value)
+                elif f.name == "tx_weights":
+                    assert value is None or isinstance(value, str)
+                elif isinstance(base, list):
+                    assert all(type(k) is int for k in value)
+                else:
+                    assert type(value) is type(base)
+
 
 class TestTxSiteJson:
     def test_round_trip(self, tmp_path):
@@ -236,6 +310,48 @@ class TestModelFile:
         io.write_grid(gpath, np.zeros((2, 2, 8), dtype=np.float32))
         assert io.is_model_file(mpath)
         assert not io.is_model_file(gpath)
+
+    def test_header_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "m.bgmdl"
+        path.write_bytes(b'["BGMDL1"]\n' + io.grid_to_bytes(np.zeros((5, 8))))
+        assert io.is_model_file(path)
+        with pytest.raises(GridParseError, match="not a JSON object"):
+            io.load_model(path)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_garbled_header_raises_only_parse_error(self, model_file, data):
+        model = pr.SoftmaxModel.create(4, (2, 2, 2), loss_kind="WS", epsilon=0.01)
+        io.save_model(model_file, model)
+        head, payload = model_file.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        how = data.draw(st.sampled_from(["drop", "replace", "whole", "cut"]))
+        key = data.draw(st.sampled_from(sorted(header)))
+        if how == "drop":
+            del header[key]
+        elif how == "replace":
+            header[key] = data.draw(st.one_of(json_values, st.integers(-2, 9)))
+        elif how == "whole":
+            header = data.draw(json_values)
+        head = json.dumps(header).encode("ascii")
+        if how == "cut":
+            head = head[:data.draw(st.integers(0, len(head) - 1))]
+        model_file.write_bytes(head + b"\n" + payload)
+        try:
+            back = io.load_model(model_file)
+        except GridParseError:
+            return
+        assert len(back.dims) == 3 and min(back.dims) >= 1
+        assert back.loss_kind in pr.LOSS_KINDS
+        assert back.weights.shape[1] == back.bias.shape[0]
+
+    @given(st.data())
+    def test_truncated_file_rejected(self, model_file, data):
+        io.save_model(model_file, pr.SoftmaxModel.create(3, (2, 2, 2)))
+        full = model_file.read_bytes()
+        model_file.write_bytes(full[:data.draw(st.integers(0, len(full) - 1))])
+        with pytest.raises(GridParseError):
+            io.load_model(model_file)
 
     def test_save_is_deterministic(self, tmp_path):
         model = pr.SoftmaxModel.create(4, (2, 2, 2), seed=5)

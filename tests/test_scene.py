@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beamgrid import _kernels
 from beamgrid import channel as ch
@@ -13,7 +14,8 @@ from beamgrid import metrics
 from beamgrid import scene as sc
 from beamgrid.errors import NoValidSiteError
 
-from conftest import accumulate_tensors_reference, scene_configs, small_scenes
+from conftest import (accumulate_tensors_reference, building_edge_pixels_reference,
+                      exterior_walls_reference, scene_configs, small_scenes)
 
 NO_VEG = sc.SceneConfig(vegetation_db_per_m=0.0)
 
@@ -87,6 +89,33 @@ class TestExteriorWalls:
         walls = sc.exterior_walls(hm.building)
         # the west/east faces split into two runs each, plus 2 end caps
         assert walls.shape[0] == 6
+
+
+@st.composite
+def building_grids(draw):
+    """1-40 px building rasters: empty, all-building, or blocks of heights
+    from a small set (so equal-height faces merge and others split)."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["mixed", "empty", "full"]))
+    if kind == "empty":
+        return np.zeros((rows, cols))
+    heights = [5.0, 7.5, 12.0] if kind == "full" else [0.0, 0.0, 5.0, 7.5]
+    block = draw(st.integers(1, 4))
+    coarse = draw(arrays(np.float64, (-(-rows // block), -(-cols // block)),
+                         elements=st.sampled_from(heights)))
+    return np.repeat(np.repeat(coarse, block, axis=0), block, axis=1)[:rows, :cols]
+
+
+class TestSceneGeometryMatchesReference:
+    @given(building_grids(), st.sampled_from([0.3, 1.0, 2.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_walls_and_edges_match_loops(self, building, res):
+        got = sc.exterior_walls(building, res)
+        expect = exterior_walls_reference(building, res)
+        assert got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+        hm = sc.HeightMap(building, np.zeros_like(building), resolution_m=res)
+        assert sc.building_edge_pixels(hm) == building_edge_pixels_reference(hm)
 
 
 class TestTracePaths:
@@ -314,7 +343,7 @@ def random_channels(draw):
         return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=np.float64)
 
     return sc.SceneChannels(
-        rows=rows, cols=cols, rx_height_m=1.5, counts=counts.reshape(rows, cols),
+        rows=rows, cols=cols, counts=counts.reshape(rows, cols),
         offsets=np.r_[0, np.cumsum(counts)],
         magnitude=values(st.floats(1e-9, 1.0)),
         phase=values(st.floats(0.0, 2 * np.pi)),
