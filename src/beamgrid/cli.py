@@ -37,12 +37,6 @@ def _load_config(path):
     return gridio.load_config(path) if path else gridio.parse_config({})
 
 
-def _heightmap_from_grid(grid, resolution_m):
-    return scene.HeightMap(grid[:, :, 0].astype(np.float64),
-                           grid[:, :, 1].astype(np.float64),
-                           resolution_m=resolution_m)
-
-
 def cmd_generate(args):
     cfg = _load_config(args.config)
     style = cfg.scene.city_style()
@@ -57,8 +51,7 @@ def cmd_generate(args):
 
 def cmd_trace(args):
     cfg = _load_config(args.config)
-    hm = _heightmap_from_grid(gridio.read_grid(args.scene), cfg.scene.resolution_m)
-    tx = gridio.load_tx_site(args.tx)
+    hm, tx = _read_site(args.scene, args.tx, cfg)
     channels = scene.trace_paths(hm, tx, cfg.scene.scene_config(),
                                  rx_height_m=cfg.scene.rx_height_m)
     gridio.write_paths_csv(args.out, channels)
@@ -94,15 +87,28 @@ def cmd_tensorize(args):
 
 
 def _read_site(scene_path, tx_path, cfg):
-    """The height map and tx site of one scene."""
-    hm = _heightmap_from_grid(gridio.read_grid(scene_path), cfg.scene.resolution_m)
-    return hm, gridio.load_tx_site(tx_path)
+    """The height map and tx site of one scene, the tx on the scene grid."""
+    grid = gridio.read_grid(scene_path)
+    if grid.shape[2] != 2:
+        raise GridParseError(f"scene grid has {grid.shape[2]} channels; expected 2 "
+                             "(building, vegetation height)")
+    hm = scene.HeightMap(grid[:, :, 0].astype(np.float64), grid[:, :, 1].astype(np.float64),
+                         resolution_m=cfg.scene.resolution_m)
+    tx = gridio.load_tx_site(tx_path)
+    r, c = tx.pixel
+    if not (0 <= r < hm.rows and 0 <= c < hm.cols):
+        raise GridParseError(
+            f"tx pixel {list(tx.pixel)} is off the {hm.rows}x{hm.cols} scene grid")
+    return hm, tx
 
 
 def _read_tensors(tensors_path, mask_path):
     """Beam tensors and their validity mask, checked to share one grid."""
     tensors = gridio.read_grid(tensors_path).astype(np.float64)
-    valid = gridio.read_grid(mask_path)[:, :, 0].astype(bool)
+    mask = gridio.read_grid(mask_path)
+    if mask.shape[2] != 1:
+        raise GridParseError(f"mask grid has {mask.shape[2]} channels; expected 1")
+    valid = mask[:, :, 0].astype(bool)
     if valid.shape != tensors.shape[:2]:
         raise GridParseError(
             f"mask grid {valid.shape} vs tensor grid {tensors.shape[:2]}")
@@ -158,9 +164,12 @@ def cmd_evaluate(args):
         print("error: --mask is required unless --tensors ends in .tensors.bgrd",
               file=sys.stderr)
         return 2
+    if (args.scene is None) != (args.tx is None):
+        print("error: --scene and --tx must be given together", file=sys.stderr)
+        return 2
     mask_path = args.mask or args.tensors[:-len(".tensors.bgrd")] + ".mask.bgrd"
     tensors, valid = _read_tensors(args.tensors, mask_path)
-    site = _read_site(args.scene, args.tx, cfg) if args.scene and args.tx else None
+    site = _read_site(args.scene, args.tx, cfg) if args.scene else None
     pred = _prediction_from_args(args, cfg, tensors, valid, site)
     rankings = predictor.flat_ranking(pred)
     sample_tensors = tensors[valid]

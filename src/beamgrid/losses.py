@@ -35,8 +35,7 @@ from .errors import IterationLimitError, UnsupportedFormError
 def softmax(z, axis=-1):
     """Numerically stable exponential normalisation."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -61,29 +60,49 @@ def ce_loss_sep(logits_sep, target_triple):
     return float(sum(losses)), tuple(grads)
 
 
+def _floored_db(t, floor_db, what):
+    """t in dB relative to its peak along the last axis, floored at floor_db."""
+    peak = t.max(axis=-1, keepdims=True)
+    if (peak <= 0.0).any():
+        raise ValueError(f"{what} undefined for an all-zero tensor")
+    with np.errstate(divide="ignore"):
+        db = 10.0 * np.log10(np.where(t > 0.0, t / peak, 0.0))
+    return np.maximum(db, floor_db)
+
+
+def _samples(tensor):
+    """One row per sample: a 4-D input is a stack of (Na, Ne, Nr) tensors
+    along its first axis, any other shape is one tensor."""
+    t = np.asarray(tensor, dtype=np.float64)
+    return t.reshape(len(t), -1) if t.ndim == 4 else t.reshape(1, -1)
+
+
+def _marginals(t):
+    """Sums of a (..., Na, Ne, Nr) array along each beam axis."""
+    return tuple(t.sum(axis=axes) for axes in ((-2, -1), (-3, -1), (-3, -2)))
+
+
 def cep_target(tensor, floor_db=-30.0):
     """Soft target from a beam power tensor: dB relative to the peak,
     floored at floor_db, shifted to be >= 0, normalised to sum 1.
 
     Zero entries map to the floor share. Flattens in C order (flat beam
-    index order).
+    index order); a stack of tensors (n, Na, Ne, Nr) gives one row each.
     """
-    t = np.asarray(tensor, dtype=np.float64).ravel()
-    peak = t.max()
-    if peak <= 0.0:
-        raise ValueError("soft target undefined for an all-zero tensor")
+    t = np.asarray(tensor)
+    db = _floored_db(_samples(t), floor_db, "soft target")
     if floor_db >= 0.0:
         raise ValueError("floor must be below the 0 dB peak")
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(np.where(t > 0.0, t / peak, 0.0))
-    shifted = np.maximum(db, floor_db) - floor_db
-    return shifted / shifted.sum()
+    shifted = db - floor_db
+    out = shifted / shifted.sum(axis=1, keepdims=True)
+    return out if t.ndim == 4 else out[0]
 
 
 def cep_target_sep(tensor, floor_db=-30.0):
-    """Marginals of the joint soft target along each beam axis."""
-    joint = cep_target(tensor, floor_db).reshape(np.asarray(tensor).shape)
-    return (joint.sum(axis=(1, 2)), joint.sum(axis=(0, 2)), joint.sum(axis=(0, 1)))
+    """Marginals of the joint soft target along each beam axis (each with a
+    leading sample axis for a stack of tensors)."""
+    shape = np.shape(tensor)
+    return _marginals(cep_target(tensor, floor_db).reshape(shape))
 
 
 def cep_loss(logits, soft_target):
@@ -357,21 +376,17 @@ def ir_ranking(pred_triple, dims):
 
 
 def gr_target_db(tensor, floor_db=-30.0):
-    """Beam power tensor in dB relative to its peak, floored (cep flooring)."""
+    """Beam power tensor in dB relative to its peak, floored (cep flooring);
+    a stack of tensors (n, Na, Ne, Nr) is taken relative to each peak."""
     t = np.asarray(tensor, dtype=np.float64)
-    peak = t.max()
-    if peak <= 0.0:
-        raise ValueError("dB target undefined for an all-zero tensor")
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(np.where(t > 0.0, t / peak, 0.0))
-    return np.maximum(db, floor_db)
+    return _floored_db(_samples(t), floor_db, "dB target").reshape(t.shape)
 
 
 def gr_target_db_sep(tensor, floor_db=-30.0):
-    """Per-axis dB targets: linear power marginals converted to floored dB."""
+    """Per-axis dB targets: linear power marginals converted to floored dB
+    (each with a leading sample axis for a stack of tensors)."""
     t = np.asarray(tensor, dtype=np.float64)
-    return tuple(gr_target_db(t.sum(axis=axes), floor_db)
-                 for axes in ((1, 2), (0, 2), (0, 1)))
+    return tuple(_floored_db(m, floor_db, "dB target") for m in _marginals(t))
 
 
 def gr_loss(pred_db, target_tensor, floor_db=-30.0):

@@ -10,6 +10,7 @@ model would plug into.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -263,127 +264,98 @@ class TrainConfig:
 
 
 def _targets_for(model, tensors):
-    """Per-sample training targets derived from the beam power tensors."""
-    t = np.asarray(tensors)
-    n = t.shape[0]
-    flat = t.reshape(n, -1)
+    """Training targets of the samples, one row each, from their beam power
+    tensors."""
+    t = np.asarray(tensors).reshape(-1, *model.dims)
     kind = model.loss_kind
-    na, ne, nr = model.dims
-    if kind in ("CE", "WS"):
-        idx = np.argmax(flat, axis=1)
+    if kind in ("CE", "WS", "IR"):
+        idx = np.argmax(t.reshape(len(t), -1), axis=1)
         if not model.sep:
             return idx
         triples = np.stack(np.unravel_index(idx, model.dims), axis=1)
-        return triples
+        return triples.astype(np.float64) if kind == "IR" else triples
     if kind == "CEP":
         if model.sep:
-            heads = [np.empty((n, na)), np.empty((n, ne)), np.empty((n, nr))]
-            for i in range(n):
-                pa, pe, pr = losses.cep_target_sep(
-                    flat[i].reshape(model.dims), model.floor_db)
-                heads[0][i], heads[1][i], heads[2][i] = pa, pe, pr
-            return np.concatenate(heads, axis=1)
-        out = np.empty_like(flat)
-        for i in range(n):
-            out[i] = losses.cep_target(flat[i], model.floor_db)
-        return out
-    if kind == "IR":
-        idx = np.argmax(flat, axis=1)
-        return np.stack(np.unravel_index(idx, model.dims), axis=1).astype(np.float64)
+            return np.concatenate(losses.cep_target_sep(t, model.floor_db), axis=1)
+        return losses.cep_target(t, model.floor_db)
     if kind == "GR":
         if model.sep:
-            out = np.empty((n, na + ne + nr))
-            for i in range(n):
-                ga, ge, gr = losses.gr_target_db_sep(
-                    flat[i].reshape(model.dims), model.floor_db)
-                out[i] = np.concatenate([ga, ge, gr])
-            return out
-        out = np.empty_like(flat)
-        for i in range(n):
-            out[i] = losses.gr_target_db(flat[i], model.floor_db).ravel()
-        return out
+            return np.concatenate(losses.gr_target_db_sep(t, model.floor_db), axis=1)
+        return losses.gr_target_db(t, model.floor_db).reshape(len(t), -1)
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def _softmax_rows(z):
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+@functools.lru_cache(maxsize=None)
+def _heads(dims, kind, sep):
+    """(score columns, target columns, WS ground distances or None) per head.
 
-
-def _head_slices(model):
-    na, ne, nr = model.dims
-    return (slice(0, na), slice(na, na + ne), slice(na + ne, na + ne + nr))
-
-
-def _batch_loss_grad(model, z, targets, dmat=None):
-    """Mean loss over the batch and its gradient w.r.t. the score matrix z.
-
-    Matches the per-sample reference functions in beamgrid.losses: the batch
-    value is the arithmetic mean of per-sample losses, the gradient its
-    derivative.
+    A joint model has one softmax head over all beams and a sep model one
+    per beam axis, whose |i - j| distances are those of a codebook with one
+    beam on the other axes. IR and GR are one MSE head over all columns.
+    `...` takes the whole target array: a vector of beam indices for joint
+    CE and WS.
     """
+    if kind in ("IR", "GR") or not sep:
+        layout = [(slice(None), ..., dims)]
+    else:
+        starts = (0, dims[0], dims[0] + dims[1])
+        layout = [(slice(s, s + m), slice(s, s + m) if kind == "CEP" else axis, (m, 1, 1))
+                  for axis, (s, m) in enumerate(zip(starts, dims))]
+    heads = []
+    for cols, tcols, head_dims in layout:
+        dist = None
+        if kind == "WS":
+            dist = losses.beam_distance_matrix(head_dims)
+            dist.setflags(write=False)  # cached, so shared by every call
+        heads.append((cols, tcols, dist))
+    return tuple(heads)
+
+
+def _batch_loss(model, z, targets):
+    """Mean loss over the batch: per head, the arithmetic mean of the
+    per-sample losses in beamgrid.losses, summed over the heads."""
     n = z.shape[0]
     kind = model.loss_kind
-    if kind in ("CE", "CEP"):
-        if model.sep and kind == "CE":
-            loss = 0.0
-            grad = np.zeros_like(z)
-            for axis, sl in enumerate(_head_slices(model)):
-                p = _softmax_rows(z[:, sl])
-                t = targets[:, axis]
-                loss += -np.log(p[np.arange(n), t] + 1e-300).mean()
-                g = p
-                g[np.arange(n), t] -= 1.0
-                grad[:, sl] = g / n
-            return loss, grad
-        if model.sep and kind == "CEP":
-            loss = 0.0
-            grad = np.zeros_like(z)
-            for sl in _head_slices(model):
-                p = _softmax_rows(z[:, sl])
-                s = targets[:, sl]
-                logp = z[:, sl] - z[:, sl].max(axis=1, keepdims=True)
-                logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-                loss += -(s * logp).sum(axis=1).mean()
-                grad[:, sl] = (p - s) / n
-            return loss, grad
-        p = _softmax_rows(z)
-        logp = z - z.max(axis=1, keepdims=True)
-        logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-        if kind == "CE":
-            loss = -logp[np.arange(n), targets].mean()
-            grad = p
-            grad[np.arange(n), targets] -= 1.0
-            return float(loss), grad / n
-        loss = -(targets * logp).sum(axis=1).mean()
-        return float(loss), (p - targets) / n
-    if kind == "WS":
-        if model.sep:
-            loss = 0.0
-            grad = np.zeros_like(z)
-            for axis, sl in enumerate(_head_slices(model)):
-                m = sl.stop - sl.start
-                d1 = np.abs(np.subtract.outer(np.arange(m, dtype=np.float64),
-                                              np.arange(m, dtype=np.float64)))
-                p = _softmax_rows(z[:, sl])
-                d = d1[:, targets[:, axis]].T
-                expected = (p * d).sum(axis=1)
-                loss += expected.mean()
-                grad[:, sl] = p * (d - expected[:, None]) / n
-            return float(loss), grad
-        p = _softmax_rows(z)
-        d = dmat[:, targets].T
-        expected = (p * d).sum(axis=1)
-        grad = p * (d - expected[:, None]) / n
-        return float(expected.mean()), grad
-    if kind == "IR":
-        diff = z - targets
-        return float((diff**2).mean(axis=1).mean()), 2.0 * diff / (3.0 * n)
-    if kind == "GR":
-        diff = z - targets
-        per_sample = (diff**2).mean(axis=1)
-        return float(per_sample.mean()), 2.0 * diff / (diff.shape[1] * n)
-    raise ValueError(f"unknown loss kind {kind!r}")
+    parts = []
+    for cols, tcols, dist in _heads(model.dims, kind, model.sep):
+        zh, th = z[:, cols], targets[:, tcols]
+        if kind in ("IR", "GR"):
+            parts.append(((zh - th) ** 2).mean(axis=1).mean())
+        elif kind == "WS":
+            parts.append((losses.softmax(zh, axis=1) * dist[:, th].T).sum(axis=1).mean())
+        elif kind == "CE":
+            parts.append(-losses.log_softmax(zh, axis=1)[np.arange(n), th].mean())
+        else:
+            parts.append(-(th * losses.log_softmax(zh, axis=1)).sum(axis=1).mean())
+    # one head is kept as is: 0.0 + -0.0 would flip the sign of a zero loss
+    loss = sum(parts) if len(parts) > 1 else parts[0]
+    # NumPy scalar for CE-sep and CEP-sep: stagebench/reference.json pins the
+    # CEP-sep history text "np.float64(...)"
+    return loss if model.sep and kind in ("CE", "CEP") else float(loss)
+
+
+def _batch_grad(model, z, targets):
+    """Gradient of _batch_loss with respect to the score matrix z."""
+    n = z.shape[0]
+    kind = model.loss_kind
+    grad = np.empty_like(z)
+    for cols, tcols, dist in _heads(model.dims, kind, model.sep):
+        zh, th = z[:, cols], targets[:, tcols]
+        if kind in ("IR", "GR"):
+            diff = zh - th
+            grad[:, cols] = 2.0 * diff / (diff.shape[1] * n)
+            continue
+        p = losses.softmax(zh, axis=1)
+        if kind == "WS":
+            d = dist[:, th].T
+            expected = (p * d).sum(axis=1)
+            grad[:, cols] = p * (d - expected[:, None]) / n
+        elif kind == "CE":
+            p[np.arange(n), th] -= 1.0
+            grad[:, cols] = p / n
+        else:
+            grad[:, cols] = (p - th) / n
+    return grad
 
 
 def train(model, x_train, tensors_train, hyper=None, x_val=None, tensors_val=None):
@@ -404,9 +376,6 @@ def train(model, x_train, tensors_train, hyper=None, x_val=None, tensors_val=Non
     if has_val:
         x_val = np.asarray(x_val, dtype=np.float64)
         t_val = _targets_for(model, tensors_val)
-    dmat = None
-    if model.loss_kind == "WS" and not model.sep:
-        dmat = losses.beam_distance_matrix(model.dims)
 
     rng = np.random.default_rng(model.seed)
     w = model.weights.copy()
@@ -416,25 +385,18 @@ def train(model, x_train, tensors_train, hyper=None, x_val=None, tensors_val=Non
     since_improve = 0
     history = []
 
-    def full_loss(x, t):
-        z = x @ w + b
-        loss, _ = _batch_loss_grad(model, z, t, dmat)
-        return loss
-
     n = x_train.shape[0]
     for epoch in range(hyper.epochs):
         order = rng.permutation(n)
         for start in range(0, n, hyper.batch):
             idx = order[start:start + hyper.batch]
             xb = x_train[idx]
-            z = xb @ w + b
-            tb = t_train[idx]
-            _, gz = _batch_loss_grad(model, z, tb, dmat)
+            gz = _batch_grad(model, xb @ w + b, t_train[idx])
             if lr > 0.0:
                 w -= lr * (xb.T @ gz)
                 b -= lr * gz.sum(axis=0)
-        train_loss = full_loss(x_train, t_train)
-        val_loss = full_loss(x_val, t_val) if has_val else train_loss
+        train_loss = _batch_loss(model, x_train @ w + b, t_train)
+        val_loss = _batch_loss(model, x_val @ w + b, t_val) if has_val else train_loss
         history.append((epoch, train_loss, val_loss, lr))
         if val_loss < best[0]:
             best = (val_loss, w.copy(), b.copy())

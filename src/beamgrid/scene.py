@@ -40,6 +40,8 @@ class HeightMap:
         self.vegetation = np.ascontiguousarray(self.vegetation, dtype=np.float64)
         if self.building.shape != self.vegetation.shape or self.building.ndim != 2:
             raise ValueError("building and vegetation grids must share a 2D shape")
+        if not (np.isfinite(self.building).all() and np.isfinite(self.vegetation).all()):
+            raise ValueError("heights must be finite")
         if self.building.min(initial=0.0) < 0.0 or self.vegetation.min(initial=0.0) < 0.0:
             raise ValueError("heights must be >= 0")
         if self.resolution_m <= 0.0:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from beamgrid import channel as ch
+from beamgrid import losses
 from beamgrid import metrics as mt
 from beamgrid import scene as sc
 
@@ -160,3 +161,133 @@ def exterior_walls_reference(building, res=1.0):
     if not walls:
         return np.zeros((0, 6))
     return np.array(walls, dtype=np.float64)
+
+
+# The loss code that predictor._targets_for, _batch_loss and _batch_grad
+# replaced, kept as the reference they must match byte for byte (CE-sep
+# loss: to a few ulp, as it moved from -log(p + 1e-300) to log-softmax).
+# batch_loss_grad_reference needs dmat = losses.beam_distance_matrix(dims)
+# for joint WS.
+
+def targets_reference(model, tensors):
+    """Per-sample training targets derived from the beam power tensors."""
+    t = np.asarray(tensors)
+    n = t.shape[0]
+    flat = t.reshape(n, -1)
+    kind = model.loss_kind
+    na, ne, nr = model.dims
+    if kind in ("CE", "WS"):
+        idx = np.argmax(flat, axis=1)
+        if not model.sep:
+            return idx
+        triples = np.stack(np.unravel_index(idx, model.dims), axis=1)
+        return triples
+    if kind == "CEP":
+        if model.sep:
+            heads = [np.empty((n, na)), np.empty((n, ne)), np.empty((n, nr))]
+            for i in range(n):
+                pa, pe, pr = losses.cep_target_sep(
+                    flat[i].reshape(model.dims), model.floor_db)
+                heads[0][i], heads[1][i], heads[2][i] = pa, pe, pr
+            return np.concatenate(heads, axis=1)
+        out = np.empty_like(flat)
+        for i in range(n):
+            out[i] = losses.cep_target(flat[i], model.floor_db)
+        return out
+    if kind == "IR":
+        idx = np.argmax(flat, axis=1)
+        return np.stack(np.unravel_index(idx, model.dims), axis=1).astype(np.float64)
+    if kind == "GR":
+        if model.sep:
+            out = np.empty((n, na + ne + nr))
+            for i in range(n):
+                ga, ge, gr = losses.gr_target_db_sep(
+                    flat[i].reshape(model.dims), model.floor_db)
+                out[i] = np.concatenate([ga, ge, gr])
+            return out
+        out = np.empty_like(flat)
+        for i in range(n):
+            out[i] = losses.gr_target_db(flat[i], model.floor_db).ravel()
+        return out
+    raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def _softmax_rows(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _head_slices(model):
+    na, ne, nr = model.dims
+    return (slice(0, na), slice(na, na + ne), slice(na + ne, na + ne + nr))
+
+
+def batch_loss_grad_reference(model, z, targets, dmat=None):
+    """Mean loss over the batch and its gradient w.r.t. the score matrix z.
+
+    Matches the per-sample reference functions in beamgrid.losses: the batch
+    value is the arithmetic mean of per-sample losses, the gradient its
+    derivative.
+    """
+    n = z.shape[0]
+    kind = model.loss_kind
+    if kind in ("CE", "CEP"):
+        if model.sep and kind == "CE":
+            loss = 0.0
+            grad = np.zeros_like(z)
+            for axis, sl in enumerate(_head_slices(model)):
+                p = _softmax_rows(z[:, sl])
+                t = targets[:, axis]
+                loss += -np.log(p[np.arange(n), t] + 1e-300).mean()
+                g = p
+                g[np.arange(n), t] -= 1.0
+                grad[:, sl] = g / n
+            return loss, grad
+        if model.sep and kind == "CEP":
+            loss = 0.0
+            grad = np.zeros_like(z)
+            for sl in _head_slices(model):
+                p = _softmax_rows(z[:, sl])
+                s = targets[:, sl]
+                logp = z[:, sl] - z[:, sl].max(axis=1, keepdims=True)
+                logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+                loss += -(s * logp).sum(axis=1).mean()
+                grad[:, sl] = (p - s) / n
+            return loss, grad
+        p = _softmax_rows(z)
+        logp = z - z.max(axis=1, keepdims=True)
+        logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+        if kind == "CE":
+            loss = -logp[np.arange(n), targets].mean()
+            grad = p
+            grad[np.arange(n), targets] -= 1.0
+            return float(loss), grad / n
+        loss = -(targets * logp).sum(axis=1).mean()
+        return float(loss), (p - targets) / n
+    if kind == "WS":
+        if model.sep:
+            loss = 0.0
+            grad = np.zeros_like(z)
+            for axis, sl in enumerate(_head_slices(model)):
+                m = sl.stop - sl.start
+                d1 = np.abs(np.subtract.outer(np.arange(m, dtype=np.float64),
+                                              np.arange(m, dtype=np.float64)))
+                p = _softmax_rows(z[:, sl])
+                d = d1[:, targets[:, axis]].T
+                expected = (p * d).sum(axis=1)
+                loss += expected.mean()
+                grad[:, sl] = p * (d - expected[:, None]) / n
+            return float(loss), grad
+        p = _softmax_rows(z)
+        d = dmat[:, targets].T
+        expected = (p * d).sum(axis=1)
+        grad = p * (d - expected[:, None]) / n
+        return float(expected.mean()), grad
+    if kind == "IR":
+        diff = z - targets
+        return float((diff**2).mean(axis=1).mean()), 2.0 * diff / (3.0 * n)
+    if kind == "GR":
+        diff = z - targets
+        per_sample = (diff**2).mean(axis=1)
+        return float(per_sample.mean()), 2.0 * diff / (diff.shape[1] * n)
+    raise ValueError(f"unknown loss kind {kind!r}")

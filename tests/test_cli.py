@@ -136,6 +136,25 @@ class TestTrace:
                        "--out", tmp / "bad.csv") == 3
         assert not (tmp / "bad.csv").exists()
 
+    def test_one_channel_scene_exit_code(self, pipeline, capsys):
+        tmp, cfg = pipeline
+        grid = io.read_grid(tmp / "s.scene.bgrd")
+        io.write_grid(tmp / "one.bgrd", grid[:, :, :1])
+        assert run_cli("trace", "--scene", tmp / "one.bgrd", "--tx", tmp / "s.tx.json",
+                       "--config", cfg, "--out", tmp / "bad.csv") == 3
+        assert "scene grid has 1 channels; expected 2" in capsys.readouterr().err
+        assert not (tmp / "bad.csv").exists()
+
+    @pytest.mark.parametrize("channel", [0, 1])
+    def test_non_finite_height_exit_code(self, pipeline, channel):
+        tmp, cfg = pipeline
+        grid = io.read_grid(tmp / "s.scene.bgrd")
+        grid[3, 4, channel] = np.nan
+        io.write_grid(tmp / "nan.bgrd", grid)
+        assert run_cli("trace", "--scene", tmp / "nan.bgrd", "--tx", tmp / "s.tx.json",
+                       "--config", cfg, "--out", tmp / "bad.csv") == 3
+        assert not (tmp / "bad.csv").exists()
+
     @pytest.mark.parametrize("key, value", [("resolution_m", "1"),
                                             ("rx_height_m", float("nan"))])
     def test_bad_config_value_exit_code(self, pipeline, key, value):
@@ -346,6 +365,35 @@ class TestEvaluate:
             assert all(0.0 <= a <= 1.0 for a in rep.accuracy)
             assert rep.tpr[-1] >= rep.tpr[0]
 
+    @pytest.mark.parametrize("flag", ["--scene", "--tx"])
+    def test_scene_and_tx_only_together(self, tensorized, capsys, flag):
+        tmp, cfg = tensorized
+        site = {"--scene": tmp / "s.scene.bgrd", "--tx": tmp / "s.tx.json"}
+        assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd",
+                       "--pred", "oracle", "--config", cfg,
+                       "--report", tmp / "r.json", flag, site[flag]) == 2
+        assert "--scene and --tx must be given together" in capsys.readouterr().err
+        assert not (tmp / "r.json").exists()
+
+    def test_tx_off_grid_writes_no_report(self, tensorized, capsys):
+        tmp, cfg = tensorized
+        doc = json.loads((tmp / "s.tx.json").read_text())
+        doc["pixel"] = [-1, 5]
+        (tmp / "off.tx.json").write_text(json.dumps(doc))
+        assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd",
+                       "--pred", "oracle", "--config", cfg, "--report", tmp / "r.json",
+                       "--scene", tmp / "s.scene.bgrd", "--tx", tmp / "off.tx.json") == 3
+        assert "tx pixel [-1, 5] is off the 32x32 scene grid" in capsys.readouterr().err
+        assert not (tmp / "r.json").exists()
+
+    def test_zero_channel_mask_exit_code(self, tensorized, capsys):
+        tmp, cfg = tensorized
+        io.write_grid(tmp / "empty.mask.bgrd", np.zeros((8, 8, 0)), "u8")
+        assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd",
+                       "--mask", tmp / "empty.mask.bgrd", "--pred", "oracle",
+                       "--config", cfg, "--report", tmp / "r.json") == 3
+        assert "mask grid has 0 channels; expected 1" in capsys.readouterr().err
+
     def test_shape_mismatch_names_shapes(self, tensorized, capsys):
         tmp, cfg = tensorized
         io.write_grid(tmp / "badpred.bgrd",
@@ -425,6 +473,16 @@ class TestTrainCli:
         assert run_cli("train", "--scenes", scenes,
                        "--model-out", tmp_path / "m.bgmdl") == 3
         assert "not an integer multiple of the tensor grid 32x48" in capsys.readouterr().err
+
+    def test_tx_off_grid_exit_code(self, scene_dir, capsys):
+        tmp, cfg, scenes = scene_dir
+        doc = json.loads((scenes / "c2.tx.json").read_text())
+        doc["pixel"] = [-1, 5]  # would wrap to the last row of the features
+        (scenes / "c2.tx.json").write_text(json.dumps(doc))
+        assert run_cli("train", "--scenes", scenes, "--config", cfg,
+                       "--model-out", tmp / "m.bgmdl") == 3
+        assert "tx pixel [-1, 5] is off the 32x32 scene grid" in capsys.readouterr().err
+        assert not (tmp / "m.bgmdl").exists()
 
     def test_model_evaluates_on_test_scene(self, scene_dir, capsys):
         tmp, cfg, scenes = scene_dir

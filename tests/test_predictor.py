@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamgrid import channel as ch
 from beamgrid import losses as lo
@@ -9,6 +11,11 @@ from beamgrid import metrics as mt
 from beamgrid import predictor as pr
 from beamgrid import scene as sc
 from beamgrid.errors import EmptyTrainingSetError
+
+from conftest import batch_loss_grad_reference, targets_reference
+
+ALL_LOSSES = [("CE", False), ("CE", True), ("CEP", False), ("CEP", True),
+              ("WS", False), ("WS", True), ("IR", True), ("GR", False), ("GR", True)]
 
 
 @pytest.fixture()
@@ -225,9 +232,13 @@ class TestBatchLossConsistency:
         targets = pr._targets_for(model, tensors)
         return model, z, tensors, targets, dims
 
+    @staticmethod
+    def _loss_grad(model, z, targets):
+        return pr._batch_loss(model, z, targets), pr._batch_grad(model, z, targets)
+
     def test_ce_joint(self):
         model, z, _, targets, _ = self._setup("CE", False)
-        loss, grad = pr._batch_loss_grad(model, z, targets)
+        loss, grad = self._loss_grad(model, z, targets)
         per = [lo.ce_loss(z[i], targets[i]) for i in range(len(z))]
         assert loss == pytest.approx(np.mean([p[0] for p in per]), rel=1e-12)
         np.testing.assert_allclose(grad, np.stack([p[1] for p in per]) / len(z),
@@ -235,7 +246,7 @@ class TestBatchLossConsistency:
 
     def test_ce_sep(self):
         model, z, _, targets, dims = self._setup("CE", True)
-        loss, grad = pr._batch_loss_grad(model, z, targets)
+        loss, grad = self._loss_grad(model, z, targets)
         na, ne, nr = dims
         expect = 0.0
         for i in range(len(z)):
@@ -245,7 +256,7 @@ class TestBatchLossConsistency:
 
     def test_cep_joint(self):
         model, z, tensors, targets, _ = self._setup("CEP", False)
-        loss, grad = pr._batch_loss_grad(model, z, targets)
+        loss, grad = self._loss_grad(model, z, targets)
         per = [lo.cep_loss(z[i], targets[i]) for i in range(len(z))]
         assert loss == pytest.approx(np.mean([p[0] for p in per]), rel=1e-12)
         np.testing.assert_allclose(grad, np.stack([p[1] for p in per]) / len(z),
@@ -254,7 +265,7 @@ class TestBatchLossConsistency:
     def test_ws_joint(self):
         model, z, _, targets, dims = self._setup("WS", False)
         dmat = lo.beam_distance_matrix(dims)
-        loss, grad = pr._batch_loss_grad(model, z, targets, dmat)
+        loss, grad = self._loss_grad(model, z, targets)
         eps = 1e-3 * dmat.max()
         per = [lo.ws_loss(z[i], int(targets[i]), dmat, eps) for i in range(len(z))]
         assert loss == pytest.approx(np.mean([p[0] for p in per]), rel=1e-6)
@@ -263,7 +274,7 @@ class TestBatchLossConsistency:
 
     def test_cep_sep(self):
         model, z, tensors, targets, dims = self._setup("CEP", True)
-        loss, grad = pr._batch_loss_grad(model, z, targets)
+        loss, grad = self._loss_grad(model, z, targets)
         na, ne, nr = dims
         expect = 0.0
         for i in range(len(z)):
@@ -274,7 +285,7 @@ class TestBatchLossConsistency:
 
     def test_ws_sep(self):
         model, z, _, targets, dims = self._setup("WS", True)
-        loss, grad = pr._batch_loss_grad(model, z, targets)
+        loss, grad = self._loss_grad(model, z, targets)
         na, ne, nr = dims
         expect = 0.0
         grads = []
@@ -289,7 +300,7 @@ class TestBatchLossConsistency:
 
     def test_gr_sep(self):
         model, z, tensors, targets, dims = self._setup("GR", True)
-        loss, grad = pr._batch_loss_grad(model, z, targets)
+        loss, grad = self._loss_grad(model, z, targets)
         diffs = z - targets
         expect = (diffs**2).mean(axis=1).mean()
         assert loss == pytest.approx(expect, rel=1e-12)
@@ -299,7 +310,7 @@ class TestBatchLossConsistency:
 
     def test_ir(self):
         model, z, _, targets, _ = self._setup("IR", True)
-        loss, grad = pr._batch_loss_grad(model, z, targets)
+        loss, grad = self._loss_grad(model, z, targets)
         per = [lo.ir_loss(z[i], targets[i]) for i in range(len(z))]
         assert loss == pytest.approx(np.mean([p[0] for p in per]), rel=1e-12)
         np.testing.assert_allclose(grad, np.stack([p[1] for p in per]) / len(z),
@@ -307,11 +318,56 @@ class TestBatchLossConsistency:
 
     def test_gr_joint(self):
         model, z, tensors, targets, dims = self._setup("GR", False)
-        loss, grad = pr._batch_loss_grad(model, z, targets)
+        loss, grad = self._loss_grad(model, z, targets)
         per = [lo.gr_loss(z[i].reshape(dims), tensors[i]) for i in range(len(z))]
         assert loss == pytest.approx(np.mean([p[0] for p in per]), rel=1e-12)
         np.testing.assert_allclose(
             grad, np.stack([p[1].ravel() for p in per]) / len(z), rtol=1e-12)
+
+
+@st.composite
+def loss_batches(draw):
+    """1-8 beams per axis, 1-64 samples, scores of scale up to 30, and beam
+    tensors with zero entries but a positive peak in every sample."""
+    dims = tuple(draw(st.integers(1, 8)) for _ in range(3))
+    n = draw(st.integers(1, 64))
+    scale = draw(st.floats(0.0, 30.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = dims[0] * dims[1] * dims[2]
+    tensors = rng.uniform(0.0, 1.0, (n, b))
+    tensors[rng.uniform(size=(n, b)) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    tensors[np.arange(n), rng.integers(0, b, n)] = rng.uniform(0.5, 2.0, n)
+    return dims, tensors.reshape(n, *dims), rng.normal(0.0, 1.0, (n, b + 3)) * scale
+
+
+class TestLossMatchesReference:
+    """_targets_for, _batch_loss and _batch_grad reproduce the loss code they
+    replaced (conftest): the same bytes, and the same loss value and type.
+    CE-sep moved from -log(p + 1e-300) to log-softmax, the formula of joint
+    CE; both round the softmax or its normaliser at the scale of 1, so its
+    loss may differ by 4 ulp of max(loss, 1)."""
+
+    @given(loss_batches())
+    @settings(deadline=None, max_examples=100)
+    def test_all_kinds(self, case):
+        dims, tensors, scores = case
+        for kind, sep in ALL_LOSSES:
+            model = pr.SoftmaxModel.create(5, dims, loss_kind=kind, sep=sep)
+            z = scores[:, :model.weights.shape[1]]
+            targets = pr._targets_for(model, tensors)
+            ref_targets = targets_reference(model, tensors)
+            assert targets.dtype == ref_targets.dtype
+            assert targets.shape == ref_targets.shape
+            assert targets.tobytes() == ref_targets.tobytes()
+            dmat = lo.beam_distance_matrix(dims) if (kind, sep) == ("WS", False) else None
+            ref_loss, ref_grad = batch_loss_grad_reference(model, z, targets, dmat)
+            assert pr._batch_grad(model, z, targets).tobytes() == ref_grad.tobytes()
+            loss = pr._batch_loss(model, z, targets)
+            assert type(loss) is type(ref_loss)
+            if (kind, sep) == ("CE", True):
+                assert abs(loss - ref_loss) <= 4 * np.spacing(max(abs(ref_loss), 1.0))
+            else:
+                assert float(loss).hex() == float(ref_loss).hex()
 
 
 class TestIrRankingConsistency:
@@ -399,7 +455,7 @@ class TestTrain:
         trained, history = pr.train(model, x, t, hyper, xv, tv)
         best = min(row[2] for row in history)
         z = xv @ trained.weights + trained.bias
-        val_loss, _ = pr._batch_loss_grad(trained, z, pr._targets_for(trained, tv))
+        val_loss = pr._batch_loss(trained, z, pr._targets_for(trained, tv))
         assert val_loss == pytest.approx(best, rel=1e-9)
 
     def test_lr_decay_recorded(self):
