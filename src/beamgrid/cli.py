@@ -211,11 +211,18 @@ def _split_scenes(stems, seed):
             ordered[n_train + n_val:])
 
 
-def _load_scene_samples(stem, cfg):
+def _scene_site(stem, cfg):
+    """_read_site of one corpus scene; an error names the scene."""
+    try:
+        return _read_site(f"{stem}.scene.bgrd", f"{stem}.tx.json", cfg)
+    except GridParseError as exc:
+        raise GridParseError(f"{stem}: {exc}") from exc
+
+
+def _load_scene_samples(stem, site):
     """Features and tensors of one scene's valid pixels (tensor resolution)."""
     try:
         tensors, valid = _read_tensors(f"{stem}.tensors.bgrd", f"{stem}.mask.bgrd")
-        site = _read_site(f"{stem}.scene.bgrd", f"{stem}.tx.json", cfg)
         feats = _site_features(*site, valid.shape)
     except GridParseError as exc:
         raise GridParseError(f"{stem}: {exc}") from exc
@@ -229,12 +236,15 @@ def cmd_train(args):
     if len(stems) < 3:
         raise InsufficientDataError(
             f"need at least 3 scenes to populate train/val/test, found {len(stems)}")
+    # every scene's site, test scenes too: a bad scene anywhere in the
+    # corpus fails the run before any samples load
+    sites = {stem: _scene_site(stem, cfg) for stem in stems}
     train_stems, val_stems, test_stems = _split_scenes(stems, cfg.train.seed)
 
     def gather(group):
         xs, ts = [], []
         for stem in group:
-            x, t = _load_scene_samples(stem, cfg)
+            x, t = _load_scene_samples(stem, sites[stem])
             xs.append(x)
             ts.append(t)
         return np.concatenate(xs), np.concatenate(ts)

@@ -65,9 +65,14 @@ def _floored_db(t, floor_db, what):
     peak = t.max(axis=-1, keepdims=True)
     if (peak <= 0.0).any():
         raise ValueError(f"{what} undefined for an all-zero tensor")
+    # in place, one sample x beam array at a time: the same bits as
+    # maximum(10 * log10(where(t > 0, t / peak, 0)), floor_db)
+    db = np.zeros_like(t)
+    np.divide(t, peak, out=db, where=t > 0.0)
     with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(np.where(t > 0.0, t / peak, 0.0))
-    return np.maximum(db, floor_db)
+        np.log10(db, out=db)
+    db *= 10.0
+    return np.maximum(db, floor_db, out=db)
 
 
 def _samples(tensor):
@@ -93,9 +98,9 @@ def cep_target(tensor, floor_db=-30.0):
     db = _floored_db(_samples(t), floor_db, "soft target")
     if floor_db >= 0.0:
         raise ValueError("floor must be below the 0 dB peak")
-    shifted = db - floor_db
-    out = shifted / shifted.sum(axis=1, keepdims=True)
-    return out if t.ndim == 4 else out[0]
+    db -= floor_db
+    db /= db.sum(axis=1, keepdims=True)
+    return db if t.ndim == 4 else db[0]
 
 
 def cep_target_sep(tensor, floor_db=-30.0):

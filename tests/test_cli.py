@@ -9,6 +9,7 @@ import pytest
 
 import beamgrid
 from beamgrid import channel as ch
+from beamgrid import cli
 from beamgrid import gridio as io
 from beamgrid import metrics as mt
 from beamgrid import predictor as pr
@@ -484,6 +485,19 @@ class TestTrainCli:
         assert "tx pixel [-1, 5] is off the 32x32 scene grid" in capsys.readouterr().err
         assert not (tmp / "m.bgmdl").exists()
 
+    def test_tx_off_grid_in_test_scene_exit_code(self, scene_dir, capsys):
+        # train reads no samples of a test scene, but checks its site
+        tmp, cfg, scenes = scene_dir
+        stems = sorted(str(p)[:-len(".scene.bgrd")] for p in scenes.glob("*.scene.bgrd"))
+        stem = cli._split_scenes(stems, io.load_config(cfg).train.seed)[2][0]
+        doc = json.loads(Path(f"{stem}.tx.json").read_text())
+        doc["pixel"] = [-1, 5]
+        Path(f"{stem}.tx.json").write_text(json.dumps(doc))
+        assert run_cli("train", "--scenes", scenes, "--config", cfg,
+                       "--model-out", tmp / "m.bgmdl") == 3
+        assert "tx pixel [-1, 5] is off the 32x32 scene grid" in capsys.readouterr().err
+        assert not (tmp / "m.bgmdl").exists()
+
     def test_model_evaluates_on_test_scene(self, scene_dir, capsys):
         tmp, cfg, scenes = scene_dir
         run_cli("train", "--scenes", scenes, "--config", cfg,
@@ -507,6 +521,15 @@ class TestImport:
         res = subprocess.run(
             [sys.executable, "-c",
              "import sys, beamgrid.cli; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert res.stdout.strip() == "False"
+
+    def test_cli_import_leaves_concurrent_futures_unloaded(self):
+        # only train imports its thread pool
+        env = dict(os.environ, PYTHONPATH=str(Path(beamgrid.__file__).parents[1]))
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, beamgrid.cli; print('concurrent.futures' in sys.modules)"],
             env=env, capture_output=True, text=True, check=True, timeout=120)
         assert res.stdout.strip() == "False"
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from beamgrid import losses as lo
 from beamgrid.errors import IterationLimitError, UnsupportedFormError
 
+from conftest import cep_target_reference, floored_db_reference
+
 DIMS8 = (2, 2, 2)
 D8 = lo.beam_distance_matrix(DIMS8)
 EPS8 = 1e-3 * D8.max()
@@ -294,6 +296,18 @@ class TestGrLoss:
         t = np.array([1.0, 1e-9, 0.0])
         db = lo.gr_target_db(t, floor_db=-30.0)
         np.testing.assert_allclose(db, [0.0, -30.0, -30.0])
+
+    @given(st.integers(1, 32), st.integers(1, 64), st.sampled_from([0.0, 0.5, 0.9]),
+           st.sampled_from([-30.0, -7.5, -1e-3]), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=100)
+    def test_stacked_targets_match_out_of_place_formula(self, n, beams, zeros, floor, seed):
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0.0, 1.0, (n, beams)) * 10.0 ** rng.integers(-12, 3, (n, 1))
+        t[rng.uniform(size=t.shape) < zeros] = 0.0
+        t[np.arange(n), rng.integers(0, beams, n)] += 1e-12  # a positive peak
+        stack = t.reshape(n, beams, 1, 1)
+        assert lo.gr_target_db(stack, floor).tobytes() == floored_db_reference(t, floor).tobytes()
+        assert lo.cep_target(stack, floor).tobytes() == cep_target_reference(t, floor).tobytes()
 
     def test_sep_targets(self):
         rng = np.random.default_rng(18)

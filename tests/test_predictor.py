@@ -1,4 +1,9 @@
+import concurrent.futures
+import functools
 import math
+import sys
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +17,8 @@ from beamgrid import predictor as pr
 from beamgrid import scene as sc
 from beamgrid.errors import EmptyTrainingSetError
 
-from conftest import batch_loss_grad_reference, targets_reference
+from conftest import batch_loss_grad_reference, batch_loss_reference, targets_reference, \
+    train_reference
 
 ALL_LOSSES = [("CE", False), ("CE", True), ("CEP", False), ("CEP", True),
               ("WS", False), ("WS", True), ("IR", True), ("GR", False), ("GR", True)]
@@ -42,6 +48,15 @@ class TestBuildFeatures:
         cos_b = feats.values[8, 10, list(feats.names).index("tx_bearing_cos")]
         assert sin_b == pytest.approx(0.0, abs=1e-12)
         assert cos_b == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("pixel", [(-1, 5), (16, 5), (5, -1), (5, 16)])
+    def test_tx_off_grid_rejected(self, pixel):
+        # -1 would wrap onto the last row or column, 16 raise IndexError
+        hm = sc.HeightMap(np.zeros((16, 16)), np.zeros((16, 16)))
+        tx = sc.TxSite(pixel, 10.0, ch.ArrayFrame(0.0, 0.0))
+        with pytest.raises(ValueError, match=rf"tx pixel \[{pixel[0]}, {pixel[1]}\] "
+                                             r"is off the 16x16 grid"):
+            pr.build_features(hm, tx)
 
     def test_deterministic_and_bounded(self, small_scene):
         hm, tx = small_scene
@@ -344,8 +359,11 @@ class TestLossMatchesReference:
     """_targets_for, _batch_loss and _batch_grad reproduce the loss code they
     replaced (conftest): the same bytes, and the same loss value and type.
     CE-sep moved from -log(p + 1e-300) to log-softmax, the formula of joint
-    CE; both round the softmax or its normaliser at the scale of 1, so its
-    loss may differ by 4 ulp of max(loss, 1)."""
+    CE; both round the softmax or its normaliser at the scale of 1, so the
+    loss of one sample may differ by 4 ulp of max(loss, 1). The mean over a
+    batch can differ by more (6 ulp for 12 samples of all-zero scores over
+    beams (1, 1, 7)), so it must equal that of the batch code before the
+    epoch losses were blocked, bit for bit."""
 
     @given(loss_batches())
     @settings(deadline=None, max_examples=100)
@@ -365,9 +383,164 @@ class TestLossMatchesReference:
             loss = pr._batch_loss(model, z, targets)
             assert type(loss) is type(ref_loss)
             if (kind, sep) == ("CE", True):
-                assert abs(loss - ref_loss) <= 4 * np.spacing(max(abs(ref_loss), 1.0))
-            else:
-                assert float(loss).hex() == float(ref_loss).hex()
+                for i in range(len(z)):
+                    one = pr._batch_loss(model, z[i:i + 1], targets[i:i + 1])
+                    ref_one = batch_loss_grad_reference(model, z[i:i + 1], targets[i:i + 1])[0]
+                    assert abs(one - ref_one) <= 4 * np.spacing(max(abs(ref_one), 1.0))
+                ref_loss = batch_loss_reference(model, z, targets)
+            assert float(loss).hex() == float(ref_loss).hex()
+
+
+class TestEpochLoss:
+    """_epoch_loss scores x @ w + b in row blocks and must give the value and
+    type of _batch_loss on the whole score matrix, bit for bit, whatever the
+    block size."""
+
+    @staticmethod
+    def _check(model, x, w, b, targets):
+        ref = pr._batch_loss(model, x @ w + b, targets)
+        loss = pr._epoch_loss(model, x, w, b, targets)
+        assert type(loss) is type(ref)
+        assert float(loss).hex() == float(ref).hex()
+
+    @given(loss_batches(), st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from([1, 7, pr.LOSS_BLOCK_VALUES]))
+    @settings(deadline=None, max_examples=100)
+    def test_matches_one_block(self, case, features, seed, block_values):
+        dims, tensors, scores = case
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 1.0, (len(tensors), features))
+        scale = np.abs(scores).max(initial=1.0)
+        with mock.patch.object(pr, "LOSS_BLOCK_VALUES", block_values):
+            for kind, sep in ALL_LOSSES:
+                model = pr.SoftmaxModel.create(features, dims, loss_kind=kind, sep=sep)
+                c = model.weights.shape[1]
+                w = rng.normal(0.0, scale / features, (features, c))
+                b = rng.normal(0.0, 1.0, c)
+                self._check(model, x, w, b, pr._targets_for(model, tensors))
+
+    # BLAS rounds a one-row product, and the rows of a one-column product by
+    # their position in it, differently from the same rows of a larger
+    # product. A difference of one ulp in a score often rounds away in the
+    # loss, so each case below takes 20 draws.
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_last_single_row(self, n):
+        rng = np.random.default_rng(n)
+        model = pr.SoftmaxModel.create(9, (8, 4, 4), loss_kind="CE")
+        with mock.patch.object(pr, "LOSS_BLOCK_VALUES", 1):  # blocks of two rows
+            for _ in range(20):
+                x = rng.normal(0.0, 1.0, (n, 9))
+                w, b = rng.normal(0.0, 3.0, (9, 128)), rng.normal(0.0, 1.0, 128)
+                targets = rng.integers(0, 128, n)
+                self._check(model, x, w, b, targets)
+
+    @pytest.mark.parametrize("n", [2, 7, 9])
+    def test_one_column_model(self, n):
+        rng = np.random.default_rng(n)
+        model = pr.SoftmaxModel.create(9, (1, 1, 1), loss_kind="GR")
+        with mock.patch.object(pr, "LOSS_BLOCK_VALUES", 1):
+            for _ in range(20):
+                x = rng.normal(0.0, 1.0, (n, 9))
+                w, b = rng.normal(0.0, 1.0, (9, 1)), rng.normal(0.0, 1.0, 1)
+                targets = rng.normal(0.0, 1.0, (n, 1))
+                self._check(model, x, w, b, targets)
+
+
+@st.composite
+def training_runs(draw):
+    """One loss configuration, 1-4 beams per axis, 1-48 training samples of
+    1-10 features, no validation set or one of 1-16 samples, a rate of 0 or
+    up to 3, and a patience of 1-3 epochs with min_lr_factor 0.2, so that
+    the rate decays and training can stop early."""
+    kind, sep = draw(st.sampled_from(ALL_LOSSES))
+    dims = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    features = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, n_val = draw(st.integers(1, 48)), draw(st.sampled_from([0, 1, 5, 16]))
+
+    def samples(count):
+        tensors = rng.uniform(0.0, 1.0, (count, *dims))
+        tensors.reshape(count, -1)[:, 0] += 0.5  # a positive peak in every sample
+        return rng.normal(0.0, 1.0, (count, features)), tensors
+
+    hyper = pr.TrainConfig(lr=draw(st.sampled_from([0.0, 0.05, 0.5, 3.0])),
+                           epochs=draw(st.integers(1, 12)), batch=draw(st.integers(1, 16)),
+                           patience=draw(st.integers(1, 3)), min_lr_factor=0.2)
+    model = pr.SoftmaxModel.create(features, dims, loss_kind=kind, sep=sep,
+                                   seed=draw(st.integers(0, 3)))
+    return model, samples(n), samples(n_val) if n_val else (None, None), hyper
+
+
+class TestTrainMatchesReference:
+    """train, with its blocked epoch losses and its worker thread, writes the
+    weights, biases and history of the loop it replaced (conftest)."""
+
+    @given(training_runs(), st.sampled_from([1, 7, pr.LOSS_BLOCK_VALUES]), st.booleans())
+    @settings(deadline=None, max_examples=60)
+    def test_same_bytes(self, run, block_values, late):
+        model, (x, t), (xv, tv), hyper = run
+        # a rate of 3 can make squared-error training overflow: both must
+        # then give the same infinities and NaNs
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref, ref_history = train_reference(model, x, t, hyper, xv, tv)
+        # late: every train loss is computed only when the history reads it,
+        # after the loop, so a worker that read the live weights would see
+        # the last epoch's
+        pool = self._LateExecutor if late else concurrent.futures.ThreadPoolExecutor
+        with mock.patch.object(pr, "LOSS_BLOCK_VALUES", block_values), \
+                mock.patch.object(concurrent.futures, "ThreadPoolExecutor", pool), \
+                np.errstate(over="ignore", invalid="ignore"):
+            trained, history = pr.train(model, x, t, hyper, xv, tv)
+        assert trained.weights.tobytes() == ref.weights.tobytes()
+        assert trained.bias.tobytes() == ref.bias.tobytes()
+        assert repr(history) == repr(ref_history)
+
+    def test_worker_follows_callers_errstate(self):
+        # without a validation set only the worker squares the diverging
+        # scores, and it must overflow as quietly as the caller asked
+        rng = np.random.default_rng(0)
+        x = rng.normal(0.0, 1.0, (48, 10))
+        t = rng.uniform(0.0, 1.0, (48, 1, 1, 2))
+        t[:, 0, 0, 0] += 0.5
+        model = pr.SoftmaxModel.create(10, (1, 1, 2), loss_kind="GR")
+        hyper = pr.TrainConfig(lr=3.0, epochs=12, batch=1, patience=3, min_lr_factor=0.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref, ref_history = train_reference(model, x, t, hyper)
+            trained, history = pr.train(model, x, t, hyper)
+        assert not np.isfinite([row[1] for row in ref_history]).all()
+        assert trained.weights.tobytes() == ref.weights.tobytes()
+        assert repr(history) == repr(ref_history)
+
+    def test_thread_switches_every_microsecond(self):
+        rng = np.random.default_rng(11)
+        x, xv = rng.normal(0.0, 1.0, (600, 9)), rng.normal(0.0, 1.0, (100, 9))
+        t, tv = rng.uniform(0.01, 1.0, (600, 4, 2, 2)), rng.uniform(0.01, 1.0, (100, 4, 2, 2))
+        model = pr.SoftmaxModel.create(9, (4, 2, 2), loss_kind="WS", seed=5)
+        hyper = pr.TrainConfig(lr=0.5, epochs=20, batch=32)
+        ref, ref_history = train_reference(model, x, t, hyper, xv, tv)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            trained, history = pr.train(model, x, t, hyper, xv, tv)
+        finally:
+            sys.setswitchinterval(interval)
+        assert trained.weights.tobytes() == ref.weights.tobytes()
+        assert repr(history) == repr(ref_history)
+
+    class _LateExecutor:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        @staticmethod
+        def submit(fn, *args):
+            return types.SimpleNamespace(result=functools.partial(fn, *args))
 
 
 class TestIrRankingConsistency:
