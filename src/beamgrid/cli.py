@@ -236,15 +236,20 @@ def cmd_train(args):
     if len(stems) < 3:
         raise InsufficientDataError(
             f"need at least 3 scenes to populate train/val/test, found {len(stems)}")
-    # every scene's site, test scenes too: a bad scene anywhere in the
-    # corpus fails the run before any samples load
-    sites = {stem: _scene_site(stem, cfg) for stem in stems}
     train_stems, val_stems, test_stems = _split_scenes(stems, cfg.train.seed)
+    # every scene's site is read before any samples load, so a bad scene
+    # anywhere in the corpus fails the run; test scenes are only checked
+    unused = set(test_stems)
+    sites = {}
+    for stem in stems:
+        site = _scene_site(stem, cfg)
+        if stem not in unused:
+            sites[stem] = site
 
     def gather(group):
         xs, ts = [], []
         for stem in group:
-            x, t = _load_scene_samples(stem, sites[stem])
+            x, t = _load_scene_samples(stem, sites.pop(stem))
             xs.append(x)
             ts.append(t)
         return np.concatenate(xs), np.concatenate(ts)

@@ -32,17 +32,23 @@ import numpy as np
 from .errors import IterationLimitError, UnsupportedFormError
 
 
+def _shifted_exp(z, axis):
+    """z less its maximum along axis, and the exponential of that: the steps
+    softmax and log_softmax share."""
+    shifted = z - z.max(axis=axis, keepdims=True)
+    return shifted, np.exp(shifted)
+
+
 def softmax(z, axis=-1):
     """Numerically stable exponential normalisation."""
-    z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    # the shifted scores are freed before the division
+    e = _shifted_exp(np.asarray(z, dtype=np.float64), axis)[1]
     return e / e.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(z, axis=-1):
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted, e = _shifted_exp(np.asarray(z, dtype=np.float64), axis)
+    return shifted - np.log(e.sum(axis=axis, keepdims=True))
 
 
 def ce_loss(logits, target_index):

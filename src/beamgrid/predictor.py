@@ -326,14 +326,13 @@ def _head_terms(kind, zh, th, dist):
     """Per-sample loss terms of one head, each row on its own: the loss of
     the sample, negated for CE and CEP.
 
-    NumPy only, with the operations of losses.softmax and
-    losses.log_softmax: _epoch_loss runs this on a worker thread, which
-    must call no public package function.
+    With the shared steps of losses.softmax and losses.log_softmax but not
+    those functions: _epoch_loss runs this on a worker thread, which must
+    call no public package function.
     """
     if kind in ("IR", "GR"):
         return ((zh - th) ** 2).mean(axis=1)
-    shifted = zh - zh.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+    shifted, e = losses._shifted_exp(zh, 1)
     if kind == "WS":
         # dist is bitwise symmetric, so its rows are the columns picked
         return (e / e.sum(axis=1, keepdims=True) * dist[th]).sum(axis=1)
@@ -355,19 +354,13 @@ def _loss_of_terms(model, terms):
     return loss if model.sep and negated else float(loss)
 
 
-def _batch_loss(model, z, targets):
-    """Mean loss over the batch: per head, the arithmetic mean of the
-    per-sample losses in beamgrid.losses, summed over the heads."""
-    heads = _heads(model.dims, model.loss_kind, model.sep)
-    terms = np.empty((len(heads), len(z)))
-    for h, (cols, tcols, dist) in enumerate(heads):
-        terms[h] = _head_terms(model.loss_kind, z[:, cols], targets[:, tcols], dist)
-    return _loss_of_terms(model, terms)
-
-
 def _epoch_loss(model, x, w, b, targets):
-    """_batch_loss of the scores x @ w + b, computed in blocks of
-    LOSS_BLOCK_VALUES // C rows; the same value, bit for bit."""
+    """Mean loss of the scores x @ w + b: per head, the arithmetic mean of
+    the per-sample losses in beamgrid.losses, summed over the heads.
+
+    The scores are computed in blocks of LOSS_BLOCK_VALUES // C rows, with
+    the bits of one pass over the whole score matrix.
+    """
     n, c = len(x), w.shape[1]
     heads = _heads(model.dims, model.loss_kind, model.sep)
     terms = np.empty((len(heads), n))
@@ -388,7 +381,8 @@ def _epoch_loss(model, x, w, b, targets):
 
 
 def _batch_grad(model, z, targets):
-    """Gradient of _batch_loss with respect to the score matrix z."""
+    """Gradient of the mean loss of the score matrix z (_epoch_loss) with
+    respect to z."""
     n = z.shape[0]
     kind = model.loss_kind
     grad = np.empty_like(z)
@@ -468,6 +462,10 @@ def train(model, x_train, tensors_train, hyper=None, x_val=None, tensors_val=Non
             train_loss = pool.submit(context.run, _epoch_loss, model, x_train, wc, bc, t_train)
             val_loss = (_epoch_loss(model, x_val, wc, bc, t_val) if has_val
                         else train_loss.result())
+            if epochs:
+                # the previous epoch's train loss: one loss waits at most,
+                # and an error in the worker is raised an epoch late at most
+                epochs[-1][1].result()
             epochs.append((epoch, train_loss, val_loss, lr))
             if val_loss < best[0]:
                 best = (val_loss, wc, bc)

@@ -166,7 +166,7 @@ def exterior_walls_reference(building, res=1.0):
     return np.array(walls, dtype=np.float64)
 
 
-# The loss code that predictor._targets_for, _batch_loss and _batch_grad
+# The loss code that predictor._targets_for, _epoch_loss and _batch_grad
 # replaced, kept as the reference they must match byte for byte (CE-sep
 # loss: to a few ulp, as it moved from -log(p + 1e-300) to log-softmax).
 # batch_loss_grad_reference needs dmat = losses.beam_distance_matrix(dims)
@@ -312,7 +312,7 @@ def cep_target_reference(t, floor_db):
 
 
 # The training loop and per-batch loss code that predictor.train,
-# _epoch_loss, _batch_loss and _batch_grad replaced, kept as the reference
+# _epoch_loss and _batch_grad replaced, kept as the reference
 # they must match byte for byte: weights, biases and the history repr. The
 # bodies are verbatim but for the function names.
 

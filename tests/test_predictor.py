@@ -20,6 +20,13 @@ from beamgrid.errors import EmptyTrainingSetError
 from conftest import batch_loss_grad_reference, batch_loss_reference, targets_reference, \
     train_reference
 
+def loss_of_scores(model, z, targets):
+    """_epoch_loss of the score matrix z itself: with identity weights and a
+    zero bias the scores are z, bit for bit, for finite z."""
+    c = z.shape[1]
+    return pr._epoch_loss(model, z, np.eye(c), np.zeros(c), targets)
+
+
 ALL_LOSSES = [("CE", False), ("CE", True), ("CEP", False), ("CEP", True),
               ("WS", False), ("WS", True), ("IR", True), ("GR", False), ("GR", True)]
 
@@ -249,7 +256,7 @@ class TestBatchLossConsistency:
 
     @staticmethod
     def _loss_grad(model, z, targets):
-        return pr._batch_loss(model, z, targets), pr._batch_grad(model, z, targets)
+        return loss_of_scores(model, z, targets), pr._batch_grad(model, z, targets)
 
     def test_ce_joint(self):
         model, z, _, targets, _ = self._setup("CE", False)
@@ -356,14 +363,11 @@ def loss_batches(draw):
 
 
 class TestLossMatchesReference:
-    """_targets_for, _batch_loss and _batch_grad reproduce the loss code they
+    """_targets_for, _epoch_loss and _batch_grad reproduce the loss code they
     replaced (conftest): the same bytes, and the same loss value and type.
     CE-sep moved from -log(p + 1e-300) to log-softmax, the formula of joint
-    CE; both round the softmax or its normaliser at the scale of 1, so the
-    loss of one sample may differ by 4 ulp of max(loss, 1). The mean over a
-    batch can differ by more (6 ulp for 12 samples of all-zero scores over
-    beams (1, 1, 7)), so it must equal that of the batch code before the
-    epoch losses were blocked, bit for bit."""
+    CE; both round the softmax or its normaliser at the scale of 1, so its
+    loss may differ by 4 ulp of max(loss, 1)."""
 
     @given(loss_batches())
     @settings(deadline=None, max_examples=100)
@@ -380,25 +384,22 @@ class TestLossMatchesReference:
             dmat = lo.beam_distance_matrix(dims) if (kind, sep) == ("WS", False) else None
             ref_loss, ref_grad = batch_loss_grad_reference(model, z, targets, dmat)
             assert pr._batch_grad(model, z, targets).tobytes() == ref_grad.tobytes()
-            loss = pr._batch_loss(model, z, targets)
+            loss = loss_of_scores(model, z, targets)
             assert type(loss) is type(ref_loss)
             if (kind, sep) == ("CE", True):
-                for i in range(len(z)):
-                    one = pr._batch_loss(model, z[i:i + 1], targets[i:i + 1])
-                    ref_one = batch_loss_grad_reference(model, z[i:i + 1], targets[i:i + 1])[0]
-                    assert abs(one - ref_one) <= 4 * np.spacing(max(abs(ref_one), 1.0))
-                ref_loss = batch_loss_reference(model, z, targets)
-            assert float(loss).hex() == float(ref_loss).hex()
+                assert abs(loss - ref_loss) <= 4 * np.spacing(max(abs(ref_loss), 1.0))
+            else:
+                assert float(loss).hex() == float(ref_loss).hex()
 
 
 class TestEpochLoss:
     """_epoch_loss scores x @ w + b in row blocks and must give the value and
-    type of _batch_loss on the whole score matrix, bit for bit, whatever the
-    block size."""
+    type of the batch loss code it replaced (conftest) on the whole score
+    matrix, bit for bit, whatever the block size."""
 
     @staticmethod
     def _check(model, x, w, b, targets):
-        ref = pr._batch_loss(model, x @ w + b, targets)
+        ref = batch_loss_reference(model, x @ w + b, targets)
         loss = pr._epoch_loss(model, x, w, b, targets)
         assert type(loss) is type(ref)
         assert float(loss).hex() == float(ref).hex()
@@ -484,9 +485,9 @@ class TestTrainMatchesReference:
         # then give the same infinities and NaNs
         with np.errstate(over="ignore", invalid="ignore"):
             ref, ref_history = train_reference(model, x, t, hyper, xv, tv)
-        # late: every train loss is computed only when the history reads it,
-        # after the loop, so a worker that read the live weights would see
-        # the last epoch's
+        # late: every train loss is computed only when train reads it, an
+        # epoch later or after the loop, so a worker that read the live
+        # weights would see a later epoch's
         pool = self._LateExecutor if late else concurrent.futures.ThreadPoolExecutor
         with mock.patch.object(pr, "LOSS_BLOCK_VALUES", block_values), \
                 mock.patch.object(concurrent.futures, "ThreadPoolExecutor", pool), \
@@ -511,6 +512,26 @@ class TestTrainMatchesReference:
         assert not np.isfinite([row[1] for row in ref_history]).all()
         assert trained.weights.tobytes() == ref.weights.tobytes()
         assert repr(history) == repr(ref_history)
+
+    def test_worker_error_raised_an_epoch_later(self):
+        # the train loss of the first epoch fails in the worker; the loop
+        # must raise it by the end of the second epoch, not after the last
+        rng = np.random.default_rng(1)
+        x, xv = rng.normal(0.0, 1.0, (48, 5)), rng.normal(0.0, 1.0, (16, 5))
+        t, tv = rng.uniform(0.01, 1.0, (48, 2, 2, 2)), rng.uniform(0.01, 1.0, (16, 2, 2, 2))
+        model = pr.SoftmaxModel.create(5, (2, 2, 2))
+        val_epochs = []
+
+        def epoch_loss(model, x, w, b, targets):
+            if len(x) == len(xv):
+                val_epochs.append(len(val_epochs))
+                return 1.0
+            raise FloatingPointError("overflow in the train loss")
+
+        with mock.patch.object(pr, "_epoch_loss", epoch_loss), \
+                pytest.raises(FloatingPointError, match="overflow in the train loss"):
+            pr.train(model, x, t, pr.TrainConfig(lr=0.0, epochs=10), xv, tv)
+        assert val_epochs == [0, 1]
 
     def test_thread_switches_every_microsecond(self):
         rng = np.random.default_rng(11)
@@ -627,8 +648,8 @@ class TestTrain:
         hyper = pr.TrainConfig(lr=0.5, epochs=60, batch=16, patience=5)
         trained, history = pr.train(model, x, t, hyper, xv, tv)
         best = min(row[2] for row in history)
-        z = xv @ trained.weights + trained.bias
-        val_loss = pr._batch_loss(trained, z, pr._targets_for(trained, tv))
+        val_loss = pr._epoch_loss(trained, xv, trained.weights, trained.bias,
+                                  pr._targets_for(trained, tv))
         assert val_loss == pytest.approx(best, rel=1e-9)
 
     def test_lr_decay_recorded(self):
