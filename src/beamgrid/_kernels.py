@@ -1,12 +1,15 @@
 """Hot numeric kernels: grid visibility marching and multipath tracing.
 
-The tracer (trace_count, trace_fill) and accumulate_tensors are NumPy array
-code. They repeat the floating-point operations of the scalar kernels
-march and mirror_hit, which segment_clear and the tests use as the
-per-path reference, in the same order, so their results equal a per-pixel
-loop bit for bit. The math-library calls whose NumPy versions round
-differently (atan2, hypot, x ** y, and so _bearing) stay scalar math calls
-over the visible paths, a few thousand per scene.
+One kernel per job, all NumPy array code: march_batch is the grid march
+(an Amanatides-Woo traversal over many rays at once), _reflection_candidates
+the image-method screen, trace_count and trace_fill the tracer built on
+them, and accumulate_tensors the per-pixel tensor sum. Each repeats, in the
+same order, the floating-point operations of a scalar per-path loop kept
+in the tests (tests/conftest.py: march, mirror_hit and the accumulation
+loop), so its results equal that loop bit for bit. The math-library calls
+whose NumPy versions round differently (atan2, hypot, x ** y, and so
+_bearing) stay scalar math calls over the visible paths, a few thousand
+per scene.
 """
 
 import math
@@ -21,99 +24,6 @@ USE_NUMBA = False
 TWO_PI = 2.0 * math.pi
 
 
-def march(building, vegetation, x0, y0, z0, x1, y1, z1, res):
-    """Walk the 2D cell grid under the 3D segment (x0,y0,z0)->(x1,y1,z1).
-
-    Returns (clear, vegetated_length_m). A cell blocks when its building
-    height rises above the segment anywhere inside the cell; the two
-    endpoint cells never block (antennas sit on or next to structures).
-    Vegetated length integrates the 3D length spent below the canopy height
-    and counts every cell, endpoints included; it is only meaningful when
-    the segment is clear. Endpoints are put in canonical order first, so
-    the result is exactly symmetric under swapping them.
-    """
-    if (x0 > x1) or (x0 == x1 and (y0 > y1 or (y0 == y1 and z0 > z1))):
-        tx_, ty_, tz_ = x0, y0, z0
-        x0, y0, z0 = x1, y1, z1
-        x1, y1, z1 = tx_, ty_, tz_
-    rows, cols = building.shape
-    dx = x1 - x0
-    dy = y1 - y0
-    dz = z1 - z0
-    seg_len = math.sqrt(dx * dx + dy * dy + dz * dz)
-    c0 = int(math.floor(x0 / res))
-    r0 = int(math.floor(y0 / res))
-    c1 = int(math.floor(x1 / res))
-    r1 = int(math.floor(y1 / res))
-    c = c0
-    r = r0
-    if dx > 0.0:
-        step_c = 1
-        t_mx = ((c0 + 1) * res - x0) / dx
-        t_dx = res / dx
-    elif dx < 0.0:
-        step_c = -1
-        t_mx = (c0 * res - x0) / dx
-        t_dx = -res / dx
-    else:
-        step_c = 0
-        t_mx = math.inf
-        t_dx = math.inf
-    if dy > 0.0:
-        step_r = 1
-        t_my = ((r0 + 1) * res - y0) / dy
-        t_dy = res / dy
-    elif dy < 0.0:
-        step_r = -1
-        t_my = (r0 * res - y0) / dy
-        t_dy = -res / dy
-    else:
-        step_r = 0
-        t_my = math.inf
-        t_dy = math.inf
-
-    veg_len = 0.0
-    t_prev = 0.0
-    while True:
-        t_next = t_mx if t_mx < t_my else t_my
-        if t_next > 1.0:
-            t_next = 1.0
-        if t_next > t_prev and 0 <= r < rows and 0 <= c < cols:
-            za = z0 + dz * t_prev
-            zb = z0 + dz * t_next
-            zmin = za if za < zb else zb
-            endpoint = (r == r0 and c == c0) or (r == r1 and c == c1)
-            if (not endpoint) and building[r, c] > zmin:
-                return False, veg_len
-            v = vegetation[r, c]
-            if v > 0.0:
-                if dz == 0.0:
-                    if z0 < v:
-                        veg_len += (t_next - t_prev) * seg_len
-                else:
-                    tc = (v - z0) / dz
-                    if dz > 0.0:
-                        lo = t_prev
-                        hi = tc if tc < t_next else t_next
-                    else:
-                        lo = tc if tc > t_prev else t_prev
-                        hi = t_next
-                    if hi > lo:
-                        veg_len += (hi - lo) * seg_len
-        if t_next >= 1.0:
-            break
-        adv_x = t_mx <= t_my
-        adv_y = t_my <= t_mx
-        t_prev = t_next
-        if adv_x:
-            c += step_c
-            t_mx += t_dx
-        if adv_y:
-            r += step_r
-            t_my += t_dy
-    return True, veg_len
-
-
 # Rays marched together by march_batch. A batch keeps about 70 float64
 # values of working state per ray, so this bounds the working set (~9 MB)
 # however many rays a scene has; on 128x128 scenes batches of 2**12 to
@@ -122,12 +32,21 @@ MARCH_BATCH_RAYS = 1 << 14
 
 
 def march_batch(building, vegetation, x0, y0, z0, x1, y1, z1, res):
-    """march over many segments at once; returns (clear, veg_len) arrays.
+    """Walk the 2D cell grid under each 3D segment (x0,y0,z0)->(x1,y1,z1).
 
-    The endpoint coordinates broadcast to one 1-D shape. Every ray takes
-    march's statements in the same order on float64 arrays, so each result
-    equals march's bit for bit. Rays run in batches of MARCH_BATCH_RAYS; a
-    ray leaves the active set once it is blocked or its step reaches t >= 1.
+    Returns (clear, vegetated_length_m) arrays, one entry per segment. A
+    cell blocks when its building height rises above the segment anywhere
+    inside the cell; the two endpoint cells never block (antennas sit on or
+    next to structures). Vegetated length integrates the 3D length spent
+    below the canopy height and counts every cell, endpoints included; it
+    is only meaningful when the segment is clear. Endpoints are put in
+    canonical order first, so each result is exactly symmetric under
+    swapping them.
+
+    The endpoint coordinates broadcast to one 1-D shape (pass 1-element
+    arrays for a single segment). Rays run in batches of MARCH_BATCH_RAYS;
+    a ray leaves the active set once it is blocked or its step reaches
+    t >= 1.
     """
     ends = np.broadcast_arrays(
         *(np.asarray(a, dtype=np.float64) for a in (x0, y0, z0, x1, y1, z1)))
@@ -214,7 +133,7 @@ def _march_rays(bld, veg, x0, y0, z0, x1, y1, z1, res):
 
 
 def _traversal_setup(cell0, p0, d, res):
-    """march's per-axis step, first crossing and crossing spacing in t."""
+    """A ray's per-axis step, first cell crossing and crossing spacing in t."""
     step = np.zeros(d.size, dtype=np.int64)
     t_m = np.full(d.size, math.inf)
     t_d = np.full(d.size, math.inf)
@@ -230,8 +149,8 @@ def _traversal_setup(cell0, p0, d, res):
 
 
 def _vegetated_length(v, z0, dz, t_prev, t_next, seg_len):
-    """march's vegetation increment for one step of rays in cells with
-    canopy height v > 0."""
+    """The vegetated length added by one step of rays in cells with canopy
+    height v > 0."""
     add = np.zeros(v.size)
     flat = dz == 0.0
     low = flat & (z0 < v)
@@ -243,51 +162,6 @@ def _vegetated_length(v, z0, dz, t_prev, t_next, seg_len):
     hi = np.where(up, np.where(tc < t_next[s], tc, t_next[s]), t_next[s])
     add[s] = np.where(hi > lo, (hi - lo) * seg_len[s], 0.0)
     return add
-
-
-def mirror_hit(wall, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z):
-    """Specular reflection point on a vertical wall rectangle via mirroring.
-
-    wall = (axis, plane, lo, hi, height, normal); axis 0 means the wall lies
-    in a plane of constant x, axis 1 constant y. Returns
-    (ok, hx, hy, hz, path_len) where path_len is the unfolded
-    source-image-to-receiver distance. ok is False when either endpoint is
-    not strictly on the wall's outward side or the specular point leaves
-    the wall rectangle.
-    """
-    plane = wall[1]
-    lo = wall[2]
-    hi = wall[3]
-    height = wall[4]
-    nrm = wall[5]
-    if wall[0] == 0.0:
-        if (tx_x - plane) * nrm <= 0.0 or (rx_x - plane) * nrm <= 0.0:
-            return False, 0.0, 0.0, 0.0, 0.0
-        ix = 2.0 * plane - tx_x
-        iy = tx_y
-        iz = tx_z
-        t = (plane - ix) / (rx_x - ix)
-        hx = plane
-        hy = iy + t * (rx_y - iy)
-        hz = iz + t * (rx_z - iz)
-        if hy < lo or hy > hi or hz < 0.0 or hz > height:
-            return False, 0.0, 0.0, 0.0, 0.0
-    else:
-        if (tx_y - plane) * nrm <= 0.0 or (rx_y - plane) * nrm <= 0.0:
-            return False, 0.0, 0.0, 0.0, 0.0
-        ix = tx_x
-        iy = 2.0 * plane - tx_y
-        iz = tx_z
-        t = (plane - iy) / (rx_y - iy)
-        hx = ix + t * (rx_x - ix)
-        hy = plane
-        hz = iz + t * (rx_z - iz)
-        if hx < lo or hx > hi or hz < 0.0 or hz > height:
-            return False, 0.0, 0.0, 0.0, 0.0
-    ddx = rx_x - ix
-    ddy = rx_y - iy
-    ddz = rx_z - iz
-    return True, hx, hy, hz, math.sqrt(ddx * ddx + ddy * ddy + ddz * ddz)
 
 
 def _bearing(dx, dy_row):
@@ -310,17 +184,22 @@ def _math_map(fn, *arrays):
 
 
 def _reflection_candidates(walls, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z, eps):
-    """mirror_hit's tests for each wall on the vectors of receivers.
+    """Specular reflection points on vertical wall rectangles, by mirroring
+    the transmitter, for each wall on the vectors of receivers.
 
+    Each wall row is (axis, plane, lo, hi, height, normal); axis 0 means the
+    wall lies in a plane of constant x, axis 1 constant y. A (receiver,
+    wall) pair passes when both endpoints lie strictly on the wall's
+    outward side and the specular point stays on the wall rectangle.
     Returns (receiver index, wall index, hx, hy, hz, path_len) of the pairs
     that pass, in wall order, with each hit point moved eps off the wall to
-    its street side and path_len mirror_hit's image-to-receiver distance.
+    its street side and path_len the unfolded image-to-receiver distance.
     """
     hits = []
     rx_z_tx = rx_z - tx_z
     for w in range(walls.shape[0]):
         axis, plane, lo, hi, height, nrm = walls[w]
-        # mirror_hit with (along, across) = (x, y) for axis 0, (y, x) for axis 1
+        # (along, across) = (x, y) for axis 0, (y, x) for axis 1
         tx_al, tx_ac, rx_al, rx_ac = (tx_x, tx_y, rx_x, rx_y) if axis == 0.0 \
             else (tx_y, tx_x, rx_y, rx_x)
         if (tx_al - plane) * nrm <= 0.0:
@@ -367,11 +246,11 @@ def trace_count(building, vegetation, walls, tx_x, tx_y, tx_z, rx_z, res):
     candidate path is marched once. Building pixels get no paths.
 
     march_batch marches the direct paths of all street pixels together.
-    Each wall screens the vector of street pixels with mirror_hit's tests,
-    and the surviving (pixel, wall) pairs march their first leg together
-    and their second leg where the first is clear. Every step repeats the
-    scalar kernels' operations, so the list equals a per-pixel loop over
-    march and mirror_hit bit for bit.
+    _reflection_candidates screens the vector of street pixels against
+    each wall, and the surviving (pixel, wall) pairs march their first leg
+    together and their second leg where the first is clear. The list equals
+    a per-pixel loop over the scalar march and mirror_hit of the tests bit
+    for bit.
     """
     cols = building.shape[1]
     street = np.flatnonzero(~(building > 0.0).ravel())

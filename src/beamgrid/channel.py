@@ -29,6 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernels
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -327,20 +329,18 @@ def effective_tensor(channel, codebook, frame):
     Uses the factorised form: each path contributes an outer product of its
     azimuth gain profile, elevation gain profile, and one-hot sector vector,
     which matches the direct per-beam sum because the phase-averaged power
-    is additive over paths.
+    is additive over paths. The paths are summed by
+    _kernels.accumulate_tensors, the accumulation of the scene tensor map.
     """
-    tensor = np.zeros((codebook.na, codebook.ne, codebook.nr))
-    if channel.n_paths == 0:
-        return tensor
-    phi, theta = global_to_array_frame(channel.aod_azimuth, channel.aod_elevation, frame)
-    bs = beamspace_angles(phi, theta)
-    g_az, g_el = gain_profiles(bs.varphi, bs.vartheta, codebook)
-    sectors = sector_index(channel.aoa_azimuth, codebook.nr)
-    sectors = np.atleast_1d(sectors)
-    c2 = channel.magnitude**2
-    for p in range(channel.n_paths):
-        tensor[:, :, sectors[p]] += c2[p] * np.outer(g_az[p], g_el[p])
-    return tensor
+    tensor = np.zeros((1, codebook.na, codebook.ne, codebook.nr))
+    if channel.n_paths:
+        phi, theta = global_to_array_frame(channel.aod_azimuth, channel.aod_elevation, frame)
+        bs = beamspace_angles(phi, theta)
+        g_az, g_el = gain_profiles(bs.varphi, bs.vartheta, codebook)
+        sectors = np.atleast_1d(sector_index(channel.aoa_azimuth, codebook.nr))
+        _kernels.accumulate_tensors(np.zeros(channel.n_paths, dtype=np.int64), sectors,
+                                    channel.magnitude**2, g_az, g_el, tensor)
+    return tensor[0]
 
 
 def optimal_beam(tensor):

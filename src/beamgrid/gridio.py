@@ -83,9 +83,8 @@ def read_grid(path):
 def write_paths_csv(path, channels):
     """Write a SceneChannels path table; row order is pixel-major with the
     tracer's per-pixel path order preserved."""
-    pixel = channels.pixel_ids()
-    rows = pixel // channels.cols
-    cols = pixel % channels.cols
+    rows = channels.pixel // channels.cols
+    cols = channels.pixel % channels.cols
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(PATH_HEADER + "\n")
         for i in range(channels.n_paths):
@@ -131,14 +130,10 @@ def read_paths_csv(path, rows, cols):
     except UnicodeDecodeError as exc:
         raise GridParseError(f"path file {path}: {exc}") from exc
     pixel = np.asarray(pr, dtype=np.int64) * cols + np.asarray(pc, dtype=np.int64)
-    counts = np.bincount(pixel, minlength=rows * cols)
     order = np.argsort(pixel, kind="stable")  # group by pixel, keep file order
-    offsets = np.zeros(rows * cols + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
     arrs = [np.asarray(v, dtype=np.float64)[order] for v in vals]
     return SceneChannels(
-        rows=rows, cols=cols,
-        counts=counts.reshape(rows, cols), offsets=offsets,
+        rows=rows, cols=cols, pixel=pixel[order],
         magnitude=arrs[0], phase=arrs[1], aod_azimuth=arrs[2],
         aod_elevation=arrs[3], aoa_azimuth=arrs[4])
 
@@ -486,8 +481,13 @@ def is_model_file(path):
 # ---------------------------------------------------------------------------
 # evaluation reports
 
+REPORT_SCHEMA = "beamgrid-report-v1"
+_REPORT_KEYS = {"k_list": "list[int]", "accuracy": "list[float]", "tpr": "list[float]",
+                "samples": "int", "excluded": "int"}
+
+
 def report_to_dict(report):
-    return {"schema": "beamgrid-report-v1",
+    return {"schema": REPORT_SCHEMA,
             "k_list": [int(k) for k in report.k_list],
             "accuracy": [float(a) for a in report.accuracy],
             "tpr": [float(t) for t in report.tpr],
@@ -502,8 +502,30 @@ def save_report(path, report):
 
 
 def load_report(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """EvalReport from a report file. Anything but the object
+    report_to_dict writes (its schema and keys, integer k_list, samples
+    and excluded, finite accuracy and tpr with one value per k) raises
+    GridParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise GridParseError(f"report {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise GridParseError(f"report {path} is not a JSON object")
+    keys = {"schema", *_REPORT_KEYS}
+    if set(doc) != keys:
+        raise GridParseError(f"report {path} keys {sorted(doc)} are not {sorted(keys)}")
+    if doc["schema"] != REPORT_SCHEMA:
+        raise GridParseError(f"report schema {doc['schema']!r} is not {REPORT_SCHEMA!r}")
+    for key, kind in _REPORT_KEYS.items():
+        if not _json_type_ok(kind, doc[key]):
+            raise GridParseError(
+                f"report {key} must be {kind} (finite numbers only), got {doc[key]!r}")
+    if not len(doc["k_list"]) == len(doc["accuracy"]) == len(doc["tpr"]):
+        raise GridParseError(
+            f"report has {len(doc['k_list'])} k values, {len(doc['accuracy'])} "
+            f"accuracies and {len(doc['tpr'])} tpr values")
     return EvalReport(k_list=doc["k_list"], accuracy=doc["accuracy"],
                       tpr=doc["tpr"], samples=doc["samples"],
                       excluded=doc["excluded"])

@@ -147,9 +147,10 @@ def los_class_map(hm, tx, channels):
     LOS_DOMINANT: unattenuated direct path that is also the strongest
     arrival; LOS_ATTENUATED: direct path that crossed vegetation; NLOS: no
     direct path (building interiors included). An unattenuated direct path
-    is always the strongest arrival: mirror_hit keeps both endpoints
-    strictly on a wall's outward side, so every first-order reflection is
-    strictly longer than the direct path, and its loss is >= 0 dB. The map
+    is always the strongest arrival: the tracer's reflection screen
+    (_kernels._reflection_candidates) keeps both endpoints strictly on a
+    wall's outward side, so every first-order reflection is strictly longer
+    than the direct path, and its loss is >= 0 dB. The map
     therefore depends on the direct path only, and channels traced with
     max_reflections=0 give the same map. Requires tracer-produced channels
     (direct-path metadata).

@@ -103,17 +103,17 @@ class CityStyle:
 class SceneChannels:
     """Traced paths for every pixel of a scene, stored as flat arrays.
 
-    counts/offsets index the row-major pixel order; when a pixel has a
-    direct path it occupies the first slot. has_direct/direct_veg_db (direct
-    path flag and its vegetation loss in dB) come from the tracer alone, do
-    not depend on the reflections traced, and are None on channels loaded
-    from a paths CSV, which does not store them.
+    pixel holds the row-major pixel id of each path and is non-decreasing,
+    so each pixel's paths are one contiguous run; when a pixel has a direct
+    path it occupies the first slot. has_direct/direct_veg_db (direct path
+    flag and its vegetation loss in dB) come from the tracer alone, do not
+    depend on the reflections traced, and are None on channels loaded from
+    a paths CSV, which does not store them.
     """
 
     rows: int
     cols: int
-    counts: np.ndarray
-    offsets: np.ndarray
+    pixel: np.ndarray
     magnitude: np.ndarray
     phase: np.ndarray
     aod_azimuth: np.ndarray
@@ -126,19 +126,22 @@ class SceneChannels:
     def n_paths(self):
         return int(self.magnitude.size)
 
+    @property
+    def counts(self):
+        """Number of paths of each pixel, shape (rows, cols)."""
+        return np.bincount(self.pixel, minlength=self.rows * self.cols) \
+            .reshape(self.rows, self.cols)
+
     def pixel_slice(self, r, c):
         idx = r * self.cols + c
-        return slice(int(self.offsets[idx]), int(self.offsets[idx + 1]))
+        lo, hi = np.searchsorted(self.pixel, (idx, idx + 1))
+        return slice(int(lo), int(hi))
 
     def channel_at(self, r, c):
         s = self.pixel_slice(r, c)
         return MultipathChannel(
             self.magnitude[s], self.phase[s], self.aod_azimuth[s],
             self.aod_elevation[s], self.aoa_azimuth[s], rx_pixel=(r, c))
-
-    def pixel_ids(self):
-        """Row-major pixel id of every stored path."""
-        return np.repeat(np.arange(self.rows * self.cols), self.counts.ravel())
 
 
 def generate_city(rows, cols, seed, style=None):
@@ -275,11 +278,13 @@ def _column_walls(grid):
 def segment_clear(hm, x0, y0, z0, x1, y1, z1):
     """Visibility of a 3D segment over the height map (metre coordinates).
 
-    Returns (clear, vegetated_length_m); symmetric in the endpoints.
+    Returns (clear, vegetated_length_m) as a bool and a float; symmetric in
+    the endpoints. One ray of _kernels.march_batch.
     """
-    return _kernels.march(hm.building, hm.vegetation,
-                          float(x0), float(y0), float(z0),
-                          float(x1), float(y1), float(z1), hm.resolution_m)
+    clear, veg_len = _kernels.march_batch(
+        hm.building, hm.vegetation, [float(x0)], [float(y0)], [float(z0)],
+        [float(x1)], [float(y1)], [float(z1)], hm.resolution_m)
+    return bool(clear[0]), float(veg_len[0])
 
 
 def pixel_center(pixel, res):
@@ -310,17 +315,13 @@ def trace_paths(hm, tx, cfg, rx_height_m=1.5):
         paths, hm.cols, tx_x, tx_y, tx.height_m, res, cfg.wavelength_m, refl_amp,
         cfg.vegetation_db_per_m)
     n_px = hm.rows * hm.cols
-    counts = np.bincount(paths.pixel, minlength=n_px)
-    offsets = np.zeros(n_px + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
     direct = paths.slot == 0
     has_direct = np.zeros(n_px, dtype=bool)
     has_direct[paths.pixel[direct]] = True
     direct_veg_db = np.zeros(n_px)
     direct_veg_db[paths.pixel[direct]] = cfg.vegetation_db_per_m * paths.veg_len[direct]
     return SceneChannels(
-        rows=hm.rows, cols=hm.cols,
-        counts=counts.reshape(hm.rows, hm.cols), offsets=offsets,
+        rows=hm.rows, cols=hm.cols, pixel=paths.pixel,
         magnitude=amp, phase=psi, aod_azimuth=aod_az,
         aod_elevation=aod_el, aoa_azimuth=aoa_az,
         has_direct=has_direct.reshape(hm.rows, hm.cols),
@@ -342,7 +343,7 @@ def effective_tensor_map(channels, codebook, frame):
         bs = beamspace_angles(phi, theta)
         g_az, g_el = gain_profiles(bs.varphi, bs.vartheta, codebook)
         sectors = np.atleast_1d(sector_index(channels.aoa_azimuth, codebook.nr))
-        _kernels.accumulate_tensors(channels.pixel_ids(), sectors,
+        _kernels.accumulate_tensors(channels.pixel, sectors,
                                     channels.magnitude ** 2, g_az, g_el, out)
     return out.reshape(rows, cols, codebook.na, codebook.ne, codebook.nr)
 

@@ -58,6 +58,148 @@ scene_configs = st.builds(
     vegetation_db_per_m=st.sampled_from([0.0, 0.5, 8.0]))
 
 
+# The scalar kernels that _kernels.march_batch and _reflection_candidates
+# vectorise, kept unchanged as the per-path reference they must match bit
+# for bit.
+
+def march(building, vegetation, x0, y0, z0, x1, y1, z1, res):
+    """Walk the 2D cell grid under the 3D segment (x0,y0,z0)->(x1,y1,z1).
+
+    Returns (clear, vegetated_length_m). A cell blocks when its building
+    height rises above the segment anywhere inside the cell; the two
+    endpoint cells never block (antennas sit on or next to structures).
+    Vegetated length integrates the 3D length spent below the canopy height
+    and counts every cell, endpoints included; it is only meaningful when
+    the segment is clear. Endpoints are put in canonical order first, so
+    the result is exactly symmetric under swapping them.
+    """
+    if (x0 > x1) or (x0 == x1 and (y0 > y1 or (y0 == y1 and z0 > z1))):
+        tx_, ty_, tz_ = x0, y0, z0
+        x0, y0, z0 = x1, y1, z1
+        x1, y1, z1 = tx_, ty_, tz_
+    rows, cols = building.shape
+    dx = x1 - x0
+    dy = y1 - y0
+    dz = z1 - z0
+    seg_len = math.sqrt(dx * dx + dy * dy + dz * dz)
+    c0 = int(math.floor(x0 / res))
+    r0 = int(math.floor(y0 / res))
+    c1 = int(math.floor(x1 / res))
+    r1 = int(math.floor(y1 / res))
+    c = c0
+    r = r0
+    if dx > 0.0:
+        step_c = 1
+        t_mx = ((c0 + 1) * res - x0) / dx
+        t_dx = res / dx
+    elif dx < 0.0:
+        step_c = -1
+        t_mx = (c0 * res - x0) / dx
+        t_dx = -res / dx
+    else:
+        step_c = 0
+        t_mx = math.inf
+        t_dx = math.inf
+    if dy > 0.0:
+        step_r = 1
+        t_my = ((r0 + 1) * res - y0) / dy
+        t_dy = res / dy
+    elif dy < 0.0:
+        step_r = -1
+        t_my = (r0 * res - y0) / dy
+        t_dy = -res / dy
+    else:
+        step_r = 0
+        t_my = math.inf
+        t_dy = math.inf
+
+    veg_len = 0.0
+    t_prev = 0.0
+    while True:
+        t_next = t_mx if t_mx < t_my else t_my
+        if t_next > 1.0:
+            t_next = 1.0
+        if t_next > t_prev and 0 <= r < rows and 0 <= c < cols:
+            za = z0 + dz * t_prev
+            zb = z0 + dz * t_next
+            zmin = za if za < zb else zb
+            endpoint = (r == r0 and c == c0) or (r == r1 and c == c1)
+            if (not endpoint) and building[r, c] > zmin:
+                return False, veg_len
+            v = vegetation[r, c]
+            if v > 0.0:
+                if dz == 0.0:
+                    if z0 < v:
+                        veg_len += (t_next - t_prev) * seg_len
+                else:
+                    tc = (v - z0) / dz
+                    if dz > 0.0:
+                        lo = t_prev
+                        hi = tc if tc < t_next else t_next
+                    else:
+                        lo = tc if tc > t_prev else t_prev
+                        hi = t_next
+                    if hi > lo:
+                        veg_len += (hi - lo) * seg_len
+        if t_next >= 1.0:
+            break
+        adv_x = t_mx <= t_my
+        adv_y = t_my <= t_mx
+        t_prev = t_next
+        if adv_x:
+            c += step_c
+            t_mx += t_dx
+        if adv_y:
+            r += step_r
+            t_my += t_dy
+    return True, veg_len
+
+
+def mirror_hit(wall, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z):
+    """Specular reflection point on a vertical wall rectangle via mirroring.
+
+    wall = (axis, plane, lo, hi, height, normal); axis 0 means the wall lies
+    in a plane of constant x, axis 1 constant y. Returns
+    (ok, hx, hy, hz, path_len) where path_len is the unfolded
+    source-image-to-receiver distance. ok is False when either endpoint is
+    not strictly on the wall's outward side or the specular point leaves
+    the wall rectangle.
+    """
+    plane = wall[1]
+    lo = wall[2]
+    hi = wall[3]
+    height = wall[4]
+    nrm = wall[5]
+    if wall[0] == 0.0:
+        if (tx_x - plane) * nrm <= 0.0 or (rx_x - plane) * nrm <= 0.0:
+            return False, 0.0, 0.0, 0.0, 0.0
+        ix = 2.0 * plane - tx_x
+        iy = tx_y
+        iz = tx_z
+        t = (plane - ix) / (rx_x - ix)
+        hx = plane
+        hy = iy + t * (rx_y - iy)
+        hz = iz + t * (rx_z - iz)
+        if hy < lo or hy > hi or hz < 0.0 or hz > height:
+            return False, 0.0, 0.0, 0.0, 0.0
+    else:
+        if (tx_y - plane) * nrm <= 0.0 or (rx_y - plane) * nrm <= 0.0:
+            return False, 0.0, 0.0, 0.0, 0.0
+        ix = tx_x
+        iy = 2.0 * plane - tx_y
+        iz = tx_z
+        t = (plane - iy) / (rx_y - iy)
+        hx = ix + t * (rx_x - ix)
+        hy = plane
+        hz = iz + t * (rx_z - iz)
+        if hx < lo or hx > hi or hz < 0.0 or hz > height:
+            return False, 0.0, 0.0, 0.0, 0.0
+    ddx = rx_x - ix
+    ddy = rx_y - iy
+    ddz = rx_z - iz
+    return True, hx, hy, hz, math.sqrt(ddx * ddx + ddy * ddy + ddz * ddz)
+
+
 def los_class_reference(channels):
     """LoS classes by the per-pixel rule on the stored paths: a direct path
     is dominant only when it crossed no vegetation and no other arrival of

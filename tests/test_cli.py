@@ -551,3 +551,18 @@ class TestReportCommand:
         assert run_cli("report", "--report", tmp_path / "r.json") == 0
         out = capsys.readouterr().out
         assert "accuracy" in out and "0.5000" in out
+
+    @pytest.mark.parametrize("doc", [
+        [],
+        "x",
+        {"accuracy": [None]},
+        {"k_list": [1, 2]},
+    ], ids=["list", "string", "null_accuracy", "k_list_longer"])
+    def test_malformed_report_exit_code(self, tmp_path, capsys, doc):
+        if isinstance(doc, dict):
+            doc = {"schema": "beamgrid-report-v1", "k_list": [1], "accuracy": [0.5],
+                   "tpr": [0.7], "samples": 10, "excluded": 2, **doc}
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("report", "--report", path) == 3
+        assert "error:" in capsys.readouterr().err

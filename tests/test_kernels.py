@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from beamgrid import _kernels
 from beamgrid import scene as sc
 
+from conftest import march
+
 
 class TestMarchEdgeCases:
     def test_vertical_segment_same_cell(self):
@@ -77,6 +79,10 @@ def grids_and_segments(draw):
 
 
 class TestMarchBatch:
+    """march_batch, and segment_clear on it, against the scalar march of
+    conftest: the same values bit for bit, and segment_clear returns a bool
+    and a float as march does."""
+
     @given(grids_and_segments(), st.sampled_from([1, 5, _kernels.MARCH_BATCH_RAYS]))
     @settings(deadline=None, max_examples=200)
     def test_matches_scalar_march(self, case, batch_rays):
@@ -86,6 +92,12 @@ class TestMarchBatch:
             with mock.patch.object(_kernels, "MARCH_BATCH_RAYS", batch_rays):
                 clear, veg = _kernels.march_batch(hm.building, hm.vegetation, *segs.T,
                                                   hm.resolution_m)
-            expect = [sc.segment_clear(hm, *seg) for seg in segs]
-        assert clear.tolist() == [bool(e[0]) for e in expect]
+            expect = [march(hm.building, hm.vegetation, *seg.tolist(), hm.resolution_m)
+                      for seg in segs]
+            single = [sc.segment_clear(hm, *seg) for seg in segs]
+        assert clear.tolist() == [e[0] for e in expect]
         assert veg.tobytes() == np.array([e[1] for e in expect]).tobytes()
+        for (got_clear, got_veg), (e_clear, e_veg) in zip(single, expect):
+            assert type(got_clear) is type(e_clear) is bool
+            assert type(got_veg) is float and isinstance(e_veg, float)
+            assert (got_clear, got_veg.hex()) == (e_clear, float(e_veg).hex())

@@ -219,8 +219,7 @@ class TestLosClassMap:
     def test_requires_trace_metadata(self):
         hm = sc.HeightMap(np.zeros((4, 4)), np.zeros((4, 4)))
         chans = sc.SceneChannels(
-            rows=4, cols=4, counts=np.zeros((4, 4), dtype=np.int64),
-            offsets=np.zeros(17, dtype=np.int64),
+            rows=4, cols=4, pixel=np.zeros(0, dtype=np.int64),
             magnitude=np.zeros(0), phase=np.zeros(0), aod_azimuth=np.zeros(0),
             aod_elevation=np.zeros(0), aoa_azimuth=np.zeros(0))
         tx = sc.TxSite((0, 0), 5.0, ch.ArrayFrame(0, 0))

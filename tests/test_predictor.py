@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamgrid import channel as ch
@@ -365,11 +365,26 @@ def loss_batches(draw):
 class TestLossMatchesReference:
     """_targets_for, _epoch_loss and _batch_grad reproduce the loss code they
     replaced (conftest): the same bytes, and the same loss value and type.
+
     CE-sep moved from -log(p + 1e-300) to log-softmax, the formula of joint
-    CE; both round the softmax or its normaliser at the scale of 1, so its
-    loss may differ by 4 ulp of max(loss, 1)."""
+    CE. Both round the softmax or its normaliser at the scale of 1, so the
+    loss of one sample, scored alone, may differ by 4 ulp of max(|ref|, 1).
+    A batch loss of n samples is, per head, the mean of the per-sample
+    terms, which each side sums by NumPy's pairwise summation. The two sums
+    group the same n terms alike, but each level of the pairing rounds the
+    partial sums of each side on its own, so the bound on a batch adds to
+    the per-sample bound one rounding per level of each of the two sums:
+    (4 + 2 * ceil(log2 n)) ulp of max(|ref|, 1). Over 15,000 random draws
+    the worst sample was 3 ulp off and the worst batch 8 ulp, at 9-16
+    samples, where the bound is 12."""
+
+    @staticmethod
+    def _ce_sep_ulps(loss, ref_loss):
+        return abs(float(loss) - float(ref_loss)) / np.spacing(max(abs(ref_loss), 1.0))
 
     @given(loss_batches())
+    @example(((1, 1, 7), np.eye(7)[np.arange(12) % 7].reshape(12, 1, 1, 7),
+              np.zeros((12, 10))))
     @settings(deadline=None, max_examples=100)
     def test_all_kinds(self, case):
         dims, tensors, scores = case
@@ -387,7 +402,13 @@ class TestLossMatchesReference:
             loss = loss_of_scores(model, z, targets)
             assert type(loss) is type(ref_loss)
             if (kind, sep) == ("CE", True):
-                assert abs(loss - ref_loss) <= 4 * np.spacing(max(abs(ref_loss), 1.0))
+                n = len(z)
+                assert self._ce_sep_ulps(loss, ref_loss) <= 4 + 2 * math.ceil(math.log2(n))
+                for i in range(n):
+                    one = slice(i, i + 1)
+                    ref_one, _ = batch_loss_grad_reference(model, z[one], targets[one])
+                    loss_one = loss_of_scores(model, z[one], targets[one])
+                    assert self._ce_sep_ulps(loss_one, ref_one) <= 4
             else:
                 assert float(loss).hex() == float(ref_loss).hex()
 

@@ -15,7 +15,8 @@ from beamgrid import scene as sc
 from beamgrid.errors import NoValidSiteError
 
 from conftest import (accumulate_tensors_reference, building_edge_pixels_reference,
-                      exterior_walls_reference, scene_configs, small_scenes)
+                      exterior_walls_reference, march, mirror_hit, scene_configs,
+                      small_scenes)
 
 NO_VEG = sc.SceneConfig(vegetation_db_per_m=0.0)
 
@@ -202,8 +203,9 @@ class TestTracePaths:
 
 
 def reference_trace(hm, tx, cfg, rx_z=1.5):
-    """Per-pixel loop tracer: march each candidate with segment_clear and
-    find specular points with mirror_hit, using the tracer's formulas.
+    """Per-pixel loop tracer: march each candidate and find specular points
+    with the scalar kernels of conftest (march, mirror_hit), using the
+    tracer's formulas.
 
     Returns (counts, paths, has_direct, direct_veg_db); paths holds one
     (magnitude, phase, aod_az, aod_el, aoa_az) row per path in storage order.
@@ -219,6 +221,9 @@ def reference_trace(hm, tx, cfg, rx_z=1.5):
     has_direct = np.zeros((hm.rows, hm.cols), dtype=bool)
     direct_veg_db = np.zeros((hm.rows, hm.cols))
     paths = []
+
+    def clear(x0, y0, z0, x1, y1, z1):
+        return march(hm.building, hm.vegetation, x0, y0, z0, x1, y1, z1, res)
 
     def add(r, c, amp, length, toward, arrival):
         # toward: the point the path leaves tx for; arrival: the horizontal
@@ -237,8 +242,8 @@ def reference_trace(hm, tx, cfg, rx_z=1.5):
             rx_x, rx_y = sc.pixel_center((r, c), res)
             d2 = (rx_x - tx_x) ** 2 + (rx_y - tx_y) ** 2 + (rx_z - tx_z) ** 2
             if d2 > 0.0:
-                clear, veg_len = sc.segment_clear(hm, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z)
-                if clear:
+                visible, veg_len = clear(tx_x, tx_y, tx_z, rx_x, rx_y, rx_z)
+                if visible:
                     d = math.sqrt(d2)
                     att_db = cfg.vegetation_db_per_m * veg_len
                     has_direct[r, c] = True
@@ -246,16 +251,16 @@ def reference_trace(hm, tx, cfg, rx_z=1.5):
                     add(r, c, lam / (4.0 * math.pi * d) * 10.0 ** (-att_db / 20.0), d,
                         (rx_x, rx_y, rx_z), (-(rx_x - tx_x), -(rx_y - tx_y)))
             for wall in walls:
-                ok, hx, hy, hz, plen = _kernels.mirror_hit(wall, tx_x, tx_y, tx_z,
-                                                           rx_x, rx_y, rx_z)
+                ok, hx, hy, hz, plen = mirror_hit(wall, tx_x, tx_y, tx_z,
+                                                  rx_x, rx_y, rx_z)
                 if not ok:
                     continue
                 if wall[0] == 0.0:
                     hx += eps * wall[5]
                 else:
                     hy += eps * wall[5]
-                if (sc.segment_clear(hm, tx_x, tx_y, tx_z, hx, hy, hz)[0]
-                        and sc.segment_clear(hm, hx, hy, hz, rx_x, rx_y, rx_z)[0]):
+                if (clear(tx_x, tx_y, tx_z, hx, hy, hz)[0]
+                        and clear(hx, hy, hz, rx_x, rx_y, rx_z)[0]):
                     add(r, c, lam / (4.0 * math.pi * plen) * refl_amp, plen,
                         (hx, hy, hz), (hx - rx_x, hy - rx_y))
     return counts, np.array(paths).reshape(-1, 5), has_direct, direct_veg_db
@@ -276,22 +281,6 @@ class TestTraceMatchesReference:
         assert np.array_equal(chans.has_direct, has_direct)
         assert np.array_equal(chans.direct_veg_db, direct_veg_db)
 
-
-    def test_calls_no_scalar_kernel(self, monkeypatch):
-        hm = sc.generate_city(32, 32, seed=4)
-        tx = sc.place_tx(hm, seed=4)
-        expect = sc.trace_paths(hm, tx, sc.SceneConfig())
-
-        def scalar_kernel(*args):
-            raise AssertionError("the tracer called a scalar kernel")
-
-        monkeypatch.setattr(_kernels, "march", scalar_kernel)
-        monkeypatch.setattr(_kernels, "mirror_hit", scalar_kernel)
-        got = sc.trace_paths(hm, tx, sc.SceneConfig())
-        assert got.magnitude.size > 0
-        for f in ("counts", "magnitude", "phase", "aod_azimuth", "aod_elevation",
-                  "aoa_azimuth", "has_direct", "direct_veg_db"):
-            assert getattr(got, f).tobytes() == getattr(expect, f).tobytes()
 
 class TestVisibilityProperties:
     def test_reciprocity(self):
@@ -335,16 +324,15 @@ def random_channels(draw):
     """Random paths on a grid of at most 4x4 pixels, up to five per pixel,
     with arrival azimuths that often share a receive sector."""
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    counts = np.array(draw(st.lists(st.integers(0, 5), min_size=rows * cols,
-                                    max_size=rows * cols)), dtype=np.int64)
-    n = int(counts.sum())
+    counts = draw(st.lists(st.integers(0, 5), min_size=rows * cols, max_size=rows * cols))
+    pixel = np.repeat(np.arange(rows * cols), counts)
+    n = pixel.size
 
     def values(elements):
         return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=np.float64)
 
     return sc.SceneChannels(
-        rows=rows, cols=cols, counts=counts.reshape(rows, cols),
-        offsets=np.r_[0, np.cumsum(counts)],
+        rows=rows, cols=cols, pixel=pixel,
         magnitude=values(st.floats(1e-9, 1.0)),
         phase=values(st.floats(0.0, 2 * np.pi)),
         aod_azimuth=values(st.floats(0.0, 2 * np.pi)),
