@@ -258,8 +258,7 @@ def cmd_train(args):
     x_val, t_val = gather(val_stems)
     model = predictor.SoftmaxModel.create(
         x_train.shape[1], cfg.codebook.dims, loss_kind=cfg.loss.kind,
-        sep=cfg.loss.sep, seed=cfg.train.seed, epsilon=cfg.loss.epsilon,
-        floor_db=cfg.loss.floor_db)
+        sep=cfg.loss.sep, seed=cfg.train.seed, floor_db=cfg.loss.floor_db)
     trained, history = predictor.train(model, x_train, t_train,
                                        cfg.train.train_config(), x_val, t_val)
     gridio.save_model(args.model_out, trained)

@@ -26,20 +26,8 @@ class InsufficientDataError(BeamgridError, ValueError):
     """Fewer scenes than required to populate train/val/test splits."""
 
 
-class UnsupportedFormError(BeamgridError, ValueError):
-    """Loss invoked with a logits form it does not define (joint vs sep)."""
-
-
 class NumericError(BeamgridError, RuntimeError):
     """Base for numeric failures (CLI exit code 4)."""
-
-
-class IterationLimitError(NumericError):
-    """Iterative solver hit its iteration cap before reaching tolerance."""
-
-    def __init__(self, message, achieved_tol=None):
-        super().__init__(message)
-        self.achieved_tol = achieved_tol
 
 
 class UndefinedResultError(NumericError):

@@ -201,7 +201,6 @@ class CodebookSection:
 class LossSection:
     kind: str = "CE"
     sep: bool = False
-    epsilon: float | None = None
     floor_db: float = -30.0
 
 
@@ -327,17 +326,46 @@ def save_codebook(path, codebook):
         fh.write("\n")
 
 
+_CODEBOOK_WEIGHTS = ("azimuth_re", "azimuth_im", "elevation_re", "elevation_im")
+
+
 def load_codebook(path):
+    """Codebook from a codebook file. Anything but the object save_codebook
+    writes (valid UTF-8 JSON, each weight part a list of rows of finite
+    numbers, all rows of one length, the real and imaginary parts of one
+    shape, an integer nr) raises GridParseError, as do weights that
+    Codebook rejects."""
     from .channel import Codebook
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
-        az = np.asarray(doc["azimuth_re"]) + 1j * np.asarray(doc["azimuth_im"])
-        el = np.asarray(doc["elevation_re"]) + 1j * np.asarray(doc["elevation_im"])
-        return Codebook(az, el, int(doc["nr"]))
-    except KeyError as exc:
-        raise GridParseError(f"codebook file {path} lacks key {exc}") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise GridParseError(f"codebook file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise GridParseError(f"codebook file {path} is not a JSON object")
+    missing = [k for k in (*_CODEBOOK_WEIGHTS, "nr") if k not in doc]
+    if missing:
+        raise GridParseError(f"codebook file {path} lacks key(s) {missing}")
+    for key in _CODEBOOK_WEIGHTS:
+        rows = doc[key]
+        if not _json_type_ok("list[list[float]]", rows) or len({len(r) for r in rows}) > 1:
+            raise GridParseError(
+                f"codebook {key} must be rows of finite numbers, all of one length")
+    if not _json_type_ok("int", doc["nr"]):
+        raise GridParseError(f"codebook nr must be an integer, got {doc['nr']!r}")
+    parts = {key: np.asarray(doc[key], dtype=np.float64) for key in _CODEBOOK_WEIGHTS}
+    for name in ("azimuth", "elevation"):
+        if parts[f"{name}_re"].shape != parts[f"{name}_im"].shape:
+            raise GridParseError(f"codebook {name} real and imaginary parts differ in shape")
+    try:
+        # huge weights overflow the Gram matrix; the unitarity check then
+        # rejects them
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Codebook(parts["azimuth_re"] + 1j * parts["azimuth_im"],
+                            parts["elevation_re"] + 1j * parts["elevation_im"], doc["nr"])
+    except ValueError as exc:
+        raise GridParseError(f"codebook file {path}: {exc}") from exc
 
 
 def codebook_from_config(cfg):
@@ -412,7 +440,10 @@ def save_model(path, model):
         "loss_kind": model.loss_kind,
         "sep": bool(model.sep),
         "seed": int(model.seed),
-        "epsilon": model.epsilon,
+        # the temperature of the entropic WS solver, which is gone; the key
+        # stays, always null, because stagebench/reference.json pins the
+        # model bytes
+        "epsilon": None,
         "floor_db": model.floor_db,
         "feature_version": FEATURE_VERSION,
         "features": int(model.weights.shape[0]),
@@ -424,6 +455,7 @@ def save_model(path, model):
         fh.write(grid_to_bytes(stacked, "f32"))
 
 
+# load_model checks "epsilon" and ignores it (see save_model)
 _MODEL_KEYS = {"dims": "list[int]", "loss_kind": "str", "sep": "bool", "seed": "int",
                "epsilon": "float | None", "floor_db": "float", "features": "int",
                "outputs": "int"}
@@ -468,8 +500,7 @@ def load_model(path):
     stacked = stacked[:, :, 0].astype(np.float64)
     return SoftmaxModel(weights=stacked[:-1], bias=stacked[-1], dims=tuple(dims),
                         loss_kind=header["loss_kind"], sep=header["sep"],
-                        seed=header["seed"], epsilon=header["epsilon"],
-                        floor_db=float(header["floor_db"]))
+                        seed=header["seed"], floor_db=float(header["floor_db"]))
 
 
 def is_model_file(path):

@@ -178,7 +178,6 @@ class SoftmaxModel:
     loss_kind: str = "CE"
     sep: bool = False
     seed: int = 0
-    epsilon: float | None = None   # ws only
     floor_db: float = -30.0        # cep/gr flooring
 
     @property
@@ -189,7 +188,7 @@ class SoftmaxModel:
 
     @classmethod
     def create(cls, feature_dim, dims, loss_kind="CE", sep=False, seed=0,
-               epsilon=None, floor_db=-30.0):
+               floor_db=-30.0):
         loss_kind = loss_kind.upper()
         if loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -201,7 +200,7 @@ class SoftmaxModel:
             c = na + ne + nr if sep else na * ne * nr
         return cls(weights=np.zeros((feature_dim, c)), bias=np.zeros(c),
                    dims=tuple(dims), loss_kind=loss_kind, sep=sep, seed=seed,
-                   epsilon=epsilon, floor_db=floor_db)
+                   floor_db=floor_db)
 
 
 def predict(model, features, mask=None):
@@ -326,8 +325,8 @@ def _head_terms(kind, zh, th, dist):
     """Per-sample loss terms of one head, each row on its own: the loss of
     the sample, negated for CE and CEP.
 
-    With the shared steps of losses.softmax and losses.log_softmax but not
-    those functions: _epoch_loss runs this on a worker thread, which must
+    With the shared steps of losses.softmax (losses._shifted_exp) but not
+    softmax itself: _epoch_loss runs this on a worker thread, which must
     call no public package function.
     """
     if kind in ("IR", "GR"):
@@ -356,7 +355,7 @@ def _loss_of_terms(model, terms):
 
 def _epoch_loss(model, x, w, b, targets):
     """Mean loss of the scores x @ w + b: per head, the arithmetic mean of
-    the per-sample losses in beamgrid.losses, summed over the heads.
+    the per-sample losses (_head_terms), summed over the heads.
 
     The scores are computed in blocks of LOSS_BLOCK_VALUES // C rows, with
     the bits of one pass over the whole score matrix.

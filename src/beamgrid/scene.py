@@ -275,18 +275,6 @@ def _column_walls(grid):
     return plane + 1, lo, hi, height[plane, side, lo], 1.0 - 2.0 * side
 
 
-def segment_clear(hm, x0, y0, z0, x1, y1, z1):
-    """Visibility of a 3D segment over the height map (metre coordinates).
-
-    Returns (clear, vegetated_length_m) as a bool and a float; symmetric in
-    the endpoints. One ray of _kernels.march_batch.
-    """
-    clear, veg_len = _kernels.march_batch(
-        hm.building, hm.vegetation, [float(x0)], [float(y0)], [float(z0)],
-        [float(x1)], [float(y1)], [float(z1)], hm.resolution_m)
-    return bool(clear[0]), float(veg_len[0])
-
-
 def pixel_center(pixel, res):
     r, c = pixel
     return (c + 0.5) * res, (r + 0.5) * res

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from beamgrid import _kernels
 from beamgrid import channel as ch
 from beamgrid import losses
 from beamgrid import metrics as mt
@@ -153,6 +154,14 @@ def march(building, vegetation, x0, y0, z0, x1, y1, z1, res):
             r += step_r
             t_my += t_dy
     return True, veg_len
+
+
+def march_one(hm, x0, y0, z0, x1, y1, z1):
+    """_kernels.march_batch on one segment in metre coordinates over the
+    height map: (clear, vegetated_length_m) as a bool and a float."""
+    clear, veg_len = _kernels.march_batch(
+        hm.building, hm.vegetation, [x0], [y0], [z0], [x1], [y1], [z1], hm.resolution_m)
+    return bool(clear[0]), float(veg_len[0])
 
 
 def mirror_hit(wall, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z):
@@ -308,6 +317,115 @@ def exterior_walls_reference(building, res=1.0):
     return np.array(walls, dtype=np.float64)
 
 
+# The per-sample losses with their analytic gradients, one sample (one
+# logit vector) at a time, and a finite-difference checker for them: the
+# references the batch code of predictor is tested against.
+
+def log_softmax(z, axis=-1):
+    shifted, e = losses._shifted_exp(np.asarray(z, dtype=np.float64), axis)
+    return shifted - np.log(e.sum(axis=axis, keepdims=True))
+
+
+def ce_loss(logits, target_index):
+    """Cross entropy of a one-hot target; grad = softmax(logits) - one_hot."""
+    p = losses.softmax(logits)
+    loss = -log_softmax(logits)[target_index]
+    grad = p.copy()
+    grad[target_index] -= 1.0
+    return float(loss), grad
+
+
+def ce_loss_sep(logits_sep, target_triple):
+    """Sum of per-head cross entropies for a factorised prediction."""
+    parts, grads = zip(*(ce_loss(z, t) for z, t in zip(logits_sep, target_triple)))
+    return float(sum(parts)), tuple(grads)
+
+
+def cep_loss(logits, soft_target):
+    """Cross entropy against a soft target; grad = softmax(logits) - target."""
+    soft_target = np.asarray(soft_target, dtype=np.float64)
+    if soft_target.shape != np.shape(logits):
+        raise ValueError("logits and soft target shapes differ")
+    logp = log_softmax(logits)
+    loss = -float(np.dot(soft_target, logp))
+    grad = losses.softmax(logits) - soft_target
+    return loss, grad
+
+
+def cep_loss_sep(logits_sep, soft_sep):
+    parts, grads = zip(*(cep_loss(z, s) for z, s in zip(logits_sep, soft_sep)))
+    return float(sum(parts)), tuple(grads)
+
+
+def ws_loss(logits, target_index, distances):
+    """Expected ground distance from softmax(logits) to the target beam.
+
+    This is the optimal-transport cost against the one-hot target: with a
+    single target atom the transport plan is forced. The gradient flows
+    through the softmax.
+    """
+    p = losses.softmax(logits)
+    d = np.asarray(distances, dtype=np.float64)[:, target_index]
+    expected = float(p @ d)
+    return expected, p * (d - expected)
+
+
+def ws_loss_sep(logits_sep, target_triple):
+    """Sum of three 1-D transport costs with |i - j| ground distances."""
+    total = 0.0
+    grads = []
+    for z, t in zip(logits_sep, target_triple):
+        n = np.size(z)
+        d1 = np.abs(np.subtract.outer(np.arange(n, dtype=np.float64),
+                                      np.arange(n, dtype=np.float64)))
+        loss, grad = ws_loss(z, t, d1)
+        total += loss
+        grads.append(grad)
+    return float(total), tuple(grads)
+
+
+def ir_loss(pred_triple, target_triple):
+    """Mean squared error of the three regressed index components."""
+    pred = np.asarray(pred_triple, dtype=np.float64)
+    target = np.asarray(target_triple, dtype=np.float64)
+    if pred.shape != (3,):
+        raise ValueError(
+            "index regression is defined only on the factorised (sep) form "
+            "with one scalar per beam axis")
+    diff = pred - target
+    return float((diff**2).mean()), 2.0 * diff / 3.0
+
+
+def gr_loss(pred_db, target_tensor, floor_db=-30.0):
+    """MSE between predicted and floored-dB tensors; grad = 2*(pred-t)/n."""
+    pred = np.asarray(pred_db, dtype=np.float64)
+    target = losses.gr_target_db(target_tensor, floor_db)
+    if pred.shape != target.shape:
+        raise ValueError(f"prediction shape {pred.shape} vs target {target.shape}")
+    diff = pred - target
+    return float((diff**2).mean()), 2.0 * diff / diff.size
+
+
+def grad_check(fn, point, step=1e-5):
+    """Max relative deviation of the analytic gradient from central
+    finite differences, coordinate by coordinate.
+
+    fn maps a flat parameter array to (loss, grad). Only valid where fn is
+    differentiable; ranking-only helpers have no gradient to check.
+    """
+    point = np.asarray(point, dtype=np.float64)
+    _, grad = fn(point)
+    numeric = np.empty_like(point)
+    for i in range(point.size):
+        hi = point.copy()
+        lo = point.copy()
+        hi[i] += step
+        lo[i] -= step
+        numeric[i] = (fn(hi)[0] - fn(lo)[0]) / (2.0 * step)
+    dev = np.abs(grad - numeric) / (np.abs(numeric) + 1e-12)
+    return float(dev.max())
+
+
 # The loss code that predictor._targets_for, _epoch_loss and _batch_grad
 # replaced, kept as the reference they must match byte for byte (CE-sep
 # loss: to a few ulp, as it moved from -log(p + 1e-300) to log-softmax).
@@ -370,7 +488,7 @@ def _head_slices(model):
 def batch_loss_grad_reference(model, z, targets, dmat=None):
     """Mean loss over the batch and its gradient w.r.t. the score matrix z.
 
-    Matches the per-sample reference functions in beamgrid.losses: the batch
+    Matches the per-sample reference functions above: the batch
     value is the arithmetic mean of per-sample losses, the gradient its
     derivative.
     """
@@ -460,7 +578,7 @@ def cep_target_reference(t, floor_db):
 
 def batch_loss_reference(model, z, targets):
     """Mean loss over the batch: per head, the arithmetic mean of the
-    per-sample losses in beamgrid.losses, summed over the heads."""
+    per-sample losses above, summed over the heads."""
     n = z.shape[0]
     kind = model.loss_kind
     parts = []
@@ -471,9 +589,9 @@ def batch_loss_reference(model, z, targets):
         elif kind == "WS":
             parts.append((losses.softmax(zh, axis=1) * dist[:, th].T).sum(axis=1).mean())
         elif kind == "CE":
-            parts.append(-losses.log_softmax(zh, axis=1)[np.arange(n), th].mean())
+            parts.append(-log_softmax(zh, axis=1)[np.arange(n), th].mean())
         else:
-            parts.append(-(th * losses.log_softmax(zh, axis=1)).sum(axis=1).mean())
+            parts.append(-(th * log_softmax(zh, axis=1)).sum(axis=1).mean())
     # one head is kept as is: 0.0 + -0.0 would flip the sign of a zero loss
     loss = sum(parts) if len(parts) > 1 else parts[0]
     # NumPy scalar for CE-sep and CEP-sep: stagebench/reference.json pins the

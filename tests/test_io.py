@@ -86,6 +86,11 @@ def report_file(tmp_path_factory):
     return tmp_path_factory.mktemp("report") / "r.json"
 
 
+@pytest.fixture(scope="module")
+def codebook_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("codebook") / "cb.json"
+
+
 class TestGridFormat:
     def test_f32_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -227,6 +232,13 @@ class TestRunConfig:
         with pytest.raises(GridParseError, match="unknown key"):
             io.parse_config({"codebook": {"Na": 8, "nq": 1}})
 
+    @pytest.mark.parametrize("value", [0.1, "0.1", None], ids=["number", "string", "null"])
+    def test_loss_epsilon_rejected(self, value):
+        # the WS loss has no solver temperature; the key is unknown
+        with pytest.raises(GridParseError,
+                           match=r"unknown key\(s\) in config section 'loss': \['epsilon'\]"):
+            io.parse_config({"loss": {"epsilon": value}})
+
     def test_round_trip(self, tmp_path):
         cfg = io.parse_config({"scene": {"rows": 32, "cols": 48, "seed": 5},
                                "loss": {"kind": "WS", "sep": True}})
@@ -250,7 +262,7 @@ class TestRunConfig:
         {"train": {"lr": float("inf")}},
         {"budget": {"tx_power_dbm": False}},
         {"loss": {"sep": 1}},
-        {"loss": {"epsilon": "0.1"}},
+        {"loss": {"floor_db": "0.1"}},
         {"codebook": {"tx_weights": 3}},
         {"eval": {"k_list": [1, "2"]}},
         {"eval": {"k_list": 4}},
@@ -261,7 +273,7 @@ class TestRunConfig:
 
     def test_ints_pass_for_floats(self):
         cfg = io.parse_config({"scene": {"rows": 128, "resolution_m": 2},
-                               "loss": {"epsilon": None}, "train": {"epochs": 2}})
+                               "train": {"epochs": 2}})
         assert cfg.scene.resolution_m == 2 and cfg.train.epochs == 2
 
     @given(config_docs())
@@ -276,7 +288,7 @@ class TestRunConfig:
             got, default = getattr(cfg, section.name), getattr(defaults, section.name)
             for f in dataclasses.fields(got):
                 value, base = getattr(got, f.name), getattr(default, f.name)
-                if isinstance(base, float) or f.name == "epsilon" and value is not None:
+                if isinstance(base, float):
                     assert type(value) in (int, float) and math.isfinite(value)
                 elif f.name == "tx_weights":
                     assert value is None or isinstance(value, str)
@@ -299,7 +311,7 @@ class TestModelFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         model = pr.SoftmaxModel.create(9, (8, 4, 4), loss_kind="WS",
-                                       sep=False, seed=11, epsilon=0.002)
+                                       sep=False, seed=11)
         model.weights = rng.normal(0, 1, model.weights.shape)
         model.bias = rng.normal(0, 1, model.bias.shape)
         path = tmp_path / "m.bgmdl"
@@ -307,7 +319,6 @@ class TestModelFile:
         back = io.load_model(path)
         assert back.dims == (8, 4, 4)
         assert back.loss_kind == "WS" and back.seed == 11
-        assert back.epsilon == 0.002
         np.testing.assert_array_equal(
             back.weights, model.weights.astype(np.float32).astype(np.float64))
 
@@ -330,7 +341,7 @@ class TestModelFile:
     @given(st.data())
     @settings(max_examples=300)
     def test_garbled_header_raises_only_parse_error(self, model_file, data):
-        model = pr.SoftmaxModel.create(4, (2, 2, 2), loss_kind="WS", epsilon=0.01)
+        model = pr.SoftmaxModel.create(4, (2, 2, 2), loss_kind="WS")
         io.save_model(model_file, model)
         head, payload = model_file.read_bytes().split(b"\n", 1)
         header = json.loads(head)
@@ -361,6 +372,22 @@ class TestModelFile:
         model_file.write_bytes(full[:data.draw(st.integers(0, len(full) - 1))])
         with pytest.raises(GridParseError):
             io.load_model(model_file)
+
+    def test_epsilon_key_written_null_and_ignored(self, tmp_path):
+        # the header keeps the key of the old WS solver temperature so that
+        # model bytes stay as they were; a number there still loads
+        path = tmp_path / "m.bgmdl"
+        io.save_model(path, pr.SoftmaxModel.create(4, (2, 2, 2), loss_kind="WS"))
+        head, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        assert list(header)[5] == "epsilon" and header["epsilon"] is None
+        header["epsilon"] = 0.002
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+        assert not hasattr(io.load_model(path), "epsilon")
+        del header["epsilon"]
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+        with pytest.raises(GridParseError, match="lacks key"):
+            io.load_model(path)
 
     def test_save_is_deterministic(self, tmp_path):
         model = pr.SoftmaxModel.create(4, (2, 2, 2), seed=5)
@@ -401,6 +428,55 @@ class TestCodebookFile:
         cfg = io.parse_config({})
         cb = io.codebook_from_config(cfg)
         assert np.array_equal(cb.tx_azimuth, ch.dft_codebook(8, 4, 4).tx_azimuth)
+
+    @pytest.mark.parametrize("text, match", [
+        ("[]", "not a JSON object"),
+        ("{nope", "codebook file"),
+        ('{"azimuth_re": "x"}', "azimuth_re must be rows"),
+        ('{"azimuth_re": [[1.0], [0.0, 1.0]]}', "azimuth_re must be rows"),
+        ('{"azimuth_im": [[0.0]]}', "azimuth real and imaginary parts differ"),
+        ('{"nr": 4.0}', "nr must be an integer"),
+        ('{"nr": 0}', "at least one receive sector"),
+        ('{"elevation_re": [[1.0, 1.0], [0.0, 0.0]]}', "not unitary"),
+    ], ids=["list", "invalid_json", "string", "ragged", "im_shape", "float_nr", "zero_nr",
+            "not_unitary"])
+    def test_malformed_file_rejected(self, codebook_file, text, match):
+        doc = json.loads(text) if text.startswith("{\"") else None
+        if isinstance(doc, dict):
+            io.save_codebook(codebook_file, ch.dft_codebook(2, 2, 2))
+            text = json.dumps({**json.loads(codebook_file.read_text()), **doc})
+        codebook_file.write_text(text)
+        with pytest.raises(GridParseError, match=match):
+            io.load_codebook(codebook_file)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_garbled_file_raises_only_parse_error(self, codebook_file, data):
+        io.save_codebook(codebook_file, ch.dft_codebook(2, 2, 2))
+        doc = json.loads(codebook_file.read_text())
+        how = data.draw(st.sampled_from(["drop", "replace", "row", "entry", "whole", "cut"]))
+        key = data.draw(st.sampled_from(sorted(doc)))
+        value = data.draw(st.one_of(json_values, st.integers(-2, 9), st.floats()))
+        if how == "drop":
+            del doc[key]
+        elif how == "replace":
+            doc[key] = value
+        elif how == "row" and isinstance(doc[key], list):
+            doc[key].append(value)
+        elif how == "entry" and isinstance(doc[key], list):
+            doc[key][data.draw(st.integers(0, 1))][data.draw(st.integers(0, 1))] = value
+        elif how == "whole":
+            doc = value
+        text = json.dumps(doc)
+        if how == "cut":
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        codebook_file.write_text(text)
+        try:
+            cb = io.load_codebook(codebook_file)
+        except GridParseError:
+            return
+        assert cb.tx_azimuth.dtype == cb.tx_elevation.dtype == np.complex128
+        assert type(cb.n_rx_sectors) is int and cb.nr >= 1
 
 
 class TestReport:

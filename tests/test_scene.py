@@ -15,7 +15,7 @@ from beamgrid import scene as sc
 from beamgrid.errors import NoValidSiteError
 
 from conftest import (accumulate_tensors_reference, building_edge_pixels_reference,
-                      exterior_walls_reference, march, mirror_hit, scene_configs,
+                      exterior_walls_reference, march, march_one, mirror_hit, scene_configs,
                       small_scenes)
 
 NO_VEG = sc.SceneConfig(vegetation_db_per_m=0.0)
@@ -290,8 +290,8 @@ class TestVisibilityProperties:
             x0, x1 = rng.uniform(0.2, 31.8, 2)
             y0, y1 = rng.uniform(0.2, 31.8, 2)
             z0, z1 = rng.uniform(0.5, 40.0, 2)
-            fwd = sc.segment_clear(hm, x0, y0, z0, x1, y1, z1)
-            rev = sc.segment_clear(hm, x1, y1, z1, x0, y0, z0)
+            fwd = march_one(hm, x0, y0, z0, x1, y1, z1)
+            rev = march_one(hm, x1, y1, z1, x0, y0, z0)
             assert fwd == rev
 
     def test_monotone_blockage(self):
@@ -300,12 +300,12 @@ class TestVisibilityProperties:
         pairs = [(rng.uniform(0.2, 31.8), rng.uniform(0.2, 31.8),
                   rng.uniform(1, 30), rng.uniform(0.2, 31.8),
                   rng.uniform(0.2, 31.8), rng.uniform(1, 30)) for _ in range(60)]
-        blocked_before = [not sc.segment_clear(hm, *p)[0] for p in pairs]
+        blocked_before = [not march_one(hm, *p)[0] for p in pairs]
         taller = sc.HeightMap(hm.building + rng.uniform(0, 10, hm.building.shape)
                               * (hm.building > 0), hm.vegetation)
         for p, was_blocked in zip(pairs, blocked_before):
             if was_blocked:
-                assert not sc.segment_clear(taller, *p)[0]
+                assert not march_one(taller, *p)[0]
 
     def test_free_space_decay_along_boresight(self):
         # constant-angle geometry isolates the 1/d^2 law: tx at rx height,
