@@ -6,11 +6,8 @@ accuracy and throughput-ratio metrics; ships five training objectives with
 verified analytic gradients and a small trainable per-pixel classifier.
 """
 
-from .channel import (ArrayFrame, Beam, BeamspaceAngles, Codebook,
-                      MultipathChannel, PathParams, beam_gain,
-                      beamspace_angles, dft_codebook, effective_tensor,
-                      global_to_array_frame, instantaneous_gain, optimal_beam,
-                      sector_index, sector_select, steering_vector)
+from .channel import (ArrayFrame, BeamspaceAngles, Codebook, beamspace_angles,
+                      dft_codebook, global_to_array_frame, sector_index)
 from .metrics import (EvalReport, LinkBudget, LosClass, exclusion_mask,
                       los_class_map, noise_power_dbm, snr, throughput_ratio,
                       topk_accuracy)

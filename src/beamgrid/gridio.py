@@ -153,7 +153,6 @@ def write_pgm(path, gray):
 class SceneSection:
     rows: int = 64
     cols: int = 64
-    seed: int = 0
     resolution_m: float = 1.0
     rx_height_m: float = 1.5
     carrier_hz: float = 3.9e9
@@ -333,7 +332,8 @@ def load_codebook(path):
     """Codebook from a codebook file. Anything but the object save_codebook
     writes (valid UTF-8 JSON, each weight part a list of rows of finite
     numbers, all rows of one length, the real and imaginary parts of one
-    shape, an integer nr) raises GridParseError, as do weights that
+    shape, integers na, ne and nr, with na and ne the azimuth and elevation
+    beam counts of the weights) raises GridParseError, as do weights that
     Codebook rejects."""
     from .channel import Codebook
 
@@ -344,7 +344,7 @@ def load_codebook(path):
         raise GridParseError(f"codebook file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise GridParseError(f"codebook file {path} is not a JSON object")
-    missing = [k for k in (*_CODEBOOK_WEIGHTS, "nr") if k not in doc]
+    missing = [k for k in (*_CODEBOOK_WEIGHTS, "na", "ne", "nr") if k not in doc]
     if missing:
         raise GridParseError(f"codebook file {path} lacks key(s) {missing}")
     for key in _CODEBOOK_WEIGHTS:
@@ -352,8 +352,9 @@ def load_codebook(path):
         if not _json_type_ok("list[list[float]]", rows) or len({len(r) for r in rows}) > 1:
             raise GridParseError(
                 f"codebook {key} must be rows of finite numbers, all of one length")
-    if not _json_type_ok("int", doc["nr"]):
-        raise GridParseError(f"codebook nr must be an integer, got {doc['nr']!r}")
+    for key in ("na", "ne", "nr"):
+        if not _json_type_ok("int", doc[key]):
+            raise GridParseError(f"codebook {key} must be an integer, got {doc[key]!r}")
     parts = {key: np.asarray(doc[key], dtype=np.float64) for key in _CODEBOOK_WEIGHTS}
     for name in ("azimuth", "elevation"):
         if parts[f"{name}_re"].shape != parts[f"{name}_im"].shape:
@@ -362,10 +363,15 @@ def load_codebook(path):
         # huge weights overflow the Gram matrix; the unitarity check then
         # rejects them
         with np.errstate(over="ignore", invalid="ignore"):
-            return Codebook(parts["azimuth_re"] + 1j * parts["azimuth_im"],
-                            parts["elevation_re"] + 1j * parts["elevation_im"], doc["nr"])
+            cb = Codebook(parts["azimuth_re"] + 1j * parts["azimuth_im"],
+                          parts["elevation_re"] + 1j * parts["elevation_im"], doc["nr"])
     except ValueError as exc:
         raise GridParseError(f"codebook file {path}: {exc}") from exc
+    for key, name in (("na", "azimuth"), ("ne", "elevation")):
+        if doc[key] != getattr(cb, key):
+            raise GridParseError(f"codebook {key} {doc[key]} does not match the "
+                                 f"{getattr(cb, key)} {name} beams of its weights")
+    return cb
 
 
 def codebook_from_config(cfg):

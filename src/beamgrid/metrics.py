@@ -128,8 +128,8 @@ def evaluate_ranking(tensors, rankings, k_list, budget, excluded=0):
     """Score a full beam ranking at every requested depth."""
     if len(rankings) == 0:
         raise UndefinedResultError("no valid samples left to evaluate")
-    acc = [topk_accuracy(np.argmax(np.asarray(tensors).reshape(len(rankings), -1), axis=1),
-                         rankings, k) for k in k_list]
+    truths = np.argmax(np.asarray(tensors).reshape(len(rankings), -1), axis=1)
+    acc = [topk_accuracy(truths, rankings, k) for k in k_list]
     tpr = [throughput_ratio(tensors, rankings, k, budget) for k in k_list]
     return EvalReport(k_list=list(k_list), accuracy=acc, tpr=tpr,
                       samples=len(rankings), excluded=int(excluded))

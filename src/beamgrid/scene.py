@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .channel import (ArrayFrame, MultipathChannel, TWO_PI, beamspace_angles,
-                      gain_profiles, global_to_array_frame, sector_index)
+from .channel import (ArrayFrame, TWO_PI, beamspace_angles, gain_profiles,
+                      global_to_array_frame, sector_index)
 from .errors import NoValidSiteError
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -131,17 +131,6 @@ class SceneChannels:
         """Number of paths of each pixel, shape (rows, cols)."""
         return np.bincount(self.pixel, minlength=self.rows * self.cols) \
             .reshape(self.rows, self.cols)
-
-    def pixel_slice(self, r, c):
-        idx = r * self.cols + c
-        lo, hi = np.searchsorted(self.pixel, (idx, idx + 1))
-        return slice(int(lo), int(hi))
-
-    def channel_at(self, r, c):
-        s = self.pixel_slice(r, c)
-        return MultipathChannel(
-            self.magnitude[s], self.phase[s], self.aod_azimuth[s],
-            self.aod_elevation[s], self.aoa_azimuth[s], rx_pixel=(r, c))
 
 
 def generate_city(rows, cols, seed, style=None):
@@ -320,8 +309,8 @@ def effective_tensor_map(channels, codebook, frame):
     """Per-pixel beam power tensors, shape (rows, cols, Na, Ne, Nr).
 
     Vectorises the per-path beamspace transform over all stored paths and
-    accumulates the rank-1 contributions per pixel; matches the per-pixel
-    tensor builder exactly because both sum the same terms in path order.
+    accumulates each path's rank-1 contribution (azimuth gain profile x
+    elevation gain profile x one-hot sector) into its pixel, in path order.
     """
     rows, cols = channels.rows, channels.cols
     out = np.zeros((rows * cols, codebook.na, codebook.ne, codebook.nr))

@@ -209,6 +209,79 @@ def mirror_hit(wall, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z):
     return True, hx, hy, hz, math.sqrt(ddx * ddx + ddy * ddy + ddz * ddz)
 
 
+# The unfactorised per-beam channel model: one steering vector per path and
+# axis, matched against one beam's weights at a time. It calls neither
+# channel.gain_profiles nor _kernels.accumulate_tensors, so it is the
+# independent check on scene.effective_tensor_map. Paths are parallel arrays
+# (magnitude, phase, departure azimuth and elevation, arrival azimuth); a
+# beam is its azimuth weights u, elevation weights v and one-hot receive
+# sector selector w.
+
+def steering_vector_reference(n, omega):
+    """Array response vector [1, e^{j*omega}, ..., e^{j*omega*(n-1)}]."""
+    if n < 1:
+        raise ValueError(f"steering vector length must be >= 1, got {n}")
+    return np.exp(1j * omega * np.arange(n))
+
+
+def beam_weights(codebook, ia, ie, ir):
+    """(u, v, w) of beam (ia, ie, ir): the two weight columns and the
+    one-hot selector of receive sector ir."""
+    w = np.zeros(codebook.nr)
+    w[ir] = 1.0
+    return codebook.tx_azimuth[:, ia], codebook.tx_elevation[:, ie], w
+
+
+def path_gains_reference(aod_az, aod_el, aoa_az, u, v, w, frame):
+    """Per-path complex gain (u^H a_az)(v^H a_el)(w^H b), without the path's
+    amplitude and phase; b is the one-hot sector of the arrival azimuth."""
+    g = np.empty(len(aod_az), dtype=np.complex128)
+    for p in range(len(aod_az)):
+        phi, theta = ch.global_to_array_frame(aod_az[p], aod_el[p], frame)
+        bs = ch.beamspace_angles(phi, theta)
+        ga = np.vdot(u, steering_vector_reference(u.size, bs.varphi))
+        ge = np.vdot(v, steering_vector_reference(v.size, bs.vartheta))
+        g[p] = ga * ge * w[ch.sector_index(aoa_az[p], w.size)]
+    return g
+
+
+def beam_gain_reference(mag, aod_az, aod_el, aoa_az, u, v, w, frame):
+    """Phase-averaged received power under one beam (unit transmit power)."""
+    g = path_gains_reference(aod_az, aod_el, aoa_az, u, v, w, frame)
+    return float(np.sum(np.asarray(mag) ** 2 * np.abs(g) ** 2))
+
+
+def instantaneous_gain_reference(mag, phase, aod_az, aod_el, aoa_az, u, v, w, frame):
+    """Squared magnitude of the coherent (phase-bearing) channel gain."""
+    g = path_gains_reference(aod_az, aod_el, aoa_az, u, v, w, frame)
+    return float(np.abs(np.sum(np.asarray(mag) * np.exp(1j * np.asarray(phase)) * g)) ** 2)
+
+
+def beam_tensor_reference(mag, aod_az, aod_el, aoa_az, codebook, frame):
+    """(Na, Ne, Nr) tensor of beam_gain_reference over every beam."""
+    return np.array([[[beam_gain_reference(mag, aod_az, aod_el, aoa_az,
+                                           *beam_weights(codebook, ia, ie, ir), frame)
+                       for ir in range(codebook.nr)]
+                      for ie in range(codebook.ne)]
+                     for ia in range(codebook.na)])
+
+
+def paths_at(channels, r, c):
+    """Slice of pixel (r, c)'s paths in the flat path arrays of channels."""
+    idx = r * channels.cols + c
+    lo, hi = np.searchsorted(channels.pixel, (idx, idx + 1))
+    return slice(int(lo), int(hi))
+
+
+def one_pixel_tensor(mag, phase, aod_az, aod_el, aoa_az, codebook, frame):
+    """scene.effective_tensor_map of a 1x1 SceneChannels holding the given
+    path arrays: its one (Na, Ne, Nr) tensor."""
+    chans = sc.SceneChannels(rows=1, cols=1, pixel=np.zeros(mag.size, dtype=np.int64),
+                             magnitude=mag, phase=phase, aod_azimuth=aod_az,
+                             aod_elevation=aod_el, aoa_azimuth=aoa_az)
+    return sc.effective_tensor_map(chans, codebook, frame)[0, 0]
+
+
 def los_class_reference(channels):
     """LoS classes by the per-pixel rule on the stored paths: a direct path
     is dominant only when it crossed no vegetation and no other arrival of
@@ -218,7 +291,7 @@ def los_class_reference(channels):
         for c in range(channels.cols):
             if not channels.has_direct[r, c]:
                 continue
-            mags = channels.magnitude[channels.pixel_slice(r, c)]
+            mags = channels.magnitude[paths_at(channels, r, c)]
             attenuated = channels.direct_veg_db[r, c] > 0.0 or mags[0] < mags.max()
             out[r, c] = mt.LosClass.LOS_ATTENUATED if attenuated \
                 else mt.LosClass.LOS_DOMINANT

@@ -6,39 +6,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamgrid import channel as ch
-from conftest import on_grid_direction
+from conftest import (beam_gain_reference, beam_tensor_reference, beam_weights,
+                      instantaneous_gain_reference, on_grid_direction,
+                      one_pixel_tensor, path_gains_reference, steering_vector_reference)
 
 IDENTITY = ch.ArrayFrame(0.0, 0.0)
+NO_PATHS = (np.zeros(0),) * 5
 
 
-def random_channel(rng, n_paths=3):
-    return ch.MultipathChannel(
-        magnitude=rng.uniform(0.2, 2.0, n_paths),
-        phase=rng.uniform(0, 2 * np.pi, n_paths),
-        aod_azimuth=rng.uniform(0, 2 * np.pi, n_paths),
-        aod_elevation=rng.uniform(-1.0, 0.5, n_paths),
-        aoa_azimuth=rng.uniform(0, 2 * np.pi, n_paths),
-    )
+def random_paths(rng, n_paths=3):
+    """(magnitude, phase, aod_azimuth, aod_elevation, aoa_azimuth) arrays."""
+    return (rng.uniform(0.2, 2.0, n_paths), rng.uniform(0, 2 * np.pi, n_paths),
+            rng.uniform(0, 2 * np.pi, n_paths), rng.uniform(-1.0, 0.5, n_paths),
+            rng.uniform(0, 2 * np.pi, n_paths))
+
+
+def without_phase(paths):
+    mag, _, az, el, aoa = paths
+    return mag, az, el, aoa
 
 
 class TestSteeringVector:
+    """Sanity checks of the oracle's array response."""
+
     def test_single_element(self):
-        assert np.array_equal(ch.steering_vector(1, 2.7), np.array([1.0 + 0j]))
+        assert np.array_equal(steering_vector_reference(1, 2.7), np.array([1.0 + 0j]))
 
     def test_zero_phase(self):
-        assert np.array_equal(ch.steering_vector(4, 0.0), np.ones(4, dtype=complex))
+        assert np.array_equal(steering_vector_reference(4, 0.0), np.ones(4, dtype=complex))
 
     def test_pi_alternation(self):
-        np.testing.assert_allclose(ch.steering_vector(2, math.pi), [1, -1], atol=1e-15)
+        np.testing.assert_allclose(steering_vector_reference(2, math.pi), [1, -1], atol=1e-15)
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
-            ch.steering_vector(0, 1.0)
+            steering_vector_reference(0, 1.0)
 
     @given(st.integers(1, 32), st.floats(-10, 10, allow_nan=False))
     @settings(deadline=None, max_examples=50)
     def test_entries(self, n, omega):
-        a = ch.steering_vector(n, omega)
+        a = steering_vector_reference(n, omega)
         np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
         k = np.arange(n)
         np.testing.assert_allclose(a, np.exp(1j * omega * k), atol=1e-12)
@@ -99,34 +106,35 @@ class TestBeamspaceAngles:
 
 
 class TestSectorSelect:
+    """The receive sector a path selects: sector_index."""
+
     def test_left_boundary(self):
-        assert np.array_equal(ch.sector_select(0.0, 4), [1, 0, 0, 0])
+        assert ch.sector_index(0.0, 4) == 0
 
     def test_half_open_boundary(self):
-        assert np.array_equal(ch.sector_select(math.pi, 4), [0, 0, 1, 0])
+        assert ch.sector_index(math.pi, 4) == 2
 
     def test_wraparound(self):
-        assert np.array_equal(ch.sector_select(2 * math.pi + 0.1, 4), [1, 0, 0, 0])
+        assert ch.sector_index(2 * math.pi + 0.1, 4) == 0
 
     @given(st.floats(-50, 50, allow_nan=False), st.integers(1, 12))
     @settings(deadline=None, max_examples=100)
     def test_exactly_one_sector(self, phi, nr):
-        v = ch.sector_select(phi, nr)
-        assert v.sum() == 1.0 and v.max() == 1.0
+        i = ch.sector_index(phi, nr)
+        assert isinstance(i, int) and 0 <= i < nr
+        assert ch.sector_index(np.array([phi]), nr)[0] == i
 
     def test_partition_of_centers(self):
         nr = 6
         centers = (np.arange(nr) + 0.5) * 2 * np.pi / nr
-        total = sum(ch.sector_select(a, nr) for a in centers)
-        assert np.array_equal(total, np.ones(nr))
+        assert np.array_equal(ch.sector_index(centers, nr), np.arange(nr))
 
 
 class TestDftCodebook:
     def test_degenerate(self):
         cb = ch.dft_codebook(1, 1, 1)
-        beam = cb.beam(0, 0, 0)
-        assert np.allclose(beam.u, [1]) and np.allclose(beam.v, [1])
-        assert np.array_equal(beam.w, [1.0])
+        assert np.allclose(cb.tx_azimuth, [[1]]) and np.allclose(cb.tx_elevation, [[1]])
+        assert (cb.na, cb.ne, cb.nr) == (1, 1, 1)
 
     def test_two_point(self):
         cb = ch.dft_codebook(2, 1, 1)
@@ -139,10 +147,8 @@ class TestDftCodebook:
             gram = m.conj().T @ m
             assert np.abs(gram - np.eye(m.shape[0])).max() < 1e-12
 
-    def test_size_and_flat_index(self, codebook):
-        assert codebook.size == 128
-        assert codebook.flat_index(3, 1, 2) == 3 * 16 + 1 * 4 + 2
-        assert codebook.index_triple(54) == (3, 1, 2)
+    def test_dimensions(self, codebook):
+        assert (codebook.na, codebook.ne, codebook.nr) == (8, 4, 4)
 
     def test_non_unitary_rejected(self):
         bad = np.eye(2, dtype=complex)
@@ -152,76 +158,78 @@ class TestDftCodebook:
 
 
 class TestBeamGain:
+    """Sanity checks of the oracle's per-beam power."""
+
     def test_empty_channel(self, codebook):
-        chan = ch.MultipathChannel.empty()
-        assert ch.beam_gain(chan, codebook.beam(0, 0, 0), IDENTITY) == 0.0
+        gain = beam_gain_reference(*NO_PATHS[:4], *beam_weights(codebook, 0, 0, 0), IDENTITY)
+        assert gain == 0.0
 
     def test_matched_on_grid_path(self, codebook):
         ia, ie, ir = 3, 1, 2
         az, el = on_grid_direction(ia, ie, codebook.na, codebook.ne)
         aoa = 2 * np.pi * ir / codebook.nr + 0.1
-        chan = ch.MultipathChannel.from_paths(
-            [ch.PathParams(1.0, 0.3, az, el, aoa)])
-        gain = ch.beam_gain(chan, codebook.beam(ia, ie, ir), IDENTITY)
+        gain = beam_gain_reference([1.0], [az], [el], [aoa],
+                                   *beam_weights(codebook, ia, ie, ir), IDENTITY)
         assert abs(gain - codebook.na * codebook.ne) < 1e-9 * 32
 
     def test_orthogonal_on_grid_beam(self, codebook):
         ia, ie, ir = 3, 1, 2
         az, el = on_grid_direction(ia, ie, codebook.na, codebook.ne)
-        chan = ch.MultipathChannel.from_paths(
-            [ch.PathParams(1.0, 0.0, az, el, 2 * np.pi * ir / codebook.nr)])
-        gain = ch.beam_gain(chan, codebook.beam(5, ie, ir), IDENTITY)
+        gain = beam_gain_reference([1.0], [az], [el], [2 * np.pi * ir / codebook.nr],
+                                   *beam_weights(codebook, 5, ie, ir), IDENTITY)
         assert gain < 1e-10
 
     def test_phase_invariance_exact(self, codebook):
+        # the tensor map never reads the path phases
         rng = np.random.default_rng(7)
-        chan = random_channel(rng)
-        beam = codebook.beam(4, 2, 1)
+        mag, phase, az, el, aoa = random_paths(rng)
         frame = ch.ArrayFrame(0.8, np.pi / 4)
-        before = ch.beam_gain(chan, beam, frame)
-        chan.phase = rng.uniform(0, 2 * np.pi, chan.n_paths)
-        assert ch.beam_gain(chan, beam, frame) == before
+        before = one_pixel_tensor(mag, phase, az, el, aoa, codebook, frame)
+        phase = rng.uniform(0, 2 * np.pi, phase.size)
+        after = one_pixel_tensor(mag, phase, az, el, aoa, codebook, frame)
+        assert after.tobytes() == before.tobytes()
 
 
 class TestInstantaneousGain:
+    """Sanity checks of the oracle's coherent gain."""
+
     def test_empty_channel(self, codebook):
-        assert ch.instantaneous_gain(ch.MultipathChannel.empty(),
-                                     codebook.beam(0, 0, 0), IDENTITY) == 0.0
+        gain = instantaneous_gain_reference(*NO_PATHS, *beam_weights(codebook, 0, 0, 0),
+                                            IDENTITY)
+        assert gain == 0.0
 
     def test_single_path_equals_rss(self, codebook):
         rng = np.random.default_rng(3)
-        chan = random_channel(rng, n_paths=1)
-        beam = codebook.beam(2, 1, 0)
+        paths = random_paths(rng, n_paths=1)
+        beam = beam_weights(codebook, 2, 1, 0)
         frame = ch.ArrayFrame(0.2, 0.3)
-        assert ch.instantaneous_gain(chan, beam, frame) == pytest.approx(
-            ch.beam_gain(chan, beam, frame), rel=1e-12)
+        assert instantaneous_gain_reference(*paths, *beam, frame) == pytest.approx(
+            beam_gain_reference(*without_phase(paths), *beam, frame), rel=1e-12)
 
     def test_destructive_interference(self, codebook):
         ia, ie, ir = 1, 0, 0
         az, el = on_grid_direction(ia, ie, codebook.na, codebook.ne)
-        paths = [ch.PathParams(1.0, 0.0, az, el, 0.1),
-                 ch.PathParams(1.0, np.pi, az, el, 0.1)]
-        chan = ch.MultipathChannel.from_paths(paths)
-        gain = ch.instantaneous_gain(chan, codebook.beam(ia, ie, ir), IDENTITY)
+        gain = instantaneous_gain_reference([1.0, 1.0], [0.0, np.pi], [az, az], [el, el],
+                                            [0.1, 0.1], *beam_weights(codebook, ia, ie, ir),
+                                            IDENTITY)
         assert gain < 1e-20
 
     def test_monte_carlo_matches_mean_power(self, codebook):
         # phase-averaged power is the fixed point of the random-phase draw
         rng = np.random.default_rng(11)
-        chan = random_channel(rng, n_paths=3)
+        mag, _, az, el, aoa = random_paths(rng, n_paths=3)
         frame = ch.ArrayFrame(1.0, np.pi / 4)
         # pick a beam whose sector one of the paths actually arrives in
-        beam = codebook.beam(5, 2, ch.sector_index(chan.aoa_azimuth[0], codebook.nr))
-        g = ch.path_complex_gains(chan, beam, frame)
+        beam = beam_weights(codebook, 5, 2, ch.sector_index(aoa[0], codebook.nr))
+        g = path_gains_reference(az, el, aoa, *beam, frame)
         m = 100_000
         phases = rng.uniform(0, 2 * np.pi, (m, 3))
-        draws = np.abs((chan.magnitude * np.exp(1j * phases)) @ g) ** 2
-        # the vectorised draw equals instantaneous_gain on sampled rows
+        draws = np.abs((mag * np.exp(1j * phases)) @ g) ** 2
+        # the vectorised draw equals the instantaneous gain on sampled rows
         for i in (0, 123, 4567):
-            chan.phase = phases[i]
-            assert ch.instantaneous_gain(chan, beam, frame) == pytest.approx(
-                draws[i], rel=1e-12)
-        rss = ch.beam_gain(chan, beam, frame)
+            assert instantaneous_gain_reference(mag, phases[i], az, el, aoa, *beam,
+                                                frame) == pytest.approx(draws[i], rel=1e-12)
+        rss = beam_gain_reference(mag, az, el, aoa, *beam, frame)
         assert abs(draws.mean() - rss) / rss < 0.02
 
 
@@ -231,36 +239,36 @@ class TestFullTensorContraction:
         # outer products and contract it with the beam's weight tensor
         rng = np.random.default_rng(73)
         frame = ch.ArrayFrame(0.7, 0.5)
-        chan = random_channel(rng, n_paths=4)
+        mag, phase, az, el, aoa = random_paths(rng, n_paths=4)
         h = np.zeros((codebook.na, codebook.ne, codebook.nr), dtype=complex)
-        for p in range(chan.n_paths):
-            phi, theta = ch.global_to_array_frame(
-                chan.aod_azimuth[p], chan.aod_elevation[p], frame)
+        for p in range(mag.size):
+            phi, theta = ch.global_to_array_frame(az[p], el[p], frame)
             bs = ch.beamspace_angles(phi, theta)
-            a_az = ch.steering_vector(codebook.na, bs.varphi)
-            a_el = ch.steering_vector(codebook.ne, bs.vartheta)
-            b_rx = ch.sector_select(chan.aoa_azimuth[p], codebook.nr)
-            h += (chan.magnitude[p] * np.exp(1j * chan.phase[p])
-                  * np.einsum("i,j,k->ijk", a_az, a_el, b_rx))
+            a_az = steering_vector_reference(codebook.na, bs.varphi)
+            a_el = steering_vector_reference(codebook.ne, bs.vartheta)
+            b_rx = np.eye(codebook.nr)[ch.sector_index(aoa[p], codebook.nr)]
+            h += mag[p] * np.exp(1j * phase[p]) * np.einsum("i,j,k->ijk", a_az, a_el, b_rx)
         for ia, ie, ir in ((0, 0, 0), (3, 1, 2), (7, 3, 3)):
-            beam = codebook.beam(ia, ie, ir)
-            w_tensor = np.einsum("i,j,k->ijk", beam.u, beam.v,
-                                 beam.w.astype(complex))
+            u, v, w = beam_weights(codebook, ia, ie, ir)
+            w_tensor = np.einsum("i,j,k->ijk", u, v, w.astype(complex))
             contraction = np.einsum("ijk,ijk->", h, w_tensor.conj())
-            assert ch.instantaneous_gain(chan, beam, frame) == pytest.approx(
+            assert instantaneous_gain_reference(mag, phase, az, el, aoa, u, v, w,
+                                                frame) == pytest.approx(
                 abs(contraction) ** 2, rel=1e-10)
 
 
 class TestEffectiveTensor:
+    """scene.effective_tensor_map on a single pixel."""
+
     def test_empty_channel(self, codebook):
-        t = ch.effective_tensor(ch.MultipathChannel.empty(), codebook, IDENTITY)
+        t = one_pixel_tensor(*NO_PATHS, codebook, IDENTITY)
         assert t.shape == (8, 4, 4) and not t.any()
 
     def test_single_path_rank_one(self, codebook):
         rng = np.random.default_rng(5)
-        chan = random_channel(rng, n_paths=1)
-        t = ch.effective_tensor(chan, codebook, IDENTITY)
-        sec = ch.sector_index(chan.aoa_azimuth[0], codebook.nr)
+        paths = random_paths(rng, n_paths=1)
+        t = one_pixel_tensor(*paths, codebook, IDENTITY)
+        sec = ch.sector_index(paths[4][0], codebook.nr)
         other = np.delete(t, sec, axis=2)
         assert not other.any()
         slab = t[:, :, sec]
@@ -273,25 +281,22 @@ class TestEffectiveTensor:
         rng = np.random.default_rng(17)
         frame = ch.ArrayFrame(0.5, 0.6)
         for _ in range(10):
-            chan = random_channel(rng, n_paths=3)
-            t = ch.effective_tensor(chan, cb, frame)
-            brute = np.array([[[ch.beam_gain(chan, cb.beam(ia, ie, ir), frame)
-                                for ir in range(2)] for ie in range(2)]
-                              for ia in range(2)])
+            paths = random_paths(rng, n_paths=3)
+            t = one_pixel_tensor(*paths, cb, frame)
+            brute = beam_tensor_reference(*without_phase(paths), cb, frame)
             np.testing.assert_allclose(t, brute, rtol=1e-10)
 
     def test_energy_conservation_single_path(self, codebook):
         rng = np.random.default_rng(23)
         frame = ch.ArrayFrame(0.3, 0.7)
         for _ in range(20):
-            chan = random_channel(rng, n_paths=1)
-            t = ch.effective_tensor(chan, codebook, frame)
-            expect = chan.magnitude[0] ** 2 * codebook.na * codebook.ne
+            mag, phase, az, el, aoa = random_paths(rng, n_paths=1)
+            t = one_pixel_tensor(mag, phase, az, el, aoa, codebook, frame)
+            expect = mag[0] ** 2 * codebook.na * codebook.ne
             assert abs(t.sum() - expect) / expect < 1e-9
             # per-axis unitarity: the beam gains of one axis sum to its
             # element count regardless of the direction
-            phi, theta = ch.global_to_array_frame(
-                chan.aod_azimuth[0], chan.aod_elevation[0], frame)
+            phi, theta = ch.global_to_array_frame(az[0], el[0], frame)
             bs = ch.beamspace_angles(phi, theta)
             g_az, g_el = ch.gain_profiles(bs.varphi, bs.vartheta, codebook)
             assert g_az.sum() == pytest.approx(codebook.na, rel=1e-12)
@@ -299,39 +304,10 @@ class TestEffectiveTensor:
 
     def test_scaling_equivariance(self, codebook):
         rng = np.random.default_rng(31)
-        chan = random_channel(rng, n_paths=4)
+        mag, phase, az, el, aoa = random_paths(rng, n_paths=4)
         frame = ch.ArrayFrame(2.0, 0.2)
-        t1 = ch.effective_tensor(chan, codebook, frame)
-        idx1 = ch.optimal_beam(t1)
+        t1 = one_pixel_tensor(mag, phase, az, el, aoa, codebook, frame)
         s = 3.7
-        chan.magnitude = chan.magnitude * s
-        t2 = ch.effective_tensor(chan, codebook, frame)
+        t2 = one_pixel_tensor(mag * s, phase, az, el, aoa, codebook, frame)
         np.testing.assert_allclose(t2, s**2 * t1, rtol=1e-12)
-        assert ch.optimal_beam(t2) == idx1
-
-
-class TestOptimalBeam:
-    def test_single_nonzero(self):
-        t = np.zeros((8, 4, 4))
-        t[3, 1, 2] = 5.0
-        assert ch.optimal_beam(t) == ((3, 1, 2), True)
-
-    def test_tie_break_smallest_flat(self):
-        t = np.ones((8, 4, 4))
-        assert ch.optimal_beam(t) == ((0, 0, 0), True)
-
-    def test_matches_full_scan(self):
-        rng = np.random.default_rng(41)
-        t = rng.uniform(0, 1, (8, 4, 4))
-        (ia, ie, ir), valid = ch.optimal_beam(t)
-        best, best_idx = -1.0, None
-        for a in range(8):
-            for e in range(4):
-                for r in range(4):
-                    if t[a, e, r] > best:
-                        best, best_idx = t[a, e, r], (a, e, r)
-        assert (ia, ie, ir) == best_idx and valid
-
-    def test_all_zero_flagged_invalid(self):
-        triple, valid = ch.optimal_beam(np.zeros((8, 4, 4)))
-        assert triple == (0, 0, 0) and not valid
+        assert np.argmax(t2) == np.argmax(t1)

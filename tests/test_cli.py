@@ -25,7 +25,7 @@ def run_cli(*args):
 
 
 def write_config(path, **scene_overrides):
-    doc = {"scene": {"rows": 32, "cols": 32, "seed": 1, **scene_overrides}}
+    doc = {"scene": {"rows": 32, "cols": 32, **scene_overrides}}
     path.write_text(json.dumps(doc))
     return path
 
@@ -52,6 +52,15 @@ class TestGenerate:
                            "--tx-out", tmp_path / f"{stem}.json") == 0
         assert (tmp_path / "a.bgrd").read_bytes() == (tmp_path / "b.bgrd").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_scene_seed_exit_code(self, tmp_path, capsys):
+        # the scene comes from --seed alone; scene.seed is an unknown key
+        cfg = write_config(tmp_path / "cfg.json", seed=1)
+        assert run_cli("generate", "--rows", 32, "--cols", 32, "--seed", 3,
+                       "--out", tmp_path / "s.bgrd", "--config", cfg,
+                       "--tx-out", tmp_path / "s.json") == 3
+        assert "['seed']" in capsys.readouterr().err
+        assert not (tmp_path / "s.bgrd").exists()
 
     def test_round_trips_through_reader(self, tmp_path):
         assert run_cli("generate", "--rows", 32, "--cols", 32, "--seed", 3,
@@ -238,7 +247,7 @@ class TestTensorize:
             doc = {**json.loads(weights.read_text()), **doc}
         weights.write_text(json.dumps(doc))
         cfg = tmp / "cb_cfg.json"
-        cfg.write_text(json.dumps({"scene": {"rows": 32, "cols": 32, "seed": 1},
+        cfg.write_text(json.dumps({"scene": {"rows": 32, "cols": 32},
                                    "codebook": {"tx_weights": str(weights)}}))
         assert run_cli("tensorize", "--paths", tmp / "s.paths.csv",
                        "--tx", tmp / "s.tx.json", "--config", cfg,
@@ -348,7 +357,7 @@ class TestEvaluate:
     def test_full_k_list_saturates(self, tensorized):
         tmp, _ = tensorized
         cfg2 = tmp / "cfg128.json"
-        cfg2.write_text(json.dumps({"scene": {"rows": 32, "cols": 32, "seed": 1},
+        cfg2.write_text(json.dumps({"scene": {"rows": 32, "cols": 32},
                                     "eval": {"k_list": [1, 128]}}))
         rng = np.random.default_rng(1)
         logits = rng.normal(0, 1, (8, 8, 128)).astype(np.float32)
@@ -523,7 +532,7 @@ class TestTrainCli:
         # the WS loss has no solver temperature: loss.epsilon is an unknown key
         tmp, _, scenes = scene_dir
         cfg = tmp / "eps.json"
-        cfg.write_text(json.dumps({"scene": {"rows": 32, "cols": 32, "seed": 1},
+        cfg.write_text(json.dumps({"scene": {"rows": 32, "cols": 32},
                                    "loss": {"kind": "WS", "epsilon": 0.1}}))
         assert run_cli("train", "--scenes", scenes, "--config", cfg,
                        "--model-out", tmp / "m.bgmdl") == 3

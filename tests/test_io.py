@@ -239,8 +239,14 @@ class TestRunConfig:
                            match=r"unknown key\(s\) in config section 'loss': \['epsilon'\]"):
             io.parse_config({"loss": {"epsilon": value}})
 
+    def test_scene_seed_rejected(self):
+        # generate takes its seed from --seed; the config key is unknown
+        with pytest.raises(GridParseError,
+                           match=r"unknown key\(s\) in config section 'scene': \['seed'\]"):
+            io.parse_config({"scene": {"seed": 1}})
+
     def test_round_trip(self, tmp_path):
-        cfg = io.parse_config({"scene": {"rows": 32, "cols": 48, "seed": 5},
+        cfg = io.parse_config({"scene": {"rows": 32, "cols": 48},
                                "loss": {"kind": "WS", "sep": True}})
         path = tmp_path / "cfg.json"
         io.save_config(path, cfg)
@@ -438,13 +444,23 @@ class TestCodebookFile:
         ('{"nr": 4.0}', "nr must be an integer"),
         ('{"nr": 0}', "at least one receive sector"),
         ('{"elevation_re": [[1.0, 1.0], [0.0, 0.0]]}', "not unitary"),
+        ('{"na": 99}', "na 99 does not match the 2 azimuth beams"),
+        ('{"ne": 1}', "ne 1 does not match the 2 elevation beams"),
+        ('{"ne": "x"}', "ne must be an integer"),
+        ('{"na": 2.0}', "na must be an integer"),
+        ('{"na": true}', "na must be an integer"),
+        ('{"na": null}', r"lacks key\(s\) \['na'\]"),
+        ('{"ne": null}', r"lacks key\(s\) \['ne'\]"),
     ], ids=["list", "invalid_json", "string", "ragged", "im_shape", "float_nr", "zero_nr",
-            "not_unitary"])
+            "not_unitary", "wrong_na", "wrong_ne", "string_ne", "float_na", "bool_na",
+            "no_na", "no_ne"])
     def test_malformed_file_rejected(self, codebook_file, text, match):
+        # a key given as null is dropped from the file save_codebook writes
         doc = json.loads(text) if text.startswith("{\"") else None
         if isinstance(doc, dict):
             io.save_codebook(codebook_file, ch.dft_codebook(2, 2, 2))
-            text = json.dumps({**json.loads(codebook_file.read_text()), **doc})
+            merged = {**json.loads(codebook_file.read_text()), **doc}
+            text = json.dumps({k: v for k, v in merged.items() if v is not None})
         codebook_file.write_text(text)
         with pytest.raises(GridParseError, match=match):
             io.load_codebook(codebook_file)

@@ -126,12 +126,10 @@ class TestGeometricPredictor:
         total = 0
         for r in range(24):
             for c in range(24):
-                (ta, te, tr), valid_px = ch.optimal_beam(tensors[r, c])
-                if not valid_px:
+                if not tensors[r, c].any():
                     continue
                 total += 1
-                flat = codebook.flat_index(ta, te, tr)
-                hits += int(cands[r, c, 0] == flat)
+                hits += int(cands[r, c, 0] == np.argmax(tensors[r, c]))
         assert total > 500
         assert hits / total >= 0.9
 

@@ -14,9 +14,9 @@ from beamgrid import metrics
 from beamgrid import scene as sc
 from beamgrid.errors import NoValidSiteError
 
-from conftest import (accumulate_tensors_reference, building_edge_pixels_reference,
-                      exterior_walls_reference, march, march_one, mirror_hit, scene_configs,
-                      small_scenes)
+from conftest import (accumulate_tensors_reference, beam_tensor_reference,
+                      building_edge_pixels_reference, exterior_walls_reference, march,
+                      march_one, mirror_hit, paths_at, scene_configs, small_scenes)
 
 NO_VEG = sc.SceneConfig(vegetation_db_per_m=0.0)
 
@@ -143,11 +143,11 @@ class TestTracePaths:
         hm.building[4:12, 12:14] = 30.0  # reflector
         tx = sc.TxSite((2, 2), 22.0, ch.ArrayFrame(0.0, math.pi / 4))
         chans = sc.trace_paths(hm, tx, NO_VEG)
-        mc = chans.channel_at(12, 2)
-        assert mc.n_paths == 2  # direct + one reflection
+        mags = chans.magnitude[paths_at(chans, 12, 2)]
+        assert mags.size == 2  # direct + one reflection
         lam = NO_VEG.wavelength_m
         refl_amp = 10 ** (-NO_VEG.reflection_loss_db / 20.0)
-        d_reflected = lam * refl_amp / (4 * math.pi * mc.magnitude[1])
+        d_reflected = lam * refl_amp / (4 * math.pi * mags[1])
         # image of the tx across the wall plane x=12: (21.5, 2.5, 22)
         d_expected = math.sqrt(19.0**2 + 10.0**2 + 20.5**2)
         assert abs(d_reflected - d_expected) / d_expected < 1e-9
@@ -160,10 +160,10 @@ class TestTracePaths:
         cfg = sc.SceneConfig(vegetation_db_per_m=0.7, max_reflections=0)
         tx = sc.TxSite((8, 2), 10.0, ch.ArrayFrame(0.0, math.pi / 4))
         chans = sc.trace_paths(hm, tx, cfg)
-        mc = chans.channel_at(8, 12)
+        mags = chans.magnitude[paths_at(chans, 8, 12)]
         d = math.sqrt(10.0**2 + (10.0 - 1.5) ** 2)
         expected = cfg.wavelength_m / (4 * math.pi * d) * 10 ** (-0.7 * d / 20.0)
-        assert mc.magnitude[0] == pytest.approx(expected, rel=1e-9)
+        assert mags[0] == pytest.approx(expected, rel=1e-9)
         assert chans.direct_veg_db[8, 12] == pytest.approx(0.7 * d, rel=1e-9)
 
     def test_ray_above_canopy_unattenuated(self):
@@ -174,10 +174,10 @@ class TestTracePaths:
         cfg = sc.SceneConfig(vegetation_db_per_m=0.7, max_reflections=0)
         tx = sc.TxSite((8, 2), 40.0, ch.ArrayFrame(0.0, math.pi / 4))
         chans = sc.trace_paths(hm, tx, cfg)
-        mc = chans.channel_at(8, 12)
+        mags = chans.magnitude[paths_at(chans, 8, 12)]
         d = math.sqrt(10.0**2 + (40.0 - 1.5) ** 2)
         expected = cfg.wavelength_m / (4 * math.pi * d)
-        assert mc.magnitude[0] == pytest.approx(expected, rel=1e-9)
+        assert mags[0] == pytest.approx(expected, rel=1e-9)
 
     def test_deterministic(self):
         hm = sc.generate_city(32, 32, seed=9)
@@ -343,16 +343,22 @@ def random_channels(draw):
 
 class TestEffectiveTensorMap:
     def test_matches_per_pixel_builder(self, codebook):
+        # held to the per-beam steering-vector oracle, which shares neither
+        # gain_profiles nor accumulate_tensors with the map
         hm = sc.generate_city(32, 32, seed=21)
         tx = sc.place_tx(hm, seed=21)
         chans = sc.trace_paths(hm, tx, sc.SceneConfig())
         tensors = sc.effective_tensor_map(chans, codebook, tx.frame)
         rng = np.random.default_rng(2)
-        for _ in range(12):
-            r = int(rng.integers(32))
-            c = int(rng.integers(32))
-            expect = ch.effective_tensor(chans.channel_at(r, c), codebook, tx.frame)
-            np.testing.assert_allclose(tensors[r, c], expect, rtol=1e-10, atol=1e-30)
+        lit = np.flatnonzero(chans.counts)
+        for pix in rng.choice(lit, 12, replace=False):
+            r, c = divmod(int(pix), 32)
+            s = paths_at(chans, r, c)
+            expect = beam_tensor_reference(
+                chans.magnitude[s], chans.aod_azimuth[s], chans.aod_elevation[s],
+                chans.aoa_azimuth[s], codebook, tx.frame)
+            np.testing.assert_allclose(tensors[r, c], expect, rtol=1e-10,
+                                       atol=1e-12 * expect.max())
 
     @given(random_channels(), st.floats(0.0, 2 * np.pi), st.floats(0.0, np.pi / 2))
     @settings(deadline=None, max_examples=100)
