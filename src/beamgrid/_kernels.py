@@ -1,15 +1,17 @@
 """Hot numeric kernels: grid visibility marching and multipath tracing.
 
 One kernel per job, all NumPy array code: march_batch is the grid march
-(an Amanatides-Woo traversal over many rays at once), _reflection_candidates
-the image-method screen, trace_count and trace_fill the tracer built on
-them, and accumulate_tensors the per-pixel tensor sum. Each repeats, in the
-same order, the floating-point operations of a scalar per-path loop kept
-in the tests (tests/conftest.py: march, mirror_hit and the accumulation
-loop), so its results equal that loop bit for bit. The math-library calls
-whose NumPy versions round differently (atan2, hypot, x ** y, and so
-_bearing) stay scalar math calls over the visible paths, a few thousand
-per scene.
+(an Amanatides-Woo traversal over many rays at once), _surely_blocked the
+screen that culls segments the march would surely find blocked,
+_reflection_candidates the image-method screen, trace_count and
+trace_fill the tracer built on them, and accumulate_tensors the per-pixel
+tensor sum. Each repeats, in the same order, the floating-point operations
+of a scalar per-path loop kept in the tests (tests/conftest.py: march,
+mirror_hit and the accumulation loop), so its results equal that loop bit
+for bit; the cull only skips marches whose result is known. The
+math-library calls whose NumPy versions round differently (atan2, hypot,
+x ** y, and so _bearing) stay scalar math calls over the visible paths, a
+few thousand per scene.
 """
 
 import math
@@ -24,11 +26,20 @@ USE_NUMBA = False
 TWO_PI = 2.0 * math.pi
 
 
-# Rays marched together by march_batch. A batch keeps about 70 float64
+# Rays marched (and screened) together. A batch keeps about 70 float64
 # values of working state per ray, so this bounds the working set (~9 MB)
-# however many rays a scene has; on 128x128 scenes batches of 2**12 to
-# 2**17 rays traced equally fast.
+# however many rays a scene has. On 128x128 and 256x256 scenes, batches of
+# 2**13 to 2**16 rays traced within 5 % of each other; 2**12 was ~20 %
+# slower.
 MARCH_BATCH_RAYS = 1 << 14
+
+# The surely-blocked screen that trace_count runs before its march: the
+# number of evenly spaced points it tests on a segment, and the margin in
+# metres by which a point must lie inside its cell and below its roof.
+# 8 to 16 points traced 64x64 and 128x128 scenes equally fast; at 256x256,
+# 12 and 16 were ~12 % faster than 8 and 24.
+CULL_SAMPLES = 12
+CULL_MARGIN_M = 1e-6
 
 
 def march_batch(building, vegetation, x0, y0, z0, x1, y1, z1, res):
@@ -52,11 +63,8 @@ def march_batch(building, vegetation, x0, y0, z0, x1, y1, z1, res):
         *(np.asarray(a, dtype=np.float64) for a in (x0, y0, z0, x1, y1, z1)))
     # Cells outside the grid neither block nor hold canopy: every cell index
     # is clipped onto a one-cell border of -inf buildings and no vegetation.
-    rows, cols = building.shape
-    bld = np.full((rows + 2, cols + 2), -np.inf)
-    bld[1:-1, 1:-1] = building
-    veg = np.zeros((rows + 2, cols + 2))
-    veg[1:-1, 1:-1] = vegetation
+    bld = _bordered(building, -np.inf)
+    veg = _bordered(vegetation, 0.0)
     n = ends[0].size
     clear = np.zeros(n, dtype=bool)
     veg_len = np.zeros(n)
@@ -66,12 +74,24 @@ def march_batch(building, vegetation, x0, y0, z0, x1, y1, z1, res):
     return clear, veg_len
 
 
+def _bordered(grid, value):
+    """The 2D grid inside a one-cell border of value."""
+    out = np.full((grid.shape[0] + 2, grid.shape[1] + 2), value)
+    out[1:-1, 1:-1] = grid
+    return out
+
+
+def _canonical(x0, y0, z0, x1, y1, z1):
+    """Segment endpoints swapped where needed so that (x0, y0, z0) <=
+    (x1, y1, z1) in lexicographic order."""
+    swap = (x0 > x1) | ((x0 == x1) & ((y0 > y1) | ((y0 == y1) & (z0 > z1))))
+    return (np.where(swap, x1, x0), np.where(swap, y1, y0), np.where(swap, z1, z0),
+            np.where(swap, x0, x1), np.where(swap, y0, y1), np.where(swap, z0, z1))
+
+
 def _march_rays(bld, veg, x0, y0, z0, x1, y1, z1, res):
     """march_batch on one batch, over grids padded by a one-cell border."""
-    swap = (x0 > x1) | ((x0 == x1) & ((y0 > y1) | ((y0 == y1) & (z0 > z1))))
-    x0, x1 = np.where(swap, x1, x0), np.where(swap, x0, x1)
-    y0, y1 = np.where(swap, y1, y0), np.where(swap, y0, y1)
-    z0, z1 = np.where(swap, z1, z0), np.where(swap, z0, z1)
+    x0, y0, z0, x1, y1, z1 = _canonical(x0, y0, z0, x1, y1, z1)
     dx = x1 - x0
     dy = y1 - y0
     dz = z1 - z0
@@ -130,6 +150,74 @@ def _march_rays(bld, veg, x0, y0, z0, x1, y1, z1, res):
                 a[keep] for a in (ray, z0, dz, seg_len, end0, end1, step_c, step_r,
                                   t_dx, t_dy, c, r, t_mx, t_my, t_prev, veg_len))
     return clear, veg_out
+
+
+def _surely_blocked(building, x0, y0, z0, x1, y1, z1, res):
+    """Which segments march_batch is sure to report blocked, as a bool array.
+
+    A segment is culled when, at one of CULL_SAMPLES evenly spaced points,
+    the point lies at least CULL_MARGIN_M inside a grid cell that is not an
+    endpoint cell, on both plan axes, and more than CULL_MARGIN_M below
+    that cell's building height. As the margin exceeds the march's
+    rounding of its cell crossings, the march then visits that cell over a
+    t-interval of nonzero length that contains the point; and as both the
+    screen and the march compute heights as z0 + dz * t after the same
+    endpoint swap, the segment's lowest height in the cell is no higher
+    than the point's: the march finds the cell blocking. A culled segment
+    is always blocked; a kept one may be either. The endpoint coordinates
+    broadcast to one 1-D shape, as for march_batch, and segments are
+    screened in batches of MARCH_BATCH_RAYS.
+    """
+    ends = np.broadcast_arrays(
+        *(np.asarray(a, dtype=np.float64) for a in (x0, y0, z0, x1, y1, z1)))
+    bld = _bordered(building, -np.inf)
+    n = ends[0].size
+    culled = np.zeros(n, dtype=bool)
+    for start in range(0, n, MARCH_BATCH_RAYS):
+        part = slice(start, start + MARCH_BATCH_RAYS)
+        culled[part] = _screen_rays(bld, *(a[part] for a in ends), res)
+    return culled
+
+
+def _screen_rays(bld, x0, y0, z0, x1, y1, z1, res):
+    """_surely_blocked on one batch, over the building grid padded by a
+    one-cell border of -inf."""
+    x0, y0, z0, x1, y1, z1 = _canonical(x0, y0, z0, x1, y1, z1)
+    dz = z1 - z0
+    # plan positions in cell units
+    u0 = x0 / res
+    v0 = y0 / res
+    du = x1 / res - u0
+    dv = y1 / res - v0
+    # Rounding moves the march's cell crossings and these sample points by
+    # less than 2**-50 * (e + 4) * e cells, e the plan extent in cells; the
+    # margin adds four times that to CULL_MARGIN_M.
+    e = (np.abs(x0) + np.abs(x1) + np.abs(y0) + np.abs(y1)) / res
+    margin = CULL_MARGIN_M / res + 2.0 ** -48 * (e + 4.0) * e
+    rows, cols = bld.shape
+
+    def cell(v, u):
+        # flat index into the padded grid of the cells floor(v), floor(u);
+        # off-grid cells clamp to the border
+        return (np.clip(v, -1.0, rows - 2.0) * cols + np.clip(u, -1.0, cols - 2.0)
+                + (cols + 1)).astype(np.int64)
+
+    end0 = cell(np.floor(v0), np.floor(u0))
+    end1 = cell(np.floor(y1 / res), np.floor(x1 / res))
+    bld = bld.ravel()
+    culled = np.zeros(x0.size, dtype=bool)
+    for k in range(CULL_SAMPLES):
+        t = (k + 0.5) / CULL_SAMPLES
+        u = u0 + du * t
+        v = v0 + dv * t
+        cu = np.floor(u)
+        cv = np.floor(v)
+        here = cell(cv, cu)
+        inside = ((np.abs(u - cu - 0.5) <= 0.5 - margin)
+                  & (np.abs(v - cv - 0.5) <= 0.5 - margin))
+        culled |= (inside & (here != end0) & (here != end1)
+                   & (bld[here] - (z0 + dz * t) > CULL_MARGIN_M))
+    return culled
 
 
 def _traversal_setup(cell0, p0, d, res):
@@ -242,15 +330,19 @@ class VisiblePaths(NamedTuple):
 
 
 def trace_count(building, vegetation, walls, tx_x, tx_y, tx_z, rx_z, res):
-    """The visible paths to every street pixel, as VisiblePaths; each
-    candidate path is marched once. Building pixels get no paths.
+    """The visible paths to every street pixel, as VisiblePaths. Building
+    pixels get no paths.
 
-    march_batch marches the direct paths of all street pixels together.
-    _reflection_candidates screens the vector of street pixels against
-    each wall, and the surviving (pixel, wall) pairs march their first leg
-    together and their second leg where the first is clear. The list equals
-    a per-pixel loop over the scalar march and mirror_hit of the tests bit
-    for bit.
+    The candidates are the direct path of each street pixel and the
+    (pixel, wall) pairs that _reflection_candidates keeps, each reflection
+    with two legs: transmitter to hit point and hit point to receiver.
+    _surely_blocked culls the direct paths and legs that are surely
+    blocked, a reflection's second leg only where its first is kept, and
+    one march_batch call marches every direct path and both legs of every
+    reflection that survive; a reflection is visible when both legs are
+    clear. So no candidate is marched twice, and a culled one not at all.
+    The list equals a per-pixel loop over the scalar march and mirror_hit of
+    the tests bit for bit.
     """
     cols = building.shape[1]
     street = np.flatnonzero(~(building > 0.0).ravel())
@@ -258,26 +350,37 @@ def trace_count(building, vegetation, walls, tx_x, tx_y, tx_z, rx_z, res):
     rx_y = (street // cols + 0.5) * res
     d2 = (rx_x - tx_x) ** 2 + (rx_y - tx_y) ** 2 + (rx_z - tx_z) ** 2
     sel = np.flatnonzero(d2 > 0.0)
-    clear, veg_len = march_batch(building, vegetation, tx_x, tx_y, tx_z,
-                                 rx_x[sel], rx_y[sel], rx_z, res)
-    lit = sel[clear]
+    i, wall, hx, hy, hz, path_len = _reflection_candidates(
+        walls, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z, 1e-6 * res)
+    # Screen out the surely blocked direct rays and reflection legs; a
+    # reflection stays only when the screen keeps both of its legs.
+    direct = sel[~_surely_blocked(building, tx_x, tx_y, tx_z,
+                                  rx_x[sel], rx_y[sel], rx_z, res)]
+    pairs = np.flatnonzero(~_surely_blocked(building, tx_x, tx_y, tx_z, hx, hy, hz, res))
+    pairs = pairs[~_surely_blocked(building, hx[pairs], hy[pairs], hz[pairs],
+                                   rx_x[i[pairs]], rx_y[i[pairs]], rx_z, res)]
+    # One march for the rest: the direct rays, the first legs (tx to hit
+    # point), then the second legs (hit point to receiver).
+    nd, nr = direct.size, pairs.size
+    starts = [np.concatenate([np.full(nd + nr, t), h[pairs]])
+              for t, h in ((tx_x, hx), (tx_y, hy), (tx_z, hz))]
+    ends = [np.concatenate([rx_x[direct], hx[pairs], rx_x[i[pairs]]]),
+            np.concatenate([rx_y[direct], hy[pairs], rx_y[i[pairs]]]),
+            np.concatenate([np.full(nd, rx_z), hz[pairs], np.full(nr, rx_z)])]
+    clear, veg_len = march_batch(building, vegetation, *starts, *ends, res)
+    lit = direct[clear[:nd]]
+    veg_len = veg_len[:nd][clear[:nd]]
+    refl = pairs[clear[nd:nd + nr] & clear[nd + nr:]]
     n_dir = lit.size
     # libm's pow(x, 2), which Python's ** calls, is not always x * x
     dir_len = _math_map(lambda x, y, z: math.sqrt(x ** 2 + y ** 2 + z ** 2),
                         rx_x[lit] - tx_x, rx_y[lit] - tx_y,
                         np.full(n_dir, rx_z - tx_z))
 
-    i, wall, hx, hy, hz, path_len = _reflection_candidates(
-        walls, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z, 1e-6 * res)
-    ok1, _ = march_batch(building, vegetation, tx_x, tx_y, tx_z, hx, hy, hz, res)
-    ok2, _ = march_batch(building, vegetation, hx[ok1], hy[ok1], hz[ok1],
-                         rx_x[i[ok1]], rx_y[i[ok1]], rx_z, res)
-    refl = np.flatnonzero(ok1)[ok2]
-
     paths = VisiblePaths(
         pixel=np.concatenate([street[lit], street[i[refl]]]),
         slot=np.concatenate([np.zeros(n_dir, dtype=np.int64), 1 + wall[refl]]),
-        veg_len=np.concatenate([veg_len[clear], np.zeros(refl.size)]),
+        veg_len=np.concatenate([veg_len, np.zeros(refl.size)]),
         x=np.concatenate([rx_x[lit], hx[refl]]),
         y=np.concatenate([rx_y[lit], hy[refl]]),
         z=np.concatenate([np.full(n_dir, float(rx_z)), hz[refl]]),

@@ -1,7 +1,8 @@
 """Command-line pipeline: generate -> trace -> tensorize -> evaluate/train.
 
 Exit codes: 0 ok, 2 usage error, 3 data error (unreadable/malformed/
-inconsistent inputs), 4 numeric failure (solver or undefined statistic).
+inconsistent inputs), 4 numeric failure (an undefined statistic, or path
+lengths beyond the float64 range).
 """
 
 from __future__ import annotations

@@ -169,6 +169,11 @@ class SceneSection:
     vegetation_height_min: float = 2.0
     vegetation_height_max: float = 10.0
 
+    def __post_init__(self):
+        for name in ("rx_height_m", "tx_mast_m"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+
     def scene_config(self):
         return SceneConfig(carrier_hz=self.carrier_hz,
                            reflection_loss_db=self.reflection_loss_db,
@@ -241,8 +246,8 @@ def parse_config(doc):
     """Build a RunConfig from a JSON document dict.
 
     Unknown keys, a value whose JSON type does not match its field (an int
-    passes for a float, a bool never for a number) and a non-finite number
-    raise GridParseError.
+    passes for a float, a bool never for a number), a non-finite number and
+    a negative scene.rx_height_m or scene.tx_mast_m raise GridParseError.
     """
     if not isinstance(doc, dict):
         raise GridParseError("config root must be a JSON object")
@@ -401,7 +406,8 @@ def tx_site_to_dict(tx):
 
 def tx_site_from_dict(doc):
     """TxSite from its JSON form. A missing key, a pixel that is not two
-    integers or a non-finite height or angle raises GridParseError."""
+    integers, a non-finite height or angle or a negative height raises
+    GridParseError."""
     if not isinstance(doc, dict):
         raise GridParseError("tx site must be a JSON object")
     missing = [k for k in ("pixel", "height_m", "boresight_azimuth", "downtilt")
@@ -415,6 +421,8 @@ def tx_site_from_dict(doc):
     for key in ("height_m", "boresight_azimuth", "downtilt"):
         if not (_is_number(doc[key]) and math.isfinite(doc[key])):
             raise GridParseError(f"tx {key} must be a finite number, got {doc[key]!r}")
+    if doc["height_m"] < 0.0:
+        raise GridParseError(f"tx height_m must be >= 0, got {doc['height_m']!r}")
     return TxSite(pixel=(int(pixel[0]), int(pixel[1])),
                   height_m=float(doc["height_m"]),
                   frame=ArrayFrame(float(doc["boresight_azimuth"]),

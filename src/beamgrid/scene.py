@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .channel import (ArrayFrame, TWO_PI, beamspace_angles, gain_profiles,
                       global_to_array_frame, sector_index)
-from .errors import NoValidSiteError
+from .errors import NoValidSiteError, NumericError
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -274,14 +274,23 @@ def trace_paths(hm, tx, cfg, rx_height_m=1.5):
 
     Pixels inside buildings get zero paths. Deterministic: pure geometry,
     fixed wall enumeration order, direct path stored first per pixel.
-    trace_count lists the visible paths, marching every candidate once;
+    trace_count lists the visible paths: it culls the candidate segments
+    that are surely blocked and marches the rest in one batch, none twice;
     trace_fill computes their values. max_reflections=0 skips wall
-    extraction.
+    extraction. Heights so large that path lengths would overflow float64
+    raise NumericError.
     """
     r, c = tx.pixel
     if not (0 <= r < hm.rows and 0 <= c < hm.cols):
         raise ValueError(f"tx pixel {tx.pixel} outside the {hm.rows}x{hm.cols} grid")
     res = hm.resolution_m
+    # the squares and sums of every candidate path's coordinate differences
+    # stay below this bound's square
+    reach = 4.0 * ((hm.rows + hm.cols) * res + abs(tx.height_m) + abs(rx_height_m))
+    if not math.isfinite(reach * reach):
+        raise NumericError(
+            f"path lengths overflow float64 (tx height {tx.height_m!r} m, "
+            f"rx height {rx_height_m!r} m)")
     walls = exterior_walls(hm.building, res) if cfg.max_reflections >= 1 \
         else np.zeros((0, 6))
     tx_x, tx_y = pixel_center(tx.pixel, res)

@@ -62,6 +62,15 @@ class TestGenerate:
         assert "['seed']" in capsys.readouterr().err
         assert not (tmp_path / "s.bgrd").exists()
 
+    def test_negative_tx_mast_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", tx_mast_m=-20.0)
+        assert run_cli("generate", "--rows", 32, "--cols", 32, "--seed", 3,
+                       "--out", tmp_path / "s.bgrd", "--config", cfg,
+                       "--tx-out", tmp_path / "s.json") == 3
+        assert "tx_mast_m must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "s.bgrd").exists()
+        assert not (tmp_path / "s.json").exists()
+
     def test_round_trips_through_reader(self, tmp_path):
         assert run_cli("generate", "--rows", 32, "--cols", 32, "--seed", 3,
                        "--out", tmp_path / "x.bgrd") == 0
@@ -132,6 +141,7 @@ class TestTrace:
         ("pixel", [3.7, 2]),
         ("pixel", [3]),
         ("pixel", None),  # key missing
+        ("height_m", -1.0),
     ])
     def test_bad_tx_site_exit_code(self, pipeline, field, value):
         tmp, cfg = pipeline
@@ -166,13 +176,30 @@ class TestTrace:
         assert not (tmp / "bad.csv").exists()
 
     @pytest.mark.parametrize("key, value", [("resolution_m", "1"),
-                                            ("rx_height_m", float("nan"))])
+                                            ("rx_height_m", float("nan")),
+                                            ("rx_height_m", -5.0)])
     def test_bad_config_value_exit_code(self, pipeline, key, value):
         tmp, _ = pipeline
         cfg = write_config(tmp / "bad.json", **{key: value})
         assert run_cli("trace", "--scene", tmp / "s.scene.bgrd",
                        "--tx", tmp / "s.tx.json", "--config", cfg,
                        "--out", tmp / "bad.csv") == 3
+        assert not (tmp / "bad.csv").exists()
+
+    @pytest.mark.parametrize("where", ["config", "tx_site"])
+    def test_overflowing_height_exit_code(self, pipeline, capsys, where):
+        tmp, cfg = pipeline
+        tx = tmp / "s.tx.json"
+        if where == "config":
+            cfg = write_config(tmp / "big.json", rx_height_m=1e300)
+        else:
+            doc = json.loads(tx.read_text())
+            doc["height_m"] = 1e300
+            tx = tmp / "big.tx.json"
+            tx.write_text(json.dumps(doc))
+        assert run_cli("trace", "--scene", tmp / "s.scene.bgrd", "--tx", tx,
+                       "--config", cfg, "--out", tmp / "bad.csv") == 4
+        assert "path lengths overflow float64" in capsys.readouterr().err
         assert not (tmp / "bad.csv").exists()
 
 

@@ -95,3 +95,55 @@ class TestMarchBatch:
                       for seg in segs]
         assert clear.tolist() == [e[0] for e in expect]
         assert veg.tobytes() == np.array([e[1] for e in expect]).tobytes()
+
+
+def _screen_and_march(building, segs, res=1.0):
+    """(culled, clear) of _surely_blocked and march_batch on the segments."""
+    vegetation = np.zeros_like(building)
+    culled = _kernels._surely_blocked(building, *segs.T, res)
+    # subnormal coordinate differences overflow t to inf in the march
+    with np.errstate(over="ignore"):
+        clear, _ = _kernels.march_batch(building, vegetation, *segs.T, res)
+    return culled, clear
+
+
+class TestSurelyBlocked:
+    """The screen trace_count runs before each march: every segment it culls
+    is one that march_batch reports blocked."""
+
+    @given(grids_and_segments(), st.sampled_from([1, 5, _kernels.MARCH_BATCH_RAYS]))
+    @settings(deadline=None, max_examples=300)
+    def test_culls_only_blocked_segments(self, case, batch_rays):
+        hm, segs = case
+        with mock.patch.object(_kernels, "MARCH_BATCH_RAYS", batch_rays):
+            culled, clear = _screen_and_march(hm.building, segs, hm.resolution_m)
+        assert not (culled & clear).any()
+
+    def test_culls_segment_through_a_roof(self):
+        building = np.zeros((3, 5))
+        building[1, 2] = 10.0
+        culled, clear = _screen_and_march(building, np.array([[0.5, 1.5, 2.0, 4.5, 1.5, 2.0]]))
+        assert culled[0] and not clear[0]
+
+    def test_keeps_level_segment_at_roof_height(self):
+        building = np.zeros((3, 5))
+        building[1, 2] = 7.5
+        culled, clear = _screen_and_march(building, np.array([[0.5, 1.5, 7.5, 4.5, 1.5, 7.5]]))
+        assert not culled[0] and clear[0]
+
+    def test_keeps_sample_on_cell_corner(self):
+        # the one sample is the midpoint (1, 1), the corner the segment
+        # crosses diagonally; the march never visits cell (1, 1)
+        building = np.zeros((3, 3))
+        building[1, 1] = 50.0
+        with mock.patch.object(_kernels, "CULL_SAMPLES", 1):
+            culled, clear = _screen_and_march(building,
+                                              np.array([[0.5, 1.5, 1.0, 1.5, 0.5, 1.0]]))
+        assert not culled[0] and clear[0]
+
+    def test_keeps_tall_building_in_endpoint_cell(self):
+        building = np.zeros((1, 3))
+        building[0, 0] = building[0, 2] = 50.0
+        culled, clear = _screen_and_march(building, np.array([[0.5, 0.5, 1.0, 2.5, 0.5, 1.0],
+                                                              [2.9, 0.1, 1.0, 0.1, 0.9, 1.0]]))
+        assert not culled.any() and clear.all()

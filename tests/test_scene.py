@@ -266,20 +266,50 @@ def reference_trace(hm, tx, cfg, rx_z=1.5):
     return counts, np.array(paths).reshape(-1, 5), has_direct, direct_veg_db
 
 
+def assert_matches_reference(chans, hm, tx, cfg):
+    """chans equals reference_trace of the scene bit for bit."""
+    counts, paths, has_direct, direct_veg_db = reference_trace(hm, tx, cfg)
+    assert np.array_equal(chans.counts, counts)
+    got = np.stack([chans.magnitude, chans.phase, chans.aod_azimuth,
+                    chans.aod_elevation, chans.aoa_azimuth], axis=1)
+    assert np.array_equal(got, paths)
+    assert np.array_equal(chans.has_direct, has_direct)
+    assert np.array_equal(chans.direct_veg_db, direct_veg_db)
+
+
 class TestTraceMatchesReference:
     @given(small_scenes(), scene_configs, st.sampled_from([0, 1]))
     @settings(deadline=None, max_examples=25)
     def test_paths_identical(self, scene, cfg, max_reflections):
         hm, tx = scene
         cfg = dataclasses.replace(cfg, max_reflections=max_reflections)
-        chans = sc.trace_paths(hm, tx, cfg)
-        counts, paths, has_direct, direct_veg_db = reference_trace(hm, tx, cfg)
-        assert np.array_equal(chans.counts, counts)
-        got = np.stack([chans.magnitude, chans.phase, chans.aod_azimuth,
-                        chans.aod_elevation, chans.aoa_azimuth], axis=1)
-        assert np.array_equal(got, paths)
-        assert np.array_equal(chans.has_direct, has_direct)
-        assert np.array_equal(chans.direct_veg_db, direct_veg_db)
+        assert_matches_reference(sc.trace_paths(hm, tx, cfg), hm, tx, cfg)
+
+
+class TestSurelyBlockedCull:
+    def test_most_candidates_skip_the_march(self):
+        # fails if the screen before the march silently stops culling
+        hm = sc.generate_city(64, 64, seed=0)
+        tx = sc.place_tx(hm, 0)
+        cfg = sc.SceneConfig()
+        screen, march_batch = _kernels._surely_blocked, _kernels.march_batch
+        seen = {"candidates": 0, "marched": 0}
+
+        def counted_screen(*args):
+            culled = screen(*args)
+            seen["candidates"] += culled.size
+            return culled
+
+        def counted_march(*args):
+            clear, veg_len = march_batch(*args)
+            seen["marched"] += clear.size
+            return clear, veg_len
+
+        with mock.patch.object(_kernels, "_surely_blocked", counted_screen), \
+                mock.patch.object(_kernels, "march_batch", counted_march):
+            chans = sc.trace_paths(hm, tx, cfg)
+        assert 0 < seen["marched"] < seen["candidates"] / 2
+        assert_matches_reference(chans, hm, tx, cfg)
 
 
 class TestVisibilityProperties:
