@@ -1,8 +1,8 @@
 """Command-line pipeline: generate -> trace -> tensorize -> evaluate/train.
 
 Exit codes: 0 ok, 2 usage error, 3 data error (unreadable/malformed/
-inconsistent inputs), 4 numeric failure (an undefined statistic, or path
-lengths beyond the float64 range).
+inconsistent inputs, or a config value its section rejects), 4 numeric
+failure (an undefined statistic, or path lengths beyond the float64 range).
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ def _load_config(path):
 
 def cmd_generate(args):
     cfg = _load_config(args.config)
-    style = cfg.scene.city_style()
-    hm = scene.generate_city(args.rows, args.cols, args.seed, style)
+    hm = scene.generate_city(args.rows, args.cols, args.seed, cfg.scene)
+    tx = scene.place_tx(hm, args.seed, cfg.scene)
     gridio.write_grid(args.out, np.stack([hm.building, hm.vegetation], axis=-1), "f32")
-    tx = scene.place_tx(hm, args.seed, mast_m=cfg.scene.tx_mast_m)
     print(json.dumps(gridio.tx_site_to_dict(tx)))
     if args.tx_out:
         gridio.save_tx_site(args.tx_out, tx)
@@ -53,8 +52,7 @@ def cmd_generate(args):
 def cmd_trace(args):
     cfg = _load_config(args.config)
     hm, tx = _read_site(args.scene, args.tx, cfg)
-    channels = scene.trace_paths(hm, tx, cfg.scene.scene_config(),
-                                 rx_height_m=cfg.scene.rx_height_m)
+    channels = scene.trace_paths(hm, tx, cfg.scene)
     gridio.write_paths_csv(args.out, channels)
     streets = int(np.count_nonzero(hm.building == 0))
     mean_paths = channels.n_paths / streets if streets else 0.0
@@ -134,8 +132,7 @@ def _prediction_from_args(args, cfg, tensors, valid, site):
     dims = cfg.codebook.dims
     b = dims[0] * dims[1] * dims[2]
     if args.pred == "oracle":
-        return predictor.oracle_predictor(
-            tensors.reshape(*tensors.shape[:2], *dims), valid)
+        return dataclasses.replace(predictor.oracle_predictor(tensors, valid), dims=dims)
     path = Path(args.pred)
     if not path.exists():
         raise GridParseError(f"prediction input {path} does not exist")
@@ -150,13 +147,16 @@ def _prediction_from_args(args, cfg, tensors, valid, site):
         raise GridParseError(
             f"prediction grid {grid.shape[:2]} vs tensor grid {tensors.shape[:2]}")
     c = grid.shape[2]
-    kinds = {b: "joint", dims[0] + dims[1] + dims[2]: "sep", 3: "ir"}
-    if c not in kinds:
+    kinds = [kind for kind, n in (("joint", b), ("sep", sum(dims)), ("ir", 3)) if n == c]
+    if not kinds:
         raise GridParseError(
             f"prediction grid has {c} channels; expected {b} (joint), "
-            f"{dims[0] + dims[1] + dims[2]} (sep), or 3 (index regression)")
-    return predictor.PredictionMap(scores=grid, valid=valid, dims=dims,
-                                   kind=kinds[c])
+            f"{sum(dims)} (sep), or 3 (index regression)")
+    if len(kinds) > 1:
+        raise GridParseError(
+            f"prediction grid has {c} channels, which fits more than one kind "
+            f"({' and '.join(kinds)}) of the {dims} codebook")
+    return predictor.PredictionMap(scores=grid, valid=valid, dims=dims, kind=kinds[0])
 
 
 def cmd_evaluate(args):
@@ -172,6 +172,9 @@ def cmd_evaluate(args):
     tensors, valid = _read_tensors(args.tensors, mask_path)
     site = _read_site(args.scene, args.tx, cfg) if args.scene else None
     pred = _prediction_from_args(args, cfg, tensors, valid, site)
+    if pred.n_beams != tensors.shape[2]:
+        raise GridParseError(f"the prediction ranks {pred.n_beams} beams; "
+                             f"the tensors hold {tensors.shape[2]}")
     rankings = predictor.flat_ranking(pred)
     sample_tensors = tensors[valid]
     report = metrics.evaluate_ranking(sample_tensors, rankings, cfg.eval.k_list,
@@ -187,9 +190,8 @@ def cmd_evaluate(args):
         gridio.write_pgm(f"{stem}.top{k}.pgm", img)
     if site is not None:
         hm, tx = site
-        direct_only = dataclasses.replace(cfg.scene.scene_config(), max_reflections=0)
-        channels = scene.trace_paths(hm, tx, direct_only,  # LoS needs no reflections
-                                     rx_height_m=cfg.scene.rx_height_m)
+        direct_only = dataclasses.replace(cfg.scene, max_reflections=0)
+        channels = scene.trace_paths(hm, tx, direct_only)  # LoS needs no reflections
         los = metrics.los_class_map(hm, tx, channels)
         shades = np.array([64, 160, 255], dtype=np.uint8)  # nlos, attenuated, dominant
         img = shades[los]
@@ -260,8 +262,7 @@ def cmd_train(args):
     model = predictor.SoftmaxModel.create(
         x_train.shape[1], cfg.codebook.dims, loss_kind=cfg.loss.kind,
         sep=cfg.loss.sep, seed=cfg.train.seed, floor_db=cfg.loss.floor_db)
-    trained, history = predictor.train(model, x_train, t_train,
-                                       cfg.train.train_config(), x_val, t_val)
+    trained, history = predictor.train(model, x_train, t_train, cfg.train, x_val, t_val)
     gridio.save_model(args.model_out, trained)
     history_path = args.history_out or args.model_out + ".history.csv"
     with open(history_path, "w", encoding="ascii", newline="\n") as fh:

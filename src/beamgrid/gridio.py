@@ -8,6 +8,11 @@ row-major channel-minor payload. Round-trips are bit-exact.
 Path CSV: header `pixel_row,pixel_col,c,psi,aod_az,aod_el,aoa_az`, one row
 per path, angles in radians, amplitudes linear. Floats are written with
 repr so parsing reproduces the exact doubles.
+
+Run config: a JSON object of sections. The `scene`, `budget` and `train`
+sections are the objects their stages take (scene.SceneConfig,
+metrics.LinkBudget, predictor.TrainConfig); parse_config checks each
+value's JSON type and each section's own __post_init__ checks the values.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .channel import ArrayFrame
 from .errors import GridParseError
 from .metrics import EvalReport, LinkBudget
 from .predictor import FEATURE_VERSION, LOSS_KINDS, SoftmaxModel, TrainConfig
-from .scene import CityStyle, SceneChannels, SceneConfig, TxSite
+from .scene import SceneChannels, SceneConfig, TxSite
 
 GRID_MAGIC = b"BGRD1"
 MODEL_MAGIC = b"BGMDL1"
@@ -150,46 +155,6 @@ def write_pgm(path, gray):
 # run configuration
 
 @dataclass
-class SceneSection:
-    rows: int = 64
-    cols: int = 64
-    resolution_m: float = 1.0
-    rx_height_m: float = 1.5
-    carrier_hz: float = 3.9e9
-    reflection_loss_db: float = 6.0
-    vegetation_db_per_m: float = 0.5
-    max_reflections: int = 1
-    tx_mast_m: float = 2.0
-    building_fraction: float = 0.3
-    vegetation_fraction: float = 0.08
-    street_width: int = 5
-    block_size: int = 14
-    building_height_min: float = 6.0
-    building_height_max: float = 30.0
-    vegetation_height_min: float = 2.0
-    vegetation_height_max: float = 10.0
-
-    def __post_init__(self):
-        for name in ("rx_height_m", "tx_mast_m"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-
-    def scene_config(self):
-        return SceneConfig(carrier_hz=self.carrier_hz,
-                           reflection_loss_db=self.reflection_loss_db,
-                           vegetation_db_per_m=self.vegetation_db_per_m,
-                           max_reflections=self.max_reflections)
-
-    def city_style(self):
-        return CityStyle(
-            building_fraction=self.building_fraction,
-            vegetation_fraction=self.vegetation_fraction,
-            street_width=self.street_width, block_size=self.block_size,
-            building_height_range=(self.building_height_min, self.building_height_max),
-            vegetation_height_range=(self.vegetation_height_min, self.vegetation_height_max))
-
-
-@dataclass
 class CodebookSection:
     Na: int = 8
     Ne: int = 4
@@ -209,37 +174,21 @@ class LossSection:
 
 
 @dataclass
-class TrainSection:
-    lr: float = 0.3
-    epochs: int = 150
-    batch: int = 128
-    lr_decay: float = 0.5
-    patience: int = 10
-    seed: int = 0
-
-    def train_config(self):
-        return TrainConfig(lr=self.lr, epochs=self.epochs, batch=self.batch,
-                           lr_decay=self.lr_decay, patience=self.patience)
-
-
-@dataclass
 class EvalSection:
     k_list: list[int] = field(default_factory=lambda: [1, 2, 4, 8, 16, 32])
 
 
 @dataclass
 class RunConfig:
-    scene: SceneSection = field(default_factory=SceneSection)
+    scene: SceneConfig = field(default_factory=SceneConfig)
     codebook: CodebookSection = field(default_factory=CodebookSection)
     budget: LinkBudget = field(default_factory=LinkBudget)
     loss: LossSection = field(default_factory=LossSection)
-    train: TrainSection = field(default_factory=TrainSection)
+    train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalSection = field(default_factory=EvalSection)
 
 
-_SECTIONS = {"scene": SceneSection, "codebook": CodebookSection,
-             "budget": LinkBudget, "loss": LossSection,
-             "train": TrainSection, "eval": EvalSection}
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
 def parse_config(doc):
@@ -247,7 +196,7 @@ def parse_config(doc):
 
     Unknown keys, a value whose JSON type does not match its field (an int
     passes for a float, a bool never for a number), a non-finite number and
-    a negative scene.rx_height_m or scene.tx_mast_m raise GridParseError.
+    a value its section's __post_init__ rejects raise GridParseError.
     """
     if not isinstance(doc, dict):
         raise GridParseError("config root must be a JSON object")

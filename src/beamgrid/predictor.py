@@ -135,7 +135,7 @@ def oracle_predictor(tensors, valid=None):
     return PredictionMap(scores=scores, valid=valid, dims=tuple(dims), kind="joint")
 
 
-def geometric_predictor(hm, tx, codebook, rx_height_m=1.5, valid=None):
+def geometric_predictor(hm, tx, codebook, rx_height_m, valid=None):
     """Line-of-sight baseline: score beams at the direct-path direction.
 
     Pure geometry; ignores blockage entirely, so predictions exist for
@@ -257,14 +257,19 @@ def flat_ranking(pred):
     return order[pred.valid]
 
 
+MIN_LR_FACTOR = 1e-3  # train stops once the rate decays below lr * this
+
+
 @dataclass
 class TrainConfig:
+    """The `train` config section; seed seeds the model and the scene split."""
+
     lr: float = 0.3
     epochs: int = 150
     batch: int = 128
     lr_decay: float = 0.5
     patience: int = 10
-    min_lr_factor: float = 1e-3  # early stop once lr decays below lr * this
+    seed: int = 0
 
     def __post_init__(self):
         if self.lr < 0 or self.epochs < 1 or self.batch < 1:
@@ -411,7 +416,7 @@ def train(model, x_train, tensors_train, hyper=None, x_val=None, tensors_val=Non
     History rows are (epoch, train_loss, val_loss, lr). The learning rate is
     multiplied by lr_decay whenever the validation loss has not improved for
     `patience` consecutive epochs; training stops early once the rate falls
-    below lr * min_lr_factor. The returned model carries the weights of the
+    below lr * MIN_LR_FACTOR. The returned model carries the weights of the
     best validation epoch. Deterministic given the model seed.
 
     The train loss, which only the history reads, is scored on a copy of
@@ -474,7 +479,7 @@ def train(model, x_train, tensors_train, hyper=None, x_val=None, tensors_val=Non
                 if since_improve >= hyper.patience:
                     lr *= hyper.lr_decay
                     since_improve = 0
-                    if lr < hyper.lr * hyper.min_lr_factor:
+                    if lr < hyper.lr * MIN_LR_FACTOR:
                         break
     history = [(epoch, loss.result(), val, rate) for epoch, loss, val, rate in epochs]
     trained = replace(model, weights=best[1], bias=best[2])

@@ -7,6 +7,10 @@ reflections off exterior building walls found by mirroring the transmitter,
 each validated by two visibility tests. Diffraction is not modelled and
 reflections are limited to one bounce; at this scale that already produces
 the beam diversity in shadowed regions that the evaluation needs.
+
+SceneConfig is the `scene` section of a run config itself: generate_city,
+place_tx and trace_paths read their settings from it, and its
+__post_init__ holds every check of the section's values.
 """
 
 from __future__ import annotations
@@ -67,36 +71,44 @@ class TxSite:
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Propagation constants for the tracer."""
+    """The `scene` config section: propagation constants, receiver and
+    mast heights, and the city generator's knobs. Only tensorize reads rows
+    and cols, the grid of a path table; generate takes --rows and --cols."""
 
+    rows: int = 64
+    cols: int = 64
+    resolution_m: float = 1.0
+    rx_height_m: float = 1.5
     carrier_hz: float = 3.9e9
     reflection_loss_db: float = 6.0
     vegetation_db_per_m: float = 0.5
     max_reflections: int = 1
-
-    def __post_init__(self):
-        if self.carrier_hz <= 0.0:
-            raise ValueError("carrier frequency must be positive")
-        if self.max_reflections not in (0, 1):
-            raise ValueError("at most one reflection bounce is supported")
-        if self.reflection_loss_db < 0.0 or self.vegetation_db_per_m < 0.0:
-            raise ValueError("losses must be >= 0 dB")
-
-    @property
-    def wavelength_m(self):
-        return SPEED_OF_LIGHT / self.carrier_hz
-
-
-@dataclass
-class CityStyle:
-    """Density knobs for the synthetic city generator."""
-
+    tx_mast_m: float = 2.0
     building_fraction: float = 0.3
     vegetation_fraction: float = 0.08
     street_width: int = 5
     block_size: int = 14
-    building_height_range: tuple = (6.0, 30.0)
-    vegetation_height_range: tuple = (2.0, 10.0)
+    building_height_min: float = 6.0
+    building_height_max: float = 30.0
+    vegetation_height_min: float = 2.0
+    vegetation_height_max: float = 10.0
+
+    def __post_init__(self):
+        # generate_city's street lattice steps by block_size + street_width
+        for name in ("resolution_m", "carrier_hz", "block_size"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in ("rx_height_m", "tx_mast_m", "reflection_loss_db",
+                     "vegetation_db_per_m", "street_width"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if self.max_reflections not in (0, 1):
+            raise ValueError("at most one reflection bounce is supported, "
+                             f"got max_reflections {self.max_reflections!r}")
+
+    @property
+    def wavelength_m(self):
+        return SPEED_OF_LIGHT / self.carrier_hz
 
 
 @dataclass
@@ -133,9 +145,10 @@ class SceneChannels:
             .reshape(self.rows, self.cols)
 
 
-def generate_city(rows, cols, seed, style=None):
+def generate_city(rows, cols, seed, cfg=None):
     """Deterministic synthetic city: rectangular buildings on a street
-    lattice plus circular vegetation blobs.
+    lattice plus circular vegetation blobs, shaped by the density knobs of
+    cfg (a SceneConfig), at its resolution.
 
     Blocks between streets are filled in a seeded random order until the
     building pixel fraction reaches the target, so the achieved fraction
@@ -143,21 +156,20 @@ def generate_city(rows, cols, seed, style=None):
     """
     if rows < 16 or cols < 16:
         raise ValueError(f"city grids need at least 16x16 pixels, got {rows}x{cols}")
-    style = style or CityStyle()
+    cfg = cfg or SceneConfig()
     rng = np.random.default_rng(seed)
     building = np.zeros((rows, cols))
     vegetation = np.zeros((rows, cols))
 
-    if style.building_fraction > 0.0:
-        pitch = style.block_size + style.street_width
-        row_runs = _block_runs(rows, style.street_width, pitch)
-        col_runs = _block_runs(cols, style.street_width, pitch)
+    if cfg.building_fraction > 0.0:
+        pitch = cfg.block_size + cfg.street_width
+        row_runs = _block_runs(rows, cfg.street_width, pitch)
+        col_runs = _block_runs(cols, cfg.street_width, pitch)
         blocks = [(r0, r1, c0, c1) for r0, r1 in row_runs for c0, c1 in col_runs
                   if r1 - r0 >= 3 and c1 - c0 >= 3]
         order = rng.permutation(len(blocks))
-        target = style.building_fraction * rows * cols
+        target = cfg.building_fraction * rows * cols
         covered = 0.0
-        h_lo, h_hi = style.building_height_range
         for bi in order:
             if covered >= target:
                 break
@@ -166,12 +178,12 @@ def generate_city(rows, cols, seed, style=None):
             bc = max(3, int(round((c1 - c0) * rng.uniform(0.7, 0.98))))
             rr = r0 + int(rng.integers(0, r1 - r0 - br + 1))
             cc = c0 + int(rng.integers(0, c1 - c0 - bc + 1))
-            building[rr:rr + br, cc:cc + bc] = rng.uniform(h_lo, h_hi)
+            building[rr:rr + br, cc:cc + bc] = rng.uniform(cfg.building_height_min,
+                                                           cfg.building_height_max)
             covered = float(np.count_nonzero(building))
 
-    if style.vegetation_fraction > 0.0:
-        target_v = style.vegetation_fraction * rows * cols
-        v_lo, v_hi = style.vegetation_height_range
+    if cfg.vegetation_fraction > 0.0:
+        target_v = cfg.vegetation_fraction * rows * cols
         rmax = max(3.0, min(rows, cols) / 8.0)
         yy, xx = np.mgrid[0:rows, 0:cols]
         for _ in range(400):
@@ -180,11 +192,11 @@ def generate_city(rows, cols, seed, style=None):
             cy = rng.uniform(0, rows)
             cx = rng.uniform(0, cols)
             rad = rng.uniform(2.0, rmax)
-            h = rng.uniform(v_lo, v_hi)
+            h = rng.uniform(cfg.vegetation_height_min, cfg.vegetation_height_max)
             disc = (yy + 0.5 - cy) ** 2 + (xx + 0.5 - cx) ** 2 <= rad * rad
             vegetation[disc] = np.maximum(vegetation[disc], h)
 
-    return HeightMap(building, vegetation)
+    return HeightMap(building, vegetation, cfg.resolution_m)
 
 
 def _block_runs(n, street_width, pitch):
@@ -207,12 +219,15 @@ def building_edge_pixels(hm):
     return list(zip(rows.tolist(), cols.tolist()))
 
 
-def place_tx(hm, seed, mast_m=2.0, downtilt=math.pi / 4):
-    """Sample a rooftop-edge pixel and orient the panel toward the street.
+def place_tx(hm, seed, cfg=None, downtilt=math.pi / 4):
+    """Sample a rooftop-edge pixel, put the panel cfg.tx_mast_m above its
+    roof and orient it toward the street.
 
     The boresight points at the first street 4-neighbour in scan order
-    (north, west, east, south), which fixes ties deterministically.
+    (north, west, east, south), which fixes ties deterministically. A mast
+    so tall that trace_paths could not trace the site raises NumericError.
     """
+    cfg = cfg or SceneConfig()
     edges = building_edge_pixels(hm)
     if not edges:
         raise NoValidSiteError("map contains no building-edge pixel")
@@ -223,8 +238,9 @@ def place_tx(hm, seed, mast_m=2.0, downtilt=math.pi / 4):
         if 0 <= rr < hm.rows and 0 <= cc < hm.cols and hm.building[rr, cc] <= 0.0:
             azimuth = math.atan2(-dr, dc) % TWO_PI
             break
-    return TxSite(pixel=(r, c), height_m=float(hm.building[r, c]) + mast_m,
-                  frame=ArrayFrame(azimuth, downtilt))
+    height_m = float(hm.building[r, c]) + cfg.tx_mast_m
+    _check_path_reach(hm, height_m, cfg.rx_height_m)
+    return TxSite(pixel=(r, c), height_m=height_m, frame=ArrayFrame(azimuth, downtilt))
 
 
 def exterior_walls(building, res=1.0):
@@ -269,8 +285,22 @@ def pixel_center(pixel, res):
     return (c + 0.5) * res, (r + 0.5) * res
 
 
-def trace_paths(hm, tx, cfg, rx_height_m=1.5):
-    """Trace direct and single-bounce paths from tx to every street pixel.
+def _check_path_reach(hm, tx_height_m, rx_height_m):
+    """Raise NumericError when the paths between heights tx_height_m and
+    rx_height_m over hm would have lengths beyond the float64 range."""
+    # the squares and sums of every candidate path's coordinate differences
+    # stay below this bound's square
+    reach = 4.0 * ((hm.rows + hm.cols) * hm.resolution_m + abs(tx_height_m)
+                   + abs(rx_height_m))
+    if not math.isfinite(reach * reach):
+        raise NumericError(
+            f"path lengths overflow float64 (tx height {tx_height_m!r} m, "
+            f"rx height {rx_height_m!r} m)")
+
+
+def trace_paths(hm, tx, cfg):
+    """Trace direct and single-bounce paths from tx to every street pixel
+    at receiver height cfg.rx_height_m.
 
     Pixels inside buildings get zero paths. Deterministic: pure geometry,
     fixed wall enumeration order, direct path stored first per pixel.
@@ -278,25 +308,19 @@ def trace_paths(hm, tx, cfg, rx_height_m=1.5):
     that are surely blocked and marches the rest in one batch, none twice;
     trace_fill computes their values. max_reflections=0 skips wall
     extraction. Heights so large that path lengths would overflow float64
-    raise NumericError.
+    raise NumericError (_check_path_reach).
     """
     r, c = tx.pixel
     if not (0 <= r < hm.rows and 0 <= c < hm.cols):
         raise ValueError(f"tx pixel {tx.pixel} outside the {hm.rows}x{hm.cols} grid")
     res = hm.resolution_m
-    # the squares and sums of every candidate path's coordinate differences
-    # stay below this bound's square
-    reach = 4.0 * ((hm.rows + hm.cols) * res + abs(tx.height_m) + abs(rx_height_m))
-    if not math.isfinite(reach * reach):
-        raise NumericError(
-            f"path lengths overflow float64 (tx height {tx.height_m!r} m, "
-            f"rx height {rx_height_m!r} m)")
+    _check_path_reach(hm, tx.height_m, cfg.rx_height_m)
     walls = exterior_walls(hm.building, res) if cfg.max_reflections >= 1 \
         else np.zeros((0, 6))
     tx_x, tx_y = pixel_center(tx.pixel, res)
     refl_amp = 10.0 ** (-cfg.reflection_loss_db / 20.0)
     paths = _kernels.trace_count(hm.building, hm.vegetation, walls,
-                                 tx_x, tx_y, tx.height_m, rx_height_m, res)
+                                 tx_x, tx_y, tx.height_m, cfg.rx_height_m, res)
     amp, psi, aod_az, aod_el, aoa_az = _kernels.trace_fill(
         paths, hm.cols, tx_x, tx_y, tx.height_m, res, cfg.wavelength_m, refl_amp,
         cfg.vegetation_db_per_m)

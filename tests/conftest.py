@@ -9,6 +9,7 @@ from beamgrid import _kernels
 from beamgrid import channel as ch
 from beamgrid import losses
 from beamgrid import metrics as mt
+from beamgrid import predictor as pr
 from beamgrid import scene as sc
 from beamgrid.errors import EmptyTrainingSetError
 from beamgrid.predictor import TrainConfig, _heads, _targets_for
@@ -41,12 +42,12 @@ def small_scenes(draw):
     above any pixel."""
     rows = draw(st.integers(16, 24))
     cols = draw(st.integers(16, 24))
-    style = sc.CityStyle(building_fraction=draw(st.sampled_from([0.1, 0.3, 0.5])),
+    cfg = sc.SceneConfig(building_fraction=draw(st.sampled_from([0.1, 0.3, 0.5])),
                          vegetation_fraction=draw(st.sampled_from([0.0, 0.1, 0.3])),
                          street_width=draw(st.integers(2, 4)),
-                         block_size=draw(st.integers(4, 8)))
-    hm = dataclasses.replace(sc.generate_city(rows, cols, draw(st.integers(0, 2**16)), style),
-                             resolution_m=draw(st.sampled_from([0.5, 1.0, 2.0])))
+                         block_size=draw(st.integers(4, 8)),
+                         resolution_m=draw(st.sampled_from([0.5, 1.0, 2.0])))
+    hm = sc.generate_city(rows, cols, draw(st.integers(0, 2**16)), cfg)
     r = draw(st.integers(0, rows - 1))
     c = draw(st.integers(0, cols - 1))
     height = float(hm.building[r, c]) + draw(st.sampled_from([0.5, 2.0, 15.0]))
@@ -702,8 +703,10 @@ def train_reference(model, x_train, tensors_train, hyper=None, x_val=None, tenso
     History rows are (epoch, train_loss, val_loss, lr). The learning rate is
     multiplied by lr_decay whenever the validation loss has not improved for
     `patience` consecutive epochs; training stops early once the rate falls
-    below lr * min_lr_factor. The returned model carries the weights of the
-    best validation epoch. Deterministic given the model seed.
+    below lr * MIN_LR_FACTOR, read from the predictor module when it is
+    reached, so a test that patches it there patches it here too. The
+    returned model carries the weights of the best validation epoch.
+    Deterministic given the model seed.
     """
     hyper = hyper or TrainConfig()
     x_train = np.asarray(x_train, dtype=np.float64)
@@ -744,7 +747,7 @@ def train_reference(model, x_train, tensors_train, hyper=None, x_val=None, tenso
             if since_improve >= hyper.patience:
                 lr *= hyper.lr_decay
                 since_improve = 0
-                if lr < hyper.lr * hyper.min_lr_factor:
+                if lr < hyper.lr * pr.MIN_LR_FACTOR:
                     break
     trained = dataclasses.replace(model, weights=best[1], bias=best[2])
     return trained, history

@@ -242,7 +242,7 @@ def test_trained_model_and_geometric_baseline(codebook):
     chans = sc.trace_paths(flat_hm, tx, sc.SceneConfig(vegetation_db_per_m=0.0))
     tensors = sc.effective_tensor_map(chans, codebook, tx.frame)
     valid = tensors.reshape(64, 64, -1).max(axis=-1) > 0
-    pred = pr.geometric_predictor(flat_hm, tx, codebook, valid=valid)
+    pred = pr.geometric_predictor(flat_hm, tx, codebook, 1.5, valid=valid)
     rankings = pr.flat_ranking(pred)
     truths_geo = np.argmax(tensors[valid].reshape(len(rankings), -1), axis=1)
     geo_acc = mt.topk_accuracy(truths_geo, rankings, 1)

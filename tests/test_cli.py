@@ -62,12 +62,17 @@ class TestGenerate:
         assert "['seed']" in capsys.readouterr().err
         assert not (tmp_path / "s.bgrd").exists()
 
-    def test_negative_tx_mast_exit_code(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", tx_mast_m=-20.0)
+    @pytest.mark.parametrize("key, value, code, message", [
+        ("tx_mast_m", -20.0, 3, "tx_mast_m must be >= 0"),
+        ("block_size", -20, 3, "block_size must be > 0"),
+        ("tx_mast_m", 1e300, 4, "path lengths overflow float64"),
+    ], ids=["negative-mast", "negative-block", "overflowing-mast"])
+    def test_bad_scene_value_exit_code(self, tmp_path, capsys, key, value, code, message):
+        cfg = write_config(tmp_path / "cfg.json", **{key: value})
         assert run_cli("generate", "--rows", 32, "--cols", 32, "--seed", 3,
                        "--out", tmp_path / "s.bgrd", "--config", cfg,
-                       "--tx-out", tmp_path / "s.json") == 3
-        assert "tx_mast_m must be >= 0" in capsys.readouterr().err
+                       "--tx-out", tmp_path / "s.json") == code
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "s.bgrd").exists()
         assert not (tmp_path / "s.json").exists()
 
@@ -350,8 +355,7 @@ class TestEvaluate:
         grid = grid.astype(np.float64)
         hm = sc.HeightMap(grid[:, :, 0], grid[:, :, 1], conf.scene.resolution_m)
         tx = io.load_tx_site(tmp / "s.tx.json")
-        full = sc.trace_paths(hm, tx, conf.scene.scene_config(),
-                              rx_height_m=conf.scene.rx_height_m)
+        full = sc.trace_paths(hm, tx, conf.scene)
         classes = los_class_reference(full)
         assert set(np.unique(classes)) == {0, 1, 2}
         img = np.array([64, 160, 255], dtype=np.uint8)[classes]
@@ -366,6 +370,45 @@ class TestEvaluate:
                        "--report", tmp / "r6.json",
                        "--scene", tmp / "veg.scene.bgrd", "--tx", tmp / "s.tx.json") == 0
         assert (tmp / "r6.los.pgm").read_bytes() == b"P5\n32 32\n255\n" + img.tobytes()
+
+    @pytest.mark.parametrize("pred", ["oracle", "grid", "model"])
+    def test_beam_count_mismatch_exit_code(self, pipeline, capsys, pred):
+        # 64-channel tensors (Na 4) scored under the default 128-beam codebook
+        tmp, cfg = pipeline
+        cfg64 = tmp / "cfg64.json"
+        cfg64.write_text(json.dumps({"scene": {"rows": 32, "cols": 32},
+                                     "codebook": {"Na": 4}}))
+        assert run_cli("tensorize", "--paths", tmp / "s.paths.csv", "--tx", tmp / "s.tx.json",
+                       "--config", cfg64, "--out", tmp / "t64") == 0
+        site = []
+        if pred == "grid":
+            pred = tmp / "p.bgrd"
+            io.write_grid(pred, np.zeros((8, 8, 128), dtype=np.float32))
+        elif pred == "model":
+            pred = tmp / "m.bgmdl"
+            io.save_model(pred, pr.SoftmaxModel.create(len(pr.FEATURE_NAMES), (8, 4, 4)))
+            site = ["--scene", tmp / "s.scene.bgrd", "--tx", tmp / "s.tx.json"]
+        assert run_cli("evaluate", "--tensors", tmp / "t64.tensors.bgrd", "--pred", pred,
+                       "--config", cfg, "--report", tmp / "r.json", *site) == 3
+        assert "the prediction ranks 128 beams; the tensors hold 64" in capsys.readouterr().err
+        assert not (tmp / "r.json").exists()
+
+    def test_ambiguous_grid_kind_exit_code(self, pipeline, capsys):
+        # with a 3x1x1 codebook a 3-channel grid may be joint scores or an
+        # index triple; this one holds the oracle's joint dB scores
+        tmp, _ = pipeline
+        cfg = tmp / "cfg3.json"
+        cfg.write_text(json.dumps({"scene": {"rows": 32, "cols": 32},
+                                   "codebook": {"Na": 3, "Ne": 1, "Nr": 1},
+                                   "eval": {"k_list": [1, 3]}}))
+        assert run_cli("tensorize", "--paths", tmp / "s.paths.csv", "--tx", tmp / "s.tx.json",
+                       "--config", cfg, "--out", tmp / "t3") == 0
+        tensors = io.read_grid(tmp / "t3.tensors.bgrd").astype(np.float64)
+        io.write_grid(tmp / "p.bgrd", 10.0 * np.log10(tensors + 1e-30))
+        assert run_cli("evaluate", "--tensors", tmp / "t3.tensors.bgrd", "--pred", tmp / "p.bgrd",
+                       "--config", cfg, "--report", tmp / "r.json") == 3
+        assert "fits more than one kind (joint and ir)" in capsys.readouterr().err
+        assert not (tmp / "r.json").exists()
 
     def test_tensors_without_suffix_need_mask(self, tensorized, capsys):
         tmp, cfg = tensorized

@@ -239,6 +239,49 @@ class TestRunConfig:
                            match=r"unknown key\(s\) in config section 'loss': \['epsilon'\]"):
             io.parse_config({"loss": {"epsilon": value}})
 
+    def test_schema_keys(self, tmp_path):
+        # every section's key set: a change to the config classes must
+        # neither add a setting nor drop one
+        path = tmp_path / "cfg.json"
+        io.save_config(path, io.RunConfig())
+        doc = json.loads(path.read_text())
+        assert {name: set(section) for name, section in doc.items()} == {
+            "scene": {"rows", "cols", "resolution_m", "rx_height_m", "carrier_hz",
+                      "reflection_loss_db", "vegetation_db_per_m", "max_reflections",
+                      "tx_mast_m", "building_fraction", "vegetation_fraction",
+                      "street_width", "block_size", "building_height_min",
+                      "building_height_max", "vegetation_height_min",
+                      "vegetation_height_max"},
+            "codebook": {"Na", "Ne", "Nr", "tx_weights"},
+            "budget": {"tx_power_dbm", "noise_psd_dbm_hz", "bandwidth_hz",
+                       "noise_figure_db", "exclusion_threshold_db"},
+            "loss": {"kind", "sep", "floor_db"},
+            "train": {"lr", "epochs", "batch", "lr_decay", "patience", "seed"},
+            "eval": {"k_list"},
+        }
+        assert io.parse_config(doc) == io.RunConfig()
+
+    def test_min_lr_factor_rejected(self):
+        # the early-stop factor is predictor.MIN_LR_FACTOR, not a setting
+        with pytest.raises(GridParseError, match=r"unknown key\(s\) in config section "
+                                                 r"'train': \['min_lr_factor'\]"):
+            io.parse_config({"train": {"min_lr_factor": 0.2}})
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"scene": {"block_size": -20}}, "block_size must be > 0"),
+        ({"scene": {"block_size": 0}}, "block_size must be > 0"),
+        ({"scene": {"street_width": -1}}, "street_width must be >= 0"),
+        ({"scene": {"carrier_hz": 0}}, "carrier_hz must be > 0"),
+        ({"scene": {"max_reflections": 2}}, "at most one reflection bounce"),
+        ({"scene": {"resolution_m": 0}}, "resolution_m must be > 0"),
+        ({"train": {"epochs": 0}}, "hyper-parameters must be positive"),
+    ])
+    def test_out_of_range_value_rejected(self, doc, message):
+        # checked whatever stage loads the config; generate's street lattice
+        # steps by block_size + street_width, so a pitch below 1 never ends
+        with pytest.raises(GridParseError, match=message):
+            io.parse_config(doc)
+
     def test_scene_seed_rejected(self):
         # generate takes its seed from --seed; the config key is unknown
         with pytest.raises(GridParseError,

@@ -118,9 +118,10 @@ class TestGeometricPredictor:
     def test_obstacle_free_matches_ground_truth(self, codebook):
         hm = sc.HeightMap(np.zeros((24, 24)), np.zeros((24, 24)))
         tx = sc.TxSite((12, 12), 18.0, ch.ArrayFrame(0.8, math.pi / 4))
-        chans = sc.trace_paths(hm, tx, sc.SceneConfig(vegetation_db_per_m=0.0))
+        cfg = sc.SceneConfig(vegetation_db_per_m=0.0)
+        chans = sc.trace_paths(hm, tx, cfg)
         tensors = sc.effective_tensor_map(chans, codebook, tx.frame)
-        pred = pr.geometric_predictor(hm, tx, codebook)
+        pred = pr.geometric_predictor(hm, tx, codebook, cfg.rx_height_m)
         cands = pr.candidates(pred, 1)
         hits = 0
         total = 0
@@ -138,7 +139,7 @@ class TestGeometricPredictor:
         building[6:11, 8] = 50.0
         hm = sc.HeightMap(building, np.zeros((16, 16)))
         tx = sc.TxSite((8, 2), 12.0, ch.ArrayFrame(0.0, math.pi / 4))
-        pred = pr.geometric_predictor(hm, tx, codebook)
+        pred = pr.geometric_predictor(hm, tx, codebook, 1.5)
         assert np.isfinite(pred.scores[8, 12]).all()
 
     def test_invariant_to_building_heights(self, codebook):
@@ -146,8 +147,8 @@ class TestGeometricPredictor:
         flat = sc.HeightMap(np.zeros((16, 16)), np.zeros((16, 16)))
         tall = sc.HeightMap(rng.uniform(0, 30, (16, 16)), np.zeros((16, 16)))
         tx = sc.TxSite((8, 8), 20.0, ch.ArrayFrame(0.3, math.pi / 4))
-        a = pr.geometric_predictor(flat, tx, codebook)
-        b = pr.geometric_predictor(tall, tx, codebook)
+        a = pr.geometric_predictor(flat, tx, codebook, 1.5)
+        b = pr.geometric_predictor(tall, tx, codebook, 1.5)
         assert np.array_equal(a.scores, b.scores)
 
 
@@ -479,8 +480,8 @@ class TestEpochLoss:
 def training_runs(draw):
     """One loss configuration, 1-4 beams per axis, 1-48 training samples of
     1-10 features, no validation set or one of 1-16 samples, a rate of 0 or
-    up to 3, and a patience of 1-3 epochs with min_lr_factor 0.2, so that
-    the rate decays and training can stop early."""
+    up to 3, and a patience of 1-3 epochs, so that the rate decays and, with
+    MIN_LR_FACTOR patched to 0.2, training can stop early."""
     kind, sep = draw(st.sampled_from(ALL_LOSSES))
     dims = tuple(draw(st.integers(1, 4)) for _ in range(3))
     features = draw(st.integers(1, 10))
@@ -494,7 +495,7 @@ def training_runs(draw):
 
     hyper = pr.TrainConfig(lr=draw(st.sampled_from([0.0, 0.05, 0.5, 3.0])),
                            epochs=draw(st.integers(1, 12)), batch=draw(st.integers(1, 16)),
-                           patience=draw(st.integers(1, 3)), min_lr_factor=0.2)
+                           patience=draw(st.integers(1, 3)))
     model = pr.SoftmaxModel.create(features, dims, loss_kind=kind, sep=sep,
                                    seed=draw(st.integers(0, 3)))
     return model, samples(n), samples(n_val) if n_val else (None, None), hyper
@@ -510,16 +511,16 @@ class TestTrainMatchesReference:
         model, (x, t), (xv, tv), hyper = run
         # a rate of 3 can make squared-error training overflow: both must
         # then give the same infinities and NaNs
-        with np.errstate(over="ignore", invalid="ignore"):
-            ref, ref_history = train_reference(model, x, t, hyper, xv, tv)
-        # late: every train loss is computed only when train reads it, an
-        # epoch later or after the loop, so a worker that read the live
-        # weights would see a later epoch's
-        pool = self._LateExecutor if late else concurrent.futures.ThreadPoolExecutor
-        with mock.patch.object(pr, "LOSS_BLOCK_VALUES", block_values), \
-                mock.patch.object(concurrent.futures, "ThreadPoolExecutor", pool), \
+        with mock.patch.object(pr, "MIN_LR_FACTOR", 0.2), \
                 np.errstate(over="ignore", invalid="ignore"):
-            trained, history = pr.train(model, x, t, hyper, xv, tv)
+            ref, ref_history = train_reference(model, x, t, hyper, xv, tv)
+            # late: every train loss is computed only when train reads it,
+            # an epoch later or after the loop, so a worker that read the
+            # live weights would see a later epoch's
+            pool = self._LateExecutor if late else concurrent.futures.ThreadPoolExecutor
+            with mock.patch.object(pr, "LOSS_BLOCK_VALUES", block_values), \
+                    mock.patch.object(concurrent.futures, "ThreadPoolExecutor", pool):
+                trained, history = pr.train(model, x, t, hyper, xv, tv)
         assert trained.weights.tobytes() == ref.weights.tobytes()
         assert trained.bias.tobytes() == ref.bias.tobytes()
         assert repr(history) == repr(ref_history)
@@ -532,8 +533,9 @@ class TestTrainMatchesReference:
         t = rng.uniform(0.0, 1.0, (48, 1, 1, 2))
         t[:, 0, 0, 0] += 0.5
         model = pr.SoftmaxModel.create(10, (1, 1, 2), loss_kind="GR")
-        hyper = pr.TrainConfig(lr=3.0, epochs=12, batch=1, patience=3, min_lr_factor=0.2)
-        with np.errstate(over="ignore", invalid="ignore"):
+        hyper = pr.TrainConfig(lr=3.0, epochs=12, batch=1, patience=3)
+        with mock.patch.object(pr, "MIN_LR_FACTOR", 0.2), \
+                np.errstate(over="ignore", invalid="ignore"):
             ref, ref_history = train_reference(model, x, t, hyper)
             trained, history = pr.train(model, x, t, hyper)
         assert not np.isfinite([row[1] for row in ref_history]).all()

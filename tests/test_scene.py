@@ -33,13 +33,12 @@ class TestGenerateCity:
         assert np.array_equal(a.vegetation, b.vegetation)
 
     def test_zero_density(self):
-        style = sc.CityStyle(building_fraction=0.0, vegetation_fraction=0.0)
-        hm = sc.generate_city(32, 32, seed=0, style=style)
+        cfg = sc.SceneConfig(building_fraction=0.0, vegetation_fraction=0.0)
+        hm = sc.generate_city(32, 32, seed=0, cfg=cfg)
         assert not hm.building.any() and not hm.vegetation.any()
 
     def test_building_fraction_near_target(self):
-        hm = sc.generate_city(64, 64, seed=2,
-                              style=sc.CityStyle(building_fraction=0.3))
+        hm = sc.generate_city(64, 64, seed=2, cfg=sc.SceneConfig(building_fraction=0.3))
         frac = (hm.building > 0).mean()
         assert 0.15 <= frac <= 0.45
 
@@ -52,7 +51,7 @@ class TestPlaceTx:
     def test_single_pixel_building(self):
         hm = flat_map()
         hm.building[7, 9] = 12.0
-        tx = sc.place_tx(hm, seed=0, mast_m=2.0)
+        tx = sc.place_tx(hm, seed=0, cfg=sc.SceneConfig(tx_mast_m=2.0))
         assert tx.pixel == (7, 9)
         assert tx.height_m == 14.0
         # first street neighbour in scan order is north -> azimuth pi/2
