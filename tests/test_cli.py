@@ -16,7 +16,7 @@ from beamgrid import predictor as pr
 from beamgrid import scene as sc
 from beamgrid.cli import main
 
-from conftest import los_class_reference
+from conftest import los_class_reference, on_grid_direction
 
 
 def run_cli(*args):
@@ -286,6 +286,57 @@ class TestTensorize:
                        "--out", tmp / "bad", "--downscale", 1) == 3
         assert "error: codebook" in capsys.readouterr().err
         assert not (tmp / "bad.tensors.bgrd").exists()
+
+    @staticmethod
+    def _beam_paths(tmp, paths):
+        """A 32x32 config, a tx site with an identity array frame and a path
+        file of (row, col, magnitude, azimuth beam, arrival azimuth) paths
+        that depart exactly on the given azimuth beam of the 8x4x4 default
+        codebook (elevation beam 0)."""
+        cfg = write_config(tmp / "cfg.json")
+        io.save_tx_site(tmp / "tx.json", sc.TxSite((0, 0), 5.0, ch.ArrayFrame(0.0, 0.0)))
+        lines = [io.PATH_HEADER]
+        for r, c, mag, ia, aoa in paths:
+            az, el = on_grid_direction(ia, 0, 8, 4)
+            lines.append(f"{r},{c},{mag!r},0.0,{az!r},{el!r},{aoa!r}")
+        (tmp / "p.csv").write_text("\n".join(lines) + "\n")
+        return cfg
+
+    def test_block_mean_below_threshold_excluded(self, tmp_path):
+        # each pixel peaks 1 dB above the threshold; the two pixels of block
+        # (0, 0) peak in different beams, so its mean peaks ~2 dB below and
+        # is excluded after downscaling, while block (0, 1), whose pixels
+        # share a beam, keeps its peak and stays valid
+        threshold_db = mt.LinkBudget().exclusion_threshold_db
+        mag = float(np.sqrt(10.0 ** ((threshold_db + 1.0) / 10.0) / 32.0))
+        cfg = self._beam_paths(tmp_path, [(0, 0, mag, 0, 0.1), (0, 1, mag, 1, 0.1),
+                                          (0, 2, mag, 0, 0.1), (1, 3, mag, 0, 0.1)])
+        assert run_cli("tensorize", "--paths", tmp_path / "p.csv",
+                       "--tx", tmp_path / "tx.json", "--config", cfg,
+                       "--out", tmp_path / "t", "--downscale", 2) == 0
+        mask = io.read_grid(tmp_path / "t.mask.bgrd")[:, :, 0]
+        tensors = io.read_grid(tmp_path / "t.tensors.bgrd")
+        peak_db = 10.0 * np.log10(tensors[0, :2].max(axis=1).astype(np.float64))
+        assert peak_db[0] < threshold_db - 1.0 and peak_db[1] > threshold_db
+        assert mask[0, 0] == 0 and mask[0, 1] == 1
+        assert int(mask.sum()) == 1
+
+    def test_gt_from_stored_f32_values(self, tmp_path):
+        # two paths of one pixel share a departure beam and land in receive
+        # sectors 0 and 1; their powers differ by ~1e-12, a tie in f32, so
+        # the stored ground truth is sector 0, the first of the tied beams,
+        # while the f64 tensors peak in sector 1
+        mag = 1e-5
+        cfg = self._beam_paths(tmp_path, [(3, 4, mag, 2, 0.1),
+                                          (3, 4, mag * (1.0 + 1e-12), 2, 2.0)])
+        assert run_cli("tensorize", "--paths", tmp_path / "p.csv",
+                       "--tx", tmp_path / "tx.json", "--config", cfg,
+                       "--out", tmp_path / "t", "--downscale", 1) == 0
+        tensors = io.read_grid(tmp_path / "t.tensors.bgrd")[3, 4]
+        gt = io.read_grid(tmp_path / "t.gt.bgrd")[3, 4, 0]
+        tied = 2 * 16 + np.arange(2)  # flat beams (2, 0, 0) and (2, 0, 1)
+        assert tensors[tied[0]] == tensors[tied[1]] == tensors.max()
+        assert gt == tied[0]
 
     def test_non_divisible_downscale_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", rows=18, cols=18)
