@@ -120,8 +120,8 @@ class Codebook:
         self.tx_azimuth = np.asarray(self.tx_azimuth, dtype=np.complex128)
         self.tx_elevation = np.asarray(self.tx_elevation, dtype=np.complex128)
         for name, m in (("azimuth", self.tx_azimuth), ("elevation", self.tx_elevation)):
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"{name} weights must form a square matrix")
+            if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+                raise ValueError(f"{name} weights must form a non-empty square matrix")
             gram = m.conj().T @ m
             if np.abs(np.diag(gram) - 1.0).max() > 1e-12:
                 raise ValueError(f"{name} beam weights are not unit norm")
@@ -145,8 +145,6 @@ class Codebook:
 
 def dft_codebook(na, ne, nr):
     """Unitary discrete-Fourier codebook; beam ia peaks at varphi = -2*pi*ia/na."""
-    if min(na, ne, nr) < 1:
-        raise ValueError("codebook dimensions must be >= 1")
 
     def dft(n):
         k = np.arange(n)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -63,19 +63,27 @@ def cmd_trace(args):
 
 def cmd_tensorize(args):
     cfg = _load_config(args.config)
-    rows, cols = cfg.scene.rows, cfg.scene.cols
-    channels = gridio.read_paths_csv(args.paths, rows, cols)
+    shape = (cfg.scene.rows, cfg.scene.cols)
+    channels = gridio.read_paths_csv(args.paths, *shape)
     tx = gridio.load_tx_site(args.tx)
     codebook = gridio.codebook_from_config(cfg)
-    tensors = scene.effective_tensor_map(channels, codebook, tx.frame)
-    valid = ~metrics.exclusion_mask(tensors, cfg.budget)
+    pixel_ids, rows = scene.effective_tensor_map(channels, codebook, tx.frame)
+    rows = rows.reshape(pixel_ids.size, math.prod(rows.shape[1:]))
+    kept = ~metrics.exclusion_mask(rows, cfg.budget)
     if args.downscale > 1:
-        tensors, block_valid = scene.downscale_tensor_map(tensors, valid, args.downscale)
+        tensors, block_valid = scene.downscale_tensor_map(
+            pixel_ids, rows, shape, kept, args.downscale)
         valid = block_valid & ~metrics.exclusion_mask(tensors, cfg.budget)
-    flat = tensors.reshape(tensors.shape[0], tensors.shape[1], -1)
+        flat = tensors.astype(np.float32)
+    else:
+        flat = np.zeros((shape[0] * shape[1], rows.shape[1]), dtype=np.float32)
+        flat[pixel_ids] = rows
+        flat = flat.reshape(*shape, -1)
+        valid = np.zeros(flat.shape[:2], dtype=bool)
+        valid.flat[pixel_ids] = kept
     # ground truth from the stored (f32-quantised) values, so the emitted
     # artifacts stay mutually consistent under quantisation ties
-    gt = np.argmax(flat.astype(np.float32), axis=-1).astype(np.float64)
+    gt = np.argmax(flat, axis=-1).astype(np.float64)
     out = Path(args.out)
     gridio.write_grid(str(out) + ".tensors.bgrd", flat, "f32")
     gridio.write_grid(str(out) + ".gt.bgrd", gt, "f32")
@@ -203,6 +211,8 @@ def cmd_evaluate(args):
 def _split_scenes(stems, seed):
     """Deterministic 80/10/10 scene split: order by seeded hash, then cut
     with every split guaranteed non-empty."""
+    import hashlib  # here only: it loads OpenSSL, which no other stage needs
+
     def key(stem):
         return hashlib.sha256(f"{stem}:{seed}".encode()).hexdigest()
 

@@ -12,7 +12,9 @@ repr so parsing reproduces the exact doubles.
 Run config: a JSON object of sections. The `scene`, `budget` and `train`
 sections are the objects their stages take (scene.SceneConfig,
 metrics.LinkBudget, predictor.TrainConfig); parse_config checks each
-value's JSON type and each section's own __post_init__ checks the values.
+value's JSON type and each section's own __post_init__ checks the values
+(`codebook` and `eval` included), so every stage that loads a config
+rejects a bad value in any section.
 """
 
 from __future__ import annotations
@@ -161,6 +163,11 @@ class CodebookSection:
     Nr: int = 4
     tx_weights: str | None = None  # optional custom beam weight file
 
+    def __post_init__(self):
+        if min(self.dims) < 1:
+            raise ValueError(f"codebook dimensions must be >= 1, got "
+                             f"Na={self.Na}, Ne={self.Ne}, Nr={self.Nr}")
+
     @property
     def dims(self):
         return (self.Na, self.Ne, self.Nr)
@@ -177,6 +184,13 @@ class LossSection:
 class EvalSection:
     k_list: list[int] = field(default_factory=lambda: [1, 2, 4, 8, 16, 32])
 
+    def __post_init__(self):
+        if not self.k_list:
+            raise ValueError("k_list must not be empty")
+        if self.k_list[0] < 1 or any(a >= b for a, b in zip(self.k_list, self.k_list[1:])):
+            raise ValueError(f"k_list must be strictly increasing from k >= 1, "
+                             f"got {self.k_list}")
+
 
 @dataclass
 class RunConfig:
@@ -187,6 +201,13 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalSection = field(default_factory=EvalSection)
 
+    def __post_init__(self):
+        # a candidate list cannot be longer than the codebook's beam count
+        n_beams = math.prod(self.codebook.dims)
+        if self.eval.k_list[-1] > n_beams:
+            raise ValueError(f"eval.k_list reaches k={self.eval.k_list[-1]}, beyond "
+                             f"the codebook's {n_beams} beams")
+
 
 _SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 
@@ -196,7 +217,8 @@ def parse_config(doc):
 
     Unknown keys, a value whose JSON type does not match its field (an int
     passes for a float, a bool never for a number), a non-finite number and
-    a value its section's __post_init__ rejects raise GridParseError.
+    a value its section's __post_init__ rejects raise GridParseError, as
+    does a k in eval.k_list beyond the codebook's beam count.
     """
     if not isinstance(doc, dict):
         raise GridParseError("config root must be a JSON object")
@@ -221,7 +243,10 @@ def parse_config(doc):
             kwargs[name] = cls(**section)
         except ValueError as exc:
             raise GridParseError(f"config section {name!r}: {exc}") from exc
-    return RunConfig(**kwargs)
+    try:
+        return RunConfig(**kwargs)
+    except ValueError as exc:
+        raise GridParseError(f"config: {exc}") from exc
 
 
 def _json_type_ok(annotation, value):

@@ -44,12 +44,12 @@ def noise_power_dbm(budget):
 def exclusion_mask(tensors, budget):
     """True where a pixel's strongest beam falls below the threshold.
 
-    tensors: (..., beams) or (..., Na, Ne, Nr); the reduction runs over all
-    beam axes. A pixel sitting exactly at the threshold stays included.
+    tensors: (..., beams), every beam on the last axis; a caller holding
+    (..., Na, Ne, Nr) tensors flattens the beam axes first. The mask has
+    the leading shape. A pixel sitting exactly at the threshold stays
+    included.
     """
-    t = np.asarray(tensors)
-    lead = t.shape[:2] if t.ndim > 2 else t.shape[:1]
-    peak = t.reshape(*lead, -1).max(axis=-1)
+    peak = np.asarray(tensors).max(axis=-1)
     with np.errstate(divide="ignore"):
         peak_db = 10.0 * np.log10(peak)
     return peak_db < budget.exclusion_threshold_db

@@ -339,48 +339,61 @@ def trace_paths(hm, tx, cfg):
 
 
 def effective_tensor_map(channels, codebook, frame):
-    """Per-pixel beam power tensors, shape (rows, cols, Na, Ne, Nr).
+    """Beam power tensors of the pixels that have paths.
 
-    Vectorises the per-path beamspace transform over all stored paths and
-    accumulates each path's rank-1 contribution (azimuth gain profile x
-    elevation gain profile x one-hot sector) into its pixel, in path order.
+    Returns (pixel_ids, rows): the sorted row-major ids of the pixels with
+    at least one path, and their tensors, shape (len(pixel_ids), Na, Ne,
+    Nr). Every other pixel's tensor is zero. Vectorises the per-path
+    beamspace transform over all stored paths and accumulates each path's
+    rank-1 contribution (azimuth gain profile x elevation gain profile x
+    one-hot sector) into its pixel's row, in path order.
     """
-    rows, cols = channels.rows, channels.cols
-    out = np.zeros((rows * cols, codebook.na, codebook.ne, codebook.nr))
+    pixel_ids, row_of_path = np.unique(channels.pixel, return_inverse=True)
+    rows = np.zeros((pixel_ids.size, codebook.na, codebook.ne, codebook.nr))
     if channels.n_paths:
         phi, theta = global_to_array_frame(
             channels.aod_azimuth, channels.aod_elevation, frame)
         bs = beamspace_angles(phi, theta)
         g_az, g_el = gain_profiles(bs.varphi, bs.vartheta, codebook)
         sectors = np.atleast_1d(sector_index(channels.aoa_azimuth, codebook.nr))
-        _kernels.accumulate_tensors(channels.pixel, sectors,
-                                    channels.magnitude ** 2, g_az, g_el, out)
-    return out.reshape(rows, cols, codebook.na, codebook.ne, codebook.nr)
+        _kernels.accumulate_tensors(row_of_path, sectors,
+                                    channels.magnitude ** 2, g_az, g_el, rows)
+    return pixel_ids, rows
 
 
-def downscale_tensor_map(tensors, valid=None, factor=4):
+def downscale_tensor_map(pixel_ids, rows, shape, valid=None, factor=4):
     """Block-average beam tensors in the linear power domain.
 
-    Each output tensor is the arithmetic mean of the valid input tensors in
-    its factor x factor block; blocks without a valid pixel produce an
-    invalid output pixel (zero tensor). Returns (downscaled, out_valid).
+    pixel_ids and rows are effective_tensor_map's output on a grid of the
+    given (rows, cols) shape; valid flags the rows that count (all by
+    default), and a pixel without a row counts as invalid. Each output
+    tensor is the arithmetic mean of the valid tensors in its factor x
+    factor block; blocks without a valid pixel produce an invalid output
+    pixel (zero tensor). Returns (downscaled, out_valid), downscaled of
+    shape (shape[0] // factor, shape[1] // factor) + rows.shape[1:].
+
+    The rows are added in pixel-id order, row-major within each block, so
+    every mean is bit-identical to the sum over the dense grid with zeros
+    at the invalid pixels.
     """
-    tensors = np.asarray(tensors)
-    rows, cols = tensors.shape[:2]
-    if rows % factor or cols % factor:
+    n_rows, n_cols = shape
+    if n_rows % factor or n_cols % factor:
         raise ValueError(
-            f"grid {rows}x{cols} not divisible by downscale factor {factor}")
-    if valid is None:
-        valid = np.ones((rows, cols), dtype=bool)
-    beam_shape = tensors.shape[2:]
-    flat = tensors.reshape(rows, cols, -1)
-    w = valid.astype(np.float64)
-    weighted = flat * w[:, :, None]
-    sums = weighted.reshape(rows // factor, factor, cols // factor, factor, -1).sum(axis=(1, 3))
-    wsum = w.reshape(rows // factor, factor, cols // factor, factor).sum(axis=(1, 3))
-    out_valid = wsum > 0
-    lo = np.where(out_valid[:, :, None], sums / np.maximum(wsum, 1.0)[:, :, None], 0.0)
-    return lo.reshape(rows // factor, cols // factor, *beam_shape), out_valid
+            f"grid {n_rows}x{n_cols} not divisible by downscale factor {factor}")
+    lr, lc = n_rows // factor, n_cols // factor
+    n_blocks = lr * lc
+    r, c = np.divmod(np.asarray(pixel_ids), n_cols)
+    block = (r // factor) * lc + c // factor
+    if valid is not None:
+        # invalid rows go to a spare block past the grid's, dropped below
+        block = np.where(valid, block, n_blocks)
+    beam_shape = rows.shape[1:]
+    sums = np.zeros((n_blocks + 1, math.prod(beam_shape)))
+    np.add.at(sums, block, rows.reshape(block.size, sums.shape[1]))
+    wsum = np.bincount(block, minlength=n_blocks + 1)[:n_blocks].astype(np.float64)
+    lo = sums[:n_blocks]
+    lo /= np.maximum(wsum, 1.0)[:, None]  # a block without valid pixels stays 0
+    return lo.reshape(lr, lc, *beam_shape), (wsum > 0).reshape(lr, lc)
 
 
 def pool_heightmap(hm, factor):
@@ -425,9 +438,9 @@ def downscale_consistency(hi, lo, k, budget=None, hi_valid=None):
     if hr % lr or hc % lc or hr // lr != hc // lc:
         raise ValueError(f"high-res {hr}x{hc} is not an integer multiple of low-res {lr}x{lc}")
     factor = hr // lr
-    if hi_valid is None:
-        hi_valid = ~exclusion_mask(hi, budget)
     hi_flat = hi.reshape(hr, hc, -1)
+    if hi_valid is None:
+        hi_valid = ~exclusion_mask(hi_flat, budget)
     lo_rank = ranking_from_scores(lo.reshape(lr * lc, -1))
     block = (np.arange(hr)[:, None] // factor) * lc + (np.arange(hc)[None, :] // factor)
     sel = hi_valid

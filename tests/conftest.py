@@ -280,7 +280,80 @@ def one_pixel_tensor(mag, phase, aod_az, aod_el, aoa_az, codebook, frame):
     chans = sc.SceneChannels(rows=1, cols=1, pixel=np.zeros(mag.size, dtype=np.int64),
                              magnitude=mag, phase=phase, aod_azimuth=aod_az,
                              aod_elevation=aod_el, aoa_azimuth=aoa_az)
-    return sc.effective_tensor_map(chans, codebook, frame)[0, 0]
+    return tensor_grid(chans, codebook, frame)[0, 0]
+
+
+def tensor_grid(channels, codebook, frame):
+    """scene.effective_tensor_map's rows on the dense (rows, cols, Na, Ne,
+    Nr) grid, zero at the pixels without paths."""
+    pixel_ids, rows = sc.effective_tensor_map(channels, codebook, frame)
+    out = np.zeros((channels.rows * channels.cols,) + rows.shape[1:])
+    out[pixel_ids] = rows
+    return out.reshape(channels.rows, channels.cols, *rows.shape[1:])
+
+
+def pixel_exclusion(tensors, budget):
+    """metrics.exclusion_mask of a dense (rows, cols, ...) tensor grid: one
+    flag per pixel."""
+    return mt.exclusion_mask(tensors.reshape(*tensors.shape[:2], -1), budget)
+
+
+def downscale_grid(tensors, valid=None, factor=4):
+    """scene.downscale_tensor_map of a dense (rows, cols, ...) tensor grid,
+    every pixel a row."""
+    rows, cols = tensors.shape[:2]
+    return sc.downscale_tensor_map(
+        np.arange(rows * cols), tensors.reshape(rows * cols, *tensors.shape[2:]),
+        (rows, cols), None if valid is None else valid.ravel(), factor)
+
+
+# The dense tensor pipeline that scene.effective_tensor_map and
+# scene.downscale_tensor_map replaced: a tensor for every pixel of the grid,
+# and a block sum over the whole grid with the invalid pixels zeroed. The
+# compact code must reproduce its bytes.
+
+def effective_tensor_map_reference(channels, codebook, frame):
+    """Per-pixel beam power tensors, shape (rows, cols, Na, Ne, Nr)."""
+    rows, cols = channels.rows, channels.cols
+    out = np.zeros((rows * cols, codebook.na, codebook.ne, codebook.nr))
+    if channels.n_paths:
+        phi, theta = ch.global_to_array_frame(
+            channels.aod_azimuth, channels.aod_elevation, frame)
+        bs = ch.beamspace_angles(phi, theta)
+        g_az, g_el = ch.gain_profiles(bs.varphi, bs.vartheta, codebook)
+        sectors = np.atleast_1d(ch.sector_index(channels.aoa_azimuth, codebook.nr))
+        _kernels.accumulate_tensors(channels.pixel, sectors,
+                                    channels.magnitude ** 2, g_az, g_el, out)
+    return out.reshape(rows, cols, codebook.na, codebook.ne, codebook.nr)
+
+
+def downscale_tensor_map_reference(tensors, valid=None, factor=4):
+    """Block means of the valid dense tensors; returns (downscaled, out_valid)."""
+    tensors = np.asarray(tensors)
+    rows, cols = tensors.shape[:2]
+    if valid is None:
+        valid = np.ones((rows, cols), dtype=bool)
+    beam_shape = tensors.shape[2:]
+    flat = tensors.reshape(rows, cols, -1)
+    w = valid.astype(np.float64)
+    weighted = flat * w[:, :, None]
+    sums = weighted.reshape(rows // factor, factor, cols // factor, factor, -1).sum(axis=(1, 3))
+    wsum = w.reshape(rows // factor, factor, cols // factor, factor).sum(axis=(1, 3))
+    out_valid = wsum > 0
+    lo = np.where(out_valid[:, :, None], sums / np.maximum(wsum, 1.0)[:, :, None], 0.0)
+    return lo.reshape(rows // factor, cols // factor, *beam_shape), out_valid
+
+
+def tensorize_reference(channels, codebook, frame, budget, factor):
+    """The tensors (f32), ground truth and mask that `tensorize` wrote
+    from the dense pipeline: (tensors, gt, valid) on the output grid."""
+    tensors = effective_tensor_map_reference(channels, codebook, frame)
+    valid = ~pixel_exclusion(tensors, budget)
+    if factor > 1:
+        tensors, block_valid = downscale_tensor_map_reference(tensors, valid, factor)
+        valid = block_valid & ~pixel_exclusion(tensors, budget)
+    flat = tensors.reshape(tensors.shape[0], tensors.shape[1], -1).astype(np.float32)
+    return flat, np.argmax(flat, axis=-1), valid
 
 
 def los_class_reference(channels):

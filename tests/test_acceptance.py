@@ -17,9 +17,10 @@ from beamgrid import metrics as mt
 from beamgrid import predictor as pr
 from beamgrid import scene as sc
 
-from conftest import (beam_tensor_reference, beam_weights, ce_loss, cep_loss, gr_loss,
-                      grad_check, instantaneous_gain_reference, ir_loss, one_pixel_tensor,
-                      path_gains_reference, ws_loss)
+from conftest import (beam_tensor_reference, beam_weights, ce_loss, cep_loss,
+                      downscale_grid, gr_loss, grad_check, instantaneous_gain_reference,
+                      ir_loss, one_pixel_tensor, path_gains_reference, pixel_exclusion,
+                      tensor_grid, ws_loss)
 
 K_LIST = [1, 2, 4, 8, 16, 32]
 
@@ -32,12 +33,14 @@ def make_scene(seed, rows=64, cols=64):
 
 def scene_tensors(hm, tx, codebook, budget, downscale=None):
     chans = sc.trace_paths(hm, tx, sc.SceneConfig())
-    tensors = sc.effective_tensor_map(chans, codebook, tx.frame)
-    valid = ~mt.exclusion_mask(tensors, budget)
-    if downscale:
-        tensors, blocks = sc.downscale_tensor_map(tensors, valid, downscale)
-        valid = blocks & ~mt.exclusion_mask(tensors, budget)
-    return tensors, valid
+    if not downscale:
+        tensors = tensor_grid(chans, codebook, tx.frame)
+        return tensors, ~pixel_exclusion(tensors, budget)
+    pixel_ids, rows = sc.effective_tensor_map(chans, codebook, tx.frame)
+    kept = ~mt.exclusion_mask(rows.reshape(pixel_ids.size, -1), budget)
+    tensors, blocks = sc.downscale_tensor_map(pixel_ids, rows, (hm.rows, hm.cols),
+                                              kept, downscale)
+    return tensors, blocks & ~pixel_exclusion(tensors, budget)
 
 
 def test_oracle_identity_and_runtime(codebook):
@@ -48,8 +51,8 @@ def test_oracle_identity_and_runtime(codebook):
         hm, tx = make_scene(seed=seed)
         start = time.perf_counter()
         chans = sc.trace_paths(hm, tx, sc.SceneConfig())
-        tensors = sc.effective_tensor_map(chans, codebook, tx.frame)
-        valid = ~mt.exclusion_mask(tensors, budget)
+        tensors = tensor_grid(chans, codebook, tx.frame)
+        valid = ~pixel_exclusion(tensors, budget)
         pred = pr.oracle_predictor(tensors, valid)
         rankings = pr.flat_ranking(pred)
         report = mt.evaluate_ranking(tensors[valid], rankings, K_LIST, budget)
@@ -172,9 +175,9 @@ def test_downscale_consistency_statistic(codebook):
     for seed in range(20):
         hm, tx = make_scene(seed=seed)
         chans = sc.trace_paths(hm, tx, sc.SceneConfig())
-        hi = sc.effective_tensor_map(chans, codebook, tx.frame)
-        hi_valid = ~mt.exclusion_mask(hi, budget)
-        lo_t, _ = sc.downscale_tensor_map(hi, hi_valid, 4)
+        hi = tensor_grid(chans, codebook, tx.frame)
+        hi_valid = ~pixel_exclusion(hi, budget)
+        lo_t, _ = downscale_grid(hi, hi_valid, 4)
         acc, tpr = sc.downscale_consistency(hi, lo_t, 1, budget, hi_valid)
         per_scene.append((acc, tpr))
         assert tpr >= acc
@@ -240,7 +243,7 @@ def test_trained_model_and_geometric_baseline(codebook):
     flat_hm = sc.HeightMap(np.zeros((64, 64)), np.zeros((64, 64)))
     tx = sc.TxSite((32, 32), 18.0, ch.ArrayFrame(0.8, math.pi / 4))
     chans = sc.trace_paths(flat_hm, tx, sc.SceneConfig(vegetation_db_per_m=0.0))
-    tensors = sc.effective_tensor_map(chans, codebook, tx.frame)
+    tensors = tensor_grid(chans, codebook, tx.frame)
     valid = tensors.reshape(64, 64, -1).max(axis=-1) > 0
     pred = pr.geometric_predictor(flat_hm, tx, codebook, 1.5, valid=valid)
     rankings = pr.flat_ranking(pred)

@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beamgrid
 from beamgrid import channel as ch
@@ -16,7 +19,7 @@ from beamgrid import predictor as pr
 from beamgrid import scene as sc
 from beamgrid.cli import main
 
-from conftest import los_class_reference, on_grid_direction
+from conftest import los_class_reference, on_grid_direction, tensor_grid, tensorize_reference
 
 
 def run_cli(*args):
@@ -218,7 +221,7 @@ class TestTensorize:
         assert tensors.shape == (32, 32, 128)
         chans = io.read_paths_csv(tmp / "s.paths.csv", 32, 32)
         tx = io.load_tx_site(tmp / "s.tx.json")
-        expect = sc.effective_tensor_map(chans, codebook, tx.frame)
+        expect = tensor_grid(chans, codebook, tx.frame)
         np.testing.assert_array_equal(
             tensors, expect.reshape(32, 32, -1).astype(np.float32))
 
@@ -337,6 +340,50 @@ class TestTensorize:
         tied = 2 * 16 + np.arange(2)  # flat beams (2, 0, 0) and (2, 0, 1)
         assert tensors[tied[0]] == tensors[tied[1]] == tensors.max()
         assert gt == tied[0]
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_matches_dense_reference_bitwise(self, codebook, data):
+        # each factor x factor block gets 0 to factor^2 pixels with strong
+        # paths; its other pixels have no path, or paths whose peak lies far
+        # below the exclusion threshold or near it (-147 dB at magnitude
+        # ~4.5e-8 straight into a beam, ~15 dB lower off the beams)
+        factor = data.draw(st.sampled_from([1, 2, 4]))
+        br, bc = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        rows, cols = br * factor, bc * factor
+        strong_per_block = data.draw(st.lists(st.integers(0, factor * factor),
+                                              min_size=br * bc, max_size=br * bc))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        scale = np.zeros((br, bc, factor * factor))
+        for b, k in enumerate(strong_per_block):
+            order = rng.permutation(factor * factor)
+            scale[b // bc, b % bc, order[:k]] = 1e-2
+            scale[b // bc, b % bc, order[k:]] = rng.choice([0.0, 1e-12, 4.5e-8],
+                                                           factor * factor - k)
+        scale = scale.reshape(br, bc, factor, factor).transpose(0, 2, 1, 3).ravel()
+        lines = [io.PATH_HEADER]
+        for pix in np.flatnonzero(scale):
+            for _ in range(rng.integers(1, 4)):
+                mag, az, el, aoa = map(float, (scale[pix] * rng.uniform(0.3, 3.0),
+                                               rng.uniform(0, 2 * np.pi),
+                                               rng.uniform(-1.5, 1.5),
+                                               rng.uniform(0, 2 * np.pi)))
+                lines.append(f"{pix // cols},{pix % cols},{mag!r},0.0,{az!r},{el!r},{aoa!r}")
+        frame = ch.ArrayFrame(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi / 2))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = write_config(tmp / "cfg.json", rows=rows, cols=cols)
+            io.save_tx_site(tmp / "tx.json", sc.TxSite((0, 0), 5.0, frame))
+            (tmp / "p.csv").write_text("\n".join(lines) + "\n")
+            assert run_cli("tensorize", "--paths", tmp / "p.csv", "--tx", tmp / "tx.json",
+                           "--config", cfg, "--out", tmp / "t",
+                           "--downscale", factor) == 0
+            tensors, gt, valid = tensorize_reference(
+                io.read_paths_csv(tmp / "p.csv", rows, cols), codebook, frame,
+                mt.LinkBudget(), factor)
+            assert io.read_grid(tmp / "t.tensors.bgrd").tobytes() == tensors.tobytes()
+            assert np.array_equal(io.read_grid(tmp / "t.gt.bgrd")[:, :, 0], gt)
+            assert np.array_equal(io.read_grid(tmp / "t.mask.bgrd")[:, :, 0], valid)
 
     def test_non_divisible_downscale_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", rows=18, cols=18)
@@ -677,6 +724,54 @@ class TestTrainCli:
         assert 0.0 <= rep.accuracy[0] <= 1.0
 
 
+class TestConfigFaults:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A generated, traced and tensorized scene; the stages below run
+        on it under a bad config."""
+        tmp = tmp_path_factory.mktemp("faults")
+        cfg = write_config(tmp / "cfg.json")
+        for argv in (("generate", "--rows", 32, "--cols", 32, "--seed", 1,
+                      "--out", tmp / "s.scene.bgrd", "--tx-out", tmp / "s.tx.json"),
+                     ("trace", "--scene", tmp / "s.scene.bgrd", "--tx", tmp / "s.tx.json",
+                      "--out", tmp / "s.paths.csv"),
+                     ("tensorize", "--paths", tmp / "s.paths.csv", "--tx", tmp / "s.tx.json",
+                      "--out", tmp / "s")):
+            assert run_cli(*argv, "--config", cfg) == 0
+        return tmp
+
+    STAGES = {
+        "generate": lambda t: (("--rows", 32, "--cols", 32, "--seed", 1,
+                                "--out", t / "out.scene.bgrd"), t / "out.scene.bgrd"),
+        "trace": lambda t: (("--scene", t / "s.scene.bgrd", "--tx", t / "s.tx.json",
+                             "--out", t / "out.csv"), t / "out.csv"),
+        "tensorize": lambda t: (("--paths", t / "s.paths.csv", "--tx", t / "s.tx.json",
+                                 "--out", t / "out"), t / "out.tensors.bgrd"),
+        "evaluate": lambda t: (("--tensors", t / "s.tensors.bgrd", "--pred", "oracle",
+                                "--report", t / "out.json"), t / "out.json"),
+        "train": lambda t: (("--scenes", t, "--model-out", t / "out.bgmdl"),
+                            t / "out.bgmdl"),
+    }
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    @pytest.mark.parametrize("doc, message", [
+        ({"eval": {"k_list": []}}, "k_list must not be empty"),
+        ({"eval": {"k_list": [2, 1, 2]}}, "k_list must be strictly increasing"),
+        ({"eval": {"k_list": [0]}}, "k_list must be strictly increasing from k >= 1"),
+        ({"eval": {"k_list": [1, 129]}}, "k=129, beyond the codebook's 128 beams"),
+        ({"codebook": {"Na": 0}}, "codebook dimensions must be >= 1"),
+    ], ids=["empty-k-list", "unsorted-k-list", "zero-k", "k-beyond-beams", "zero-Na"])
+    def test_bad_value_exit_code(self, inputs, capsys, stage, doc, message):
+        # every stage loads the whole config, so each rejects the value
+        # before it reads an input or writes an output
+        cfg = inputs / "bad.json"
+        cfg.write_text(json.dumps({"scene": {"rows": 32, "cols": 32}, **doc}))
+        argv, output = self.STAGES[stage](inputs)
+        assert run_cli(stage, *argv, "--config", cfg) == 3
+        assert message in capsys.readouterr().err
+        assert not output.exists()
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_unloaded(self):
         env = dict(os.environ, PYTHONPATH=str(Path(beamgrid.__file__).parents[1]))
@@ -685,6 +780,17 @@ class TestImport:
              "import sys, beamgrid.cli; print('scipy' in sys.modules)"],
             env=env, capture_output=True, text=True, check=True, timeout=120)
         assert res.stdout.strip() == "False"
+
+    def test_cli_import_leaves_hashlib_unloaded(self):
+        # hashlib maps OpenSSL (~3.5 MB of resident memory) into the process;
+        # only train's scene split uses it
+        env = dict(os.environ, PYTHONPATH=str(Path(beamgrid.__file__).parents[1]))
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, beamgrid.cli; "
+             "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert res.stdout.strip() == "[]"
 
     def test_cli_import_leaves_concurrent_futures_unloaded(self):
         # only train imports its thread pool

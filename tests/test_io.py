@@ -460,7 +460,8 @@ class TestCodebookFile:
         path = tmp_path / "cb.json"
         io.save_codebook(path, cb)
         cfg = io.parse_config({"codebook": {"Na": 4, "Ne": 2, "Nr": 2,
-                                            "tx_weights": str(path)}})
+                                            "tx_weights": str(path)},
+                               "eval": {"k_list": [1, 2, 4, 8, 16]}})
         loaded = io.codebook_from_config(cfg)
         assert np.array_equal(loaded.tx_azimuth, cb.tx_azimuth)
 

@@ -56,6 +56,17 @@ class TestExclusionMask:
                 naive = (10 * math.log10(peak) < -147.0) if peak > 0 else True
                 assert mask[r, c] == naive
 
+    def test_compact_rows_reduce_over_last_axis_only(self):
+        # (n, Na, Ne, Nr) rows: the mask reduces the last axis alone, so the
+        # caller flattens the beam axes to get one flag per row
+        t = np.zeros((3, 2, 2, 2))
+        t[0, 1, 0, 1] = 1.0   # row 0 peaks above 0 dB in one beam only
+        t[1] = 0.5            # row 1 peaks below 0 dB in every beam
+        budget = mt.LinkBudget(exclusion_threshold_db=0.0)
+        assert mt.exclusion_mask(t, budget).shape == (3, 2, 2)
+        np.testing.assert_array_equal(
+            mt.exclusion_mask(t.reshape(3, -1), budget), [False, True, True])
+
 
 class TestSnr:
     def test_zero_rss(self):

@@ -18,8 +18,8 @@ from beamgrid import scene as sc
 from beamgrid.errors import EmptyTrainingSetError
 
 from conftest import batch_loss_grad_reference, batch_loss_reference, ce_loss, ce_loss_sep, \
-    cep_loss, cep_loss_sep, gr_loss, ir_loss, targets_reference, train_reference, ws_loss, \
-    ws_loss_sep
+    cep_loss, cep_loss_sep, gr_loss, ir_loss, pixel_exclusion, targets_reference, \
+    tensor_grid, train_reference, ws_loss, ws_loss_sep
 
 
 def _lse(a, axis):
@@ -86,8 +86,8 @@ class TestOraclePredictor:
     def test_perfect_self_accuracy(self, codebook, small_scene):
         hm, tx = small_scene
         chans = sc.trace_paths(hm, tx, sc.SceneConfig())
-        tensors = sc.effective_tensor_map(chans, codebook, tx.frame)
-        valid = ~mt.exclusion_mask(tensors, mt.LinkBudget())
+        tensors = tensor_grid(chans, codebook, tx.frame)
+        valid = ~pixel_exclusion(tensors, mt.LinkBudget())
         pred = pr.oracle_predictor(tensors, valid)
         rankings = pr.flat_ranking(pred)
         truths = np.argmax(tensors[valid].reshape(len(rankings), -1), axis=1)
@@ -120,7 +120,7 @@ class TestGeometricPredictor:
         tx = sc.TxSite((12, 12), 18.0, ch.ArrayFrame(0.8, math.pi / 4))
         cfg = sc.SceneConfig(vegetation_db_per_m=0.0)
         chans = sc.trace_paths(hm, tx, cfg)
-        tensors = sc.effective_tensor_map(chans, codebook, tx.frame)
+        tensors = tensor_grid(chans, codebook, tx.frame)
         pred = pr.geometric_predictor(hm, tx, codebook, cfg.rx_height_m)
         cands = pr.candidates(pred, 1)
         hits = 0
@@ -703,10 +703,11 @@ class TestTrainedBeatsChance:
             hm = sc.generate_city(32, 32, seed=seed)
             tx = sc.place_tx(hm, seed=seed)
             chans = sc.trace_paths(hm, tx, cfgs)
-            tensors = sc.effective_tensor_map(chans, codebook, tx.frame)
+            pixel_ids, rows = sc.effective_tensor_map(chans, codebook, tx.frame)
             lo_t, blocks = sc.downscale_tensor_map(
-                tensors, ~mt.exclusion_mask(tensors, budget), 4)
-            valid = blocks & ~mt.exclusion_mask(lo_t, budget)
+                pixel_ids, rows, (hm.rows, hm.cols),
+                ~mt.exclusion_mask(rows.reshape(pixel_ids.size, -1), budget), 4)
+            valid = blocks & ~pixel_exclusion(lo_t, budget)
             feats = pr.build_features(sc.pool_heightmap(hm, 4), sc.pool_tx(tx, 4))
             xs.append(feats.flat()[valid.ravel()])
             ts.append(lo_t[valid])

@@ -15,8 +15,10 @@ from beamgrid import scene as sc
 from beamgrid.errors import NoValidSiteError
 
 from conftest import (accumulate_tensors_reference, beam_tensor_reference,
-                      building_edge_pixels_reference, exterior_walls_reference, march,
-                      march_one, mirror_hit, paths_at, scene_configs, small_scenes)
+                      building_edge_pixels_reference, downscale_grid,
+                      downscale_tensor_map_reference, effective_tensor_map_reference,
+                      exterior_walls_reference, march, march_one, mirror_hit, paths_at,
+                      scene_configs, small_scenes, tensor_grid)
 
 NO_VEG = sc.SceneConfig(vegetation_db_per_m=0.0)
 
@@ -343,7 +345,7 @@ class TestVisibilityProperties:
         tx = sc.TxSite((8, 0), 1.5, ch.ArrayFrame(0.0, 0.0))
         chans = sc.trace_paths(hm, tx, NO_VEG)
         cb = ch.dft_codebook(4, 2, 2)
-        tensors = sc.effective_tensor_map(chans, cb, tx.frame)
+        tensors = tensor_grid(chans, cb, tx.frame)
         best = tensors.reshape(16, 32, -1).max(axis=-1)[8, 1:]
         assert np.all(np.diff(best) < 0)
 
@@ -377,32 +379,45 @@ class TestEffectiveTensorMap:
         hm = sc.generate_city(32, 32, seed=21)
         tx = sc.place_tx(hm, seed=21)
         chans = sc.trace_paths(hm, tx, sc.SceneConfig())
-        tensors = sc.effective_tensor_map(chans, codebook, tx.frame)
-        rng = np.random.default_rng(2)
+        pixel_ids, rows = sc.effective_tensor_map(chans, codebook, tx.frame)
         lit = np.flatnonzero(chans.counts)
-        for pix in rng.choice(lit, 12, replace=False):
-            r, c = divmod(int(pix), 32)
+        assert np.array_equal(pixel_ids, lit)
+        rng = np.random.default_rng(2)
+        for i in rng.choice(lit.size, 12, replace=False):
+            r, c = divmod(int(pixel_ids[i]), 32)
             s = paths_at(chans, r, c)
             expect = beam_tensor_reference(
                 chans.magnitude[s], chans.aod_azimuth[s], chans.aod_elevation[s],
                 chans.aoa_azimuth[s], codebook, tx.frame)
-            np.testing.assert_allclose(tensors[r, c], expect, rtol=1e-10,
+            np.testing.assert_allclose(rows[i], expect, rtol=1e-10,
                                        atol=1e-12 * expect.max())
 
     @given(random_channels(), st.floats(0.0, 2 * np.pi), st.floats(0.0, np.pi / 2))
     @settings(deadline=None, max_examples=100)
     def test_accumulation_matches_path_loop_bitwise(self, codebook, chans, azimuth, tilt):
         frame = ch.ArrayFrame(azimuth, tilt)
-        got = sc.effective_tensor_map(chans, codebook, frame)
+        got_ids, got = sc.effective_tensor_map(chans, codebook, frame)
         with mock.patch.object(_kernels, "accumulate_tensors", accumulate_tensors_reference):
-            expect = sc.effective_tensor_map(chans, codebook, frame)
+            ids, expect = sc.effective_tensor_map(chans, codebook, frame)
+        assert np.array_equal(got_ids, ids)
         assert got.tobytes() == expect.tobytes()
+
+    @given(random_channels(), st.floats(0.0, 2 * np.pi), st.floats(0.0, np.pi / 2))
+    @settings(deadline=None, max_examples=100)
+    def test_rows_match_dense_reference_bitwise(self, codebook, chans, azimuth, tilt):
+        # one row per pixel with a path, in pixel order, each equal to that
+        # pixel's tensor in the dense map; every other pixel's tensor is zero
+        frame = ch.ArrayFrame(azimuth, tilt)
+        pixel_ids, rows = sc.effective_tensor_map(chans, codebook, frame)
+        assert np.array_equal(pixel_ids, np.flatnonzero(chans.counts))
+        dense = effective_tensor_map_reference(chans, codebook, frame)
+        assert tensor_grid(chans, codebook, frame).tobytes() == dense.tobytes()
 
 
 class TestDownscale:
     def test_constant_map_unchanged(self):
         t = np.ones((8, 8, 2, 2, 2)) * 3.25
-        lo, valid = sc.downscale_tensor_map(t, factor=4)
+        lo, valid = downscale_grid(t, factor=4)
         assert valid.all()
         assert np.array_equal(lo, np.ones((2, 2, 2, 2, 2)) * 3.25)
 
@@ -411,7 +426,7 @@ class TestDownscale:
         t = rng.uniform(0, 1, (4, 4, 8))
         valid = np.zeros((4, 4), dtype=bool)
         valid[1, 2] = True
-        lo, lo_valid = sc.downscale_tensor_map(t, valid, factor=4)
+        lo, lo_valid = downscale_grid(t, valid, factor=4)
         assert lo_valid.all()
         assert np.array_equal(lo[0, 0], t[1, 2])
 
@@ -419,7 +434,7 @@ class TestDownscale:
         rng = np.random.default_rng(4)
         t = rng.uniform(0, 1, (8, 12, 5))
         valid = rng.uniform(size=(8, 12)) > 0.3
-        lo, lo_valid = sc.downscale_tensor_map(t, valid, factor=4)
+        lo, lo_valid = downscale_grid(t, valid, factor=4)
         for br in range(2):
             for bc in range(3):
                 block_t = t[br * 4:(br + 1) * 4, bc * 4:(bc + 1) * 4]
@@ -443,7 +458,7 @@ class TestDownscale:
         t = rng.uniform(0.0, 10.0, (rows, cols, 2, 3))
         valid = None if data.draw(st.booleans()) \
             else rng.uniform(size=(rows, cols)) < data.draw(st.sampled_from([0.0, 0.2, 0.7, 1.0]))
-        lo, lo_valid = sc.downscale_tensor_map(t, valid, factor=factor)
+        lo, lo_valid = downscale_grid(t, valid, factor=factor)
         assert lo.shape == (br, bc, 2, 3) and lo_valid.shape == (br, bc)
         for i in range(br):
             for j in range(bc):
@@ -458,15 +473,55 @@ class TestDownscale:
                 else:
                     assert not lo[i, j].any()
 
+    def test_pixels_without_rows_invalid(self):
+        # rows for pixels 0 and 5 only: both in block (0, 0) of a 4x4 grid
+        t = np.array([[1.0, 3.0], [2.0, 0.5]])
+        lo, lo_valid = sc.downscale_tensor_map(np.array([0, 5]), t, (4, 4), factor=2)
+        assert lo.shape == (2, 2, 2)
+        np.testing.assert_array_equal(lo_valid, [[True, False], [False, False]])
+        np.testing.assert_array_equal(lo[0, 0], [1.5, 1.75])
+        assert not lo[lo_valid == 0].any()
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_matches_dense_reference_bitwise(self, data):
+        # each block holds 0 to factor^2 kept rows; its other pixels have no
+        # row or an excluded one. The dense reference sums every pixel of
+        # the grid, zeros included, so the compact sum must add the kept
+        # rows in the same order to give the same bytes
+        factor = data.draw(st.sampled_from([1, 2, 4]))
+        br, bc = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        rows, cols = br * factor, bc * factor
+        kept_per_block = data.draw(st.lists(st.integers(0, factor * factor),
+                                            min_size=br * bc, max_size=br * bc))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        # 0 no row, 1 excluded row, 2 kept row
+        state = np.zeros((br, bc, factor * factor), dtype=int)
+        for b, k in enumerate(kept_per_block):
+            order = rng.permutation(factor * factor)
+            state[b // bc, b % bc, order[:k]] = 2
+            state[b // bc, b % bc, order[k:]] = rng.integers(0, 2, factor * factor - k)
+        state = state.reshape(br, bc, factor, factor).transpose(0, 2, 1, 3).reshape(rows, cols)
+        # powers spread over many decades, so that the order of the sum shows
+        dense = 10.0 ** rng.uniform(-20.0, 0.0, (rows, cols, 3, 2))
+        dense[state == 0] = 0.0
+        pixel_ids = np.flatnonzero(state)
+        got, got_valid = sc.downscale_tensor_map(
+            pixel_ids, dense.reshape(rows * cols, 3, 2)[pixel_ids], (rows, cols),
+            state.ravel()[pixel_ids] == 2, factor)
+        expect, expect_valid = downscale_tensor_map_reference(dense, state == 2, factor)
+        assert got.tobytes() == expect.tobytes()
+        assert np.array_equal(got_valid, expect_valid)
+
     def test_empty_block_invalid(self):
         t = np.ones((4, 4, 3))
         valid = np.zeros((4, 4), dtype=bool)
-        lo, lo_valid = sc.downscale_tensor_map(t, valid, factor=4)
+        lo, lo_valid = downscale_grid(t, valid, factor=4)
         assert not lo_valid.any() and not lo.any()
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError):
-            sc.downscale_tensor_map(np.ones((6, 8, 2)), factor=4)
+            downscale_grid(np.ones((6, 8, 2)), factor=4)
 
 
 class TestDownscaleConsistency:
@@ -481,7 +536,7 @@ class TestDownscaleConsistency:
     def test_full_candidate_set_saturates(self):
         rng = np.random.default_rng(7)
         hi_t = rng.uniform(0.1, 1.0, (8, 8, 8))
-        lo_t, _ = sc.downscale_tensor_map(hi_t, factor=4)
+        lo_t, _ = downscale_grid(hi_t, factor=4)
         budget = metrics.LinkBudget(exclusion_threshold_db=-300.0)
         acc, tpr = sc.downscale_consistency(hi_t, lo_t, k=8, budget=budget)
         assert acc == 1.0 and tpr == 1.0
@@ -493,7 +548,7 @@ class TestDownscaleConsistency:
         hi_t[:, :2, 1] = 0.4
         hi_t[:, 2:, 0] = 0.4
         hi_t[:, 2:, 1] = 1.0
-        lo_t, _ = sc.downscale_tensor_map(hi_t, factor=4)
+        lo_t, _ = downscale_grid(hi_t, factor=4)
         budget = metrics.LinkBudget(exclusion_threshold_db=-300.0)
         acc, tpr = sc.downscale_consistency(hi_t, lo_t, k=1, budget=budget)
         assert 0.0 < acc < 1.0
