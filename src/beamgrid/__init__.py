@@ -12,7 +12,7 @@ from .metrics import (EvalReport, LinkBudget, LosClass, exclusion_mask,
                       los_class_map, noise_power_dbm, snr, throughput_ratio,
                       topk_accuracy)
 from .scene import (HeightMap, SceneChannels, SceneConfig, TxSite,
-                    downscale_consistency, downscale_tensor_map,
-                    effective_tensor_map, generate_city, place_tx, trace_paths)
+                    downscale_tensor_map, effective_tensor_map, generate_city,
+                    place_tx, trace_paths)
 
 __version__ = "0.1.0"

@@ -200,7 +200,7 @@ def cmd_evaluate(args):
         hm, tx = site
         direct_only = dataclasses.replace(cfg.scene, max_reflections=0)
         channels = scene.trace_paths(hm, tx, direct_only)  # LoS needs no reflections
-        los = metrics.los_class_map(hm, tx, channels)
+        los = metrics.los_class_map(hm, channels)
         shades = np.array([64, 160, 255], dtype=np.uint8)  # nlos, attenuated, dominant
         img = shades[los]
         img[hm.building > 0] = 0
@@ -269,9 +269,8 @@ def cmd_train(args):
 
     x_train, t_train = gather(train_stems)
     x_val, t_val = gather(val_stems)
-    model = predictor.SoftmaxModel.create(
-        x_train.shape[1], cfg.codebook.dims, loss_kind=cfg.loss.kind,
-        sep=cfg.loss.sep, seed=cfg.train.seed, floor_db=cfg.loss.floor_db)
+    model = predictor.SoftmaxModel.create(x_train.shape[1], cfg.codebook.dims,
+                                          cfg.loss, seed=cfg.train.seed)
     trained, history = predictor.train(model, x_train, t_train, cfg.train, x_val, t_val)
     gridio.save_model(args.model_out, trained)
     history_path = args.history_out or args.model_out + ".history.csv"

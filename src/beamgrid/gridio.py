@@ -9,26 +9,26 @@ Path CSV: header `pixel_row,pixel_col,c,psi,aod_az,aod_el,aoa_az`, one row
 per path, angles in radians, amplitudes linear. Floats are written with
 repr so parsing reproduces the exact doubles.
 
-Run config: a JSON object of sections. The `scene`, `budget` and `train`
-sections are the objects their stages take (scene.SceneConfig,
-metrics.LinkBudget, predictor.TrainConfig); parse_config checks each
-value's JSON type and each section's own __post_init__ checks the values
-(`codebook` and `eval` included), so every stage that loads a config
-rejects a bad value in any section.
+Run config: a JSON object of sections. The `scene`, `budget`, `loss` and
+`train` sections are the objects their stages take (scene.SceneConfig,
+metrics.LinkBudget, predictor.LossConfig, predictor.TrainConfig);
+parse_config checks each value's JSON type and each section's own
+__post_init__ checks the values (`codebook` and `eval` included), so every
+stage that loads a config rejects a bad value in any section.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .channel import ArrayFrame
 from .errors import GridParseError
 from .metrics import EvalReport, LinkBudget
-from .predictor import FEATURE_VERSION, LOSS_KINDS, SoftmaxModel, TrainConfig
+from .predictor import FEATURE_VERSION, LossConfig, SoftmaxModel, TrainConfig
 from .scene import SceneChannels, SceneConfig, TxSite
 
 GRID_MAGIC = b"BGRD1"
@@ -37,7 +37,9 @@ _DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 PATH_HEADER = "pixel_row,pixel_col,c,psi,aod_az,aod_el,aoa_az"
 
 
-def grid_to_bytes(array, dtype="f32"):
+def _encode_grid(array, dtype):
+    """The BGRD1 header line of a grid and its payload: the array as a
+    C-contiguous (rows, cols, channels) array of the file dtype."""
     arr = np.asarray(array)
     if arr.ndim == 2:
         arr = arr[:, :, None]
@@ -47,7 +49,20 @@ def grid_to_bytes(array, dtype="f32"):
         raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
     rows, cols, ch = arr.shape
     header = f"BGRD1 {rows} {cols} {ch} {dtype}\n".encode("ascii")
-    return header + np.ascontiguousarray(arr.astype(_DTYPES[dtype])).tobytes()
+    return header, np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
+
+
+def grid_to_bytes(array, dtype="f32"):
+    header, payload = _encode_grid(array, dtype)
+    return header + payload.tobytes()
+
+
+def _write_grid_to(fh, array, dtype):
+    """Write a grid to an open binary file; the payload goes straight from
+    the array's buffer, with no bytes copy of it."""
+    header, payload = _encode_grid(array, dtype)
+    fh.write(header)
+    fh.write(payload.data)
 
 
 def grid_from_bytes(data):
@@ -79,7 +94,7 @@ def grid_from_bytes(data):
 
 def write_grid(path, array, dtype="f32"):
     with open(path, "wb") as fh:
-        fh.write(grid_to_bytes(array, dtype))
+        _write_grid_to(fh, array, dtype)
 
 
 def read_grid(path):
@@ -174,13 +189,6 @@ class CodebookSection:
 
 
 @dataclass
-class LossSection:
-    kind: str = "CE"
-    sep: bool = False
-    floor_db: float = -30.0
-
-
-@dataclass
 class EvalSection:
     k_list: list[int] = field(default_factory=lambda: [1, 2, 4, 8, 16, 32])
 
@@ -197,7 +205,7 @@ class RunConfig:
     scene: SceneConfig = field(default_factory=SceneConfig)
     codebook: CodebookSection = field(default_factory=CodebookSection)
     budget: LinkBudget = field(default_factory=LinkBudget)
-    loss: LossSection = field(default_factory=LossSection)
+    loss: LossConfig = field(default_factory=LossConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalSection = field(default_factory=EvalSection)
 
@@ -281,13 +289,6 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise GridParseError(f"config {path}: invalid JSON at offset {exc.pos}") from exc
     return parse_config(doc)
-
-
-def save_config(path, config):
-    doc = {name: asdict(getattr(config, name)) for name in _SECTIONS}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +426,14 @@ def save_model(path, model):
     header = {
         "magic": MODEL_MAGIC.decode("ascii"),
         "dims": list(model.dims),
-        "loss_kind": model.loss_kind,
-        "sep": bool(model.sep),
+        "loss_kind": model.loss.kind,
+        "sep": bool(model.loss.sep),
         "seed": int(model.seed),
         # the temperature of the entropic WS solver, which is gone; the key
         # stays, always null, because stagebench/reference.json pins the
         # model bytes
         "epsilon": None,
-        "floor_db": model.floor_db,
+        "floor_db": model.loss.floor_db,
         "feature_version": FEATURE_VERSION,
         "features": int(model.weights.shape[0]),
         "outputs": int(model.weights.shape[1]),
@@ -440,7 +441,7 @@ def save_model(path, model):
     stacked = np.vstack([model.weights, model.bias[None, :]])
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("ascii") + b"\n")
-        fh.write(grid_to_bytes(stacked, "f32"))
+        _write_grid_to(fh, stacked, "f32")
 
 
 # load_model checks "epsilon" and ignores it (see save_model)
@@ -477,8 +478,10 @@ def load_model(path):
     dims = header["dims"]
     if len(dims) != 3 or min(dims) < 1:
         raise GridParseError(f"model dims must be three positive ints, got {dims!r}")
-    if header["loss_kind"] not in LOSS_KINDS:
-        raise GridParseError(f"unknown model loss kind {header['loss_kind']!r}")
+    try:
+        loss = LossConfig(header["loss_kind"], header["sep"], float(header["floor_db"]))
+    except ValueError as exc:
+        raise GridParseError(f"model header: {exc}") from exc
     stacked = grid_from_bytes(rest)
     expect = (header["features"] + 1, header["outputs"], 1)  # bias in the last row
     if header["features"] < 0 or stacked.shape != expect:
@@ -487,8 +490,7 @@ def load_model(path):
             f"{header['features']} features and {header['outputs']} outputs")
     stacked = stacked[:, :, 0].astype(np.float64)
     return SoftmaxModel(weights=stacked[:-1], bias=stacked[-1], dims=tuple(dims),
-                        loss_kind=header["loss_kind"], sep=header["sep"],
-                        seed=header["seed"], floor_db=float(header["floor_db"]))
+                        loss=loss, seed=header["seed"])
 
 
 def is_model_file(path):

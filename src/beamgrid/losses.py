@@ -68,7 +68,7 @@ def _marginals(t):
     return tuple(t.sum(axis=axes) for axes in ((-2, -1), (-3, -1), (-3, -2)))
 
 
-def cep_target(tensor, floor_db=-30.0):
+def cep_target(tensor, floor_db):
     """Soft target from a beam power tensor: dB relative to the peak,
     floored at floor_db, shifted to be >= 0, normalised to sum 1.
 
@@ -84,7 +84,7 @@ def cep_target(tensor, floor_db=-30.0):
     return db if t.ndim == 4 else db[0]
 
 
-def cep_target_sep(tensor, floor_db=-30.0):
+def cep_target_sep(tensor, floor_db):
     """Marginals of the joint soft target along each beam axis (each with a
     leading sample axis for a stack of tensors)."""
     shape = np.shape(tensor)
@@ -113,14 +113,14 @@ def ir_ranking(pred_triple, dims):
     return np.argsort(d2, axis=-1, kind="stable")  # ties fall back to flat order
 
 
-def gr_target_db(tensor, floor_db=-30.0):
+def gr_target_db(tensor, floor_db):
     """Beam power tensor in dB relative to its peak, floored (cep flooring);
     a stack of tensors (n, Na, Ne, Nr) is taken relative to each peak."""
     t = np.asarray(tensor, dtype=np.float64)
     return _floored_db(_samples(t), floor_db, "dB target").reshape(t.shape)
 
 
-def gr_target_db_sep(tensor, floor_db=-30.0):
+def gr_target_db_sep(tensor, floor_db):
     """Per-axis dB targets: linear power marginals converted to floored dB
     (each with a leading sample axis for a stack of tensors)."""
     t = np.asarray(tensor, dtype=np.float64)

@@ -141,7 +141,7 @@ class LosClass(enum.IntEnum):
     LOS_DOMINANT = 2
 
 
-def los_class_map(hm, tx, channels):
+def los_class_map(hm, channels):
     """Classify each pixel by its direct-path status.
 
     LOS_DOMINANT: unattenuated direct path that is also the strongest

@@ -169,38 +169,55 @@ def geometric_predictor(hm, tx, codebook, rx_height_m, valid=None):
 
 
 @dataclass
+class LossConfig:
+    """The `loss` config section, which the model holds: the loss family,
+    factorised per-axis heads (sep) or one joint head, and the dB floor of
+    the CEP and GR targets. kind is upper-cased and must be one of
+    LOSS_KINDS; IR is always sep; floor_db must be below the 0 dB peak."""
+
+    kind: str = "CE"
+    sep: bool = False
+    floor_db: float = -30.0
+
+    def __post_init__(self):
+        self.kind = self.kind.upper()
+        if self.kind not in LOSS_KINDS:
+            raise ValueError(f"unknown loss kind {self.kind!r}; expected one of "
+                             f"{', '.join(LOSS_KINDS)}")
+        if self.kind == "IR":
+            self.sep = True
+        if not self.floor_db < 0.0:
+            raise ValueError(f"floor_db must be below the 0 dB peak, got {self.floor_db!r}")
+
+
+@dataclass
 class SoftmaxModel:
     """Linear model x -> W^T x + b over the feature vector."""
 
     weights: np.ndarray  # (F, C)
     bias: np.ndarray     # (C,)
     dims: tuple
-    loss_kind: str = "CE"
-    sep: bool = False
+    loss: LossConfig
     seed: int = 0
-    floor_db: float = -30.0        # cep/gr flooring
 
     @property
     def kind(self):
-        if self.loss_kind == "IR":
+        if self.loss.kind == "IR":
             return "ir"
-        return "sep" if self.sep else "joint"
+        return "sep" if self.loss.sep else "joint"
 
     @classmethod
-    def create(cls, feature_dim, dims, loss_kind="CE", sep=False, seed=0,
-               floor_db=-30.0):
-        loss_kind = loss_kind.upper()
-        if loss_kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {loss_kind!r}")
-        if loss_kind == "IR":
-            sep = True
+    def create(cls, feature_dim, dims, loss=None, seed=0):
+        """Zero weights for the loss's output layout; loss None is LossConfig()."""
+        if loss is None:
+            loss = LossConfig()
+        if loss.kind == "IR":
             c = 3
         else:
             na, ne, nr = dims
-            c = na + ne + nr if sep else na * ne * nr
+            c = na + ne + nr if loss.sep else na * ne * nr
         return cls(weights=np.zeros((feature_dim, c)), bias=np.zeros(c),
-                   dims=tuple(dims), loss_kind=loss_kind, sep=sep, seed=seed,
-                   floor_db=floor_db)
+                   dims=tuple(dims), loss=loss, seed=seed)
 
 
 def predict(model, features, mask=None):
@@ -240,17 +257,6 @@ def ranking(pred):
     return order.reshape(pred.scores.shape[0], pred.scores.shape[1], b)
 
 
-def candidates(pred, k):
-    """Top-k candidate beams per pixel; invalid pixels carry -1."""
-    b = pred.n_beams
-    if not 1 <= k <= b:
-        raise ValueError(f"k={k} outside 1..{b}")
-    order = ranking(pred)
-    out = order[..., :k].copy()
-    out[~pred.valid] = -1
-    return out
-
-
 def flat_ranking(pred):
     """Rankings of the valid pixels only, row-major, shape (M, B)."""
     order = ranking(pred)
@@ -282,22 +288,21 @@ def _targets_for(model, tensors):
     """Training targets of the samples, one row each, from their beam power
     tensors."""
     t = np.asarray(tensors).reshape(-1, *model.dims)
-    kind = model.loss_kind
+    kind, sep, floor_db = model.loss.kind, model.loss.sep, model.loss.floor_db
     if kind in ("CE", "WS", "IR"):
         idx = np.argmax(t.reshape(len(t), -1), axis=1)
-        if not model.sep:
+        if not sep:
             return idx
         triples = np.stack(np.unravel_index(idx, model.dims), axis=1)
         return triples.astype(np.float64) if kind == "IR" else triples
     if kind == "CEP":
-        if model.sep:
-            return np.concatenate(losses.cep_target_sep(t, model.floor_db), axis=1)
-        return losses.cep_target(t, model.floor_db)
-    if kind == "GR":
-        if model.sep:
-            return np.concatenate(losses.gr_target_db_sep(t, model.floor_db), axis=1)
-        return losses.gr_target_db(t, model.floor_db).reshape(len(t), -1)
-    raise ValueError(f"unknown loss kind {kind!r}")
+        if sep:
+            return np.concatenate(losses.cep_target_sep(t, floor_db), axis=1)
+        return losses.cep_target(t, floor_db)
+    # GR
+    if sep:
+        return np.concatenate(losses.gr_target_db_sep(t, floor_db), axis=1)
+    return losses.gr_target_db(t, floor_db).reshape(len(t), -1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -349,13 +354,13 @@ def _head_terms(kind, zh, th, dist):
 def _loss_of_terms(model, terms):
     """The loss from the (heads, n) per-sample terms: per head the mean over
     the samples, summed over the heads."""
-    negated = model.loss_kind in ("CE", "CEP")
+    negated = model.loss.kind in ("CE", "CEP")
     parts = [-t.mean() if negated else t.mean() for t in terms]
     # one head is kept as is: 0.0 + -0.0 would flip the sign of a zero loss
     loss = sum(parts) if len(parts) > 1 else parts[0]
     # NumPy scalar for CE-sep and CEP-sep: stagebench/reference.json pins the
     # CEP-sep history text "np.float64(...)"
-    return loss if model.sep and negated else float(loss)
+    return loss if model.loss.sep and negated else float(loss)
 
 
 def _epoch_loss(model, x, w, b, targets):
@@ -366,7 +371,7 @@ def _epoch_loss(model, x, w, b, targets):
     the bits of one pass over the whole score matrix.
     """
     n, c = len(x), w.shape[1]
-    heads = _heads(model.dims, model.loss_kind, model.sep)
+    heads = _heads(model.dims, model.loss.kind, model.loss.sep)
     terms = np.empty((len(heads), n))
     # BLAS rounds a row of a one-row or one-column product differently from
     # the same row of a larger product: a block has at least two rows (a
@@ -379,7 +384,7 @@ def _epoch_loss(model, x, w, b, targets):
         z = x[blk] @ w
         z += b
         for h, (cols, tcols, dist) in enumerate(heads):
-            terms[h, blk] = _head_terms(model.loss_kind, z[:, cols],
+            terms[h, blk] = _head_terms(model.loss.kind, z[:, cols],
                                         targets[blk, tcols], dist)
     return _loss_of_terms(model, terms)
 
@@ -388,9 +393,9 @@ def _batch_grad(model, z, targets):
     """Gradient of the mean loss of the score matrix z (_epoch_loss) with
     respect to z."""
     n = z.shape[0]
-    kind = model.loss_kind
+    kind = model.loss.kind
     grad = np.empty_like(z)
-    for cols, tcols, dist in _heads(model.dims, kind, model.sep):
+    for cols, tcols, dist in _heads(model.dims, kind, model.loss.sep):
         zh, th = z[:, cols], targets[:, tcols]
         if kind in ("IR", "GR"):
             diff = zh - th

@@ -95,7 +95,7 @@ class SceneConfig:
 
     def __post_init__(self):
         # generate_city's street lattice steps by block_size + street_width
-        for name in ("resolution_m", "carrier_hz", "block_size"):
+        for name in ("rows", "cols", "resolution_m", "carrier_hz", "block_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         for name in ("rx_height_m", "tx_mast_m", "reflection_loss_db",
@@ -418,34 +418,3 @@ def pool_tx(tx, factor):
         return tx
     return TxSite(pixel=(tx.pixel[0] // factor, tx.pixel[1] // factor),
                   height_m=tx.height_m, frame=tx.frame)
-
-
-def downscale_consistency(hi, lo, k, budget=None, hi_valid=None):
-    """Score the low-res ranking as a predictor for the high-res ground truth.
-
-    The descending beam order of each low-res tensor serves as the candidate
-    ranking for every valid pixel of its block; returns (top-k accuracy,
-    top-k throughput ratio) computed by the metrics module.
-    """
-    from .metrics import LinkBudget, exclusion_mask, ranking_from_scores, \
-        throughput_ratio, topk_accuracy
-
-    hi = np.asarray(hi)
-    lo = np.asarray(lo)
-    budget = budget or LinkBudget()
-    hr, hc = hi.shape[:2]
-    lr, lc = lo.shape[:2]
-    if hr % lr or hc % lc or hr // lr != hc // lc:
-        raise ValueError(f"high-res {hr}x{hc} is not an integer multiple of low-res {lr}x{lc}")
-    factor = hr // lr
-    hi_flat = hi.reshape(hr, hc, -1)
-    if hi_valid is None:
-        hi_valid = ~exclusion_mask(hi_flat, budget)
-    lo_rank = ranking_from_scores(lo.reshape(lr * lc, -1))
-    block = (np.arange(hr)[:, None] // factor) * lc + (np.arange(hc)[None, :] // factor)
-    sel = hi_valid
-    truths = np.argmax(hi_flat[sel], axis=1)
-    preds = lo_rank[block[sel]]
-    acc = topk_accuracy(truths, preds, k)
-    tpr = throughput_ratio(hi_flat[sel], preds, k, budget)
-    return acc, tpr

@@ -307,6 +307,33 @@ def downscale_grid(tensors, valid=None, factor=4):
         (rows, cols), None if valid is None else valid.ravel(), factor)
 
 
+def downscale_consistency(hi, lo, k, budget=None, hi_valid=None):
+    """Score the low-res ranking as a predictor for the high-res ground truth.
+
+    The descending beam order of each low-res tensor serves as the candidate
+    ranking for every valid pixel of its block; returns (top-k accuracy,
+    top-k throughput ratio) computed by the metrics module.
+    """
+    hi = np.asarray(hi)
+    lo = np.asarray(lo)
+    budget = budget or mt.LinkBudget()
+    hr, hc = hi.shape[:2]
+    lr, lc = lo.shape[:2]
+    if hr % lr or hc % lc or hr // lr != hc // lc:
+        raise ValueError(f"high-res {hr}x{hc} is not an integer multiple of low-res {lr}x{lc}")
+    factor = hr // lr
+    hi_flat = hi.reshape(hr, hc, -1)
+    if hi_valid is None:
+        hi_valid = ~mt.exclusion_mask(hi_flat, budget)
+    lo_rank = mt.ranking_from_scores(lo.reshape(lr * lc, -1))
+    block = (np.arange(hr)[:, None] // factor) * lc + (np.arange(hc)[None, :] // factor)
+    truths = np.argmax(hi_flat[hi_valid], axis=1)
+    preds = lo_rank[block[hi_valid]]
+    acc = mt.topk_accuracy(truths, preds, k)
+    tpr = mt.throughput_ratio(hi_flat[hi_valid], preds, k, budget)
+    return acc, tpr
+
+
 # The dense tensor pipeline that scene.effective_tensor_map and
 # scene.downscale_tensor_map replaced: a tensor for every pixel of the grid,
 # and a block sum over the whole grid with the invalid pixels zeroed. The
@@ -464,6 +491,9 @@ def exterior_walls_reference(building, res=1.0):
     return np.array(walls, dtype=np.float64)
 
 
+# The default dB floor of the CEP and GR targets.
+FLOOR_DB = pr.LossConfig().floor_db
+
 # The per-sample losses with their analytic gradients, one sample (one
 # logit vector) at a time, and a finite-difference checker for them: the
 # references the batch code of predictor is tested against.
@@ -543,7 +573,7 @@ def ir_loss(pred_triple, target_triple):
     return float((diff**2).mean()), 2.0 * diff / 3.0
 
 
-def gr_loss(pred_db, target_tensor, floor_db=-30.0):
+def gr_loss(pred_db, target_tensor, floor_db=FLOOR_DB):
     """MSE between predicted and floored-dB tensors; grad = 2*(pred-t)/n."""
     pred = np.asarray(pred_db, dtype=np.float64)
     target = losses.gr_target_db(target_tensor, floor_db)
@@ -584,40 +614,40 @@ def targets_reference(model, tensors):
     t = np.asarray(tensors)
     n = t.shape[0]
     flat = t.reshape(n, -1)
-    kind = model.loss_kind
+    kind = model.loss.kind
     na, ne, nr = model.dims
     if kind in ("CE", "WS"):
         idx = np.argmax(flat, axis=1)
-        if not model.sep:
+        if not model.loss.sep:
             return idx
         triples = np.stack(np.unravel_index(idx, model.dims), axis=1)
         return triples
     if kind == "CEP":
-        if model.sep:
+        if model.loss.sep:
             heads = [np.empty((n, na)), np.empty((n, ne)), np.empty((n, nr))]
             for i in range(n):
                 pa, pe, pr = losses.cep_target_sep(
-                    flat[i].reshape(model.dims), model.floor_db)
+                    flat[i].reshape(model.dims), model.loss.floor_db)
                 heads[0][i], heads[1][i], heads[2][i] = pa, pe, pr
             return np.concatenate(heads, axis=1)
         out = np.empty_like(flat)
         for i in range(n):
-            out[i] = losses.cep_target(flat[i], model.floor_db)
+            out[i] = losses.cep_target(flat[i], model.loss.floor_db)
         return out
     if kind == "IR":
         idx = np.argmax(flat, axis=1)
         return np.stack(np.unravel_index(idx, model.dims), axis=1).astype(np.float64)
     if kind == "GR":
-        if model.sep:
+        if model.loss.sep:
             out = np.empty((n, na + ne + nr))
             for i in range(n):
                 ga, ge, gr = losses.gr_target_db_sep(
-                    flat[i].reshape(model.dims), model.floor_db)
+                    flat[i].reshape(model.dims), model.loss.floor_db)
                 out[i] = np.concatenate([ga, ge, gr])
             return out
         out = np.empty_like(flat)
         for i in range(n):
-            out[i] = losses.gr_target_db(flat[i], model.floor_db).ravel()
+            out[i] = losses.gr_target_db(flat[i], model.loss.floor_db).ravel()
         return out
     raise ValueError(f"unknown loss kind {kind!r}")
 
@@ -640,9 +670,9 @@ def batch_loss_grad_reference(model, z, targets, dmat=None):
     derivative.
     """
     n = z.shape[0]
-    kind = model.loss_kind
+    kind = model.loss.kind
     if kind in ("CE", "CEP"):
-        if model.sep and kind == "CE":
+        if model.loss.sep and kind == "CE":
             loss = 0.0
             grad = np.zeros_like(z)
             for axis, sl in enumerate(_head_slices(model)):
@@ -653,7 +683,7 @@ def batch_loss_grad_reference(model, z, targets, dmat=None):
                 g[np.arange(n), t] -= 1.0
                 grad[:, sl] = g / n
             return loss, grad
-        if model.sep and kind == "CEP":
+        if model.loss.sep and kind == "CEP":
             loss = 0.0
             grad = np.zeros_like(z)
             for sl in _head_slices(model):
@@ -675,7 +705,7 @@ def batch_loss_grad_reference(model, z, targets, dmat=None):
         loss = -(targets * logp).sum(axis=1).mean()
         return float(loss), (p - targets) / n
     if kind == "WS":
-        if model.sep:
+        if model.loss.sep:
             loss = 0.0
             grad = np.zeros_like(z)
             for axis, sl in enumerate(_head_slices(model)):
@@ -727,9 +757,9 @@ def batch_loss_reference(model, z, targets):
     """Mean loss over the batch: per head, the arithmetic mean of the
     per-sample losses above, summed over the heads."""
     n = z.shape[0]
-    kind = model.loss_kind
+    kind = model.loss.kind
     parts = []
-    for cols, tcols, dist in _heads(model.dims, kind, model.sep):
+    for cols, tcols, dist in _heads(model.dims, kind, model.loss.sep):
         zh, th = z[:, cols], targets[:, tcols]
         if kind in ("IR", "GR"):
             parts.append(((zh - th) ** 2).mean(axis=1).mean())
@@ -743,15 +773,15 @@ def batch_loss_reference(model, z, targets):
     loss = sum(parts) if len(parts) > 1 else parts[0]
     # NumPy scalar for CE-sep and CEP-sep: stagebench/reference.json pins the
     # CEP-sep history text "np.float64(...)"
-    return loss if model.sep and kind in ("CE", "CEP") else float(loss)
+    return loss if model.loss.sep and kind in ("CE", "CEP") else float(loss)
 
 
 def batch_grad_reference(model, z, targets):
     """Gradient of _batch_loss with respect to the score matrix z."""
     n = z.shape[0]
-    kind = model.loss_kind
+    kind = model.loss.kind
     grad = np.empty_like(z)
-    for cols, tcols, dist in _heads(model.dims, kind, model.sep):
+    for cols, tcols, dist in _heads(model.dims, kind, model.loss.sep):
         zh, th = z[:, cols], targets[:, tcols]
         if kind in ("IR", "GR"):
             diff = zh - th

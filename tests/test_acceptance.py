@@ -17,10 +17,10 @@ from beamgrid import metrics as mt
 from beamgrid import predictor as pr
 from beamgrid import scene as sc
 
-from conftest import (beam_tensor_reference, beam_weights, ce_loss, cep_loss,
-                      downscale_grid, gr_loss, grad_check, instantaneous_gain_reference,
-                      ir_loss, one_pixel_tensor, path_gains_reference, pixel_exclusion,
-                      tensor_grid, ws_loss)
+from conftest import (FLOOR_DB, beam_tensor_reference, beam_weights, ce_loss, cep_loss,
+                      downscale_consistency, downscale_grid, gr_loss, grad_check,
+                      instantaneous_gain_reference, ir_loss, one_pixel_tensor,
+                      path_gains_reference, pixel_exclusion, tensor_grid, ws_loss)
 
 K_LIST = [1, 2, 4, 8, 16, 32]
 
@@ -137,7 +137,7 @@ def test_gradient_suite():
 
     devs = []
     for _ in range(100):
-        soft = lo.cep_target(rng.uniform(0.01, 1.0, 128))
+        soft = lo.cep_target(rng.uniform(0.01, 1.0, 128), FLOOR_DB)
         devs.append(grad_check(lambda z, s=soft: cep_loss(z, s),
                                rng.normal(0, 1, 128), step))
     results["CEP"] = max(devs)
@@ -178,7 +178,7 @@ def test_downscale_consistency_statistic(codebook):
         hi = tensor_grid(chans, codebook, tx.frame)
         hi_valid = ~pixel_exclusion(hi, budget)
         lo_t, _ = downscale_grid(hi, hi_valid, 4)
-        acc, tpr = sc.downscale_consistency(hi, lo_t, 1, budget, hi_valid)
+        acc, tpr = downscale_consistency(hi, lo_t, 1, budget, hi_valid)
         per_scene.append((acc, tpr))
         assert tpr >= acc
         hi_flat = hi.reshape(64, 64, -1)
@@ -200,7 +200,7 @@ def test_downscale_consistency_statistic(codebook):
     lo_c = rng.uniform(0.5, 1.0, (4, 4, 8))
     hi_c = np.repeat(np.repeat(lo_c, 4, axis=0), 4, axis=1)
     wide = mt.LinkBudget(exclusion_threshold_db=-300.0)
-    acc_c, tpr_c = sc.downscale_consistency(hi_c, lo_c, 1, wide)
+    acc_c, tpr_c = downscale_consistency(hi_c, lo_c, 1, wide)
     assert acc_c == 1.0 and tpr_c == 1.0
     print(f"\nPASS  downscale consistency: 20 scenes pooled acc1={acc1:.3f} "
           f"in (0,1), tpr1={tpr1:.3f} >= acc1; block-constant maps exactly 1/1")
@@ -223,8 +223,7 @@ def test_trained_model_and_geometric_baseline(codebook):
     t_val = np.concatenate(ts[16:18])
     x_test = np.concatenate(xs[18:])
     t_test = np.concatenate(ts[18:])
-    model = pr.SoftmaxModel.create(x_train.shape[1], (8, 4, 4),
-                                   loss_kind="CE", seed=0)
+    model = pr.SoftmaxModel.create(x_train.shape[1], (8, 4, 4), seed=0)
     hyper = pr.TrainConfig(lr=0.5, epochs=150, batch=128)
     trained, _ = pr.train(model, x_train, t_train, hyper, x_val, t_val)
     elapsed = time.perf_counter() - start

@@ -117,6 +117,14 @@ class TestSectorSelect:
     def test_wraparound(self):
         assert ch.sector_index(2 * math.pi + 0.1, 4) == 0
 
+    @pytest.mark.parametrize("nr", [2, 3, 4, 6, 12])
+    def test_tiny_negative_wraps_to_sector_zero(self, nr):
+        # -1e-300 % 2pi rounds to 2pi exactly, one full turn: sector 0, the
+        # sector of 0 rad, not the last one
+        assert -1e-300 % ch.TWO_PI == ch.TWO_PI
+        assert ch.sector_index(-1e-300, nr) == 0
+        assert ch.sector_index(np.array([-1e-300]), nr)[0] == 0
+
     @given(st.floats(-50, 50, allow_nan=False), st.integers(1, 12))
     @settings(deadline=None, max_examples=100)
     def test_exactly_one_sector(self, phi, nr):

@@ -654,6 +654,14 @@ class TestTrainCli:
         # best-state selection: the reported minimum is the history minimum
         assert min(val) == min(val[int(r[0])] for r in rows)
 
+    @pytest.mark.parametrize("n, sizes", [(3, (1, 1, 1)), (12, (9, 1, 2)), (20, (16, 2, 2))])
+    def test_split_sizes(self, n, sizes):
+        # 80/10/10 rounded down, every split non-empty
+        stems = [f"c{i:02d}" for i in range(n)]
+        splits = cli._split_scenes(stems, 0)
+        assert tuple(map(len, splits)) == sizes
+        assert sorted(sum(splits, [])) == stems
+
     def test_insufficient_scenes(self, tmp_path):
         scenes = tmp_path / "scenes"
         scenes.mkdir()
@@ -760,7 +768,15 @@ class TestConfigFaults:
         ({"eval": {"k_list": [0]}}, "k_list must be strictly increasing from k >= 1"),
         ({"eval": {"k_list": [1, 129]}}, "k=129, beyond the codebook's 128 beams"),
         ({"codebook": {"Na": 0}}, "codebook dimensions must be >= 1"),
-    ], ids=["empty-k-list", "unsorted-k-list", "zero-k", "k-beyond-beams", "zero-Na"])
+        ({"scene": {"rows": 0}}, "rows must be > 0, got 0"),
+        ({"scene": {"rows": -4}}, "rows must be > 0, got -4"),
+        ({"scene": {"cols": 0}}, "cols must be > 0, got 0"),
+        ({"loss": {"kind": "foo"}}, "unknown loss kind 'FOO'"),
+        ({"loss": {"floor_db": 0}}, "floor_db must be below the 0 dB peak, got 0"),
+        ({"loss": {"floor_db": 5}}, "floor_db must be below the 0 dB peak, got 5"),
+    ], ids=["empty-k-list", "unsorted-k-list", "zero-k", "k-beyond-beams", "zero-Na",
+            "zero-rows", "negative-rows", "zero-cols", "unknown-loss-kind", "zero-floor",
+            "positive-floor"])
     def test_bad_value_exit_code(self, inputs, capsys, stage, doc, message):
         # every stage loads the whole config, so each rejects the value
         # before it reads an input or writes an output

@@ -110,6 +110,21 @@ class TestGridFormat:
         back = io.read_grid(path)
         assert np.array_equal(back[:, :, 0], arr)
 
+    @pytest.mark.parametrize("arr, dtype", [
+        (np.random.default_rng(1).normal(0, 1, (5, 7)), "f32"),
+        (np.random.default_rng(2).normal(0, 1, (5, 7, 3)), "f32"),
+        (np.random.default_rng(3).normal(0, 1, (8, 9, 4))[1::2, ::3, ::-1], "f32"),
+        (np.arange(24, dtype=np.uint8).reshape(4, 6), "u8"),
+        (np.arange(48).reshape(4, 6, 2) % 3 == 0, "u8"),
+        (np.arange(96, dtype=np.uint8).reshape(8, 6, 2)[::2, 1:, :1], "u8"),
+    ], ids=["f32-2d", "f32-3d", "f32-slice", "u8-2d", "u8-3d", "u8-slice"])
+    def test_write_grid_matches_grid_to_bytes(self, tmp_path, arr, dtype):
+        # write_grid streams the payload from the array; the file holds the
+        # bytes grid_to_bytes builds
+        path = tmp_path / "g.bgrd"
+        io.write_grid(path, arr, dtype)
+        assert path.read_bytes() == io.grid_to_bytes(arr, dtype)
+
     def test_header_layout(self):
         data = io.grid_to_bytes(np.zeros((2, 3, 4), dtype=np.float32), "f32")
         head, payload = data.split(b"\n", 1)
@@ -239,13 +254,13 @@ class TestRunConfig:
                            match=r"unknown key\(s\) in config section 'loss': \['epsilon'\]"):
             io.parse_config({"loss": {"epsilon": value}})
 
-    def test_schema_keys(self, tmp_path):
+    def test_schema_keys(self):
         # every section's key set: a change to the config classes must
         # neither add a setting nor drop one
-        path = tmp_path / "cfg.json"
-        io.save_config(path, io.RunConfig())
-        doc = json.loads(path.read_text())
-        assert {name: set(section) for name, section in doc.items()} == {
+        cfg = io.RunConfig()
+        keys = {section.name: {f.name for f in dataclasses.fields(getattr(cfg, section.name))}
+                for section in dataclasses.fields(cfg)}
+        assert keys == {
             "scene": {"rows", "cols", "resolution_m", "rx_height_m", "carrier_hz",
                       "reflection_loss_db", "vegetation_db_per_m", "max_reflections",
                       "tx_mast_m", "building_fraction", "vegetation_fraction",
@@ -259,7 +274,7 @@ class TestRunConfig:
             "train": {"lr", "epochs", "batch", "lr_decay", "patience", "seed"},
             "eval": {"k_list"},
         }
-        assert io.parse_config(doc) == io.RunConfig()
+        assert io.parse_config(dataclasses.asdict(cfg)) == cfg
 
     def test_min_lr_factor_rejected(self):
         # the early-stop factor is predictor.MIN_LR_FACTOR, not a setting
@@ -282,6 +297,16 @@ class TestRunConfig:
         with pytest.raises(GridParseError, match=message):
             io.parse_config(doc)
 
+    @pytest.mark.parametrize("loss, expect", [
+        ({"kind": "ws"}, pr.LossConfig("WS", False)),
+        ({"kind": "IR"}, pr.LossConfig("IR", True)),
+        ({"kind": "ir", "sep": False}, pr.LossConfig("IR", True)),
+    ])
+    def test_loss_kind_normalised(self, loss, expect):
+        # the kind is upper-cased and index regression is always sep, so
+        # these configs train the same model as their normal form
+        assert io.parse_config({"loss": loss}).loss == expect
+
     def test_scene_seed_rejected(self):
         # generate takes its seed from --seed; the config key is unknown
         with pytest.raises(GridParseError,
@@ -292,7 +317,7 @@ class TestRunConfig:
         cfg = io.parse_config({"scene": {"rows": 32, "cols": 48},
                                "loss": {"kind": "WS", "sep": True}})
         path = tmp_path / "cfg.json"
-        io.save_config(path, cfg)
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         again = io.load_config(path)
         assert again == cfg
 
@@ -359,15 +384,14 @@ class TestTxSiteJson:
 class TestModelFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
-        model = pr.SoftmaxModel.create(9, (8, 4, 4), loss_kind="WS",
-                                       sep=False, seed=11)
+        model = pr.SoftmaxModel.create(9, (8, 4, 4), pr.LossConfig("WS"), seed=11)
         model.weights = rng.normal(0, 1, model.weights.shape)
         model.bias = rng.normal(0, 1, model.bias.shape)
         path = tmp_path / "m.bgmdl"
         io.save_model(path, model)
         back = io.load_model(path)
         assert back.dims == (8, 4, 4)
-        assert back.loss_kind == "WS" and back.seed == 11
+        assert back.loss == pr.LossConfig("WS") and back.seed == 11
         np.testing.assert_array_equal(
             back.weights, model.weights.astype(np.float32).astype(np.float64))
 
@@ -390,7 +414,7 @@ class TestModelFile:
     @given(st.data())
     @settings(max_examples=300)
     def test_garbled_header_raises_only_parse_error(self, model_file, data):
-        model = pr.SoftmaxModel.create(4, (2, 2, 2), loss_kind="WS")
+        model = pr.SoftmaxModel.create(4, (2, 2, 2), pr.LossConfig("WS"))
         io.save_model(model_file, model)
         head, payload = model_file.read_bytes().split(b"\n", 1)
         header = json.loads(head)
@@ -411,8 +435,23 @@ class TestModelFile:
         except GridParseError:
             return
         assert len(back.dims) == 3 and min(back.dims) >= 1
-        assert back.loss_kind in pr.LOSS_KINDS
+        assert back.loss.kind in pr.LOSS_KINDS and back.loss.floor_db < 0.0
         assert back.weights.shape[1] == back.bias.shape[0]
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("loss_kind", "foo", "unknown loss kind 'FOO'"),
+        ("floor_db", 0, "floor_db must be below the 0 dB peak"),
+    ])
+    def test_bad_loss_header_rejected(self, tmp_path, key, value, message):
+        # the header's loss settings pass the checks of the config section
+        path = tmp_path / "m.bgmdl"
+        io.save_model(path, pr.SoftmaxModel.create(4, (2, 2, 2)))
+        head, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header[key] = value
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+        with pytest.raises(GridParseError, match=message):
+            io.load_model(path)
 
     @given(st.data())
     def test_truncated_file_rejected(self, model_file, data):
@@ -426,7 +465,7 @@ class TestModelFile:
         # the header keeps the key of the old WS solver temperature so that
         # model bytes stay as they were; a number there still loads
         path = tmp_path / "m.bgmdl"
-        io.save_model(path, pr.SoftmaxModel.create(4, (2, 2, 2), loss_kind="WS"))
+        io.save_model(path, pr.SoftmaxModel.create(4, (2, 2, 2), pr.LossConfig("WS")))
         head, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(head)
         assert list(header)[5] == "epsilon" and header["epsilon"] is None

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamgrid import losses as lo
-from conftest import cep_loss, cep_target_reference, ce_loss, ce_loss_sep, floored_db_reference, \
-    gr_loss, grad_check, ir_loss, ws_loss, ws_loss_sep
+from conftest import FLOOR_DB, cep_loss, cep_target_reference, ce_loss, ce_loss_sep, \
+    floored_db_reference, gr_loss, grad_check, ir_loss, ws_loss, ws_loss_sep
 
 DIMS8 = (2, 2, 2)
 D8 = lo.beam_distance_matrix(DIMS8)
@@ -76,13 +76,13 @@ class TestCepTarget:
     def test_peak_dominates(self):
         t = np.zeros((2, 2, 2))
         t[1, 0, 1] = 4.0
-        s = lo.cep_target(t)
+        s = lo.cep_target(t, FLOOR_DB)
         flat = (1 * 2 + 0) * 2 + 1
         assert s.argmax() == flat
         assert s[flat] > s.max(where=np.arange(8) != flat, initial=0)
 
     def test_constant_tensor_uniform(self):
-        s = lo.cep_target(np.full((2, 2, 2), 0.3))
+        s = lo.cep_target(np.full((2, 2, 2), 0.3), FLOOR_DB)
         np.testing.assert_allclose(s, 1 / 8, atol=1e-12)
 
     def test_two_entry_example(self):
@@ -91,13 +91,13 @@ class TestCepTarget:
 
     def test_zero_tensor_rejected(self):
         with pytest.raises(ValueError):
-            lo.cep_target(np.zeros(8))
+            lo.cep_target(np.zeros(8), FLOOR_DB)
 
     def test_sep_marginals(self):
         rng = np.random.default_rng(3)
         t = rng.uniform(0.01, 1.0, (8, 4, 4))
-        pa, pe, pr = lo.cep_target_sep(t)
-        joint = lo.cep_target(t).reshape(8, 4, 4)
+        pa, pe, pr = lo.cep_target_sep(t, FLOOR_DB)
+        joint = lo.cep_target(t, FLOOR_DB).reshape(8, 4, 4)
         np.testing.assert_allclose(pa, joint.sum(axis=(1, 2)), atol=1e-12)
         for v in (pa, pe, pr):
             assert v.sum() == pytest.approx(1.0, abs=1e-9)
@@ -122,7 +122,7 @@ class TestCepLoss:
 
     def test_gradient_finite_differences(self):
         rng = np.random.default_rng(6)
-        s = lo.cep_target(rng.uniform(0.01, 1, 16))
+        s = lo.cep_target(rng.uniform(0.01, 1, 16), FLOOR_DB)
         z = rng.normal(0, 1, 16)
         dev = grad_check(lambda zz: cep_loss(zz, s), z)
         assert dev < 1e-5
@@ -220,7 +220,7 @@ class TestGrLoss:
     def test_exact_prediction(self):
         rng = np.random.default_rng(15)
         t = rng.uniform(0.01, 1, (2, 2, 2))
-        target = lo.gr_target_db(t)
+        target = lo.gr_target_db(t, FLOOR_DB)
         loss, grad = gr_loss(target, t)
         assert loss == 0.0 and not grad.any()
 
@@ -228,7 +228,7 @@ class TestGrLoss:
         rng = np.random.default_rng(16)
         t = rng.uniform(0.01, 1, (2, 2, 2))
         c = 2.5
-        loss, _ = gr_loss(lo.gr_target_db(t) + c, t)
+        loss, _ = gr_loss(lo.gr_target_db(t, FLOOR_DB) + c, t)
         assert loss == pytest.approx(c * c, rel=1e-12)
 
     def test_gradient_finite_differences(self):
@@ -258,8 +258,8 @@ class TestGrLoss:
     def test_sep_targets(self):
         rng = np.random.default_rng(18)
         t = rng.uniform(0.01, 1, (8, 4, 4))
-        ga, ge, gr = lo.gr_target_db_sep(t)
-        np.testing.assert_allclose(ga, lo.gr_target_db(t.sum(axis=(1, 2))))
+        ga, ge, gr = lo.gr_target_db_sep(t, FLOOR_DB)
+        np.testing.assert_allclose(ga, lo.gr_target_db(t.sum(axis=(1, 2)), FLOOR_DB))
         assert ge.shape == (4,) and gr.shape == (4,)
 
 
@@ -290,7 +290,7 @@ class TestGradCheckSuite:
         for _ in range(10):
             z = rng.normal(0, 1, 16)
             assert grad_check(lambda zz: ce_loss(zz, 4), z) < 1e-4
-            s = lo.cep_target(rng.uniform(0.01, 1, 16))
+            s = lo.cep_target(rng.uniform(0.01, 1, 16), FLOOR_DB)
             assert grad_check(lambda zz: cep_loss(zz, s), z) < 1e-4
 
     def test_ce_checker_tight_tolerance(self):

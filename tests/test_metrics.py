@@ -186,7 +186,7 @@ class TestLosClassMap:
         hm = sc.HeightMap(np.zeros((16, 16)), np.zeros((16, 16)))
         tx = sc.TxSite((8, 8), 10.0, ch.ArrayFrame(0.0, math.pi / 4))
         chans = sc.trace_paths(hm, tx, sc.SceneConfig(vegetation_db_per_m=0.0))
-        los = mt.los_class_map(hm, tx, chans)
+        los = mt.los_class_map(hm, chans)
         assert (los == mt.LosClass.LOS_DOMINANT).all()
 
     def test_blocked_pixel_nlos(self):
@@ -196,7 +196,7 @@ class TestLosClassMap:
         hm = sc.HeightMap(building, np.zeros((16, 16)))
         tx = sc.TxSite((8, 2), 12.0, ch.ArrayFrame(0.0, math.pi / 4))
         chans = sc.trace_paths(hm, tx, sc.SceneConfig())
-        los = mt.los_class_map(hm, tx, chans)
+        los = mt.los_class_map(hm, chans)
         assert los[8, 12] == mt.LosClass.NLOS
 
     def test_attenuated_direct_weaker_than_reflection(self):
@@ -214,7 +214,7 @@ class TestLosClassMap:
         mags = chans.magnitude[paths_at(chans, r, c)]
         assert chans.has_direct[r, c] and mags.size >= 2
         assert mags[0] < mags[1:].max()  # reflection wins
-        los = mt.los_class_map(hm, tx, chans)
+        los = mt.los_class_map(hm, chans)
         assert los[r, c] == mt.LosClass.LOS_ATTENUATED
 
     @given(small_scenes(), scene_configs)
@@ -224,8 +224,8 @@ class TestLosClassMap:
         full = sc.trace_paths(hm, tx, cfg)
         direct = sc.trace_paths(hm, tx, dataclasses.replace(cfg, max_reflections=0))
         expect = los_class_reference(full)
-        assert np.array_equal(mt.los_class_map(hm, tx, full), expect)
-        assert np.array_equal(mt.los_class_map(hm, tx, direct), expect)
+        assert np.array_equal(mt.los_class_map(hm, full), expect)
+        assert np.array_equal(mt.los_class_map(hm, direct), expect)
 
     def test_requires_trace_metadata(self):
         hm = sc.HeightMap(np.zeros((4, 4)), np.zeros((4, 4)))
@@ -233,6 +233,5 @@ class TestLosClassMap:
             rows=4, cols=4, pixel=np.zeros(0, dtype=np.int64),
             magnitude=np.zeros(0), phase=np.zeros(0), aod_azimuth=np.zeros(0),
             aod_elevation=np.zeros(0), aoa_azimuth=np.zeros(0))
-        tx = sc.TxSite((0, 0), 5.0, ch.ArrayFrame(0, 0))
         with pytest.raises(ValueError):
-            mt.los_class_map(hm, tx, chans)
+            mt.los_class_map(hm, chans)

@@ -17,8 +17,8 @@ from beamgrid import predictor as pr
 from beamgrid import scene as sc
 from beamgrid.errors import EmptyTrainingSetError
 
-from conftest import batch_loss_grad_reference, batch_loss_reference, ce_loss, ce_loss_sep, \
-    cep_loss, cep_loss_sep, gr_loss, ir_loss, pixel_exclusion, targets_reference, \
+from conftest import FLOOR_DB, batch_loss_grad_reference, batch_loss_reference, ce_loss, \
+    ce_loss_sep, cep_loss, cep_loss_sep, gr_loss, ir_loss, pixel_exclusion, targets_reference, \
     tensor_grid, train_reference, ws_loss, ws_loss_sep
 
 
@@ -74,6 +74,18 @@ class TestBuildFeatures:
                                              r"is off the 16x16 grid"):
             pr.build_features(hm, tx)
 
+    def test_mast_above_every_building_bounded(self):
+        # relative height scales by the tx height when the mast is the
+        # tallest thing in the scene
+        building = np.zeros((16, 16))
+        building[2:6, 2:6] = 10.0
+        hm = sc.HeightMap(building, np.zeros((16, 16)))
+        tx = sc.TxSite((8, 8), 40.0, ch.ArrayFrame(0.0, 0.0))
+        feats = pr.build_features(hm, tx)
+        assert np.abs(feats.values).max() <= 1.0
+        rel = feats.values[..., list(feats.names).index("relative_height")]
+        assert rel[8, 8] == 1.0 and rel[3, 3] == 0.75
+
     def test_deterministic_and_bounded(self, small_scene):
         hm, tx = small_scene
         a = pr.build_features(hm, tx)
@@ -122,7 +134,7 @@ class TestGeometricPredictor:
         chans = sc.trace_paths(hm, tx, cfg)
         tensors = tensor_grid(chans, codebook, tx.frame)
         pred = pr.geometric_predictor(hm, tx, codebook, cfg.rx_height_m)
-        cands = pr.candidates(pred, 1)
+        order = pr.ranking(pred)
         hits = 0
         total = 0
         for r in range(24):
@@ -130,7 +142,7 @@ class TestGeometricPredictor:
                 if not tensors[r, c].any():
                     continue
                 total += 1
-                hits += int(cands[r, c, 0] == np.argmax(tensors[r, c]))
+                hits += int(order[r, c, 0] == np.argmax(tensors[r, c]))
         assert total > 500
         assert hits / total >= 0.9
 
@@ -191,21 +203,21 @@ class TestPredict:
 
 
 class TestCandidates:
+    """The candidate beams of a pixel are the head of its ranking."""
+
     def test_oracle_top1_is_optimal(self, codebook):
         rng = np.random.default_rng(6)
         t = rng.uniform(0, 1, (2, 2, 8, 4, 4))
-        pred = pr.oracle_predictor(t)
-        cands = pr.candidates(pred, 1)
+        order = pr.ranking(pr.oracle_predictor(t))
         for r in range(2):
             for c in range(2):
-                assert cands[r, c, 0] == int(np.argmax(t[r, c]))
+                assert order[r, c, 0] == int(np.argmax(t[r, c]))
 
     def test_full_candidate_set_in_rank_order(self):
         rng = np.random.default_rng(7)
         t = rng.uniform(0, 1, (1, 1, 2, 2, 2))
-        pred = pr.oracle_predictor(t)
-        cands = pr.candidates(pred, 8)
-        assert sorted(cands[0, 0]) == list(range(8))
+        order = pr.ranking(pr.oracle_predictor(t))
+        assert sorted(order[0, 0]) == list(range(8))
 
     def test_sep_matches_bruteforce_product(self):
         rng = np.random.default_rng(8)
@@ -224,28 +236,6 @@ class TestCandidates:
                 expect = np.argsort(-joint, kind="stable")
                 assert np.array_equal(order[r, c], expect)
 
-    def test_nested_in_k(self):
-        rng = np.random.default_rng(9)
-        t = rng.uniform(0, 1, (2, 2, 2, 2, 2))
-        pred = pr.oracle_predictor(t)
-        c4 = pr.candidates(pred, 4)
-        c5 = pr.candidates(pred, 5)
-        assert np.array_equal(c5[..., :4], c4)
-
-    def test_k_out_of_range(self):
-        pred = pr.oracle_predictor(np.ones((1, 1, 2, 2, 2)))
-        with pytest.raises(ValueError):
-            pr.candidates(pred, 0)
-        with pytest.raises(ValueError):
-            pr.candidates(pred, 9)
-
-    def test_invalid_pixels_marked(self):
-        t = np.ones((2, 1, 2, 2, 2))
-        valid = np.array([[True], [False]])
-        pred = pr.oracle_predictor(t, valid)
-        cands = pr.candidates(pred, 2)
-        assert (cands[1, 0] == -1).all() and (cands[0, 0] >= 0).all()
-
 
 class TestBatchLossConsistency:
     """The vectorised batch losses must match the per-sample references."""
@@ -255,7 +245,7 @@ class TestBatchLossConsistency:
         dims = (4, 3, 2)
         b = 24
         n = 6
-        model = pr.SoftmaxModel.create(5, dims, loss_kind=kind, sep=sep)
+        model = pr.SoftmaxModel.create(5, dims, pr.LossConfig(kind, sep))
         c = model.weights.shape[1]
         z = rng.normal(0, 1, (n, c))
         tensors = rng.uniform(0.01, 1.0, (n, *dims))
@@ -334,7 +324,7 @@ class TestBatchLossConsistency:
         expect = (diffs**2).mean(axis=1).mean()
         assert loss == pytest.approx(expect, rel=1e-12)
         # targets are the floored-dB marginals from the losses module
-        ga, ge, gr_t = lo.gr_target_db_sep(tensors[0])
+        ga, ge, gr_t = lo.gr_target_db_sep(tensors[0], FLOOR_DB)
         np.testing.assert_allclose(targets[0], np.concatenate([ga, ge, gr_t]))
 
     def test_ir(self):
@@ -396,7 +386,7 @@ class TestLossMatchesReference:
     def test_all_kinds(self, case):
         dims, tensors, scores = case
         for kind, sep in ALL_LOSSES:
-            model = pr.SoftmaxModel.create(5, dims, loss_kind=kind, sep=sep)
+            model = pr.SoftmaxModel.create(5, dims, pr.LossConfig(kind, sep))
             z = scores[:, :model.weights.shape[1]]
             targets = pr._targets_for(model, tensors)
             ref_targets = targets_reference(model, tensors)
@@ -442,7 +432,7 @@ class TestEpochLoss:
         scale = np.abs(scores).max(initial=1.0)
         with mock.patch.object(pr, "LOSS_BLOCK_VALUES", block_values):
             for kind, sep in ALL_LOSSES:
-                model = pr.SoftmaxModel.create(features, dims, loss_kind=kind, sep=sep)
+                model = pr.SoftmaxModel.create(features, dims, pr.LossConfig(kind, sep))
                 c = model.weights.shape[1]
                 w = rng.normal(0.0, scale / features, (features, c))
                 b = rng.normal(0.0, 1.0, c)
@@ -456,7 +446,7 @@ class TestEpochLoss:
     @pytest.mark.parametrize("n", [3, 9])
     def test_last_single_row(self, n):
         rng = np.random.default_rng(n)
-        model = pr.SoftmaxModel.create(9, (8, 4, 4), loss_kind="CE")
+        model = pr.SoftmaxModel.create(9, (8, 4, 4))
         with mock.patch.object(pr, "LOSS_BLOCK_VALUES", 1):  # blocks of two rows
             for _ in range(20):
                 x = rng.normal(0.0, 1.0, (n, 9))
@@ -467,7 +457,7 @@ class TestEpochLoss:
     @pytest.mark.parametrize("n", [2, 7, 9])
     def test_one_column_model(self, n):
         rng = np.random.default_rng(n)
-        model = pr.SoftmaxModel.create(9, (1, 1, 1), loss_kind="GR")
+        model = pr.SoftmaxModel.create(9, (1, 1, 1), pr.LossConfig("GR"))
         with mock.patch.object(pr, "LOSS_BLOCK_VALUES", 1):
             for _ in range(20):
                 x = rng.normal(0.0, 1.0, (n, 9))
@@ -496,7 +486,7 @@ def training_runs(draw):
     hyper = pr.TrainConfig(lr=draw(st.sampled_from([0.0, 0.05, 0.5, 3.0])),
                            epochs=draw(st.integers(1, 12)), batch=draw(st.integers(1, 16)),
                            patience=draw(st.integers(1, 3)))
-    model = pr.SoftmaxModel.create(features, dims, loss_kind=kind, sep=sep,
+    model = pr.SoftmaxModel.create(features, dims, pr.LossConfig(kind, sep),
                                    seed=draw(st.integers(0, 3)))
     return model, samples(n), samples(n_val) if n_val else (None, None), hyper
 
@@ -532,7 +522,7 @@ class TestTrainMatchesReference:
         x = rng.normal(0.0, 1.0, (48, 10))
         t = rng.uniform(0.0, 1.0, (48, 1, 1, 2))
         t[:, 0, 0, 0] += 0.5
-        model = pr.SoftmaxModel.create(10, (1, 1, 2), loss_kind="GR")
+        model = pr.SoftmaxModel.create(10, (1, 1, 2), pr.LossConfig("GR"))
         hyper = pr.TrainConfig(lr=3.0, epochs=12, batch=1, patience=3)
         with mock.patch.object(pr, "MIN_LR_FACTOR", 0.2), \
                 np.errstate(over="ignore", invalid="ignore"):
@@ -566,7 +556,7 @@ class TestTrainMatchesReference:
         rng = np.random.default_rng(11)
         x, xv = rng.normal(0.0, 1.0, (600, 9)), rng.normal(0.0, 1.0, (100, 9))
         t, tv = rng.uniform(0.01, 1.0, (600, 4, 2, 2)), rng.uniform(0.01, 1.0, (100, 4, 2, 2))
-        model = pr.SoftmaxModel.create(9, (4, 2, 2), loss_kind="WS", seed=5)
+        model = pr.SoftmaxModel.create(9, (4, 2, 2), pr.LossConfig("WS"), seed=5)
         hyper = pr.TrainConfig(lr=0.5, epochs=20, batch=32)
         ref, ref_history = train_reference(model, x, t, hyper, xv, tv)
         interval = sys.getswitchinterval()
@@ -617,15 +607,15 @@ class TestTrainAllLossKinds:
         n, dims = 60, (4, 3, 2)
         x = rng.uniform(-1, 1, (n, 6))
         tensors = rng.uniform(0.01, 1.0, (n, *dims))
-        model = pr.SoftmaxModel.create(6, dims, loss_kind=kind, sep=sep, seed=1)
+        model = pr.SoftmaxModel.create(6, dims, pr.LossConfig(kind, sep), seed=1)
         hyper = pr.TrainConfig(lr=0.1, epochs=15, batch=16)
         trained, history = pr.train(model, x, tensors, hyper)
         assert history[-1][1] <= history[0][1] + 1e-9
         pred = pr.predict(trained, pr.FeatureMaps(values=x.reshape(6, 10, 6)))
-        cands = pr.candidates(pred, 3)
+        order = pr.ranking(pred)
         b = dims[0] * dims[1] * dims[2]
-        assert cands.shape == (6, 10, 3)
-        assert ((0 <= cands) & (cands < b)).all()
+        assert order.shape == (6, 10, b)
+        assert (np.sort(order, axis=-1) == np.arange(b)).all()
 
 
 class TestTrain:
@@ -649,7 +639,7 @@ class TestTrain:
         x = rng.uniform(-1, 1, (1, 5))
         t = np.zeros((1, 2, 2, 2))
         t[0, 1, 0, 1] = 1.0
-        model = pr.SoftmaxModel.create(5, (2, 2, 2), loss_kind="CE", seed=0)
+        model = pr.SoftmaxModel.create(5, (2, 2, 2), seed=0)
         hyper = pr.TrainConfig(lr=1.0, epochs=500, batch=1, patience=1000)
         trained, history = pr.train(model, x, t, hyper)
         assert history[-1][1] < 0.01
@@ -711,8 +701,7 @@ class TestTrainedBeatsChance:
             feats = pr.build_features(sc.pool_heightmap(hm, 4), sc.pool_tx(tx, 4))
             xs.append(feats.flat()[valid.ravel()])
             ts.append(lo_t[valid])
-        model = pr.SoftmaxModel.create(xs[0].shape[1], (8, 4, 4),
-                                       loss_kind="CE", seed=0)
+        model = pr.SoftmaxModel.create(xs[0].shape[1], (8, 4, 4), seed=0)
         hyper = pr.TrainConfig(lr=0.5, epochs=80, batch=64)
         trained, _ = pr.train(model, np.concatenate(xs[:3]),
                               np.concatenate(ts[:3]), hyper)

