@@ -110,8 +110,9 @@ def _read_site(scene_path, tx_path, cfg):
 
 
 def _read_tensors(tensors_path, mask_path):
-    """Beam tensors and their validity mask, checked to share one grid."""
-    tensors = gridio.read_grid(tensors_path).astype(np.float64)
+    """Beam tensors, as stored (f32), and their validity mask, checked to
+    share one grid. A caller converts to float64 only the part it uses."""
+    tensors = gridio.read_grid(tensors_path)
     mask = gridio.read_grid(mask_path)
     if mask.shape[2] != 1:
         raise GridParseError(f"mask grid has {mask.shape[2]} channels; expected 1")
@@ -140,7 +141,8 @@ def _prediction_from_args(args, cfg, tensors, valid, site):
     dims = cfg.codebook.dims
     b = dims[0] * dims[1] * dims[2]
     if args.pred == "oracle":
-        return dataclasses.replace(predictor.oracle_predictor(tensors, valid), dims=dims)
+        oracle = predictor.oracle_predictor(tensors.astype(np.float64), valid)
+        return dataclasses.replace(oracle, dims=dims)
     path = Path(args.pred)
     if not path.exists():
         raise GridParseError(f"prediction input {path} does not exist")
@@ -184,7 +186,7 @@ def cmd_evaluate(args):
         raise GridParseError(f"the prediction ranks {pred.n_beams} beams; "
                              f"the tensors hold {tensors.shape[2]}")
     rankings = predictor.flat_ranking(pred)
-    sample_tensors = tensors[valid]
+    sample_tensors = tensors[valid].astype(np.float64)
     report = metrics.evaluate_ranking(sample_tensors, rankings, cfg.eval.k_list,
                                       cfg.budget, excluded=int((~valid).sum()))
     gridio.save_report(args.report, report)
@@ -232,14 +234,16 @@ def _scene_site(stem, cfg):
         raise GridParseError(f"{stem}: {exc}") from exc
 
 
-def _load_scene_samples(stem, site):
-    """Features and tensors of one scene's valid pixels (tensor resolution)."""
+def _load_scene_samples(stem, site, model):
+    """Features and training targets of one scene's valid pixels (tensor
+    resolution); the scene's tensors are dropped once its targets are built."""
     try:
         tensors, valid = _read_tensors(f"{stem}.tensors.bgrd", f"{stem}.mask.bgrd")
         feats = _site_features(*site, valid.shape)
     except GridParseError as exc:
         raise GridParseError(f"{stem}: {exc}") from exc
-    return feats.flat()[valid.ravel()], tensors[valid]
+    samples = tensors[valid].astype(np.float64)
+    return feats.flat()[valid.ravel()], predictor.targets(model, samples)
 
 
 def cmd_train(args):
@@ -259,18 +263,19 @@ def cmd_train(args):
         if stem not in unused:
             sites[stem] = site
 
+    model = predictor.SoftmaxModel.create(len(predictor.FEATURE_NAMES), cfg.codebook.dims,
+                                          cfg.loss, seed=cfg.train.seed)
+
     def gather(group):
         xs, ts = [], []
         for stem in group:
-            x, t = _load_scene_samples(stem, sites.pop(stem))
+            x, t = _load_scene_samples(stem, sites.pop(stem), model)
             xs.append(x)
             ts.append(t)
         return np.concatenate(xs), np.concatenate(ts)
 
     x_train, t_train = gather(train_stems)
     x_val, t_val = gather(val_stems)
-    model = predictor.SoftmaxModel.create(x_train.shape[1], cfg.codebook.dims,
-                                          cfg.loss, seed=cfg.train.seed)
     trained, history = predictor.train(model, x_train, t_train, cfg.train, x_val, t_val)
     gridio.save_model(args.model_out, trained)
     history_path = args.history_out or args.model_out + ".history.csv"

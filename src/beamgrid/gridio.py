@@ -52,11 +52,6 @@ def _encode_grid(array, dtype):
     return header, np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
 
 
-def grid_to_bytes(array, dtype="f32"):
-    header, payload = _encode_grid(array, dtype)
-    return header + payload.tobytes()
-
-
 def _write_grid_to(fh, array, dtype):
     """Write a grid to an open binary file; the payload goes straight from
     the array's buffer, with no bytes copy of it."""
@@ -65,15 +60,23 @@ def _write_grid_to(fh, array, dtype):
     fh.write(payload.data)
 
 
-def grid_from_bytes(data):
-    if not data.startswith(GRID_MAGIC):
+def _read_grid_from(fh):
+    """The grid at the position of a binary file: its header line, then a
+    payload read straight into the array, with no bytes copy of it.
+
+    A bad magic or header, a negative dimension, or a payload that is not
+    exactly the header's size up to the end of the file raises
+    GridParseError.
+    """
+    head = fh.readline()
+    if not head.startswith(GRID_MAGIC):
         raise GridParseError(
-            f"bad magic at byte offset 0: expected {GRID_MAGIC!r}, got {data[:5]!r}")
-    nl = data.find(b"\n")
-    if nl < 0:
-        raise GridParseError(f"header newline missing within {len(data)} bytes")
+            f"bad magic at byte offset 0: expected {GRID_MAGIC!r}, got {head[:5]!r}")
+    nl = len(head) - 1
+    if not head.endswith(b"\n"):
+        raise GridParseError(f"header newline missing within {len(head)} bytes")
     try:
-        tokens = data[:nl].decode("ascii").split()
+        tokens = head[:nl].decode("ascii").split()
         _, rows, cols, ch, dtype = tokens
         rows, cols, ch = int(rows), int(cols), int(ch)
         itemsize = _DTYPES[dtype].itemsize
@@ -83,13 +86,20 @@ def grid_from_bytes(data):
         raise GridParseError(
             f"negative dimension in header before byte offset {nl}: {rows}x{cols}x{ch}")
     expected = rows * cols * ch * itemsize
-    payload = data[nl + 1:]
-    if len(payload) != expected:
+    start = fh.tell()
+    size = fh.seek(0, 2) - start
+    if size == expected:  # checked before the payload is allocated
+        fh.seek(start)
+        try:
+            arr = np.empty((rows, cols, ch), dtype=_DTYPES[dtype])
+        except ValueError as exc:  # no payload, but a dimension beyond NumPy's range
+            raise GridParseError(
+                f"malformed header before byte offset {nl}: {exc}") from exc
+        size = fh.readinto(arr)  # short only if the file shrank meanwhile
+    if size != expected:
         raise GridParseError(
-            f"payload at byte offset {nl + 1}: expected {expected} bytes, "
-            f"got {len(payload)}")
-    arr = np.frombuffer(payload, dtype=_DTYPES[dtype]).reshape(rows, cols, ch)
-    return arr.copy()
+            f"payload at byte offset {nl + 1}: expected {expected} bytes, got {size}")
+    return arr
 
 
 def write_grid(path, array, dtype="f32"):
@@ -99,7 +109,7 @@ def write_grid(path, array, dtype="f32"):
 
 def read_grid(path):
     with open(path, "rb") as fh:
-        return grid_from_bytes(fh.read())
+        return _read_grid_from(fh)
 
 
 def write_paths_csv(path, channels):
@@ -455,8 +465,20 @@ def load_model(path):
     save_model writes, or that disagrees with the weight grid, raises
     GridParseError."""
     with open(path, "rb") as fh:
-        head_line = fh.readline()
-        rest = fh.read()
+        header, loss = _model_header(fh.readline())
+        stacked = _read_grid_from(fh)
+    expect = (header["features"] + 1, header["outputs"], 1)  # bias in the last row
+    if header["features"] < 0 or stacked.shape != expect:
+        raise GridParseError(
+            f"model weight grid {stacked.shape} does not match the header's "
+            f"{header['features']} features and {header['outputs']} outputs")
+    stacked = stacked[:, :, 0].astype(np.float64)
+    return SoftmaxModel(weights=stacked[:-1], bias=stacked[-1], dims=tuple(header["dims"]),
+                        loss=loss, seed=header["seed"])
+
+
+def _model_header(head_line):
+    """The header object of a model file and its LossConfig, checked."""
     try:
         header = json.loads(head_line.decode("ascii"))
     except (ValueError, UnicodeDecodeError) as exc:
@@ -482,15 +504,7 @@ def load_model(path):
         loss = LossConfig(header["loss_kind"], header["sep"], float(header["floor_db"]))
     except ValueError as exc:
         raise GridParseError(f"model header: {exc}") from exc
-    stacked = grid_from_bytes(rest)
-    expect = (header["features"] + 1, header["outputs"], 1)  # bias in the last row
-    if header["features"] < 0 or stacked.shape != expect:
-        raise GridParseError(
-            f"model weight grid {stacked.shape} does not match the header's "
-            f"{header['features']} features and {header['outputs']} outputs")
-    stacked = stacked[:, :, 0].astype(np.float64)
-    return SoftmaxModel(weights=stacked[:-1], bias=stacked[-1], dims=tuple(dims),
-                        loss=loss, seed=header["seed"])
+    return header, loss
 
 
 def is_model_file(path):

@@ -24,6 +24,8 @@ that the batch code is tested against live in tests/conftest.py.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -60,7 +62,8 @@ def _samples(tensor):
     """One row per sample: a 4-D input is a stack of (Na, Ne, Nr) tensors
     along its first axis, any other shape is one tensor."""
     t = np.asarray(tensor, dtype=np.float64)
-    return t.reshape(len(t), -1) if t.ndim == 4 else t.reshape(1, -1)
+    # the beam count, not -1, which is ambiguous for a stack of no tensors
+    return t.reshape(len(t), math.prod(t.shape[1:])) if t.ndim == 4 else t.reshape(1, -1)
 
 
 def _marginals(t):

@@ -58,7 +58,6 @@ def exclusion_mask(tensors, budget):
 def snr(rss_linear, budget):
     """Linear SNR of a unit-transmit-power path gain under the budget."""
     rss = np.asarray(rss_linear, dtype=np.float64)
-    out = np.zeros_like(rss)
     pos = rss > 0.0
     with np.errstate(divide="ignore"):
         rx_dbm = budget.tx_power_dbm + 10.0 * np.log10(np.where(pos, rss, 1.0))
@@ -90,21 +89,26 @@ def rates(tensors, budget):
 
 def throughput_ratio(tensors, preds, k, budget):
     """Achieved-vs-optimal sum rate when the best of the first k candidates is used."""
+    return _throughput_ratios(tensors, preds, [k], budget)[0]
+
+
+def _throughput_ratios(tensors, preds, k_list, budget):
+    """throughput_ratio at each k, from one computation of the rates."""
     t = np.asarray(tensors)
     preds = np.asarray(preds)
     if t.shape[0] != preds.shape[0]:
         raise ValueError(f"{t.shape[0]} tensors vs {preds.shape[0]} candidate sets")
     if t.shape[0] == 0:
         raise UndefinedResultError("throughput ratio over an empty sample set")
-    if not 1 <= k <= preds.shape[1]:
-        raise ValueError(f"k={k} exceeds candidate list length {preds.shape[1]}")
+    for k in k_list:
+        if not 1 <= k <= preds.shape[1]:
+            raise ValueError(f"k={k} exceeds candidate list length {preds.shape[1]}")
     rate = rates(t, budget)
-    best = rate.max(axis=1)
-    achieved = np.take_along_axis(rate, preds[:, :k], axis=1).max(axis=1)
-    denom = best.sum()
+    denom = rate.max(axis=1).sum()
     if denom <= 0.0:
         raise UndefinedResultError("all samples have zero optimal rate")
-    return float(achieved.sum() / denom)
+    return [float(np.take_along_axis(rate, preds[:, :k], axis=1).max(axis=1).sum() / denom)
+            for k in k_list]
 
 
 def ranking_from_scores(scores):
@@ -130,7 +134,7 @@ def evaluate_ranking(tensors, rankings, k_list, budget, excluded=0):
         raise UndefinedResultError("no valid samples left to evaluate")
     truths = np.argmax(np.asarray(tensors).reshape(len(rankings), -1), axis=1)
     acc = [topk_accuracy(truths, rankings, k) for k in k_list]
-    tpr = [throughput_ratio(tensors, rankings, k, budget) for k in k_list]
+    tpr = _throughput_ratios(tensors, rankings, k_list, budget)
     return EvalReport(k_list=list(k_list), accuracy=acc, tpr=tpr,
                       samples=len(rankings), excluded=int(excluded))
 

@@ -233,34 +233,38 @@ def predict(model, features, mask=None):
     return PredictionMap(scores=scores, valid=mask, dims=model.dims, kind=model.kind)
 
 
-def ranking(pred):
-    """Full beam order per pixel, shape (rows, cols, Na*Ne*Nr)."""
-    na, ne, nr = pred.dims
+def _rank_rows(scores, dims, kind):
+    """Full beam order of each row of a (n, C) score matrix, shape (n, B)."""
+    na, ne, nr = dims
     b = na * ne * nr
-    flat = pred.scores.reshape(-1, pred.scores.shape[-1])
-    if pred.kind == "joint":
-        order = ranking_from_scores(flat)
-    elif pred.kind == "sep":
-        za = flat[:, :na]
-        ze = flat[:, na:na + ne]
-        zr = flat[:, na + ne:]
+    if kind == "joint":
+        return ranking_from_scores(scores)
+    if kind == "sep":
+        za = scores[:, :na]
+        ze = scores[:, na:na + ne]
+        zr = scores[:, na + ne:]
         # product-distribution ranking: per-head log-probabilities differ
         # from raw head scores by a per-head constant, so summing scores
         # ranks identically
         joint = (za[:, :, None, None] + ze[:, None, :, None]
                  + zr[:, None, None, :]).reshape(-1, b)
-        order = ranking_from_scores(joint)
-    elif pred.kind == "ir":
-        order = losses.ir_ranking(flat, pred.dims)
-    else:
-        raise ValueError(f"unknown prediction kind {pred.kind!r}")
-    return order.reshape(pred.scores.shape[0], pred.scores.shape[1], b)
+        return ranking_from_scores(joint)
+    if kind == "ir":
+        return losses.ir_ranking(scores, dims)
+    raise ValueError(f"unknown prediction kind {kind!r}")
+
+
+def ranking(pred):
+    """Full beam order per pixel, shape (rows, cols, Na*Ne*Nr)."""
+    rows, cols, c = pred.scores.shape
+    order = _rank_rows(pred.scores.reshape(-1, c), pred.dims, pred.kind)
+    return order.reshape(rows, cols, pred.n_beams)
 
 
 def flat_ranking(pred):
-    """Rankings of the valid pixels only, row-major, shape (M, B)."""
-    order = ranking(pred)
-    return order[pred.valid]
+    """Rankings of the valid pixels only, row-major, shape (M, B): the rows
+    of ranking(pred) at pred.valid, from the valid rows' scores alone."""
+    return _rank_rows(pred.scores[pred.valid], pred.dims, pred.kind)
 
 
 MIN_LR_FACTOR = 1e-3  # train stops once the rate decays below lr * this
@@ -284,13 +288,16 @@ class TrainConfig:
             raise ValueError("invalid decay/patience")
 
 
-def _targets_for(model, tensors):
+def targets(model, tensors):
     """Training targets of the samples, one row each, from their beam power
-    tensors."""
+    tensors (a (n, Na*Ne*Nr) or (n, Na, Ne, Nr) array). Each row depends on
+    its own sample alone, so the targets of a concatenation are the
+    concatenation of the targets; no samples give no rows."""
     t = np.asarray(tensors).reshape(-1, *model.dims)
+    b = math.prod(model.dims)  # not -1: it is ambiguous for no samples
     kind, sep, floor_db = model.loss.kind, model.loss.sep, model.loss.floor_db
     if kind in ("CE", "WS", "IR"):
-        idx = np.argmax(t.reshape(len(t), -1), axis=1)
+        idx = np.argmax(t.reshape(len(t), b), axis=1)
         if not sep:
             return idx
         triples = np.stack(np.unravel_index(idx, model.dims), axis=1)
@@ -302,7 +309,7 @@ def _targets_for(model, tensors):
     # GR
     if sep:
         return np.concatenate(losses.gr_target_db_sep(t, floor_db), axis=1)
-    return losses.gr_target_db(t, floor_db).reshape(len(t), -1)
+    return losses.gr_target_db(t, floor_db).reshape(len(t), b)
 
 
 @functools.lru_cache(maxsize=None)
@@ -344,7 +351,10 @@ def _head_terms(kind, zh, th, dist):
     shifted, e = losses._shifted_exp(zh, 1)
     if kind == "WS":
         # dist is bitwise symmetric, so its rows are the columns picked
-        return (e / e.sum(axis=1, keepdims=True) * dist[th]).sum(axis=1)
+        # in place, so each thread holds one score block less
+        e /= e.sum(axis=1, keepdims=True)
+        e *= dist[th]
+        return e.sum(axis=1)
     lse = np.log(e.sum(axis=1, keepdims=True))
     if kind == "CE":
         return shifted[np.arange(len(shifted)), th] - lse[:, 0]
@@ -415,8 +425,10 @@ def _batch_grad(model, z, targets):
     return grad
 
 
-def train(model, x_train, tensors_train, hyper=None, x_val=None, tensors_val=None):
-    """Mini-batch gradient descent; returns (trained model, history rows).
+def train(model, x_train, t_train, hyper=None, x_val=None, t_val=None):
+    """Mini-batch gradient descent on the features x_train and their
+    targets t_train (targets(model, tensors)); returns (trained model,
+    history rows).
 
     History rows are (epoch, train_loss, val_loss, lr). The learning rate is
     multiplied by lr_decay whenever the validation loss has not improved for
@@ -436,11 +448,9 @@ def train(model, x_train, tensors_train, hyper=None, x_val=None, tensors_val=Non
     x_train = np.asarray(x_train, dtype=np.float64)
     if x_train.shape[0] == 0:
         raise EmptyTrainingSetError("no valid pixels to train on")
-    t_train = _targets_for(model, tensors_train)
     has_val = x_val is not None and len(x_val) > 0
     if has_val:
         x_val = np.asarray(x_val, dtype=np.float64)
-        t_val = _targets_for(model, tensors_val)
 
     rng = np.random.default_rng(model.seed)
     w = model.weights.copy()

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 
 from beamgrid import _kernels
 from beamgrid import channel as ch
+from beamgrid import gridio
 from beamgrid import losses
 from beamgrid import metrics as mt
 from beamgrid import predictor as pr
 from beamgrid import scene as sc
 from beamgrid.errors import EmptyTrainingSetError
-from beamgrid.predictor import TrainConfig, _heads, _targets_for
+from beamgrid.predictor import TrainConfig, _heads
 
 
 @pytest.fixture(scope="session")
@@ -491,6 +493,67 @@ def exterior_walls_reference(building, res=1.0):
     return np.array(walls, dtype=np.float64)
 
 
+# A grid file's bytes, and the grid read from bytes: no stage needs either,
+# so they live here for the format and fuzz tests. grid_from_bytes runs the
+# package's stream reader over the bytes.
+
+def grid_to_bytes(array, dtype="f32"):
+    header, payload = gridio._encode_grid(array, dtype)
+    return header + payload.tobytes()
+
+
+def grid_from_bytes(data):
+    return gridio._read_grid_from(io.BytesIO(data))
+
+
+# The ranking and scoring code that predictor.flat_ranking and
+# metrics.evaluate_ranking replaced: every pixel of the grid ranked, then
+# the valid rows selected, and the rates computed again for every k. The new
+# code must reproduce its bytes.
+
+def ranking_reference(pred):
+    """Full beam order per pixel, shape (rows, cols, Na*Ne*Nr)."""
+    na, ne, nr = pred.dims
+    b = na * ne * nr
+    flat = pred.scores.reshape(-1, pred.scores.shape[-1])
+    if pred.kind == "joint":
+        order = mt.ranking_from_scores(flat)
+    elif pred.kind == "sep":
+        za = flat[:, :na]
+        ze = flat[:, na:na + ne]
+        zr = flat[:, na + ne:]
+        joint = (za[:, :, None, None] + ze[:, None, :, None]
+                 + zr[:, None, None, :]).reshape(-1, b)
+        order = mt.ranking_from_scores(joint)
+    elif pred.kind == "ir":
+        order = losses.ir_ranking(flat, pred.dims)
+    else:
+        raise ValueError(f"unknown prediction kind {pred.kind!r}")
+    return order.reshape(pred.scores.shape[0], pred.scores.shape[1], b)
+
+
+def flat_ranking_reference(pred):
+    """Rankings of the valid pixels only, row-major, shape (M, B)."""
+    return ranking_reference(pred)[pred.valid]
+
+
+def throughput_ratio_reference(tensors, preds, k, budget):
+    t = np.asarray(tensors)
+    preds = np.asarray(preds)
+    rate = mt.rates(t, budget)
+    best = rate.max(axis=1)
+    achieved = np.take_along_axis(rate, preds[:, :k], axis=1).max(axis=1)
+    return float(achieved.sum() / best.sum())
+
+
+def evaluate_ranking_reference(tensors, rankings, k_list, budget, excluded=0):
+    truths = np.argmax(np.asarray(tensors).reshape(len(rankings), -1), axis=1)
+    acc = [mt.topk_accuracy(truths, rankings, k) for k in k_list]
+    tpr = [throughput_ratio_reference(tensors, rankings, k, budget) for k in k_list]
+    return mt.EvalReport(k_list=list(k_list), accuracy=acc, tpr=tpr,
+                         samples=len(rankings), excluded=int(excluded))
+
+
 # The default dB floor of the CEP and GR targets.
 FLOOR_DB = pr.LossConfig().floor_db
 
@@ -603,7 +666,7 @@ def grad_check(fn, point, step=1e-5):
     return float(dev.max())
 
 
-# The loss code that predictor._targets_for, _epoch_loss and _batch_grad
+# The loss code that predictor.targets, _epoch_loss and _batch_grad
 # replaced, kept as the reference they must match byte for byte (CE-sep
 # loss: to a few ulp, as it moved from -log(p + 1e-300) to log-softmax).
 # batch_loss_grad_reference needs dmat = losses.beam_distance_matrix(dims)
@@ -815,11 +878,11 @@ def train_reference(model, x_train, tensors_train, hyper=None, x_val=None, tenso
     x_train = np.asarray(x_train, dtype=np.float64)
     if x_train.shape[0] == 0:
         raise EmptyTrainingSetError("no valid pixels to train on")
-    t_train = _targets_for(model, tensors_train)
+    t_train = pr.targets(model, tensors_train)
     has_val = x_val is not None and len(x_val) > 0
     if has_val:
         x_val = np.asarray(x_val, dtype=np.float64)
-        t_val = _targets_for(model, tensors_val)
+        t_val = pr.targets(model, tensors_val)
 
     rng = np.random.default_rng(model.seed)
     w = model.weights.copy()

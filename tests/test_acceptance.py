@@ -225,7 +225,8 @@ def test_trained_model_and_geometric_baseline(codebook):
     t_test = np.concatenate(ts[18:])
     model = pr.SoftmaxModel.create(x_train.shape[1], (8, 4, 4), seed=0)
     hyper = pr.TrainConfig(lr=0.5, epochs=150, batch=128)
-    trained, _ = pr.train(model, x_train, t_train, hyper, x_val, t_val)
+    trained, _ = pr.train(model, x_train, pr.targets(model, t_train), hyper,
+                          x_val, pr.targets(model, t_val))
     elapsed = time.perf_counter() - start
     z = x_test @ trained.weights + trained.bias
     preds = mt.ranking_from_scores(z)

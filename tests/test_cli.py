@@ -19,7 +19,8 @@ from beamgrid import predictor as pr
 from beamgrid import scene as sc
 from beamgrid.cli import main
 
-from conftest import los_class_reference, on_grid_direction, tensor_grid, tensorize_reference
+from conftest import grid_to_bytes, los_class_reference, on_grid_direction, tensor_grid, \
+    tensorize_reference
 
 
 def run_cli(*args):
@@ -608,7 +609,7 @@ class TestEvaluate:
     def test_model_header_not_an_object_exit_code(self, tensorized):
         tmp, cfg = tensorized
         (tmp / "m.bgmdl").write_bytes(
-            b'["BGMDL1"]\n' + io.grid_to_bytes(np.zeros((15, 128))))
+            b'["BGMDL1"]\n' + grid_to_bytes(np.zeros((15, 128))))
         assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd",
                        "--pred", tmp / "m.bgmdl", "--config", cfg,
                        "--report", tmp / "m.json", "--scene", tmp / "s.scene.bgrd",

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from beamgrid import predictor as pr
 from beamgrid import scene as sc
 from beamgrid.errors import GridParseError
 from beamgrid.metrics import EvalReport
+
+from conftest import grid_from_bytes, grid_to_bytes
 
 
 @st.composite
@@ -123,45 +126,73 @@ class TestGridFormat:
         # bytes grid_to_bytes builds
         path = tmp_path / "g.bgrd"
         io.write_grid(path, arr, dtype)
-        assert path.read_bytes() == io.grid_to_bytes(arr, dtype)
+        assert path.read_bytes() == grid_to_bytes(arr, dtype)
 
     def test_header_layout(self):
-        data = io.grid_to_bytes(np.zeros((2, 3, 4), dtype=np.float32), "f32")
+        data = grid_to_bytes(np.zeros((2, 3, 4), dtype=np.float32), "f32")
         head, payload = data.split(b"\n", 1)
         assert head == b"BGRD1 2 3 4 f32"
         assert len(payload) == 2 * 3 * 4 * 4
 
     def test_bad_magic_names_offset(self):
         with pytest.raises(GridParseError, match="offset 0"):
-            io.grid_from_bytes(b"NOPE1 1 1 1 f32\x00")
+            grid_from_bytes(b"NOPE1 1 1 1 f32\x00")
 
     def test_truncated_payload_names_offset(self):
-        data = io.grid_to_bytes(np.zeros((2, 2, 1), dtype=np.float32))
+        data = grid_to_bytes(np.zeros((2, 2, 1), dtype=np.float32))
         with pytest.raises(GridParseError, match="expected 16 bytes"):
-            io.grid_from_bytes(data[:-4])
+            grid_from_bytes(data[:-4])
 
     def test_negative_dimensions_rejected(self):
         with pytest.raises(GridParseError, match="negative dimension"):
-            io.grid_from_bytes(b"BGRD1 -2 -2 1 u8\n" + bytes(4))
+            grid_from_bytes(b"BGRD1 -2 -2 1 u8\n" + bytes(4))
+
+    @pytest.mark.parametrize("dims", ["0 99999999999999999999 1", "0 9999999999 9999999999"])
+    def test_empty_grid_beyond_numpy_range_rejected(self, dims):
+        # no payload bytes are expected, but NumPy cannot shape such an array
+        with pytest.raises(GridParseError, match="malformed header"):
+            grid_from_bytes(f"BGRD1 {dims} f32\n".encode())
 
     @given(st.one_of(st.binary(max_size=80), bgrd_like_bytes()))
     @settings(max_examples=300)
     def test_garbage_raises_only_parse_error(self, data):
         try:
-            io.grid_from_bytes(data)
+            grid_from_bytes(data)
         except GridParseError:
             pass
 
     @given(st.data())
     def test_truncated_file_rejected(self, data):
         arr = np.arange(2 * 3 * 2, dtype=np.float32).reshape(2, 3, 2)
-        full = io.grid_to_bytes(arr, data.draw(st.sampled_from(["f32", "u8"])))
+        full = grid_to_bytes(arr, data.draw(st.sampled_from(["f32", "u8"])))
         with pytest.raises(GridParseError):
-            io.grid_from_bytes(full[:data.draw(st.integers(0, len(full) - 1))])
+            grid_from_bytes(full[:data.draw(st.integers(0, len(full) - 1))])
 
     def test_unknown_dtype_rejected(self):
         with pytest.raises(ValueError):
-            io.grid_to_bytes(np.zeros((1, 1)), "f64")
+            grid_to_bytes(np.zeros((1, 1)), "f64")
+
+    def test_read_grid_holds_one_payload(self, tmp_path):
+        # the payload is read into the array itself: no file bytes, no
+        # payload slice, no copy beside it (each of which took a payload)
+        arr = np.random.default_rng(4).random((64, 64, 64), dtype=np.float32)
+        path = tmp_path / "big.bgrd"
+        io.write_grid(path, arr, "f32")
+        tracemalloc.start()
+        try:
+            back = io.read_grid(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.tobytes() == arr.tobytes()
+        assert peak < 2 * arr.nbytes
+
+    def test_payload_longer_than_header_rejected(self, tmp_path):
+        data = grid_to_bytes(np.zeros((2, 2, 1), dtype=np.float32))
+        path = tmp_path / "long.bgrd"
+        path.write_bytes(data + b"\x00")
+        with pytest.raises(GridParseError, match="expected 16 bytes, got 17"):
+            io.read_grid(path)
 
 
 class TestPathCsv:
@@ -406,7 +437,7 @@ class TestModelFile:
 
     def test_header_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "m.bgmdl"
-        path.write_bytes(b'["BGMDL1"]\n' + io.grid_to_bytes(np.zeros((5, 8))))
+        path.write_bytes(b'["BGMDL1"]\n' + grid_to_bytes(np.zeros((5, 8))))
         assert io.is_model_file(path)
         with pytest.raises(GridParseError, match="not a JSON object"):
             io.load_model(path)

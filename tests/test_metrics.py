@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamgrid import channel as ch
 from beamgrid import metrics as mt
 from beamgrid import scene as sc
 from beamgrid.errors import UndefinedResultError
 
-from conftest import los_class_reference, paths_at, scene_configs, small_scenes
+from conftest import evaluate_ranking_reference, los_class_reference, paths_at, \
+    scene_configs, small_scenes, throughput_ratio_reference
 
 
 class TestNoisePower:
@@ -179,6 +181,26 @@ class TestEvaluateRanking:
         assert rep.samples == 30 and rep.excluded == 7
         assert rep.accuracy[-1] == 1.0 and rep.tpr[-1] == 1.0
         assert all(b >= a for a, b in zip(rep.accuracy, rep.accuracy[1:]))
+
+    @given(st.integers(1, 40), st.integers(1, 64), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.5, 0.9]), st.floats(-60.0, 60.0))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_per_k_reference(self, n, b, seed, zeros, tx_power_dbm):
+        # the rates are computed once for every k; the report must hold the
+        # per-k topk_accuracy and throughput_ratio of the code it replaced
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0.0, 1e-11, (n, b))
+        t[rng.uniform(size=(n, b)) < zeros] = 0.0
+        t[np.arange(n), rng.integers(0, b, n)] = rng.uniform(1e-13, 1e-11, n)
+        preds = np.array([rng.permutation(b) for _ in range(n)])
+        k_list = sorted(set(rng.integers(1, b + 1, rng.integers(1, 7)).tolist()))
+        budget = mt.LinkBudget(tx_power_dbm=tx_power_dbm)
+        rep = mt.evaluate_ranking(t, preds, k_list, budget, excluded=3)
+        ref = evaluate_ranking_reference(t, preds, k_list, budget, excluded=3)
+        assert repr(rep) == repr(ref)
+        for k, tpr in zip(k_list, rep.tpr):
+            assert mt.throughput_ratio(t, preds, k, budget) == tpr
+            assert throughput_ratio_reference(t, preds, k, budget) == tpr
 
 
 class TestLosClassMap:

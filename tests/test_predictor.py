@@ -18,8 +18,9 @@ from beamgrid import scene as sc
 from beamgrid.errors import EmptyTrainingSetError
 
 from conftest import FLOOR_DB, batch_loss_grad_reference, batch_loss_reference, ce_loss, \
-    ce_loss_sep, cep_loss, cep_loss_sep, gr_loss, ir_loss, pixel_exclusion, targets_reference, \
-    tensor_grid, train_reference, ws_loss, ws_loss_sep
+    ce_loss_sep, cep_loss, cep_loss_sep, flat_ranking_reference, gr_loss, ir_loss, \
+    pixel_exclusion, ranking_reference, targets_reference, tensor_grid, train_reference, \
+    ws_loss, ws_loss_sep
 
 
 def _lse(a, axis):
@@ -34,6 +35,12 @@ def loss_of_scores(model, z, targets):
     zero bias the scores are z, bit for bit, for finite z."""
     c = z.shape[1]
     return pr._epoch_loss(model, z, np.eye(c), np.zeros(c), targets)
+
+
+def train_on_tensors(model, x, tensors, hyper=None, x_val=None, tensors_val=None):
+    """pr.train on the targets of the given beam power tensors."""
+    t_val = None if tensors_val is None else pr.targets(model, tensors_val)
+    return pr.train(model, x, pr.targets(model, tensors), hyper, x_val, t_val)
 
 
 ALL_LOSSES = [("CE", False), ("CE", True), ("CEP", False), ("CEP", True),
@@ -249,7 +256,7 @@ class TestBatchLossConsistency:
         c = model.weights.shape[1]
         z = rng.normal(0, 1, (n, c))
         tensors = rng.uniform(0.01, 1.0, (n, *dims))
-        targets = pr._targets_for(model, tensors)
+        targets = pr.targets(model, tensors)
         return model, z, tensors, targets, dims
 
     @staticmethod
@@ -360,7 +367,7 @@ def loss_batches(draw):
 
 
 class TestLossMatchesReference:
-    """_targets_for, _epoch_loss and _batch_grad reproduce the loss code they
+    """targets, _epoch_loss and _batch_grad reproduce the loss code they
     replaced (conftest): the same bytes, and the same loss value and type.
 
     CE-sep moved from -log(p + 1e-300) to log-softmax, the formula of joint
@@ -388,7 +395,7 @@ class TestLossMatchesReference:
         for kind, sep in ALL_LOSSES:
             model = pr.SoftmaxModel.create(5, dims, pr.LossConfig(kind, sep))
             z = scores[:, :model.weights.shape[1]]
-            targets = pr._targets_for(model, tensors)
+            targets = pr.targets(model, tensors)
             ref_targets = targets_reference(model, tensors)
             assert targets.dtype == ref_targets.dtype
             assert targets.shape == ref_targets.shape
@@ -408,6 +415,39 @@ class TestLossMatchesReference:
                     assert self._ce_sep_ulps(loss_one, ref_one) <= 4
             else:
                 assert float(loss).hex() == float(ref_loss).hex()
+
+
+class TestTargetsPerPart:
+    """targets builds each row from its own sample, so train may take the
+    targets built scene by scene: no samples give an empty block, and the
+    targets of a concatenation are the concatenation of the parts'."""
+
+    @pytest.mark.parametrize("kind,sep", ALL_LOSSES)
+    def test_no_samples_give_an_empty_block(self, kind, sep):
+        dims = (8, 4, 4)
+        model = pr.SoftmaxModel.create(9, dims, pr.LossConfig(kind, sep))
+        one = pr.targets(model, np.ones((1, 128)))
+        for shape in ((0, 128), (0, *dims)):
+            empty = pr.targets(model, np.zeros(shape))
+            assert empty.shape == (0, *one.shape[1:])
+            assert empty.dtype == one.dtype
+
+    @given(loss_batches(), st.lists(st.integers(1, 64), max_size=4))
+    @settings(deadline=None, max_examples=100)
+    def test_concatenation_of_parts(self, case, cuts):
+        dims, tensors, _ = case
+        n = len(tensors)
+        # an empty first part and a one-row second part, then the cuts;
+        # repeated cuts give more empty parts
+        edges = [0, 0, 1, *sorted(min(c, n) for c in cuts), n]
+        parts = [tensors[a:b] for a, b in zip(edges, edges[1:])]
+        for kind, sep in ALL_LOSSES:
+            model = pr.SoftmaxModel.create(5, dims, pr.LossConfig(kind, sep))
+            whole = pr.targets(model, tensors)
+            joined = np.concatenate([pr.targets(model, part) for part in parts])
+            assert joined.dtype == whole.dtype
+            assert joined.shape == whole.shape
+            assert joined.tobytes() == whole.tobytes()
 
 
 class TestEpochLoss:
@@ -436,7 +476,7 @@ class TestEpochLoss:
                 c = model.weights.shape[1]
                 w = rng.normal(0.0, scale / features, (features, c))
                 b = rng.normal(0.0, 1.0, c)
-                self._check(model, x, w, b, pr._targets_for(model, tensors))
+                self._check(model, x, w, b, pr.targets(model, tensors))
 
     # BLAS rounds a one-row product, and the rows of a one-column product by
     # their position in it, differently from the same rows of a larger
@@ -510,7 +550,7 @@ class TestTrainMatchesReference:
             pool = self._LateExecutor if late else concurrent.futures.ThreadPoolExecutor
             with mock.patch.object(pr, "LOSS_BLOCK_VALUES", block_values), \
                     mock.patch.object(concurrent.futures, "ThreadPoolExecutor", pool):
-                trained, history = pr.train(model, x, t, hyper, xv, tv)
+                trained, history = train_on_tensors(model, x, t, hyper, xv, tv)
         assert trained.weights.tobytes() == ref.weights.tobytes()
         assert trained.bias.tobytes() == ref.bias.tobytes()
         assert repr(history) == repr(ref_history)
@@ -527,7 +567,7 @@ class TestTrainMatchesReference:
         with mock.patch.object(pr, "MIN_LR_FACTOR", 0.2), \
                 np.errstate(over="ignore", invalid="ignore"):
             ref, ref_history = train_reference(model, x, t, hyper)
-            trained, history = pr.train(model, x, t, hyper)
+            trained, history = train_on_tensors(model, x, t, hyper)
         assert not np.isfinite([row[1] for row in ref_history]).all()
         assert trained.weights.tobytes() == ref.weights.tobytes()
         assert repr(history) == repr(ref_history)
@@ -549,7 +589,7 @@ class TestTrainMatchesReference:
 
         with mock.patch.object(pr, "_epoch_loss", epoch_loss), \
                 pytest.raises(FloatingPointError, match="overflow in the train loss"):
-            pr.train(model, x, t, pr.TrainConfig(lr=0.0, epochs=10), xv, tv)
+            train_on_tensors(model, x, t, pr.TrainConfig(lr=0.0, epochs=10), xv, tv)
         assert val_epochs == [0, 1]
 
     def test_thread_switches_every_microsecond(self):
@@ -562,7 +602,7 @@ class TestTrainMatchesReference:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            trained, history = pr.train(model, x, t, hyper, xv, tv)
+            trained, history = train_on_tensors(model, x, t, hyper, xv, tv)
         finally:
             sys.setswitchinterval(interval)
         assert trained.weights.tobytes() == ref.weights.tobytes()
@@ -581,6 +621,38 @@ class TestTrainMatchesReference:
         @staticmethod
         def submit(fn, *args):
             return types.SimpleNamespace(result=functools.partial(fn, *args))
+
+
+@st.composite
+def prediction_maps(draw):
+    """A joint, sep or ir prediction over a grid of up to 6x6 pixels, 1-4
+    beams per axis, scores rounded to halves so that ties occur, and any
+    validity mask, none valid and all valid included."""
+    kind = draw(st.sampled_from(["joint", "sep", "ir"]))
+    dims = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = {"joint": math.prod(dims), "sep": sum(dims), "ir": 3}[kind]
+    scores = np.round(rng.normal(0.0, 2.0, (rows, cols, c)) * 2.0) / 2.0
+    valid = rng.uniform(size=(rows, cols)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return pr.PredictionMap(scores=scores, valid=valid, dims=dims, kind=kind)
+
+
+class TestRankingMatchesReference:
+    """flat_ranking ranks the valid rows alone and must give the rows of the
+    whole-grid ranking it replaced (conftest) at the valid pixels; ranking
+    keeps the bytes of the whole-grid ranking."""
+
+    @given(prediction_maps())
+    @settings(deadline=None, max_examples=200)
+    def test_same_bytes(self, pred):
+        flat = pr.flat_ranking(pred)
+        ref = flat_ranking_reference(pred)
+        assert flat.dtype == ref.dtype and flat.shape == ref.shape
+        assert flat.tobytes() == ref.tobytes()
+        order = pr.ranking(pred)
+        assert order.tobytes() == ranking_reference(pred).tobytes()
+        assert order.shape == ranking_reference(pred).shape
 
 
 class TestIrRankingConsistency:
@@ -609,7 +681,7 @@ class TestTrainAllLossKinds:
         tensors = rng.uniform(0.01, 1.0, (n, *dims))
         model = pr.SoftmaxModel.create(6, dims, pr.LossConfig(kind, sep), seed=1)
         hyper = pr.TrainConfig(lr=0.1, epochs=15, batch=16)
-        trained, history = pr.train(model, x, tensors, hyper)
+        trained, history = train_on_tensors(model, x, tensors, hyper)
         assert history[-1][1] <= history[0][1] + 1e-9
         pred = pr.predict(trained, pr.FeatureMaps(values=x.reshape(6, 10, 6)))
         order = pr.ranking(pred)
@@ -629,7 +701,7 @@ class TestTrain:
         x, t = self._tiny_data()
         model = pr.SoftmaxModel.create(5, (2, 2, 2), seed=1)
         hyper = pr.TrainConfig(lr=0.0, epochs=5, batch=16)
-        trained, history = pr.train(model, x, t, hyper)
+        trained, history = train_on_tensors(model, x, t, hyper)
         assert not trained.weights.any() and not trained.bias.any()
         losses_seen = {row[1] for row in history}
         assert len(losses_seen) == 1  # flat history
@@ -641,7 +713,7 @@ class TestTrain:
         t[0, 1, 0, 1] = 1.0
         model = pr.SoftmaxModel.create(5, (2, 2, 2), seed=0)
         hyper = pr.TrainConfig(lr=1.0, epochs=500, batch=1, patience=1000)
-        trained, history = pr.train(model, x, t, hyper)
+        trained, history = train_on_tensors(model, x, t, hyper)
         assert history[-1][1] < 0.01
 
     def test_deterministic_given_seed(self):
@@ -650,7 +722,7 @@ class TestTrain:
         runs = []
         for _ in range(2):
             model = pr.SoftmaxModel.create(5, (2, 2, 2), seed=7)
-            trained, _ = pr.train(model, x, t, hyper)
+            trained, _ = train_on_tensors(model, x, t, hyper)
             runs.append((trained.weights.copy(), trained.bias.copy()))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
@@ -658,17 +730,17 @@ class TestTrain:
     def test_empty_training_set_rejected(self):
         model = pr.SoftmaxModel.create(5, (2, 2, 2))
         with pytest.raises(EmptyTrainingSetError):
-            pr.train(model, np.zeros((0, 5)), np.zeros((0, 2, 2, 2)))
+            pr.train(model, np.zeros((0, 5)), pr.targets(model, np.zeros((0, 2, 2, 2))))
 
     def test_best_validation_state_returned(self):
         x, t = self._tiny_data(seed=4, n=64)
         xv, tv = self._tiny_data(seed=5, n=32)
         model = pr.SoftmaxModel.create(5, (2, 2, 2), seed=2)
         hyper = pr.TrainConfig(lr=0.5, epochs=60, batch=16, patience=5)
-        trained, history = pr.train(model, x, t, hyper, xv, tv)
+        trained, history = train_on_tensors(model, x, t, hyper, xv, tv)
         best = min(row[2] for row in history)
         val_loss = pr._epoch_loss(trained, xv, trained.weights, trained.bias,
-                                  pr._targets_for(trained, tv))
+                                  pr.targets(trained, tv))
         assert val_loss == pytest.approx(best, rel=1e-9)
 
     def test_lr_decay_recorded(self):
@@ -679,7 +751,7 @@ class TestTrain:
         t = rng.uniform(0.01, 1.0, (8, 2, 2, 2))
         model = pr.SoftmaxModel.create(5, (2, 2, 2), seed=3)
         hyper = pr.TrainConfig(lr=150.0, epochs=40, batch=4, patience=3)
-        _, history = pr.train(model, x, t, hyper)
+        _, history = train_on_tensors(model, x, t, hyper)
         lrs = {row[3] for row in history}
         assert len(lrs) > 1  # decayed at least once
 
@@ -703,7 +775,7 @@ class TestTrainedBeatsChance:
             ts.append(lo_t[valid])
         model = pr.SoftmaxModel.create(xs[0].shape[1], (8, 4, 4), seed=0)
         hyper = pr.TrainConfig(lr=0.5, epochs=80, batch=64)
-        trained, _ = pr.train(model, np.concatenate(xs[:3]),
+        trained, _ = train_on_tensors(model, np.concatenate(xs[:3]),
                               np.concatenate(ts[:3]), hyper)
         z = xs[3] @ trained.weights + trained.bias
         truths = np.argmax(ts[3].reshape(len(ts[3]), -1), axis=1)
