@@ -167,6 +167,15 @@ def _surely_blocked(building, x0, y0, z0, x1, y1, z1, res):
     is always blocked; a kept one may be either. The endpoint coordinates
     broadcast to one 1-D shape, as for march_batch, and segments are
     screened in batches of MARCH_BATCH_RAYS.
+
+    The height margin is not needed for that: rounding is monotone, so
+    z0 + dz * t is monotone in t, and the lower of the march's heights at
+    the ends of the cell's t-interval is at most the point's; a point
+    strictly below the roof already puts it below the roof. A margin of 0
+    would cull more segments, all of them blocked, and change no output.
+    The margin is kept so that the screen stays sound should the march
+    compute its heights in another way, one that rounds differently by
+    less than CULL_MARGIN_M.
     """
     ends = np.broadcast_arrays(
         *(np.asarray(a, dtype=np.float64) for a in (x0, y0, z0, x1, y1, z1)))

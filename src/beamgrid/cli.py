@@ -111,8 +111,13 @@ def _read_site(scene_path, tx_path, cfg):
 
 def _read_tensors(tensors_path, mask_path):
     """Beam tensors, as stored (f32), and their validity mask, checked to
-    share one grid. A caller converts to float64 only the part it uses."""
+    share one grid and to hold only finite, non-negative powers. A caller
+    converts to float64 only the valid rows."""
     tensors = gridio.read_grid(tensors_path)
+    # min and max propagate NaN, and make no grid-sized temporary
+    if tensors.size and not (tensors.min() >= 0.0 and tensors.max() < np.inf):
+        raise GridParseError(f"beam power grid {tensors_path} holds a NaN, "
+                             "infinite or negative power")
     mask = gridio.read_grid(mask_path)
     if mask.shape[2] != 1:
         raise GridParseError(f"mask grid has {mask.shape[2]} channels; expected 1")
@@ -123,26 +128,27 @@ def _read_tensors(tensors_path, mask_path):
     return tensors, valid
 
 
-def _site_features(hm, tx, shape):
-    """Model features of a scene pooled onto a tensor grid of the given shape."""
-    rows, cols = shape
+def _site_features(hm, tx, valid):
+    """Model features of the valid pixels of a tensor grid, one row each in
+    row-major order, from the scene pooled onto that grid."""
+    rows, cols = valid.shape
     factor = hm.rows // rows if rows else 0
     if factor < 1 or (factor * rows, factor * cols) != (hm.rows, hm.cols):
         raise GridParseError(
             f"scene grid {hm.rows}x{hm.cols} is not an integer multiple of "
             f"the tensor grid {rows}x{cols}")
     return predictor.build_features(scene.pool_heightmap(hm, factor),
-                                    scene.pool_tx(tx, factor))
+                                    scene.pool_tx(tx, factor))[valid]
 
 
-def _prediction_from_args(args, cfg, tensors, valid, site):
-    """Resolve --pred: 'oracle', a logits grid, or a model file (which
-    needs site, the (height map, tx site) pair)."""
+def _prediction_from_args(args, cfg, valid, samples, site):
+    """Resolve --pred ('oracle', a logits grid, or a model file, which needs
+    site, the (height map, tx site) pair) to (scores, dims, kind): a row of
+    scores per valid pixel, row-major. samples are the valid pixels' beam
+    power rows."""
     dims = cfg.codebook.dims
-    b = dims[0] * dims[1] * dims[2]
     if args.pred == "oracle":
-        oracle = predictor.oracle_predictor(tensors.astype(np.float64), valid)
-        return dataclasses.replace(oracle, dims=dims)
+        return predictor.oracle_predictor(samples), dims, "joint"
     path = Path(args.pred)
     if not path.exists():
         raise GridParseError(f"prediction input {path} does not exist")
@@ -151,22 +157,27 @@ def _prediction_from_args(args, cfg, tensors, valid, site):
             raise GridParseError(
                 "evaluating a model file needs --scene and --tx to build features")
         model = gridio.load_model(path)
-        return predictor.predict(model, _site_features(*site, tensors.shape[:2]), valid)
-    grid = gridio.read_grid(path).astype(np.float64)
-    if grid.shape[:2] != tensors.shape[:2]:
-        raise GridParseError(
-            f"prediction grid {grid.shape[:2]} vs tensor grid {tensors.shape[:2]}")
-    c = grid.shape[2]
-    kinds = [kind for kind, n in (("joint", b), ("sep", sum(dims)), ("ir", 3)) if n == c]
-    if not kinds:
-        raise GridParseError(
-            f"prediction grid has {c} channels; expected {b} (joint), "
-            f"{sum(dims)} (sep), or 3 (index regression)")
-    if len(kinds) > 1:
-        raise GridParseError(
-            f"prediction grid has {c} channels, which fits more than one kind "
-            f"({' and '.join(kinds)}) of the {dims} codebook")
-    return predictor.PredictionMap(scores=grid, valid=valid, dims=dims, kind=kinds[0])
+        scores = predictor.predict(model, _site_features(*site, valid))
+        dims, kind = model.dims, model.kind
+    else:
+        grid = gridio.read_grid(path)
+        if grid.shape[:2] != valid.shape:
+            raise GridParseError(
+                f"prediction grid {grid.shape[:2]} vs tensor grid {valid.shape}")
+        b, c = math.prod(dims), grid.shape[2]
+        kinds = [kind for kind, n in (("joint", b), ("sep", sum(dims)), ("ir", 3)) if n == c]
+        if not kinds:
+            raise GridParseError(
+                f"prediction grid has {c} channels; expected {b} (joint), "
+                f"{sum(dims)} (sep), or 3 (index regression)")
+        if len(kinds) > 1:
+            raise GridParseError(
+                f"prediction grid has {c} channels, which fits more than one kind "
+                f"({' and '.join(kinds)}) of the {dims} codebook")
+        scores, kind = grid[valid].astype(np.float64), kinds[0]
+    if not np.isfinite(scores).all():
+        raise GridParseError(f"prediction {path} holds a non-finite score")
+    return scores, dims, kind
 
 
 def cmd_evaluate(args):
@@ -180,21 +191,19 @@ def cmd_evaluate(args):
         return 2
     mask_path = args.mask or args.tensors[:-len(".tensors.bgrd")] + ".mask.bgrd"
     tensors, valid = _read_tensors(args.tensors, mask_path)
+    samples = tensors[valid].astype(np.float64)
     site = _read_site(args.scene, args.tx, cfg) if args.scene else None
-    pred = _prediction_from_args(args, cfg, tensors, valid, site)
-    if pred.n_beams != tensors.shape[2]:
-        raise GridParseError(f"the prediction ranks {pred.n_beams} beams; "
-                             f"the tensors hold {tensors.shape[2]}")
-    rankings = predictor.flat_ranking(pred)
-    sample_tensors = tensors[valid].astype(np.float64)
-    report = metrics.evaluate_ranking(sample_tensors, rankings, cfg.eval.k_list,
-                                      cfg.budget, excluded=int((~valid).sum()))
+    scores, dims, kind = _prediction_from_args(args, cfg, valid, samples, site)
+    if math.prod(dims) != samples.shape[1]:
+        raise GridParseError(f"the prediction ranks {math.prod(dims)} beams; "
+                             f"the tensors hold {samples.shape[1]}")
+    rankings = predictor.flat_ranking(scores, dims, kind)
+    report, hits = metrics.evaluate_ranking(samples, rankings, cfg.eval.k_list,
+                                            cfg.budget, excluded=int((~valid).sum()))
     gridio.save_report(args.report, report)
     print(gridio.render_table(report))
     stem = args.report[:-5] if args.report.endswith(".json") else args.report
-    truths = np.argmax(sample_tensors.reshape(len(rankings), -1), axis=1)
-    for k in cfg.eval.k_list:
-        hit = (rankings[:, :k] == truths[:, None]).any(axis=1)
+    for k, hit in zip(cfg.eval.k_list, hits):
         img = np.zeros(valid.shape, dtype=np.uint8)
         img[valid] = np.where(hit, 255, 64)
         gridio.write_pgm(f"{stem}.top{k}.pgm", img)
@@ -239,11 +248,10 @@ def _load_scene_samples(stem, site, model):
     resolution); the scene's tensors are dropped once its targets are built."""
     try:
         tensors, valid = _read_tensors(f"{stem}.tensors.bgrd", f"{stem}.mask.bgrd")
-        feats = _site_features(*site, valid.shape)
+        x = _site_features(*site, valid)
     except GridParseError as exc:
         raise GridParseError(f"{stem}: {exc}") from exc
-    samples = tensors[valid].astype(np.float64)
-    return feats.flat()[valid.ravel()], predictor.targets(model, samples)
+    return x, predictor.targets(model, tensors[valid].astype(np.float64))
 
 
 def cmd_train(args):

@@ -462,8 +462,8 @@ _MODEL_KEYS = {"dims": "list[int]", "loss_kind": "str", "sep": "bool", "seed": "
 
 def load_model(path):
     """SoftmaxModel from a model file. A header that is not the object
-    save_model writes, or that disagrees with the weight grid, raises
-    GridParseError."""
+    save_model writes, a header that disagrees with the weight grid, or a
+    non-finite weight raises GridParseError."""
     with open(path, "rb") as fh:
         header, loss = _model_header(fh.readline())
         stacked = _read_grid_from(fh)
@@ -472,6 +472,8 @@ def load_model(path):
         raise GridParseError(
             f"model weight grid {stacked.shape} does not match the header's "
             f"{header['features']} features and {header['outputs']} outputs")
+    if stacked.size and not (np.isfinite(stacked.min()) and np.isfinite(stacked.max())):
+        raise GridParseError(f"model {path} holds a non-finite weight")
     stacked = stacked[:, :, 0].astype(np.float64)
     return SoftmaxModel(weights=stacked[:-1], bias=stacked[-1], dims=tuple(header["dims"]),
                         loss=loss, seed=header["seed"])

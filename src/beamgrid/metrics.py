@@ -129,14 +129,18 @@ class EvalReport:
 
 
 def evaluate_ranking(tensors, rankings, k_list, budget, excluded=0):
-    """Score a full beam ranking at every requested depth."""
+    """Score a full beam ranking at every requested depth. Returns the
+    report and the hits: per k, whether each sample's optimal beam is among
+    its first k candidates, a (len(k_list), n) bool array."""
     if len(rankings) == 0:
         raise UndefinedResultError("no valid samples left to evaluate")
-    truths = np.argmax(np.asarray(tensors).reshape(len(rankings), -1), axis=1)
-    acc = [topk_accuracy(truths, rankings, k) for k in k_list]
+    rankings = np.asarray(rankings)
     tpr = _throughput_ratios(tensors, rankings, k_list, budget)
-    return EvalReport(k_list=list(k_list), accuracy=acc, tpr=tpr,
-                      samples=len(rankings), excluded=int(excluded))
+    truths = np.argmax(np.asarray(tensors).reshape(len(rankings), -1), axis=1)
+    hits = np.stack([(rankings[:, :k] == truths[:, None]).any(axis=1) for k in k_list])
+    report = EvalReport(k_list=list(k_list), accuracy=[float(h.mean()) for h in hits],
+                        tpr=tpr, samples=len(rankings), excluded=int(excluded))
+    return report, hits
 
 
 class LosClass(enum.IntEnum):

@@ -1,11 +1,17 @@
-"""Per-pixel beam probability maps: oracle, geometric baseline, and a small
-trainable linear-softmax classifier over encoded transmitter inputs.
+"""Per-pixel beam scores: oracle, geometric baseline, and a small trainable
+linear-softmax classifier over encoded transmitter inputs.
+
+A prediction is one (n, C) array of scores, a row per valid pixel in
+row-major order, with the codebook dims and its kind ("joint": Na*Ne*Nr
+channels ranked descending; "sep": Na+Ne+Nr channels holding the three
+heads; "ir": a regressed index triple ranked by lattice distance).
+flat_ranking turns it into beam orders.
 
 The classifier is a deliberate desk-scale stand-in for a convolutional
 model: it sees only per-pixel features (transmitter one-hot/distance/
-bearing encodings plus local heights), so it has no spatial context, but it
-exposes the same FeatureMaps -> PredictionMap boundary a convolutional
-model would plug into.
+bearing encodings plus local heights), so it has no spatial context. A
+convolutional model would take the (rows, cols, F) feature grid of
+build_features and emit a score grid whose valid rows are the prediction.
 """
 
 from __future__ import annotations
@@ -40,32 +46,9 @@ LOSS_KINDS = ("CE", "CEP", "WS", "IR", "GR")
 LOSS_BLOCK_VALUES = 1 << 16
 
 
-@dataclass
-class FeatureMaps:
-    """Per-pixel feature grid, all channels normalised into [-1, 1]."""
-
-    values: np.ndarray  # (rows, cols, F)
-    names: tuple = FEATURE_NAMES
-    version: int = FEATURE_VERSION
-
-    @property
-    def rows(self):
-        return self.values.shape[0]
-
-    @property
-    def cols(self):
-        return self.values.shape[1]
-
-    @property
-    def dim(self):
-        return self.values.shape[2]
-
-    def flat(self):
-        return self.values.reshape(-1, self.dim)
-
-
 def build_features(hm, tx):
-    """Encode the transmitter and local geometry per pixel.
+    """Encode the transmitter and local geometry per pixel: a (rows, cols, F)
+    grid of the FEATURE_NAMES channels, each normalised into [-1, 1].
 
     Distance is the straight-line 2D pixel distance in metres over the map
     diagonal; bearings are sin/cos of the transmitter-to-pixel azimuth
@@ -88,7 +71,7 @@ def build_features(hm, tx):
     rel_scale = max(1.0, tx.height_m, float(hm.building.max()))
     onehot = np.zeros((rows, cols))
     onehot[tr, tc] = 1.0
-    feats = np.stack([
+    return np.stack([
         onehot,
         dist / diag,
         np.sin(bearing),
@@ -99,44 +82,17 @@ def build_features(hm, tx):
         np.sin(rel_bearing),
         np.cos(rel_bearing),
     ], axis=-1)
-    return FeatureMaps(values=feats)
 
 
-@dataclass
-class PredictionMap:
-    """Per-pixel beam scores plus validity mask.
-
-    kind "joint": scores has Na*Ne*Nr channels ranked descending (raw
-    logits, dB estimates, ...); "sep": Na+Ne+Nr channels holding the three
-    heads; "ir": 3 channels holding a regressed index triple ranked by
-    lattice distance.
-    """
-
-    scores: np.ndarray  # (rows, cols, C)
-    valid: np.ndarray   # (rows, cols) bool
-    dims: tuple         # (Na, Ne, Nr)
-    kind: str = "joint"
-
-    @property
-    def n_beams(self):
-        na, ne, nr = self.dims
-        return na * ne * nr
+def oracle_predictor(rows):
+    """Ground-truth scores of the samples' (n, B) float64 beam power rows:
+    the powers in dB (zero powers rank last)."""
+    return 10.0 * np.log10(rows + 1e-30)
 
 
-def oracle_predictor(tensors, valid=None):
-    """Ground-truth ranking: scores are the beam powers in dB (zeros last)."""
-    t = np.asarray(tensors)
-    rows, cols = t.shape[:2]
-    flat = t.reshape(rows, cols, -1)
-    if valid is None:
-        valid = np.ones((rows, cols), dtype=bool)
-    scores = 10.0 * np.log10(flat + 1e-30)
-    dims = t.shape[2:] if t.ndim == 5 else (flat.shape[-1], 1, 1)
-    return PredictionMap(scores=scores, valid=valid, dims=tuple(dims), kind="joint")
-
-
-def geometric_predictor(hm, tx, codebook, rx_height_m, valid=None):
-    """Line-of-sight baseline: score beams at the direct-path direction.
+def geometric_predictor(hm, tx, codebook, rx_height_m):
+    """Line-of-sight baseline: joint logits of the beams at the direct-path
+    direction, a (rows, cols, Na*Ne*Nr) grid.
 
     Pure geometry; ignores blockage entirely, so predictions exist for
     every pixel and are invariant to building heights.
@@ -161,11 +117,7 @@ def geometric_predictor(hm, tx, codebook, rx_height_m, valid=None):
     logits = (np.log(g_az + tiny)[:, :, None, None]
               + np.log(g_el + tiny)[:, None, :, None]
               + np.log(sec_score + tiny)[:, None, None, :])
-    logits = logits.reshape(rows, cols, -1)
-    if valid is None:
-        valid = np.ones((rows, cols), dtype=bool)
-    return PredictionMap(scores=logits, valid=valid,
-                         dims=(codebook.na, codebook.ne, codebook.nr), kind="joint")
+    return logits.reshape(rows, cols, -1)
 
 
 @dataclass
@@ -220,21 +172,24 @@ class SoftmaxModel:
                    dims=tuple(dims), loss=loss, seed=seed)
 
 
-def predict(model, features, mask=None):
-    """Per-pixel scores W^T x + b over the valid pixels."""
-    if features.dim != model.weights.shape[0]:
+def predict(model, x):
+    """Scores x @ W + b of the (n, F) feature rows, one row of C each.
+
+    Each row has the bits it has in a product over more rows, such as the
+    whole feature grid (_row_scores): a lone row is scored after a copy of
+    itself.
+    """
+    if x.shape[1] != model.weights.shape[0]:
         raise ValueError(
-            f"feature dim {features.dim} does not match model {model.weights.shape[0]}")
-    x = features.flat()
-    scores = (x @ model.weights + model.bias).reshape(
-        features.rows, features.cols, -1)
-    if mask is None:
-        mask = np.ones((features.rows, features.cols), dtype=bool)
-    return PredictionMap(scores=scores, valid=mask, dims=model.dims, kind=model.kind)
+            f"feature dim {x.shape[1]} does not match model {model.weights.shape[0]}")
+    if len(x) == 1:
+        return _row_scores(np.repeat(x, 2, axis=0), model.weights, model.bias, 1, 2)
+    return _row_scores(x, model.weights, model.bias, 0, len(x))
 
 
-def _rank_rows(scores, dims, kind):
-    """Full beam order of each row of a (n, C) score matrix, shape (n, B)."""
+def flat_ranking(scores, dims, kind):
+    """Full beam order of each row of a (n, C) prediction of the given kind,
+    shape (n, Na*Ne*Nr)."""
     na, ne, nr = dims
     b = na * ne * nr
     if kind == "joint":
@@ -252,19 +207,6 @@ def _rank_rows(scores, dims, kind):
     if kind == "ir":
         return losses.ir_ranking(scores, dims)
     raise ValueError(f"unknown prediction kind {kind!r}")
-
-
-def ranking(pred):
-    """Full beam order per pixel, shape (rows, cols, Na*Ne*Nr)."""
-    rows, cols, c = pred.scores.shape
-    order = _rank_rows(pred.scores.reshape(-1, c), pred.dims, pred.kind)
-    return order.reshape(rows, cols, pred.n_beams)
-
-
-def flat_ranking(pred):
-    """Rankings of the valid pixels only, row-major, shape (M, B): the rows
-    of ranking(pred) at pred.valid, from the valid rows' scores alone."""
-    return _rank_rows(pred.scores[pred.valid], pred.dims, pred.kind)
 
 
 MIN_LR_FACTOR = 1e-3  # train stops once the rate decays below lr * this
@@ -373,29 +315,36 @@ def _loss_of_terms(model, terms):
     return loss if model.loss.sep and negated else float(loss)
 
 
+def _row_scores(x, w, b, start, stop):
+    """Scores x[start:stop] @ w + b, with the bits of these rows in one
+    product over all of x. BLAS rounds a row of a one-row product
+    differently from the same row of a larger product, so a lone row after
+    the first is scored together with the row before it."""
+    lo = min(start, max(stop - 2, 0))
+    z = x[lo:stop] @ w
+    z += b
+    return z[start - lo:]
+
+
 def _epoch_loss(model, x, w, b, targets):
     """Mean loss of the scores x @ w + b: per head, the arithmetic mean of
     the per-sample losses (_head_terms), summed over the heads.
 
     The scores are computed in blocks of LOSS_BLOCK_VALUES // C rows, with
-    the bits of one pass over the whole score matrix.
+    the bits of one pass over the whole score matrix (_row_scores). BLAS
+    also rounds the rows of a one-column product by their place in it, so a
+    one-column model is one block.
     """
     n, c = len(x), w.shape[1]
     heads = _heads(model.dims, model.loss.kind, model.loss.sep)
     terms = np.empty((len(heads), n))
-    # BLAS rounds a row of a one-row or one-column product differently from
-    # the same row of a larger product: a block has at least two rows (a
-    # last single row is scored again with the row before it), and a
-    # one-column model is one block
     rows = max(2, LOSS_BLOCK_VALUES // c) if c > 1 else max(n, 1)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        blk = slice(min(start, max(stop - 2, 0)), stop)
-        z = x[blk] @ w
-        z += b
+        z = _row_scores(x, w, b, start, stop)
         for h, (cols, tcols, dist) in enumerate(heads):
-            terms[h, blk] = _head_terms(model.loss.kind, z[:, cols],
-                                        targets[blk, tcols], dist)
+            terms[h, start:stop] = _head_terms(model.loss.kind, z[:, cols],
+                                               targets[start:stop, tcols], dist)
     return _loss_of_terms(model, terms)
 
 

@@ -506,35 +506,50 @@ def grid_from_bytes(data):
     return gridio._read_grid_from(io.BytesIO(data))
 
 
-# The ranking and scoring code that predictor.flat_ranking and
-# metrics.evaluate_ranking replaced: every pixel of the grid ranked, then
-# the valid rows selected, and the rates computed again for every k. The new
-# code must reproduce its bytes.
+# The prediction, ranking and scoring code that predictor.oracle_predictor,
+# predict, flat_ranking and metrics.evaluate_ranking replaced: a score grid
+# over every pixel, every pixel ranked, then the valid rows selected, and
+# the rates computed again for every k. The new code, which scores and
+# ranks the valid rows alone, must reproduce its bytes.
 
-def ranking_reference(pred):
-    """Full beam order per pixel, shape (rows, cols, Na*Ne*Nr)."""
-    na, ne, nr = pred.dims
+def oracle_reference(tensors):
+    """Oracle scores of every pixel of a (rows, cols, ...) float64 tensor
+    grid, shape (rows, cols, B)."""
+    rows, cols = tensors.shape[:2]
+    return 10.0 * np.log10(tensors.reshape(rows, cols, -1) + 1e-30)
+
+
+def predict_reference(model, features):
+    """Model scores of every pixel of a (rows, cols, F) feature grid."""
+    rows, cols, f = features.shape
+    return (features.reshape(-1, f) @ model.weights + model.bias).reshape(rows, cols, -1)
+
+
+def ranking_reference(scores, dims, kind):
+    """Full beam order of every pixel of a (rows, cols, C) score grid,
+    shape (rows, cols, Na*Ne*Nr)."""
+    na, ne, nr = dims
     b = na * ne * nr
-    flat = pred.scores.reshape(-1, pred.scores.shape[-1])
-    if pred.kind == "joint":
+    flat = scores.reshape(-1, scores.shape[-1])
+    if kind == "joint":
         order = mt.ranking_from_scores(flat)
-    elif pred.kind == "sep":
+    elif kind == "sep":
         za = flat[:, :na]
         ze = flat[:, na:na + ne]
         zr = flat[:, na + ne:]
         joint = (za[:, :, None, None] + ze[:, None, :, None]
                  + zr[:, None, None, :]).reshape(-1, b)
         order = mt.ranking_from_scores(joint)
-    elif pred.kind == "ir":
-        order = losses.ir_ranking(flat, pred.dims)
+    elif kind == "ir":
+        order = losses.ir_ranking(flat, dims)
     else:
-        raise ValueError(f"unknown prediction kind {pred.kind!r}")
-    return order.reshape(pred.scores.shape[0], pred.scores.shape[1], b)
+        raise ValueError(f"unknown prediction kind {kind!r}")
+    return order.reshape(scores.shape[0], scores.shape[1], b)
 
 
-def flat_ranking_reference(pred):
-    """Rankings of the valid pixels only, row-major, shape (M, B)."""
-    return ranking_reference(pred)[pred.valid]
+def flat_ranking_reference(scores, valid, dims, kind):
+    """Rankings of the valid pixels of a score grid, row-major, shape (M, B)."""
+    return ranking_reference(scores, dims, kind)[valid]
 
 
 def throughput_ratio_reference(tensors, preds, k, budget):
@@ -552,6 +567,36 @@ def evaluate_ranking_reference(tensors, rankings, k_list, budget, excluded=0):
     tpr = [throughput_ratio_reference(tensors, rankings, k, budget) for k in k_list]
     return mt.EvalReport(k_list=list(k_list), accuracy=acc, tpr=tpr,
                          samples=len(rankings), excluded=int(excluded))
+
+
+def validity_masks(rows, cols):
+    """Strategy: a (rows, cols) mask with no pixel, one pixel, some or every
+    pixel valid."""
+    n = rows * cols
+    return st.one_of(
+        st.just(np.zeros((rows, cols), bool)),
+        st.integers(0, n - 1).map(lambda i: np.arange(n).reshape(rows, cols) == i),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(
+            lambda bits: np.array(bits).reshape(rows, cols)),
+        st.just(np.ones((rows, cols), bool)))
+
+
+def evaluate_reference(tensors, valid, scores, dims, kind, k_list, budget):
+    """The report and the top-k hit map images (uint8, 255 hit, 64 miss, 0
+    invalid) that evaluate wrote from a whole score grid: tensors and
+    scores are (rows, cols, ...) grids."""
+    rankings = flat_ranking_reference(scores, valid, dims, kind)
+    samples = tensors.astype(np.float64)[valid]
+    report = evaluate_ranking_reference(samples, rankings, k_list, budget,
+                                        excluded=int((~valid).sum()))
+    truths = np.argmax(samples.reshape(len(rankings), -1), axis=1)
+    images = []
+    for k in k_list:
+        hit = (rankings[:, :k] == truths[:, None]).any(axis=1)
+        img = np.zeros(valid.shape, dtype=np.uint8)
+        img[valid] = np.where(hit, 255, 64)
+        images.append(img)
+    return report, images
 
 
 # The default dB floor of the CEP and GR targets.

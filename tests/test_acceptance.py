@@ -53,9 +53,9 @@ def test_oracle_identity_and_runtime(codebook):
         chans = sc.trace_paths(hm, tx, sc.SceneConfig())
         tensors = tensor_grid(chans, codebook, tx.frame)
         valid = ~pixel_exclusion(tensors, budget)
-        pred = pr.oracle_predictor(tensors, valid)
-        rankings = pr.flat_ranking(pred)
-        report = mt.evaluate_ranking(tensors[valid], rankings, K_LIST, budget)
+        samples = tensors[valid].reshape(int(valid.sum()), -1)
+        rankings = pr.flat_ranking(pr.oracle_predictor(samples), (8, 4, 4), "joint")
+        report, _ = mt.evaluate_ranking(samples, rankings, K_LIST, budget)
         if elapsed is None:
             elapsed = time.perf_counter() - start
         assert all(a == 1.0 for a in report.accuracy)
@@ -214,7 +214,7 @@ def test_trained_model_and_geometric_baseline(codebook):
         hm, tx = make_scene(seed=seed)
         tensors, valid = scene_tensors(hm, tx, codebook, budget, downscale=4)
         feats = pr.build_features(sc.pool_heightmap(hm, 4), sc.pool_tx(tx, 4))
-        xs.append(feats.flat()[valid.ravel()])
+        xs.append(feats[valid])
         ts.append(tensors[valid])
     # scene-level split: 16 train, 2 val, 2 test
     x_train = np.concatenate(xs[:16])
@@ -245,8 +245,8 @@ def test_trained_model_and_geometric_baseline(codebook):
     chans = sc.trace_paths(flat_hm, tx, sc.SceneConfig(vegetation_db_per_m=0.0))
     tensors = tensor_grid(chans, codebook, tx.frame)
     valid = tensors.reshape(64, 64, -1).max(axis=-1) > 0
-    pred = pr.geometric_predictor(flat_hm, tx, codebook, 1.5, valid=valid)
-    rankings = pr.flat_ranking(pred)
+    logits = pr.geometric_predictor(flat_hm, tx, codebook, 1.5)
+    rankings = pr.flat_ranking(logits[valid], (8, 4, 4), "joint")
     truths_geo = np.argmax(tensors[valid].reshape(len(rankings), -1), axis=1)
     geo_acc = mt.topk_accuracy(truths_geo, rankings, 1)
     assert geo_acc >= 0.9

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import beamgrid
@@ -19,8 +20,9 @@ from beamgrid import predictor as pr
 from beamgrid import scene as sc
 from beamgrid.cli import main
 
-from conftest import grid_to_bytes, los_class_reference, on_grid_direction, tensor_grid, \
-    tensorize_reference
+from conftest import evaluate_reference, grid_to_bytes, los_class_reference, \
+    on_grid_direction, oracle_reference, predict_reference, tensor_grid, tensorize_reference, \
+    validity_masks
 
 
 def run_cli(*args):
@@ -425,11 +427,9 @@ class TestEvaluate:
         rep = io.load_report(tmp / "r2.json")
         tensors = io.read_grid(tmp / "t.tensors.bgrd").astype(np.float64)
         valid = io.read_grid(tmp / "t.mask.bgrd")[:, :, 0].astype(bool)
-        pred = pr.PredictionMap(scores=logits.astype(np.float64), valid=valid,
-                                dims=(8, 4, 4), kind="joint")
-        rankings = pr.flat_ranking(pred)
-        expect = mt.evaluate_ranking(tensors[valid], rankings,
-                                     [1, 2, 4, 8, 16, 32], mt.LinkBudget())
+        rankings = pr.flat_ranking(logits[valid].astype(np.float64), (8, 4, 4), "joint")
+        expect, _ = mt.evaluate_ranking(tensors[valid], rankings,
+                                        [1, 2, 4, 8, 16, 32], mt.LinkBudget())
         np.testing.assert_allclose(rep.accuracy, expect.accuracy, atol=1e-12)
         np.testing.assert_allclose(rep.tpr, expect.tpr, atol=1e-12)
 
@@ -605,6 +605,52 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "(4, 4)" in err and "(8, 8)" in err
 
+    def test_non_finite_logits_grid_exit_code(self, tensorized, capsys):
+        # NaN ranks last, so a NaN channel gave a plausible report at exit 0
+        tmp, cfg = tensorized
+        logits = np.random.default_rng(3).normal(0, 1, (8, 8, 128)).astype(np.float32)
+        logits[:, :, 5] = np.nan
+        io.write_grid(tmp / "nan.bgrd", logits)
+        assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd",
+                       "--pred", tmp / "nan.bgrd", "--config", cfg,
+                       "--report", tmp / "nan.json") == 3
+        assert "holds a non-finite score" in capsys.readouterr().err
+        assert not (tmp / "nan.json").exists()
+
+    def test_non_finite_model_weight_exit_code(self, tensorized, capsys):
+        tmp, cfg = tensorized
+        model = pr.SoftmaxModel.create(len(pr.FEATURE_NAMES), (8, 4, 4))
+        model.weights[3, 7] = np.inf
+        io.save_model(tmp / "inf.bgmdl", model)
+        assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd",
+                       "--pred", tmp / "inf.bgmdl", "--config", cfg,
+                       "--report", tmp / "inf.json", "--scene", tmp / "s.scene.bgrd",
+                       "--tx", tmp / "s.tx.json") == 3
+        assert "holds a non-finite weight" in capsys.readouterr().err
+        assert not (tmp / "inf.json").exists()
+
+    @pytest.mark.parametrize("where, value", [
+        ("one_valid", np.nan), ("one_valid", -1e-3), ("one_valid", np.inf), ("all", np.nan),
+    ], ids=["nan", "negative", "inf", "all-nan"])
+    def test_bad_beam_power_exit_code(self, tensorized, capsys, where, value):
+        # before: NaN scored a top-1 accuracy below 1 at exit 0, -1e-3 gave a
+        # log10 warning at exit 0, and an all-NaN grid exited 4
+        tmp, cfg = tensorized
+        tensors = io.read_grid(tmp / "t.tensors.bgrd")
+        valid = io.read_grid(tmp / "t.mask.bgrd")[:, :, 0].astype(bool)
+        if where == "all":
+            tensors[:] = value
+        else:
+            r, c = np.argwhere(valid)[0]
+            tensors[r, c, 9] = value
+        io.write_grid(tmp / "bad.tensors.bgrd", tensors)
+        (tmp / "bad.mask.bgrd").write_bytes((tmp / "t.mask.bgrd").read_bytes())
+        assert run_cli("evaluate", "--tensors", tmp / "bad.tensors.bgrd",
+                       "--pred", "oracle", "--config", cfg,
+                       "--report", tmp / "bad.json") == 3
+        assert "bad.tensors.bgrd holds a NaN, infinite or negative power" \
+            in capsys.readouterr().err
+        assert not (tmp / "bad.json").exists()
 
     def test_model_header_not_an_object_exit_code(self, tensorized):
         tmp, cfg = tensorized
@@ -614,6 +660,92 @@ class TestEvaluate:
                        "--pred", tmp / "m.bgmdl", "--config", cfg,
                        "--report", tmp / "m.json", "--scene", tmp / "s.scene.bgrd",
                        "--tx", tmp / "s.tx.json") == 3
+
+
+@st.composite
+def evaluate_inputs(draw, source):
+    """Inputs of one evaluate run of the given prediction source: (dims,
+    tensors, valid, factor, seed). Every pixel has a positive peak power
+    (f32, with zeros and ties), and no, one, some or every pixel is valid."""
+    dims = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    b = math.prod(dims)
+    counts = [b, sum(dims), 3]
+    if source in ("joint", "sep", "ir"):
+        # a grid whose channel count fits more than one kind is rejected
+        assume(counts.count(counts[("joint", "sep", "ir").index(source)]) == 1)
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    tensors = np.round(rng.uniform(0, 3, (rows, cols, b))) * 1e-9
+    tensors[rng.uniform(size=(rows, cols, b)) < 0.3] = 0.0
+    tensors[:, :, 0] += 1e-9 * (tensors.max(axis=2) == 0)
+    valid = draw(validity_masks(rows, cols))
+    return dims, tensors.astype(np.float32), valid, draw(st.sampled_from([1, 2, 3])), seed
+
+
+class TestEvaluateMatchesReference:
+    """evaluate scores and ranks the valid pixels alone; its report and hit
+    maps must keep the bytes of the whole-grid code it replaced (conftest),
+    for every kind of prediction and with no, one or every pixel valid."""
+
+    @pytest.mark.parametrize("source", ["oracle", "joint", "sep", "ir",
+                                        "model-CE", "model-CE-sep", "model-IR"])
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_same_report_bytes(self, source, data):
+        dims, tensors, valid, factor, seed = data.draw(evaluate_inputs(source))
+        rows, cols, b = tensors.shape
+        rng = np.random.default_rng(seed + 1)
+        k_list = [1, b] if b > 1 else [1]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "cfg.json").write_text(json.dumps({
+                "codebook": dict(zip(("Na", "Ne", "Nr"), dims)), "eval": {"k_list": k_list}}))
+            io.write_grid(tmp / "t.tensors.bgrd", tensors)
+            io.write_grid(tmp / "t.mask.bgrd", valid.astype(np.uint8), "u8")
+            site = []
+            if source == "oracle":
+                pred, kind = "oracle", "joint"
+                scores = oracle_reference(tensors.astype(np.float64))
+            elif source.startswith("model"):
+                loss = pr.LossConfig(source.split("-")[1], source.endswith("sep"))
+                model = pr.SoftmaxModel.create(len(pr.FEATURE_NAMES), dims, loss)
+                model.weights = rng.normal(0, 1, model.weights.shape)
+                model.bias = rng.normal(0, 1, model.bias.shape)
+                pred = tmp / "m.bgmdl"
+                io.save_model(pred, model)
+                model, kind = io.load_model(pred), model.kind
+                heights = np.round(rng.uniform(0, 20, (rows * factor, cols * factor)))
+                heights[rng.uniform(size=heights.shape) < 0.5] = 0.0
+                io.write_grid(tmp / "s.scene.bgrd",
+                              np.stack([heights, np.zeros_like(heights)], axis=-1))
+                tx = sc.TxSite((int(rng.integers(rows * factor)), int(rng.integers(cols * factor))),
+                               25.0, ch.ArrayFrame(0.3, 0.2))
+                io.save_tx_site(tmp / "s.tx.json", tx)
+                site = ["--scene", tmp / "s.scene.bgrd", "--tx", tmp / "s.tx.json"]
+                hm = sc.HeightMap(heights, np.zeros_like(heights))
+                scores = predict_reference(model, pr.build_features(
+                    sc.pool_heightmap(hm, factor), sc.pool_tx(tx, factor)))
+            else:
+                kind = source
+                c = {"joint": b, "sep": sum(dims), "ir": 3}[kind]
+                grid = (np.round(rng.normal(0, 2, (rows, cols, c)) * 2) / 2).astype(np.float32)
+                pred = tmp / "p.bgrd"
+                io.write_grid(pred, grid)
+                scores = grid.astype(np.float64)
+            code = run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd", "--pred", pred,
+                           "--config", tmp / "cfg.json", "--report", tmp / "r.json", *site)
+            if not valid.any():
+                assert code == 4 and not (tmp / "r.json").exists()
+                return
+            assert code == 0
+            report, images = evaluate_reference(tensors, valid, scores, dims, kind,
+                                                k_list, mt.LinkBudget())
+            io.save_report(tmp / "ref.json", report)
+            assert (tmp / "r.json").read_bytes() == (tmp / "ref.json").read_bytes()
+            for k, img in zip(k_list, images):
+                io.write_pgm(tmp / "ref.pgm", img)
+                assert (tmp / f"r.top{k}.pgm").read_bytes() == (tmp / "ref.pgm").read_bytes()
 
 
 class TestTrainCli:
@@ -681,6 +813,23 @@ class TestTrainCli:
         assert run_cli("train", "--scenes", scenes,
                        "--model-out", tmp_path / "m.bgmdl") == 3
         assert "not an integer multiple of the tensor grid 32x48" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, -1e-3], ids=["nan", "negative"])
+    def test_bad_beam_power_exit_code(self, scene_dir, capsys, value):
+        # a scene that train reads samples of
+        tmp, cfg, scenes = scene_dir
+        stems = sorted(str(p)[:-len(".scene.bgrd")] for p in scenes.glob("*.scene.bgrd"))
+        stem = cli._split_scenes(stems, io.load_config(cfg).train.seed)[0][0]
+        tensors = io.read_grid(f"{stem}.tensors.bgrd")
+        valid = io.read_grid(f"{stem}.mask.bgrd")[:, :, 0].astype(bool)
+        r, c = np.argwhere(valid)[0]
+        tensors[r, c, 0] = value
+        io.write_grid(f"{stem}.tensors.bgrd", tensors)
+        assert run_cli("train", "--scenes", scenes, "--config", cfg,
+                       "--model-out", tmp / "m.bgmdl") == 3
+        assert f"{stem}.tensors.bgrd holds a NaN, infinite or negative power" \
+            in capsys.readouterr().err
+        assert not (tmp / "m.bgmdl").exists()
 
     def test_tx_off_grid_exit_code(self, scene_dir, capsys):
         tmp, cfg, scenes = scene_dir

@@ -177,8 +177,9 @@ class TestEvaluateRanking:
         rng = np.random.default_rng(5)
         t = rng.uniform(1e-13, 1e-12, (30, 16))
         preds = mt.ranking_from_scores(t + rng.normal(0, 1e-13, t.shape))
-        rep = mt.evaluate_ranking(t, preds, [1, 4, 16], mt.LinkBudget(), excluded=7)
+        rep, hits = mt.evaluate_ranking(t, preds, [1, 4, 16], mt.LinkBudget(), excluded=7)
         assert rep.samples == 30 and rep.excluded == 7
+        assert hits.shape == (3, 30) and hits.dtype == bool
         assert rep.accuracy[-1] == 1.0 and rep.tpr[-1] == 1.0
         assert all(b >= a for a, b in zip(rep.accuracy, rep.accuracy[1:]))
 
@@ -195,9 +196,12 @@ class TestEvaluateRanking:
         preds = np.array([rng.permutation(b) for _ in range(n)])
         k_list = sorted(set(rng.integers(1, b + 1, rng.integers(1, 7)).tolist()))
         budget = mt.LinkBudget(tx_power_dbm=tx_power_dbm)
-        rep = mt.evaluate_ranking(t, preds, k_list, budget, excluded=3)
+        rep, hits = mt.evaluate_ranking(t, preds, k_list, budget, excluded=3)
         ref = evaluate_ranking_reference(t, preds, k_list, budget, excluded=3)
         assert repr(rep) == repr(ref)
+        truths = np.argmax(t, axis=1)
+        for k, hit in zip(k_list, hits):
+            assert np.array_equal(hit, (preds[:, :k] == truths[:, None]).any(axis=1))
         for k, tpr in zip(k_list, rep.tpr):
             assert mt.throughput_ratio(t, preds, k, budget) == tpr
             assert throughput_ratio_reference(t, preds, k, budget) == tpr

@@ -19,8 +19,8 @@ from beamgrid.errors import EmptyTrainingSetError
 
 from conftest import FLOOR_DB, batch_loss_grad_reference, batch_loss_reference, ce_loss, \
     ce_loss_sep, cep_loss, cep_loss_sep, flat_ranking_reference, gr_loss, ir_loss, \
-    pixel_exclusion, ranking_reference, targets_reference, tensor_grid, train_reference, \
-    ws_loss, ws_loss_sep
+    oracle_reference, pixel_exclusion, predict_reference, targets_reference, tensor_grid, \
+    train_reference, validity_masks, ws_loss, ws_loss_sep
 
 
 def _lse(a, axis):
@@ -59,7 +59,8 @@ class TestBuildFeatures:
         hm, tx = small_scene
         feats = pr.build_features(hm, tx)
         r, c = tx.pixel
-        names = dict(zip(feats.names, feats.values[r, c]))
+        assert feats.shape == (32, 32, len(pr.FEATURE_NAMES))
+        names = dict(zip(pr.FEATURE_NAMES, feats[r, c]))
         assert names["tx_onehot"] == 1.0
         assert names["tx_distance"] == 0.0
 
@@ -67,8 +68,8 @@ class TestBuildFeatures:
         hm = sc.HeightMap(np.zeros((16, 16)), np.zeros((16, 16)))
         tx = sc.TxSite((8, 4), 10.0, ch.ArrayFrame(0.0, 0.0))
         feats = pr.build_features(hm, tx)
-        sin_b = feats.values[8, 10, list(feats.names).index("tx_bearing_sin")]
-        cos_b = feats.values[8, 10, list(feats.names).index("tx_bearing_cos")]
+        sin_b = feats[8, 10, pr.FEATURE_NAMES.index("tx_bearing_sin")]
+        cos_b = feats[8, 10, pr.FEATURE_NAMES.index("tx_bearing_cos")]
         assert sin_b == pytest.approx(0.0, abs=1e-12)
         assert cos_b == pytest.approx(1.0, abs=1e-12)
 
@@ -89,16 +90,16 @@ class TestBuildFeatures:
         hm = sc.HeightMap(building, np.zeros((16, 16)))
         tx = sc.TxSite((8, 8), 40.0, ch.ArrayFrame(0.0, 0.0))
         feats = pr.build_features(hm, tx)
-        assert np.abs(feats.values).max() <= 1.0
-        rel = feats.values[..., list(feats.names).index("relative_height")]
+        assert np.abs(feats).max() <= 1.0
+        rel = feats[..., pr.FEATURE_NAMES.index("relative_height")]
         assert rel[8, 8] == 1.0 and rel[3, 3] == 0.75
 
     def test_deterministic_and_bounded(self, small_scene):
         hm, tx = small_scene
         a = pr.build_features(hm, tx)
         b = pr.build_features(hm, tx)
-        assert np.array_equal(a.values, b.values)
-        assert np.abs(a.values).max() <= 1.0 + 1e-12
+        assert np.array_equal(a, b)
+        assert np.abs(a).max() <= 1.0 + 1e-12
 
 
 class TestOraclePredictor:
@@ -107,30 +108,28 @@ class TestOraclePredictor:
         chans = sc.trace_paths(hm, tx, sc.SceneConfig())
         tensors = tensor_grid(chans, codebook, tx.frame)
         valid = ~pixel_exclusion(tensors, mt.LinkBudget())
-        pred = pr.oracle_predictor(tensors, valid)
-        rankings = pr.flat_ranking(pred)
+        scores = pr.oracle_predictor(tensors[valid].reshape(-1, 128))
+        assert scores.shape == (int(valid.sum()), 128)
+        rankings = pr.flat_ranking(scores, (8, 4, 4), "joint")
         truths = np.argmax(tensors[valid].reshape(len(rankings), -1), axis=1)
         assert mt.topk_accuracy(truths, rankings, 1) == 1.0
         assert mt.throughput_ratio(tensors[valid].reshape(len(rankings), -1),
                                    rankings, 1, mt.LinkBudget()) == 1.0
 
     def test_zero_entries_ranked_last(self):
-        t = np.zeros((1, 1, 2, 2, 2))
-        t[0, 0, 0, 0, 0] = 1.0
-        t[0, 0, 1, 1, 1] = 0.5
-        pred = pr.oracle_predictor(t)
-        order = pr.ranking(pred)[0, 0]
+        t = np.zeros((1, 8))
+        t[0, 0] = 1.0
+        t[0, 7] = 0.5
+        order = pr.flat_ranking(pr.oracle_predictor(t), (2, 2, 2), "joint")[0]
         assert list(order[:2]) == [0, 7]
 
     def test_matches_per_pixel_sort(self, codebook):
         rng = np.random.default_rng(1)
-        t = rng.uniform(0, 1, (3, 3, 8, 4, 4))
-        pred = pr.oracle_predictor(t)
-        order = pr.ranking(pred)
-        for r in range(3):
-            for c in range(3):
-                expect = np.argsort(-t[r, c].ravel(), kind="stable")
-                assert np.array_equal(order[r, c], expect)
+        t = rng.uniform(0, 1, (9, 128))
+        order = pr.flat_ranking(pr.oracle_predictor(t), (8, 4, 4), "joint")
+        for i in range(9):
+            expect = np.argsort(-t[i], kind="stable")
+            assert np.array_equal(order[i], expect)
 
 
 class TestGeometricPredictor:
@@ -140,26 +139,21 @@ class TestGeometricPredictor:
         cfg = sc.SceneConfig(vegetation_db_per_m=0.0)
         chans = sc.trace_paths(hm, tx, cfg)
         tensors = tensor_grid(chans, codebook, tx.frame)
-        pred = pr.geometric_predictor(hm, tx, codebook, cfg.rx_height_m)
-        order = pr.ranking(pred)
-        hits = 0
-        total = 0
-        for r in range(24):
-            for c in range(24):
-                if not tensors[r, c].any():
-                    continue
-                total += 1
-                hits += int(order[r, c, 0] == np.argmax(tensors[r, c]))
-        assert total > 500
-        assert hits / total >= 0.9
+        logits = pr.geometric_predictor(hm, tx, codebook, cfg.rx_height_m)
+        assert logits.shape == (24, 24, 128)
+        valid = tensors.reshape(24, 24, -1).any(axis=-1)
+        order = pr.flat_ranking(logits[valid], (8, 4, 4), "joint")
+        truths = np.argmax(tensors[valid].reshape(len(order), -1), axis=1)
+        assert len(order) > 500
+        assert np.mean(order[:, 0] == truths) >= 0.9
 
     def test_blocked_pixels_still_predicted(self, codebook):
         building = np.zeros((16, 16))
         building[6:11, 8] = 50.0
         hm = sc.HeightMap(building, np.zeros((16, 16)))
         tx = sc.TxSite((8, 2), 12.0, ch.ArrayFrame(0.0, math.pi / 4))
-        pred = pr.geometric_predictor(hm, tx, codebook, 1.5)
-        assert np.isfinite(pred.scores[8, 12]).all()
+        logits = pr.geometric_predictor(hm, tx, codebook, 1.5)
+        assert np.isfinite(logits[8, 12]).all()
 
     def test_invariant_to_building_heights(self, codebook):
         rng = np.random.default_rng(2)
@@ -168,15 +162,16 @@ class TestGeometricPredictor:
         tx = sc.TxSite((8, 8), 20.0, ch.ArrayFrame(0.3, math.pi / 4))
         a = pr.geometric_predictor(flat, tx, codebook, 1.5)
         b = pr.geometric_predictor(tall, tx, codebook, 1.5)
-        assert np.array_equal(a.scores, b.scores)
+        assert np.array_equal(a, b)
 
 
 class TestPredict:
     def test_zero_weights_uniform(self):
         model = pr.SoftmaxModel.create(5, (2, 2, 2))
-        feats = pr.FeatureMaps(values=np.random.default_rng(3).uniform(-1, 1, (4, 4, 5)))
-        pred = pr.predict(model, feats)
-        p = lo.softmax(pred.scores[2, 2])
+        x = np.random.default_rng(3).uniform(-1, 1, (16, 5))
+        scores = pr.predict(model, x)
+        assert scores.shape == (16, 8)
+        p = lo.softmax(scores[10])
         np.testing.assert_allclose(p, 1 / 8, atol=1e-12)
 
     def test_matches_manual_matrix_product(self):
@@ -184,29 +179,25 @@ class TestPredict:
         model = pr.SoftmaxModel.create(6, (2, 2, 2))
         model.weights = rng.normal(0, 1, (6, 8))
         model.bias = rng.normal(0, 1, 8)
-        feats = pr.FeatureMaps(values=rng.uniform(-1, 1, (5, 5, 6)))
-        pred = pr.predict(model, feats)
-        for r, c in ((0, 0), (2, 3), (4, 4)):
-            x = feats.values[r, c]
-            np.testing.assert_allclose(pred.scores[r, c],
-                                       model.weights.T @ x + model.bias,
+        x = rng.uniform(-1, 1, (25, 6))
+        scores = pr.predict(model, x)
+        for i in (0, 13, 24):
+            np.testing.assert_allclose(scores[i], model.weights.T @ x[i] + model.bias,
                                        rtol=1e-12)
 
     def test_pixelwise_independence(self):
         rng = np.random.default_rng(5)
         model = pr.SoftmaxModel.create(4, (2, 2, 2))
         model.weights = rng.normal(0, 1, (4, 8))
-        vals = rng.uniform(-1, 1, (3, 4, 4))
-        pred_a = pr.predict(model, pr.FeatureMaps(values=vals))
-        flipped = vals[::-1].copy()
-        pred_b = pr.predict(model, pr.FeatureMaps(values=flipped))
-        assert np.array_equal(pred_a.scores[::-1], pred_b.scores)
+        x = rng.uniform(-1, 1, (12, 4))
+        scores_a = pr.predict(model, x)
+        scores_b = pr.predict(model, x[::-1].copy())
+        assert np.array_equal(scores_a[::-1], scores_b)
 
     def test_dim_mismatch_rejected(self):
         model = pr.SoftmaxModel.create(9, (2, 2, 2))
-        feats = pr.FeatureMaps(values=np.zeros((2, 2, 5)))
         with pytest.raises(ValueError):
-            pr.predict(model, feats)
+            pr.predict(model, np.zeros((4, 5)))
 
 
 class TestCandidates:
@@ -214,34 +205,30 @@ class TestCandidates:
 
     def test_oracle_top1_is_optimal(self, codebook):
         rng = np.random.default_rng(6)
-        t = rng.uniform(0, 1, (2, 2, 8, 4, 4))
-        order = pr.ranking(pr.oracle_predictor(t))
-        for r in range(2):
-            for c in range(2):
-                assert order[r, c, 0] == int(np.argmax(t[r, c]))
+        t = rng.uniform(0, 1, (4, 128))
+        order = pr.flat_ranking(pr.oracle_predictor(t), (8, 4, 4), "joint")
+        for i in range(4):
+            assert order[i, 0] == int(np.argmax(t[i]))
 
     def test_full_candidate_set_in_rank_order(self):
         rng = np.random.default_rng(7)
-        t = rng.uniform(0, 1, (1, 1, 2, 2, 2))
-        order = pr.ranking(pr.oracle_predictor(t))
-        assert sorted(order[0, 0]) == list(range(8))
+        t = rng.uniform(0, 1, (1, 8))
+        order = pr.flat_ranking(pr.oracle_predictor(t), (2, 2, 2), "joint")
+        assert sorted(order[0]) == list(range(8))
 
     def test_sep_matches_bruteforce_product(self):
         rng = np.random.default_rng(8)
         na, ne, nr = 8, 4, 4
-        scores = rng.normal(0, 1, (2, 2, na + ne + nr))
-        pred = pr.PredictionMap(scores=scores, valid=np.ones((2, 2), bool),
-                                dims=(na, ne, nr), kind="sep")
-        order = pr.ranking(pred)
-        for r in range(2):
-            for c in range(2):
-                za = scores[r, c, :na]
-                ze = scores[r, c, na:na + ne]
-                zr = scores[r, c, na + ne:]
-                la, le, lr = (z - _lse(z, axis=0) for z in (za, ze, zr))
-                joint = np.add.outer(np.add.outer(la, le), lr).ravel()
-                expect = np.argsort(-joint, kind="stable")
-                assert np.array_equal(order[r, c], expect)
+        scores = rng.normal(0, 1, (4, na + ne + nr))
+        order = pr.flat_ranking(scores, (na, ne, nr), "sep")
+        for i in range(4):
+            za = scores[i, :na]
+            ze = scores[i, na:na + ne]
+            zr = scores[i, na + ne:]
+            la, le, lr = (z - _lse(z, axis=0) for z in (za, ze, zr))
+            joint = np.add.outer(np.add.outer(la, le), lr).ravel()
+            expect = np.argsort(-joint, kind="stable")
+            assert np.array_equal(order[i], expect)
 
 
 class TestBatchLossConsistency:
@@ -624,49 +611,88 @@ class TestTrainMatchesReference:
 
 
 @st.composite
-def prediction_maps(draw):
-    """A joint, sep or ir prediction over a grid of up to 6x6 pixels, 1-4
-    beams per axis, scores rounded to halves so that ties occur, and any
-    validity mask, none valid and all valid included."""
+def score_grids(draw):
+    """(scores, valid, dims, kind): a joint, sep or ir score grid of up to
+    6x6 pixels, 1-4 beams per axis, scores rounded to halves so that ties
+    occur, and a validity mask with no, one, some or every pixel valid."""
     kind = draw(st.sampled_from(["joint", "sep", "ir"]))
     dims = tuple(draw(st.integers(1, 4)) for _ in range(3))
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c = {"joint": math.prod(dims), "sep": sum(dims), "ir": 3}[kind]
     scores = np.round(rng.normal(0.0, 2.0, (rows, cols, c)) * 2.0) / 2.0
-    valid = rng.uniform(size=(rows, cols)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
-    return pr.PredictionMap(scores=scores, valid=valid, dims=dims, kind=kind)
+    return scores, draw(validity_masks(rows, cols)), dims, kind
 
 
 class TestRankingMatchesReference:
-    """flat_ranking ranks the valid rows alone and must give the rows of the
-    whole-grid ranking it replaced (conftest) at the valid pixels; ranking
-    keeps the bytes of the whole-grid ranking."""
+    """The predictors score and flat_ranking ranks the valid rows alone; they
+    must give the rows of the whole-grid scores and ranking they replaced
+    (conftest) at the valid pixels."""
 
-    @given(prediction_maps())
+    @given(score_grids())
     @settings(deadline=None, max_examples=200)
-    def test_same_bytes(self, pred):
-        flat = pr.flat_ranking(pred)
-        ref = flat_ranking_reference(pred)
+    def test_same_bytes(self, case):
+        scores, valid, dims, kind = case
+        flat = pr.flat_ranking(scores[valid], dims, kind)
+        ref = flat_ranking_reference(scores, valid, dims, kind)
         assert flat.dtype == ref.dtype and flat.shape == ref.shape
         assert flat.tobytes() == ref.tobytes()
-        order = pr.ranking(pred)
-        assert order.tobytes() == ranking_reference(pred).tobytes()
-        assert order.shape == ranking_reference(pred).shape
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_oracle_same_bytes(self, data):
+        dims = tuple(data.draw(st.integers(1, 4)) for _ in range(3))
+        rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # f32 powers with zeros and ties, as evaluate reads them
+        b = math.prod(dims)
+        tensors = np.where(rng.uniform(size=(rows, cols, b)) < 0.3, 0.0,
+                           np.round(rng.uniform(0, 4, (rows, cols, b))) * 1e-9)
+        tensors = tensors.astype(np.float32).astype(np.float64)
+        valid = data.draw(validity_masks(rows, cols))
+        scores = pr.oracle_predictor(tensors[valid])
+        ref_scores = oracle_reference(tensors)
+        assert scores.tobytes() == ref_scores[valid].tobytes()
+        assert (pr.flat_ranking(scores, dims, "joint").tobytes()
+                == flat_ranking_reference(ref_scores, valid, dims, "joint").tobytes())
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_model_same_bytes(self, data):
+        # predict scores every row, a lone one too, with the bits of a
+        # product of two or more rows. The whole-grid code scored a one-pixel
+        # grid in a one-row product, and the rows of a one-column model round
+        # by their place in the product, so those bits may differ; a
+        # one-column model ranks its one beam first whatever they are.
+        kind, sep = data.draw(st.sampled_from(ALL_LOSSES))
+        dims = tuple(data.draw(st.integers(1, 4)) for _ in range(3))
+        rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        f = data.draw(st.integers(1, 10))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        model = pr.SoftmaxModel.create(f, dims, pr.LossConfig(kind, sep))
+        model.weights = rng.normal(0, 1, model.weights.shape)
+        model.bias = rng.normal(0, 1, model.bias.shape)
+        features = rng.uniform(-1, 1, (rows, cols, f))
+        valid = data.draw(validity_masks(rows, cols))
+        scores = pr.predict(model, features[valid])
+        ref_scores = predict_reference(model, features)
+        assert scores.shape == ref_scores[valid].shape
+        if rows * cols > 1 and scores.shape[1] > 1:
+            assert scores.tobytes() == ref_scores[valid].tobytes()
+        order = pr.flat_ranking(scores, dims, model.kind)
+        ref = flat_ranking_reference(ref_scores, valid, dims, model.kind)
+        assert order.tobytes() == ref.tobytes()
 
 
 class TestIrRankingConsistency:
     def test_batch_matches_per_triple_reference(self):
         rng = np.random.default_rng(10)
         dims = (8, 4, 4)
-        scores = rng.uniform(-1, 8, (2, 2, 3))
-        pred = pr.PredictionMap(scores=scores, valid=np.ones((2, 2), bool),
-                                dims=dims, kind="ir")
-        order = pr.ranking(pred)
-        for r in range(2):
-            for c in range(2):
-                expect = lo.ir_ranking(tuple(scores[r, c]), dims)
-                assert np.array_equal(order[r, c], expect)
+        scores = rng.uniform(-1, 8, (4, 3))
+        order = pr.flat_ranking(scores, dims, "ir")
+        for i in range(4):
+            expect = lo.ir_ranking(tuple(scores[i]), dims)
+            assert np.array_equal(order[i], expect)
 
 
 class TestTrainAllLossKinds:
@@ -683,10 +709,9 @@ class TestTrainAllLossKinds:
         hyper = pr.TrainConfig(lr=0.1, epochs=15, batch=16)
         trained, history = train_on_tensors(model, x, tensors, hyper)
         assert history[-1][1] <= history[0][1] + 1e-9
-        pred = pr.predict(trained, pr.FeatureMaps(values=x.reshape(6, 10, 6)))
-        order = pr.ranking(pred)
+        order = pr.flat_ranking(pr.predict(trained, x), dims, trained.kind)
         b = dims[0] * dims[1] * dims[2]
-        assert order.shape == (6, 10, b)
+        assert order.shape == (n, b)
         assert (np.sort(order, axis=-1) == np.arange(b)).all()
 
 
@@ -771,7 +796,7 @@ class TestTrainedBeatsChance:
                 ~mt.exclusion_mask(rows.reshape(pixel_ids.size, -1), budget), 4)
             valid = blocks & ~pixel_exclusion(lo_t, budget)
             feats = pr.build_features(sc.pool_heightmap(hm, 4), sc.pool_tx(tx, 4))
-            xs.append(feats.flat()[valid.ravel()])
+            xs.append(feats[valid])
             ts.append(lo_t[valid])
         model = pr.SoftmaxModel.create(xs[0].shape[1], (8, 4, 4), seed=0)
         hyper = pr.TrainConfig(lr=0.5, epochs=80, batch=64)
