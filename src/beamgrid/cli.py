@@ -153,10 +153,10 @@ def _prediction_from_args(args, cfg, valid, samples, site):
     if not path.exists():
         raise GridParseError(f"prediction input {path} does not exist")
     if gridio.is_model_file(path):
+        model = gridio.load_model(path)
         if site is None:
             raise GridParseError(
                 "evaluating a model file needs --scene and --tx to build features")
-        model = gridio.load_model(path)
         scores = predictor.predict(model, _site_features(*site, valid))
         dims, kind = model.dims, model.kind
     else:
@@ -164,12 +164,12 @@ def _prediction_from_args(args, cfg, valid, samples, site):
         if grid.shape[:2] != valid.shape:
             raise GridParseError(
                 f"prediction grid {grid.shape[:2]} vs tensor grid {valid.shape}")
-        b, c = math.prod(dims), grid.shape[2]
-        kinds = [kind for kind, n in (("joint", b), ("sep", sum(dims)), ("ir", 3)) if n == c]
+        columns, c = predictor.score_columns(dims), grid.shape[2]
+        kinds = [kind for kind, n in columns.items() if n == c]
         if not kinds:
             raise GridParseError(
-                f"prediction grid has {c} channels; expected {b} (joint), "
-                f"{sum(dims)} (sep), or 3 (index regression)")
+                f"prediction grid has {c} channels; expected "
+                + ", ".join(f"{n} ({kind})" for kind, n in columns.items()))
         if len(kinds) > 1:
             raise GridParseError(
                 f"prediction grid has {c} channels, which fits more than one kind "

@@ -28,7 +28,8 @@ import numpy as np
 from .channel import ArrayFrame
 from .errors import GridParseError
 from .metrics import EvalReport, LinkBudget
-from .predictor import FEATURE_VERSION, LossConfig, SoftmaxModel, TrainConfig
+from .predictor import FEATURE_VERSION, LossConfig, SoftmaxModel, TrainConfig, \
+    score_columns
 from .scene import SceneChannels, SceneConfig, TxSite
 
 GRID_MAGIC = b"BGRD1"
@@ -462,8 +463,10 @@ _MODEL_KEYS = {"dims": "list[int]", "loss_kind": "str", "sep": "bool", "seed": "
 
 def load_model(path):
     """SoftmaxModel from a model file. A header that is not the object
-    save_model writes, a header that disagrees with the weight grid, or a
-    non-finite weight raises GridParseError."""
+    save_model writes, a header that disagrees with the weight grid, an
+    outputs count that is not the score columns of the model's kind
+    (predictor.score_columns), or a non-finite weight raises
+    GridParseError."""
     with open(path, "rb") as fh:
         header, loss = _model_header(fh.readline())
         stacked = _read_grid_from(fh)
@@ -475,8 +478,14 @@ def load_model(path):
     if stacked.size and not (np.isfinite(stacked.min()) and np.isfinite(stacked.max())):
         raise GridParseError(f"model {path} holds a non-finite weight")
     stacked = stacked[:, :, 0].astype(np.float64)
-    return SoftmaxModel(weights=stacked[:-1], bias=stacked[-1], dims=tuple(header["dims"]),
-                        loss=loss, seed=header["seed"])
+    model = SoftmaxModel(weights=stacked[:-1], bias=stacked[-1], dims=tuple(header["dims"]),
+                         loss=loss, seed=header["seed"])
+    columns = score_columns(model.dims)[model.kind]
+    if header["outputs"] != columns:
+        raise GridParseError(
+            f"model header outputs {header['outputs']} is not the {columns} score "
+            f"columns of a {model.kind} model over dims {list(model.dims)}")
+    return model
 
 
 def _model_header(head_line):
@@ -510,9 +519,10 @@ def _model_header(head_line):
 
 
 def is_model_file(path):
+    """Whether a prediction file is read as a model: any file that does not
+    start with GRID_MAGIC. load_model's header checks reject a non-model."""
     with open(path, "rb") as fh:
-        head = fh.read(len(MODEL_MAGIC) + 16)
-    return MODEL_MAGIC in head[:32]
+        return fh.read(len(GRID_MAGIC)) != GRID_MAGIC
 
 
 # ---------------------------------------------------------------------------

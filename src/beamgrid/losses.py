@@ -14,7 +14,7 @@ separate azimuth, elevation and sector heads:
        triples (beam_distance_matrix). Against a one-hot target this is
        the optimal-transport cost, because the transport plan is forced;
 * ir:  mean squared error on the index triple treated as three regression
-       targets (sep only), ranked by ir_ranking;
+       targets (sep only), ranked by predictor.flat_ranking;
 * gr:  mean squared error on the beam power tensor in dB (same flooring as
        cep): gr_target_db and gr_target_db_sep.
 
@@ -101,19 +101,6 @@ def beam_distance_matrix(dims):
                                    indexing="ij"), axis=-1).reshape(-1, 3).astype(np.float64)
     diff = triples[:, None, :] - triples[None, :, :]
     return np.sqrt((diff**2).sum(axis=-1))
-
-
-def ir_ranking(pred_triple, dims):
-    """Beams ordered by Euclidean index distance to the regressed triple.
-
-    pred_triple has shape (..., 3); the order runs over the last axis.
-    """
-    na, ne, nr = dims
-    lattice = np.stack(np.meshgrid(np.arange(na), np.arange(ne), np.arange(nr),
-                                   indexing="ij"), axis=-1).reshape(-1, 3)
-    pred = np.asarray(pred_triple, dtype=np.float64)[..., None, :]
-    d2 = ((lattice - pred) ** 2).sum(axis=-1)
-    return np.argsort(d2, axis=-1, kind="stable")  # ties fall back to flat order
 
 
 def gr_target_db(tensor, floor_db):

@@ -1,4 +1,5 @@
-"""Evaluation protocol: exclusion mask, SNR, top-k accuracy, throughput ratio.
+"""Evaluation protocol: exclusion mask, SNR, and the top-k accuracy and
+throughput ratio of a beam ranking (evaluate_ranking, the only scorer).
 
 Beam tensors hold unit-transmit-power path gains; the link budget applies
 the transmit power and noise floor when converting to SNR. Locations whose
@@ -67,56 +68,6 @@ def snr(rss_linear, budget):
     return out
 
 
-def topk_accuracy(truths, preds, k):
-    """Fraction of samples whose optimal beam appears in the first k candidates."""
-    truths = np.asarray(truths)
-    preds = np.asarray(preds)
-    if truths.shape[0] != preds.shape[0]:
-        raise ValueError(
-            f"{truths.shape[0]} truths vs {preds.shape[0]} candidate sets")
-    if not 1 <= k <= preds.shape[1]:
-        raise ValueError(f"k={k} exceeds candidate list length {preds.shape[1]}")
-    hits = (preds[:, :k] == truths[:, None]).any(axis=1)
-    return float(hits.mean())
-
-
-def rates(tensors, budget):
-    """Shannon rates log2(1 + SNR) for every beam of every sample."""
-    t = np.asarray(tensors)
-    flat = t.reshape(t.shape[0], -1)
-    return np.log2(1.0 + snr(flat, budget))
-
-
-def throughput_ratio(tensors, preds, k, budget):
-    """Achieved-vs-optimal sum rate when the best of the first k candidates is used."""
-    return _throughput_ratios(tensors, preds, [k], budget)[0]
-
-
-def _throughput_ratios(tensors, preds, k_list, budget):
-    """throughput_ratio at each k, from one computation of the rates."""
-    t = np.asarray(tensors)
-    preds = np.asarray(preds)
-    if t.shape[0] != preds.shape[0]:
-        raise ValueError(f"{t.shape[0]} tensors vs {preds.shape[0]} candidate sets")
-    if t.shape[0] == 0:
-        raise UndefinedResultError("throughput ratio over an empty sample set")
-    for k in k_list:
-        if not 1 <= k <= preds.shape[1]:
-            raise ValueError(f"k={k} exceeds candidate list length {preds.shape[1]}")
-    rate = rates(t, budget)
-    denom = rate.max(axis=1).sum()
-    if denom <= 0.0:
-        raise UndefinedResultError("all samples have zero optimal rate")
-    return [float(np.take_along_axis(rate, preds[:, :k], axis=1).max(axis=1).sum() / denom)
-            for k in k_list]
-
-
-def ranking_from_scores(scores):
-    """Descending beam order per sample; equal scores keep flat-index order."""
-    scores = np.asarray(scores)
-    return np.argsort(-scores, axis=-1, kind="stable")
-
-
 @dataclass
 class EvalReport:
     """Per-k accuracy and throughput ratio over one evaluation run."""
@@ -129,14 +80,34 @@ class EvalReport:
 
 
 def evaluate_ranking(tensors, rankings, k_list, budget, excluded=0):
-    """Score a full beam ranking at every requested depth. Returns the
-    report and the hits: per k, whether each sample's optimal beam is among
-    its first k candidates, a (len(k_list), n) bool array."""
+    """Score a full beam ranking at every requested depth k.
+
+    tensors hold each sample's beam powers, rankings its candidate beams
+    (flat indices), best first. The top-k accuracy is the fraction of
+    samples whose optimal beam is among their first k candidates; the
+    throughput ratio is the sum over the samples of the best Shannon rate
+    log2(1 + SNR) among the first k candidates, over the sum of the optimal
+    rates. The rates are computed once for every k. Returns the report and
+    the hits: per k, whether each sample's optimal beam is among its first
+    k candidates, a (len(k_list), n) bool array.
+    """
     if len(rankings) == 0:
         raise UndefinedResultError("no valid samples left to evaluate")
     rankings = np.asarray(rankings)
-    tpr = _throughput_ratios(tensors, rankings, k_list, budget)
-    truths = np.argmax(np.asarray(tensors).reshape(len(rankings), -1), axis=1)
+    t = np.asarray(tensors)
+    if t.shape[0] != rankings.shape[0]:
+        raise ValueError(f"{t.shape[0]} tensors vs {rankings.shape[0]} candidate sets")
+    for k in k_list:
+        if not 1 <= k <= rankings.shape[1]:
+            raise ValueError(f"k={k} exceeds candidate list length {rankings.shape[1]}")
+    flat = t.reshape(t.shape[0], -1)
+    rate = np.log2(1.0 + snr(flat, budget))
+    denom = rate.max(axis=1).sum()
+    if denom <= 0.0:
+        raise UndefinedResultError("all samples have zero optimal rate")
+    tpr = [float(np.take_along_axis(rate, rankings[:, :k], axis=1).max(axis=1).sum() / denom)
+           for k in k_list]
+    truths = np.argmax(flat, axis=1)
     hits = np.stack([(rankings[:, :k] == truths[:, None]).any(axis=1) for k in k_list])
     report = EvalReport(k_list=list(k_list), accuracy=[float(h.mean()) for h in hits],
                         tpr=tpr, samples=len(rankings), excluded=int(excluded))

@@ -2,10 +2,12 @@
 linear-softmax classifier over encoded transmitter inputs.
 
 A prediction is one (n, C) array of scores, a row per valid pixel in
-row-major order, with the codebook dims and its kind ("joint": Na*Ne*Nr
-channels ranked descending; "sep": Na+Ne+Nr channels holding the three
-heads; "ir": a regressed index triple ranked by lattice distance).
-flat_ranking turns it into beam orders.
+row-major order, with the codebook dims and its kind: "joint" (Na*Ne*Nr
+columns, one score per beam), "sep" (Na+Ne+Nr columns holding the three
+per-axis heads) or "ir" (3 columns, a regressed index triple).
+score_columns states the column count of each kind, and flat_ranking,
+the package's only ranking code, turns a prediction into beam orders,
+which metrics.evaluate_ranking scores.
 
 The classifier is a deliberate desk-scale stand-in for a convolutional
 model: it sees only per-pixel features (transmitter one-hot/distance/
@@ -27,7 +29,6 @@ from . import losses
 from .channel import TWO_PI, beamspace_angles, gain_profiles, \
     global_to_array_frame, sector_index
 from .errors import EmptyTrainingSetError
-from .metrics import ranking_from_scores
 
 FEATURE_VERSION = 1
 FEATURE_NAMES = (
@@ -154,22 +155,29 @@ class SoftmaxModel:
 
     @property
     def kind(self):
-        if self.loss.kind == "IR":
-            return "ir"
-        return "sep" if self.loss.sep else "joint"
+        return _prediction_kind(self.loss)
 
     @classmethod
     def create(cls, feature_dim, dims, loss=None, seed=0):
         """Zero weights for the loss's output layout; loss None is LossConfig()."""
-        if loss is None:
-            loss = LossConfig()
-        if loss.kind == "IR":
-            c = 3
-        else:
-            na, ne, nr = dims
-            c = na + ne + nr if loss.sep else na * ne * nr
+        loss = loss or LossConfig()
+        c = score_columns(dims)[_prediction_kind(loss)]
         return cls(weights=np.zeros((feature_dim, c)), bias=np.zeros(c),
                    dims=tuple(dims), loss=loss, seed=seed)
+
+
+def _prediction_kind(loss):
+    """"ir" for the IR loss, else "sep" or "joint" by the loss's heads."""
+    if loss.kind == "IR":
+        return "ir"
+    return "sep" if loss.sep else "joint"
+
+
+def score_columns(dims):
+    """The score columns of a prediction of each kind under the codebook
+    dims (Na, Ne, Nr), in the order joint, sep, ir."""
+    na, ne, nr = dims
+    return {"joint": na * ne * nr, "sep": na + ne + nr, "ir": 3}
 
 
 def predict(model, x):
@@ -189,24 +197,32 @@ def predict(model, x):
 
 def flat_ranking(scores, dims, kind):
     """Full beam order of each row of a (n, C) prediction of the given kind,
-    shape (n, Na*Ne*Nr)."""
+    shape (n, Na*Ne*Nr), as flat beam indices, best first.
+
+    joint ranks the beams by descending score; sep by the descending sum of
+    their three head scores; ir by the ascending squared Euclidean distance
+    of their index triples to the regressed triple. A stable sort keeps
+    tied beams in flat index order.
+    """
     na, ne, nr = dims
     b = na * ne * nr
     if kind == "joint":
-        return ranking_from_scores(scores)
-    if kind == "sep":
+        key = -scores
+    elif kind == "sep":
         za = scores[:, :na]
         ze = scores[:, na:na + ne]
         zr = scores[:, na + ne:]
         # product-distribution ranking: per-head log-probabilities differ
         # from raw head scores by a per-head constant, so summing scores
         # ranks identically
-        joint = (za[:, :, None, None] + ze[:, None, :, None]
-                 + zr[:, None, None, :]).reshape(-1, b)
-        return ranking_from_scores(joint)
-    if kind == "ir":
-        return losses.ir_ranking(scores, dims)
-    raise ValueError(f"unknown prediction kind {kind!r}")
+        key = -(za[:, :, None, None] + ze[:, None, :, None]
+                + zr[:, None, None, :]).reshape(-1, b)
+    elif kind == "ir":
+        lattice = np.stack(np.unravel_index(np.arange(b), dims), axis=1)
+        key = ((lattice - scores[:, None, :]) ** 2).sum(axis=-1)
+    else:
+        raise ValueError(f"unknown prediction kind {kind!r}")
+    return np.argsort(key, axis=-1, kind="stable")
 
 
 MIN_LR_FACTOR = 1e-3  # train stops once the rate decays below lr * this

@@ -110,13 +110,11 @@ def test_metric_dominance_and_monotonicity():
     # equal per-sample peak keeps the rate weights comparable across samples
     tensors = rng.uniform(0.05, 0.6, (m, b)) * 1e-12
     tensors[np.arange(m), rng.integers(0, b, m)] = 1e-12
-    truths = np.argmax(tensors, axis=1)
-    ks = np.arange(1, b + 1)
+    ks = list(range(1, b + 1))
     for trial in range(50):
         preds = np.array([rng.permutation(b) for _ in range(m)])
-        accs = np.array([mt.topk_accuracy(truths, preds, k) for k in ks])
-        tprs = np.array([mt.throughput_ratio(tensors, preds, k, budget)
-                         for k in ks])
+        report, _ = mt.evaluate_ranking(tensors, preds, ks, budget)
+        accs, tprs = np.array(report.accuracy), np.array(report.tpr)
         assert np.all(np.diff(accs) >= 0)
         assert np.all(np.diff(tprs) >= 0)
         assert np.all(tprs >= accs)
@@ -170,7 +168,7 @@ def test_gradient_suite():
 
 def test_downscale_consistency_statistic(codebook):
     budget = mt.LinkBudget()
-    truths_all, preds_all, tensors_all = [], [], []
+    preds_all, tensors_all = [], []
     per_scene = []
     for seed in range(20):
         hm, tx = make_scene(seed=seed)
@@ -182,16 +180,13 @@ def test_downscale_consistency_statistic(codebook):
         per_scene.append((acc, tpr))
         assert tpr >= acc
         hi_flat = hi.reshape(64, 64, -1)
-        lo_rank = mt.ranking_from_scores(lo_t.reshape(16 * 16, -1))
+        lo_rank = pr.flat_ranking(lo_t.reshape(16 * 16, -1), (8, 4, 4), "joint")
         block = (np.arange(64)[:, None] // 4) * 16 + np.arange(64)[None, :] // 4
-        truths_all.append(np.argmax(hi_flat[hi_valid], axis=1))
         preds_all.append(lo_rank[block[hi_valid]])
         tensors_all.append(hi_flat[hi_valid])
-    truths = np.concatenate(truths_all)
-    preds = np.concatenate(preds_all)
-    tensors = np.concatenate(tensors_all)
-    acc1 = mt.topk_accuracy(truths, preds, 1)
-    tpr1 = mt.throughput_ratio(tensors, preds, 1, budget)
+    report, _ = mt.evaluate_ranking(np.concatenate(tensors_all), np.concatenate(preds_all),
+                                    [1], budget)
+    acc1, tpr1 = report.accuracy[0], report.tpr[0]
     assert 0.0 < acc1 < 1.0
     assert tpr1 >= acc1
 
@@ -229,12 +224,10 @@ def test_trained_model_and_geometric_baseline(codebook):
                           x_val, pr.targets(model, t_val))
     elapsed = time.perf_counter() - start
     z = x_test @ trained.weights + trained.bias
-    preds = mt.ranking_from_scores(z)
-    flat_test = t_test.reshape(len(t_test), -1)
-    truths = np.argmax(flat_test, axis=1)
-    acc1 = mt.topk_accuracy(truths, preds, 1)
-    acc8 = mt.topk_accuracy(truths, preds, 8)
-    tpr8 = mt.throughput_ratio(flat_test, preds, 8, budget)
+    preds = pr.flat_ranking(z, (8, 4, 4), "joint")
+    report, _ = mt.evaluate_ranking(t_test, preds, [1, 8], budget)
+    acc1, acc8 = report.accuracy
+    tpr8 = report.tpr[1]
     assert acc1 > 5 / 128
     assert tpr8 > acc8
     assert elapsed < 300.0
@@ -247,8 +240,8 @@ def test_trained_model_and_geometric_baseline(codebook):
     valid = tensors.reshape(64, 64, -1).max(axis=-1) > 0
     logits = pr.geometric_predictor(flat_hm, tx, codebook, 1.5)
     rankings = pr.flat_ranking(logits[valid], (8, 4, 4), "joint")
-    truths_geo = np.argmax(tensors[valid].reshape(len(rankings), -1), axis=1)
-    geo_acc = mt.topk_accuracy(truths_geo, rankings, 1)
+    report, _ = mt.evaluate_ranking(tensors[valid], rankings, [1], budget)
+    geo_acc = report.accuracy[0]
     assert geo_acc >= 0.9
     print(f"\nPASS  trained model: held-out top-1 {acc1:.3f} > {5 / 128:.3f}, "
           f"top-8 tpr {tpr8:.3f} > top-8 acc {acc8:.3f}, "

@@ -20,8 +20,8 @@ from beamgrid import predictor as pr
 from beamgrid import scene as sc
 from beamgrid.cli import main
 
-from conftest import evaluate_reference, grid_to_bytes, los_class_reference, \
-    on_grid_direction, oracle_reference, predict_reference, tensor_grid, tensorize_reference, \
+from conftest import assert_report_matches, evaluate_reference, flat_ranking_reference, \
+    grid_to_bytes, los_class_reference, on_grid_direction, oracle_reference, predict_reference, tensor_grid, tensorize_reference, \
     validity_masks
 
 
@@ -661,6 +661,48 @@ class TestEvaluate:
                        "--report", tmp / "m.json", "--scene", tmp / "s.scene.bgrd",
                        "--tx", tmp / "s.tx.json") == 3
 
+    def test_model_outputs_not_score_columns_exit_code(self, tensorized, capsys):
+        # a CE (joint) model over the 8x4x4 codebook ranks 128 columns; this
+        # header says 5 outputs and its weight grid has 5, so before the
+        # check the run scored 5 columns as if they were beams at exit 0
+        tmp, cfg = tensorized
+        header = {"magic": "BGMDL1", "dims": [8, 4, 4], "loss_kind": "CE", "sep": False,
+                  "seed": 0, "epsilon": None, "floor_db": -30.0,
+                  "feature_version": pr.FEATURE_VERSION,
+                  "features": len(pr.FEATURE_NAMES), "outputs": 5}
+        weights = np.random.default_rng(0).normal(0, 1, (len(pr.FEATURE_NAMES) + 1, 5))
+        (tmp / "m.bgmdl").write_bytes(json.dumps(header).encode("ascii") + b"\n"
+                                      + grid_to_bytes(weights))
+        assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd",
+                       "--pred", tmp / "m.bgmdl", "--config", cfg,
+                       "--report", tmp / "m.json", "--scene", tmp / "s.scene.bgrd",
+                       "--tx", tmp / "s.tx.json") == 3
+        assert "outputs 5 is not the 128 score columns" in capsys.readouterr().err
+        assert not (tmp / "m.json").exists()
+
+    def test_grid_with_model_magic_in_payload_is_scored(self, tmp_path):
+        # a u8 logits grid whose payload starts with the model magic within
+        # the file's first 22 bytes is still a grid, not a model file
+        dims, k_list = (6, 1, 1), [1, 2]
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "codebook": dict(zip(("Na", "Ne", "Nr"), dims)), "eval": {"k_list": k_list}}))
+        tensors = np.random.default_rng(3).uniform(1e-12, 1e-10, (2, 2, 6)).astype(np.float32)
+        valid = np.ones((2, 2), dtype=bool)
+        io.write_grid(tmp_path / "t.tensors.bgrd", tensors)
+        io.write_grid(tmp_path / "t.mask.bgrd", valid.astype(np.uint8), "u8")
+        grid = np.arange(24, dtype=np.uint8).reshape(2, 2, 6)
+        grid[0, 0] = list(io.MODEL_MAGIC)
+        io.write_grid(tmp_path / "p.bgrd", grid, "u8")
+        assert run_cli("evaluate", "--tensors", tmp_path / "t.tensors.bgrd",
+                       "--pred", tmp_path / "p.bgrd", "--config", tmp_path / "cfg.json",
+                       "--report", tmp_path / "r.json") == 0
+        report, images = evaluate_reference(tensors, valid, grid.astype(np.float64), dims,
+                                            "joint", k_list, mt.LinkBudget())
+        assert_report_matches(io.load_report(tmp_path / "r.json"), report)
+        for k, img in zip(k_list, images):
+            io.write_pgm(tmp_path / "ref.pgm", img)
+            assert (tmp_path / f"r.top{k}.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
+
 
 @st.composite
 def evaluate_inputs(draw, source):
@@ -686,7 +728,10 @@ def evaluate_inputs(draw, source):
 class TestEvaluateMatchesReference:
     """evaluate scores and ranks the valid pixels alone; its report and hit
     maps must keep the bytes of the whole-grid code it replaced (conftest),
-    for every kind of prediction and with no, one or every pixel valid."""
+    for every kind of prediction and with no, one or every pixel valid: the
+    hit maps and the report those of the sample-by-sample reference scorer
+    (the throughput ratios to its tolerance), and the report's bytes those
+    of metrics.evaluate_ranking on the whole-grid ranking."""
 
     @pytest.mark.parametrize("source", ["oracle", "joint", "sep", "ir",
                                         "model-CE", "model-CE-sep", "model-IR"])
@@ -741,7 +786,13 @@ class TestEvaluateMatchesReference:
             assert code == 0
             report, images = evaluate_reference(tensors, valid, scores, dims, kind,
                                                 k_list, mt.LinkBudget())
-            io.save_report(tmp / "ref.json", report)
+            assert_report_matches(io.load_report(tmp / "r.json"), report)
+            # the bytes of the scorer's report on the whole-grid ranking
+            ref, _ = mt.evaluate_ranking(
+                tensors.astype(np.float64)[valid],
+                flat_ranking_reference(scores, valid, dims, kind), k_list, mt.LinkBudget(),
+                excluded=int((~valid).sum()))
+            io.save_report(tmp / "ref.json", ref)
             assert (tmp / "r.json").read_bytes() == (tmp / "ref.json").read_bytes()
             for k, img in zip(k_list, images):
                 io.write_pgm(tmp / "ref.pgm", img)

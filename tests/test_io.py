@@ -435,6 +435,34 @@ class TestModelFile:
         assert io.is_model_file(mpath)
         assert not io.is_model_file(gpath)
 
+    def test_grid_with_model_magic_in_payload_is_a_grid(self, tmp_path):
+        # the BGRD1 header line of a 2x2x6 u8 grid is 15 bytes, so its
+        # payload starts within the first 22 bytes of the file
+        grid = np.zeros((2, 2, 6), dtype=np.uint8)
+        grid[0, 0] = list(io.MODEL_MAGIC)
+        path = tmp_path / "p.bgrd"
+        io.write_grid(path, grid, "u8")
+        assert not io.is_model_file(path)
+        assert np.array_equal(io.read_grid(path), grid)
+
+    @pytest.mark.parametrize("kind, sep, outputs", [
+        ("CE", False, 5), ("CE", False, 16), ("CEP", True, 128), ("IR", True, 16)])
+    def test_outputs_not_score_columns_rejected(self, tmp_path, kind, sep, outputs):
+        # a header and weight grid that agree with each other, but whose
+        # outputs are not the score columns of the model's kind and dims
+        loss = pr.LossConfig(kind, sep)
+        path = tmp_path / "m.bgmdl"
+        io.save_model(path, pr.SoftmaxModel.create(9, (8, 4, 4), loss))
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        header["outputs"] = outputs
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n"
+                         + grid_to_bytes(np.zeros((10, outputs))))
+        kind = pr.SoftmaxModel.create(9, (8, 4, 4), loss).kind
+        columns = pr.score_columns((8, 4, 4))[kind]
+        with pytest.raises(GridParseError, match=f"outputs {outputs} is not the {columns} "
+                                                 f"score columns of a {kind} model"):
+            io.load_model(path)
+
     def test_header_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "m.bgmdl"
         path.write_bytes(b'["BGMDL1"]\n' + grid_to_bytes(np.zeros((5, 8))))
@@ -467,7 +495,8 @@ class TestModelFile:
             return
         assert len(back.dims) == 3 and min(back.dims) >= 1
         assert back.loss.kind in pr.LOSS_KINDS and back.loss.floor_db < 0.0
-        assert back.weights.shape[1] == back.bias.shape[0]
+        assert back.weights.shape[1] == back.bias.shape[0] \
+            == pr.score_columns(back.dims)[back.kind]
 
     @pytest.mark.parametrize("key, value, message", [
         ("loss_kind", "foo", "unknown loss kind 'FOO'"),

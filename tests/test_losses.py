@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamgrid import losses as lo
+from beamgrid import predictor as pr
 from conftest import FLOOR_DB, cep_loss, cep_target_reference, ce_loss, ce_loss_sep, \
     floored_db_reference, gr_loss, grad_check, ir_loss, ws_loss, ws_loss_sep
 
@@ -208,11 +209,11 @@ class TestIrLoss:
             ir_loss(np.zeros(128), np.zeros(128))
 
     def test_nearest_lattice_ranking(self):
-        order = lo.ir_ranking((2.4, 1.0, 3.0), (8, 4, 4))
+        order = pr.flat_ranking(np.array([[2.4, 1.0, 3.0]]), (8, 4, 4), "ir")[0]
         assert order[0] == (2 * 4 + 1) * 4 + 3
 
     def test_ranking_ties_by_flat_index(self):
-        order = lo.ir_ranking((0.5, 0.0, 0.0), (2, 1, 1))
+        order = pr.flat_ranking(np.array([[0.5, 0.0, 0.0]]), (2, 1, 1), "ir")[0]
         assert list(order) == [0, 1]
 
 

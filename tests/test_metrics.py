@@ -11,8 +11,8 @@ from beamgrid import metrics as mt
 from beamgrid import scene as sc
 from beamgrid.errors import UndefinedResultError
 
-from conftest import evaluate_ranking_reference, los_class_reference, paths_at, \
-    scene_configs, small_scenes, throughput_ratio_reference
+from conftest import assert_report_matches, evaluate_ranking_reference, \
+    los_class_reference, paths_at, ranking_from_scores, scene_configs, small_scenes
 
 
 class TestNoisePower:
@@ -84,47 +84,64 @@ class TestSnr:
         assert mt.snr(2e-12, b) == pytest.approx(2 * mt.snr(1e-12, b), rel=1e-12)
 
 
+def peaked(truths, b):
+    """Beam powers of samples whose strongest of b beams are the truths."""
+    t = np.full((len(truths), b), 1e-13)
+    t[np.arange(len(truths)), truths] = 1e-12
+    return t
+
+
+def score(tensors, rankings, k, budget=None):
+    """evaluate_ranking's (accuracy, throughput ratio) at one k."""
+    report, _ = mt.evaluate_ranking(tensors, rankings, [k], budget or mt.LinkBudget())
+    return report.accuracy[0], report.tpr[0]
+
+
 class TestTopkAccuracy:
     def test_oracle_predictions(self):
         truths = np.array([3, 1, 7])
         preds = np.array([[3, 0], [1, 0], [7, 0]])
         for k in (1, 2):
-            assert mt.topk_accuracy(truths, preds, k) == 1.0
+            assert score(peaked(truths, 8), preds, k)[0] == 1.0
 
     def test_rank_three_truth(self):
         truths = np.array([5, 5])
         preds = np.tile([0, 1, 5, 2], (2, 1))
-        assert mt.topk_accuracy(truths, preds, 2) == 0.0
-        assert mt.topk_accuracy(truths, preds, 4) == 1.0
+        assert score(peaked(truths, 8), preds, 2)[0] == 0.0
+        assert score(peaked(truths, 8), preds, 4)[0] == 1.0
 
     def test_random_ranking_binomial(self):
         rng = np.random.default_rng(1)
         m, b = 10_000, 128
         truths = rng.integers(0, b, m)
         preds = np.array([rng.permutation(b) for _ in range(m)])
-        acc = mt.topk_accuracy(truths, preds, 1)
+        acc = score(peaked(truths, b), preds, 1)[0]
         p = 1 / b
         sigma = math.sqrt(p * (1 - p) / m)
         assert abs(acc - p) < 3 * sigma
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mt.topk_accuracy(np.array([1, 2]), np.array([[1]]), 1)
+        with pytest.raises(ValueError, match="2 tensors vs 1 candidate sets"):
+            score(peaked([1, 2], 8), np.array([[1]]), 1)
+
+    def test_k_beyond_candidates_rejected(self):
+        with pytest.raises(ValueError, match="k=3 exceeds candidate list length 2"):
+            score(peaked([1], 8), np.array([[1, 0]]), 3)
 
 
 class TestThroughputRatio:
     def test_oracle_predictions(self):
         rng = np.random.default_rng(2)
         t = rng.uniform(1e-13, 1e-12, (20, 16))
-        preds = mt.ranking_from_scores(t)
+        preds = ranking_from_scores(t)
         for k in (1, 4, 16):
-            assert mt.throughput_ratio(t, preds, k, mt.LinkBudget()) == 1.0
+            assert score(t, preds, k)[1] == 1.0
 
     def test_full_candidate_set(self):
         rng = np.random.default_rng(3)
         t = rng.uniform(1e-13, 1e-12, (10, 8))
         preds = np.array([rng.permutation(8) for _ in range(10)])
-        assert mt.throughput_ratio(t, preds, 8, mt.LinkBudget()) == 1.0
+        assert score(t, preds, 8)[1] == 1.0
 
     def test_half_snr_candidate(self):
         budget = mt.LinkBudget()
@@ -132,16 +149,21 @@ class TestThroughputRatio:
         rss_unit = 10 ** ((mt.noise_power_dbm(budget) - budget.tx_power_dbm) / 10)
         t = np.array([[rss_unit, rss_unit / 2]])
         preds = np.array([[1, 0]])
-        got = mt.throughput_ratio(t, preds, 1, budget)
+        got = score(t, preds, 1, budget)[1]
         assert got == pytest.approx(math.log2(1.5) / math.log2(2.0), rel=1e-9)
 
     def test_empty_sample_set_rejected(self):
         with pytest.raises(UndefinedResultError):
-            mt.throughput_ratio(np.zeros((0, 8)), np.zeros((0, 8), dtype=int),
-                                1, mt.LinkBudget())
+            score(np.zeros((0, 8)), np.zeros((0, 8), dtype=int), 1)
+
+    def test_zero_optimal_rate_rejected(self):
+        with pytest.raises(UndefinedResultError, match="zero optimal rate"):
+            score(np.zeros((2, 8)), np.tile(np.arange(8), (2, 1)), 1)
 
 
 class TestMetricInvariants:
+    K_LIST = [1, 2, 4, 8, 16, 32]
+
     def _random_case(self, seed):
         rng = np.random.default_rng(seed)
         m, b = 50, 32
@@ -149,34 +171,29 @@ class TestMetricInvariants:
         t = rng.uniform(0.05, 0.6, (m, b)) * 1e-12
         t[np.arange(m), rng.integers(0, b, m)] = 1e-12
         preds = np.array([rng.permutation(b) for _ in range(m)])
-        truths = np.argmax(t, axis=1)
-        return t, truths, preds
+        return t, preds
 
     def test_monotone_and_dominant(self):
         budget = mt.LinkBudget()
         for seed in range(5):
-            t, truths, preds = self._random_case(seed)
-            accs = [mt.topk_accuracy(truths, preds, k) for k in (1, 2, 4, 8, 16, 32)]
-            tprs = [mt.throughput_ratio(t, preds, k, budget)
-                    for k in (1, 2, 4, 8, 16, 32)]
+            t, preds = self._random_case(seed)
+            rep, _ = mt.evaluate_ranking(t, preds, self.K_LIST, budget)
+            accs, tprs = rep.accuracy, rep.tpr
             assert all(a2 >= a1 for a1, a2 in zip(accs, accs[1:]))
             assert all(t2 >= t1 for t1, t2 in zip(tprs, tprs[1:]))
             assert all(tp >= ac for tp, ac in zip(tprs, accs))
             assert accs[-1] == 1.0 and tprs[-1] == 1.0
 
     def test_accuracy_scale_free(self):
-        t, truths, preds = self._random_case(99)
-        acc1 = mt.topk_accuracy(truths, preds, 4)
-        t_scaled = t * 37.5
-        acc2 = mt.topk_accuracy(np.argmax(t_scaled, axis=1), preds, 4)
-        assert acc1 == acc2
+        t, preds = self._random_case(99)
+        assert score(t, preds, 4)[0] == score(t * 37.5, preds, 4)[0]
 
 
 class TestEvaluateRanking:
     def test_report_fields(self):
         rng = np.random.default_rng(5)
         t = rng.uniform(1e-13, 1e-12, (30, 16))
-        preds = mt.ranking_from_scores(t + rng.normal(0, 1e-13, t.shape))
+        preds = ranking_from_scores(t + rng.normal(0, 1e-13, t.shape))
         rep, hits = mt.evaluate_ranking(t, preds, [1, 4, 16], mt.LinkBudget(), excluded=7)
         assert rep.samples == 30 and rep.excluded == 7
         assert hits.shape == (3, 30) and hits.dtype == bool
@@ -187,8 +204,8 @@ class TestEvaluateRanking:
            st.sampled_from([0.0, 0.5, 0.9]), st.floats(-60.0, 60.0))
     @settings(deadline=None, max_examples=200)
     def test_matches_per_k_reference(self, n, b, seed, zeros, tx_power_dbm):
-        # the rates are computed once for every k; the report must hold the
-        # per-k topk_accuracy and throughput_ratio of the code it replaced
+        # the rates are computed once for every k; the report and hits must
+        # be those of the sample-by-sample reference at each k
         rng = np.random.default_rng(seed)
         t = rng.uniform(0.0, 1e-11, (n, b))
         t[rng.uniform(size=(n, b)) < zeros] = 0.0
@@ -197,14 +214,9 @@ class TestEvaluateRanking:
         k_list = sorted(set(rng.integers(1, b + 1, rng.integers(1, 7)).tolist()))
         budget = mt.LinkBudget(tx_power_dbm=tx_power_dbm)
         rep, hits = mt.evaluate_ranking(t, preds, k_list, budget, excluded=3)
-        ref = evaluate_ranking_reference(t, preds, k_list, budget, excluded=3)
-        assert repr(rep) == repr(ref)
-        truths = np.argmax(t, axis=1)
-        for k, hit in zip(k_list, hits):
-            assert np.array_equal(hit, (preds[:, :k] == truths[:, None]).any(axis=1))
-        for k, tpr in zip(k_list, rep.tpr):
-            assert mt.throughput_ratio(t, preds, k, budget) == tpr
-            assert throughput_ratio_reference(t, preds, k, budget) == tpr
+        ref, ref_hits = evaluate_ranking_reference(t, preds, k_list, budget, excluded=3)
+        assert_report_matches(rep, ref)
+        assert hits.tolist() == ref_hits
 
 
 class TestLosClassMap:

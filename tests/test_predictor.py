@@ -19,7 +19,7 @@ from beamgrid.errors import EmptyTrainingSetError
 
 from conftest import FLOOR_DB, batch_loss_grad_reference, batch_loss_reference, ce_loss, \
     ce_loss_sep, cep_loss, cep_loss_sep, flat_ranking_reference, gr_loss, ir_loss, \
-    oracle_reference, pixel_exclusion, predict_reference, targets_reference, tensor_grid, \
+    ir_ranking, oracle_reference, pixel_exclusion, predict_reference, targets_reference, tensor_grid, \
     train_reference, validity_masks, ws_loss, ws_loss_sep
 
 
@@ -111,10 +111,8 @@ class TestOraclePredictor:
         scores = pr.oracle_predictor(tensors[valid].reshape(-1, 128))
         assert scores.shape == (int(valid.sum()), 128)
         rankings = pr.flat_ranking(scores, (8, 4, 4), "joint")
-        truths = np.argmax(tensors[valid].reshape(len(rankings), -1), axis=1)
-        assert mt.topk_accuracy(truths, rankings, 1) == 1.0
-        assert mt.throughput_ratio(tensors[valid].reshape(len(rankings), -1),
-                                   rankings, 1, mt.LinkBudget()) == 1.0
+        report, _ = mt.evaluate_ranking(tensors[valid], rankings, [1], mt.LinkBudget())
+        assert report.accuracy == [1.0] and report.tpr == [1.0]
 
     def test_zero_entries_ranked_last(self):
         t = np.zeros((1, 8))
@@ -627,9 +625,19 @@ def score_grids(draw):
 class TestRankingMatchesReference:
     """The predictors score and flat_ranking ranks the valid rows alone; they
     must give the rows of the whole-grid scores and ranking they replaced
-    (conftest) at the valid pixels."""
+    (conftest) at the valid pixels. The whole-grid ranking runs the
+    ranking_from_scores and ir_ranking that flat_ranking absorbed."""
 
     @given(score_grids())
+    # tied beams for each kind: equal joint scores, equal sums of head
+    # scores, lattice points equally far from the triple; and no rows
+    @example((np.array([[[0.5, 1.0, 0.5, 1.0]]]), np.ones((1, 1), bool), (2, 2, 1), "joint"))
+    @example((np.array([[[0.0, 1.0, 1.0, 0.0, 0.5]]]), np.ones((1, 1), bool), (2, 2, 1), "sep"))
+    @example((np.array([[[0.5, 0.5, 0.0]], [[1.5, 0.0, 0.5]]]), np.ones((2, 1), bool),
+              (2, 2, 2), "ir"))
+    @example((np.zeros((2, 2, 3)), np.zeros((2, 2), bool), (2, 2, 2), "ir"))
+    @example((np.zeros((1, 2, 6)), np.zeros((1, 2), bool), (2, 2, 2), "sep"))
+    @example((np.zeros((2, 1, 8)), np.zeros((2, 1), bool), (2, 2, 2), "joint"))
     @settings(deadline=None, max_examples=200)
     def test_same_bytes(self, case):
         scores, valid, dims, kind = case
@@ -691,7 +699,7 @@ class TestIrRankingConsistency:
         scores = rng.uniform(-1, 8, (4, 3))
         order = pr.flat_ranking(scores, dims, "ir")
         for i in range(4):
-            expect = lo.ir_ranking(tuple(scores[i]), dims)
+            expect = ir_ranking(tuple(scores[i]), dims)
             assert np.array_equal(order[i], expect)
 
 
@@ -803,7 +811,6 @@ class TestTrainedBeatsChance:
         trained, _ = train_on_tensors(model, np.concatenate(xs[:3]),
                               np.concatenate(ts[:3]), hyper)
         z = xs[3] @ trained.weights + trained.bias
-        truths = np.argmax(ts[3].reshape(len(ts[3]), -1), axis=1)
-        preds = mt.ranking_from_scores(z)
-        acc = mt.topk_accuracy(truths, preds, 1)
-        assert acc > 5 / 128
+        preds = pr.flat_ranking(z, (8, 4, 4), "joint")
+        report, _ = mt.evaluate_ranking(ts[3], preds, [1], mt.LinkBudget())
+        assert report.accuracy[0] > 5 / 128
