@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -143,22 +144,26 @@ def _site_features(hm, tx, valid):
 
 def _prediction_from_args(args, cfg, valid, samples, site):
     """Resolve --pred ('oracle', a logits grid, or a model file, which needs
-    site, the (height map, tx site) pair) to (scores, dims, kind): a row of
-    scores per valid pixel, row-major. samples are the valid pixels' beam
-    power rows."""
+    site, the (height map, tx site) pair) to (scores, kind): a row of scores
+    per valid pixel, row-major, made under the config's codebook dims.
+    samples are the valid pixels' beam power rows."""
     dims = cfg.codebook.dims
     if args.pred == "oracle":
-        return predictor.oracle_predictor(samples), dims, "joint"
+        return predictor.oracle_predictor(samples), "joint"
     path = Path(args.pred)
     if not path.exists():
         raise GridParseError(f"prediction input {path} does not exist")
     if gridio.is_model_file(path):
         model = gridio.load_model(path)
+        if model.dims != dims:
+            # a model's flat beam indices follow its own (Na, Ne, Nr) layout
+            raise GridParseError(f"model {path} was made for codebook dims "
+                                 f"{list(model.dims)}; the config's are {list(dims)}")
         if site is None:
             raise GridParseError(
                 "evaluating a model file needs --scene and --tx to build features")
         scores = predictor.predict(model, _site_features(*site, valid))
-        dims, kind = model.dims, model.kind
+        kind = model.kind
     else:
         grid = gridio.read_grid(path)
         if grid.shape[:2] != valid.shape:
@@ -177,7 +182,7 @@ def _prediction_from_args(args, cfg, valid, samples, site):
         scores, kind = grid[valid].astype(np.float64), kinds[0]
     if not np.isfinite(scores).all():
         raise GridParseError(f"prediction {path} holds a non-finite score")
-    return scores, dims, kind
+    return scores, kind
 
 
 def cmd_evaluate(args):
@@ -193,7 +198,8 @@ def cmd_evaluate(args):
     tensors, valid = _read_tensors(args.tensors, mask_path)
     samples = tensors[valid].astype(np.float64)
     site = _read_site(args.scene, args.tx, cfg) if args.scene else None
-    scores, dims, kind = _prediction_from_args(args, cfg, valid, samples, site)
+    scores, kind = _prediction_from_args(args, cfg, valid, samples, site)
+    dims = cfg.codebook.dims
     if math.prod(dims) != samples.shape[1]:
         raise GridParseError(f"the prediction ranks {math.prod(dims)} beams; "
                              f"the tensors hold {samples.shape[1]}")
@@ -375,5 +381,21 @@ def main(argv=None):
         return 3
 
 
+def run():
+    """Process entry point (the ``beamgrid`` script and ``python -m
+    beamgrid.cli``): main()'s exit code, for sys.exit."""
+    code = main()
+    # At exit the interpreter's final collections would sweep the ~22.7 k
+    # objects NumPy and the package leave behind: a median 29-30 ms of a
+    # 0.26-0.46 s stage (128x128 scene, 2-core VM). Freezing moves them
+    # to the permanent generation, which no collection visits, and the
+    # OS reclaims their memory with the process. Shutdown still flushes
+    # stdout and stderr, runs atexit handlers and deallocates by
+    # reference count; it took 9 ms. main() does not freeze, so
+    # in-process callers keep a working collector.
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

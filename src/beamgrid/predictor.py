@@ -402,8 +402,9 @@ def train(model, x_train, t_train, hyper=None, x_val=None, t_val=None):
     best validation epoch. Deterministic given the model seed.
 
     The train loss, which only the history reads, is scored on a copy of
-    each epoch's weights by a worker thread while the next epoch runs;
-    NumPy releases the GIL in its array loops, so the two share two cores.
+    each epoch's weights by a worker thread while the next epoch runs.
+    NumPy releases the GIL only inside its array loops, so the worker also
+    slows the next epoch's steps, which wait for the GIL it holds.
     """
     # imported here: at module level it, with logging, would add ~10 ms to
     # every CLI stage

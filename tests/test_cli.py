@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -680,6 +681,21 @@ class TestEvaluate:
         assert "outputs 5 is not the 128 score columns" in capsys.readouterr().err
         assert not (tmp / "m.json").exists()
 
+    def test_model_dims_not_config_dims_exit_code(self, tensorized, capsys):
+        # a CE-sep model over (4, 8, 4) ranks 128 beams, as many as the
+        # 8x4x4 tensors hold, but in its own (Na, Ne, Nr) layout; before the
+        # check the run scored it at exit 0
+        tmp, cfg = tensorized
+        model = pr.SoftmaxModel.create(len(pr.FEATURE_NAMES), (4, 8, 4),
+                                       pr.LossConfig("CE", sep=True))
+        io.save_model(tmp / "m.bgmdl", model)
+        assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd",
+                       "--pred", tmp / "m.bgmdl", "--config", cfg,
+                       "--report", tmp / "m.json", "--scene", tmp / "s.scene.bgrd",
+                       "--tx", tmp / "s.tx.json") == 3
+        assert "codebook dims [4, 8, 4]; the config's are [8, 4, 4]" in capsys.readouterr().err
+        assert not (tmp / "m.json").exists()
+
     def test_grid_with_model_magic_in_payload_is_scored(self, tmp_path):
         # a u8 logits grid whose payload starts with the model magic within
         # the file's first 22 bytes is still a grid, not a model file
@@ -1017,6 +1033,63 @@ class TestImport:
              "import sys, beamgrid.cli; print('concurrent.futures' in sys.modules)"],
             env=env, capture_output=True, text=True, check=True, timeout=120)
         assert res.stdout.strip() == "False"
+
+
+class TestEntryPoint:
+    """python -m beamgrid.cli, the way the stage benchmark runs each stage:
+    a child interpreter whose stdout is a pipe, ended through cli.run()."""
+
+    @staticmethod
+    def child(*args, cwd):
+        env = dict(os.environ, PYTHONPATH=str(Path(beamgrid.__file__).parents[1]))
+        return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_piped_stdout_is_complete(self, pipeline, capsys):
+        tmp, cfg = pipeline
+        res = self.child("-m", "beamgrid.cli", "trace", "--scene", "s.scene.bgrd",
+                         "--tx", "s.tx.json", "--config", cfg, "--out", "p.csv", cwd=tmp)
+        assert res.returncode == 0, res.stderr
+        capsys.readouterr()
+        assert run_cli("trace", "--scene", tmp / "s.scene.bgrd", "--tx", tmp / "s.tx.json",
+                       "--config", cfg, "--out", tmp / "q.csv") == 0
+        assert res.stdout == capsys.readouterr().out
+        assert res.stdout.startswith("pixels=1024 street_pixels=")
+        assert (tmp / "p.csv").read_bytes() == (tmp / "q.csv").read_bytes()
+
+        report = mt.EvalReport([1, 2, 4], [0.5, 0.625, 0.75], [0.7, 0.8, 0.9], 10, 2)
+        io.save_report(tmp / "r.json", report)
+        res = self.child("-m", "beamgrid.cli", "report", "--report", "r.json", cwd=tmp)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == io.render_table(report) + "\n"
+
+    @pytest.mark.parametrize("args, code, message", [
+        ((), 2, "usage: beamgrid"),
+        (("report", "--report", "missing.json"), 3, "error:"),
+        (("generate", "--rows", 32, "--cols", 32, "--out", "s.bgrd", "--config", "big.json"),
+         4, "numeric failure: "),
+    ], ids=["usage", "data", "numeric"])
+    def test_exit_codes(self, tmp_path, args, code, message):
+        write_config(tmp_path / "big.json", tx_mast_m=1e300)
+        res = self.child("-m", "beamgrid.cli", *args, cwd=tmp_path)
+        assert res.returncode == code
+        assert message in res.stderr
+        assert res.stdout == ""
+
+    def test_run_freezes_the_collector(self, tmp_path):
+        io.save_report(tmp_path / "r.json", mt.EvalReport([1], [0.5], [0.7], 10, 2))
+        res = self.child("-c", "import gc, sys; from beamgrid import cli; "
+                         "sys.argv = ['beamgrid', 'report', '--report', 'r.json']; "
+                         "code = cli.run(); print(code, gc.get_freeze_count() > 0)",
+                         cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "0 True"
+
+    def test_main_leaves_the_collector_unfrozen(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert run_cli("generate", "--rows", 32, "--cols", 32,
+                       "--out", tmp_path / "s.bgrd") == 0
+        assert gc.get_freeze_count() == before
 
 
 class TestHelp:
