@@ -11,7 +11,7 @@ class BeamgridError(Exception):
 
 
 class GridParseError(BeamgridError, ValueError):
-    """Malformed grid/path/config file; message names the byte offset."""
+    """Malformed grid, path or JSON record file; message names the offset or key."""
 
 
 class NoValidSiteError(BeamgridError, ValueError):

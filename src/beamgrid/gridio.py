@@ -1,5 +1,6 @@
-"""File formats: binary grid rasters, path CSVs, run configs, models,
-reports, and portable graymaps.
+"""File formats: binary grid rasters, path CSVs, and the JSON records (run
+configs, tx sites, model headers, reports, codebooks), and portable
+graymaps.
 
 Grid raster ("BGRD1"): one ASCII header line `BGRD1 <rows> <cols> <channels>
 <dtype>` with dtype f32 or u8, a single newline, then the little-endian
@@ -9,19 +10,20 @@ Path CSV: header `pixel_row,pixel_col,c,psi,aod_az,aod_el,aoa_az`, one row
 per path, angles in radians, amplitudes linear. Floats are written with
 repr so parsing reproduces the exact doubles.
 
-Run config: a JSON object of sections. The `scene`, `budget`, `loss` and
-`train` sections are the objects their stages take (scene.SceneConfig,
-metrics.LinkBudget, predictor.LossConfig, predictor.TrainConfig);
-parse_config checks each value's JSON type and each section's own
-__post_init__ checks the values (`codebook` and `eval` included), so every
-stage that loads a config rejects a bad value in any section.
+JSON records: each is one dataclass whose fields are the file's keys, in
+order. Writers emit its dataclasses.asdict; read_record is the one reader,
+which checks the key set and each value's JSON type and runs the class's
+__post_init__. A run config is a RunConfig, whose sections are the objects
+their stages take (scene.SceneConfig, metrics.LinkBudget,
+predictor.LossConfig, predictor.TrainConfig), so every stage that loads a
+config rejects a bad value in any section.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -180,6 +182,94 @@ def write_pgm(path, gray):
 
 
 # ---------------------------------------------------------------------------
+# JSON records
+
+def read_record(cls, doc, where):
+    """The dataclass cls built from the JSON object doc by its field
+    annotations; where names the object in errors ("config cfg.json").
+
+    doc must hold every field that has no default and no other key, and
+    each value must have the JSON type of its field's annotation
+    (_json_type_ok: an int passes for a float, a bool never for a number,
+    numbers are finite). A field whose default is a dataclass is read as a
+    nested record. cls's __post_init__ then checks the values. Any failure
+    raises GridParseError naming where and the key.
+    """
+    if not isinstance(doc, dict):
+        raise GridParseError(f"{where} is not a JSON object")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise GridParseError(f"unknown key(s) in {where}: {unknown}")
+    missing = [name for name, f in known.items() if name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise GridParseError(f"{where} lacks key(s) {missing}")
+    kwargs = {}
+    for name, value in doc.items():
+        f = known[name]
+        if is_dataclass(f.default_factory):
+            kwargs[name] = read_record(f.default_factory, value, f"{where} section {name!r}")
+        elif _json_type_ok(f.type, value):
+            kwargs[name] = value
+        else:
+            raise GridParseError(f"{where}: {name} must be {f.type} (finite numbers only), "
+                                 f"got {value!r}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise GridParseError(f"{where}: {exc}") from exc
+
+
+def _json_type_ok(annotation, value):
+    """Whether a JSON value fits a field annotation such as 'int',
+    'float | None' or 'list[int]'."""
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(
+            _json_type_ok(annotation[5:-1], v) for v in value)
+    return any(_JSON_KINDS[kind.strip()](value) for kind in annotation.split("|"))
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(number):
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+_JSON_KINDS = {
+    "float": lambda v: _is_number(v) and _is_finite(v),
+    "int": lambda v: _is_number(v) and isinstance(v, int),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "None": lambda v: v is None,
+}
+
+
+def _json_doc(data, where, encoding="utf-8"):
+    """The JSON document in the bytes data; text that is not valid in the
+    encoding or not JSON raises GridParseError naming where."""
+    try:
+        return json.loads(data.decode(encoding))
+    except UnicodeDecodeError as exc:
+        raise GridParseError(f"{where}: invalid {encoding} at byte offset {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise GridParseError(f"{where}: invalid JSON at offset {exc.pos}: {exc.msg}") from exc
+
+
+def _load_record(cls, path, what):
+    """read_record of cls from the JSON file at path; errors name the file
+    as what and the path ("tx site s.tx.json")."""
+    where = f"{what} {path}"
+    with open(path, "rb") as fh:
+        return read_record(cls, _json_doc(fh.read(), where), where)
+
+
+# ---------------------------------------------------------------------------
 # run configuration
 
 @dataclass
@@ -228,141 +318,68 @@ class RunConfig:
                              f"the codebook's {n_beams} beams")
 
 
-_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
-
-
 def parse_config(doc):
-    """Build a RunConfig from a JSON document dict.
-
-    Unknown keys, a value whose JSON type does not match its field (an int
-    passes for a float, a bool never for a number), a non-finite number and
-    a value its section's __post_init__ rejects raise GridParseError, as
-    does a k in eval.k_list beyond the codebook's beam count.
-    """
-    if not isinstance(doc, dict):
-        raise GridParseError("config root must be a JSON object")
-    unknown = set(doc) - set(_SECTIONS)
-    if unknown:
-        raise GridParseError(f"unknown config section(s): {sorted(unknown)}")
-    kwargs = {}
-    for name, cls in _SECTIONS.items():
-        section = doc.get(name, {})
-        if not isinstance(section, dict):
-            raise GridParseError(f"config section {name!r} must be an object")
-        allowed = {f.name for f in fields(cls)}
-        bad = set(section) - allowed
-        if bad:
-            raise GridParseError(f"unknown key(s) in config section {name!r}: {sorted(bad)}")
-        for f in fields(cls):
-            if f.name in section and not _json_type_ok(f.type, section[f.name]):
-                raise GridParseError(
-                    f"config {name}.{f.name} must be {f.type} (finite numbers only), "
-                    f"got {section[f.name]!r}")
-        try:
-            kwargs[name] = cls(**section)
-        except ValueError as exc:
-            raise GridParseError(f"config section {name!r}: {exc}") from exc
-    try:
-        return RunConfig(**kwargs)
-    except ValueError as exc:
-        raise GridParseError(f"config: {exc}") from exc
-
-
-def _json_type_ok(annotation, value):
-    """Whether a JSON value fits a field annotation such as 'int',
-    'float | None' or 'list[int]'."""
-    if annotation.startswith("list["):
-        return isinstance(value, list) and all(
-            _json_type_ok(annotation[5:-1], v) for v in value)
-    return any(_JSON_KINDS[kind.strip()](value) for kind in annotation.split("|"))
-
-
-def _is_finite(number):
-    try:
-        return math.isfinite(number)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-_JSON_KINDS = {
-    "float": lambda v: _is_number(v) and _is_finite(v),
-    "int": lambda v: _is_number(v) and isinstance(v, int),
-    "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "None": lambda v: v is None,
-}
+    """RunConfig from a JSON document (read_record); a section left out
+    takes its defaults."""
+    return read_record(RunConfig, doc, "config")
 
 
 def load_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise GridParseError(f"config {path}: invalid JSON at offset {exc.pos}") from exc
-    return parse_config(doc)
+    return _load_record(RunConfig, path, "config")
 
 
 # ---------------------------------------------------------------------------
 # codebooks: JSON keeps the exact doubles, so unitarity survives the trip
 
-def save_codebook(path, codebook):
-    doc = {"na": codebook.na, "ne": codebook.ne, "nr": codebook.nr}
-    for name, m in (("azimuth", codebook.tx_azimuth),
-                    ("elevation", codebook.tx_elevation)):
-        doc[f"{name}_re"] = m.real.tolist()
-        doc[f"{name}_im"] = m.imag.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+@dataclass
+class CodebookFile:
+    """A codebook file's object. Each weight part is rows of one length,
+    the real and imaginary parts of one shape; na and ne are the azimuth
+    and elevation beam counts of the weights, which must pass Codebook's
+    checks. __post_init__ builds the Codebook."""
 
+    na: int
+    ne: int
+    nr: int
+    azimuth_re: list[list[float]]
+    azimuth_im: list[list[float]]
+    elevation_re: list[list[float]]
+    elevation_im: list[list[float]]
 
-_CODEBOOK_WEIGHTS = ("azimuth_re", "azimuth_im", "elevation_re", "elevation_im")
+    def __post_init__(self):
+        from .channel import Codebook
 
-
-def load_codebook(path):
-    """Codebook from a codebook file. Anything but the object save_codebook
-    writes (valid UTF-8 JSON, each weight part a list of rows of finite
-    numbers, all rows of one length, the real and imaginary parts of one
-    shape, integers na, ne and nr, with na and ne the azimuth and elevation
-    beam counts of the weights) raises GridParseError, as do weights that
-    Codebook rejects."""
-    from .channel import Codebook
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # invalid JSON or UTF-8
-        raise GridParseError(f"codebook file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise GridParseError(f"codebook file {path} is not a JSON object")
-    missing = [k for k in (*_CODEBOOK_WEIGHTS, "na", "ne", "nr") if k not in doc]
-    if missing:
-        raise GridParseError(f"codebook file {path} lacks key(s) {missing}")
-    for key in _CODEBOOK_WEIGHTS:
-        rows = doc[key]
-        if not _json_type_ok("list[list[float]]", rows) or len({len(r) for r in rows}) > 1:
-            raise GridParseError(
-                f"codebook {key} must be rows of finite numbers, all of one length")
-    for key in ("na", "ne", "nr"):
-        if not _json_type_ok("int", doc[key]):
-            raise GridParseError(f"codebook {key} must be an integer, got {doc[key]!r}")
-    parts = {key: np.asarray(doc[key], dtype=np.float64) for key in _CODEBOOK_WEIGHTS}
-    for name in ("azimuth", "elevation"):
-        if parts[f"{name}_re"].shape != parts[f"{name}_im"].shape:
-            raise GridParseError(f"codebook {name} real and imaginary parts differ in shape")
-    try:
+        weights = []
+        for name in ("azimuth", "elevation"):
+            parts = []
+            for key in (f"{name}_re", f"{name}_im"):
+                if len({len(row) for row in getattr(self, key)}) > 1:
+                    raise ValueError(f"{key} must be rows all of one length")
+                parts.append(np.asarray(getattr(self, key), dtype=np.float64))
+            if parts[0].shape != parts[1].shape:
+                raise ValueError(f"{name} real and imaginary parts differ in shape")
+            weights.append(parts[0] + 1j * parts[1])
         # huge weights overflow the Gram matrix; the unitarity check then
         # rejects them
         with np.errstate(over="ignore", invalid="ignore"):
-            cb = Codebook(parts["azimuth_re"] + 1j * parts["azimuth_im"],
-                          parts["elevation_re"] + 1j * parts["elevation_im"], doc["nr"])
-    except ValueError as exc:
-        raise GridParseError(f"codebook file {path}: {exc}") from exc
-    for key, name in (("na", "azimuth"), ("ne", "elevation")):
-        if doc[key] != getattr(cb, key):
-            raise GridParseError(f"codebook {key} {doc[key]} does not match the "
-                                 f"{getattr(cb, key)} {name} beams of its weights")
-    return cb
+            self.codebook = Codebook(*weights, self.nr)
+        for key, name in (("na", "azimuth"), ("ne", "elevation")):
+            if getattr(self, key) != getattr(self.codebook, key):
+                raise ValueError(f"{key} {getattr(self, key)} does not match the "
+                                 f"{getattr(self.codebook, key)} {name} beams of its weights")
+
+
+def save_codebook(path, codebook):
+    az, el = codebook.tx_azimuth, codebook.tx_elevation
+    record = CodebookFile(codebook.na, codebook.ne, codebook.nr, az.real.tolist(),
+                          az.imag.tolist(), el.real.tolist(), el.imag.tolist())
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(asdict(record), fh)
+        fh.write("\n")
+
+
+def load_codebook(path):
+    return _load_record(CodebookFile, path, "codebook file").codebook
 
 
 def codebook_from_config(cfg):
@@ -383,40 +400,29 @@ def codebook_from_config(cfg):
 # ---------------------------------------------------------------------------
 # transmitter site
 
+@dataclass
+class TxSiteFile:
+    """A tx site file's object: a TxSite with its frame's angles inline, a
+    pixel of two integers and a height >= 0. __post_init__ builds the
+    TxSite."""
+
+    pixel: list[int]
+    height_m: float
+    boresight_azimuth: float
+    downtilt: float
+
+    def __post_init__(self):
+        if len(self.pixel) != 2:
+            raise ValueError(f"pixel must be two integers, got {self.pixel!r}")
+        if self.height_m < 0.0:
+            raise ValueError(f"height_m must be >= 0, got {self.height_m!r}")
+        self.site = TxSite(tuple(self.pixel), float(self.height_m),
+                           ArrayFrame(float(self.boresight_azimuth), float(self.downtilt)))
+
+
 def tx_site_to_dict(tx):
-    return {"pixel": [int(tx.pixel[0]), int(tx.pixel[1])],
-            "height_m": float(tx.height_m),
-            "boresight_azimuth": float(tx.frame.boresight_azimuth),
-            "downtilt": float(tx.frame.downtilt)}
-
-
-def tx_site_from_dict(doc):
-    """TxSite from its JSON form. A missing key, a pixel that is not two
-    integers, a non-finite height or angle or a negative height raises
-    GridParseError."""
-    if not isinstance(doc, dict):
-        raise GridParseError("tx site must be a JSON object")
-    missing = [k for k in ("pixel", "height_m", "boresight_azimuth", "downtilt")
-               if k not in doc]
-    if missing:
-        raise GridParseError(f"tx site lacks key(s) {missing}")
-    pixel = doc["pixel"]
-    if not (isinstance(pixel, list) and len(pixel) == 2
-            and all(_is_number(p) and math.isfinite(p) and p == int(p) for p in pixel)):
-        raise GridParseError(f"tx pixel must be two integers, got {pixel!r}")
-    for key in ("height_m", "boresight_azimuth", "downtilt"):
-        if not (_is_number(doc[key]) and math.isfinite(doc[key])):
-            raise GridParseError(f"tx {key} must be a finite number, got {doc[key]!r}")
-    if doc["height_m"] < 0.0:
-        raise GridParseError(f"tx height_m must be >= 0, got {doc['height_m']!r}")
-    return TxSite(pixel=(int(pixel[0]), int(pixel[1])),
-                  height_m=float(doc["height_m"]),
-                  frame=ArrayFrame(float(doc["boresight_azimuth"]),
-                                   float(doc["downtilt"])))
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return asdict(TxSiteFile([int(tx.pixel[0]), int(tx.pixel[1])], float(tx.height_m),
+                             float(tx.frame.boresight_azimuth), float(tx.frame.downtilt)))
 
 
 def save_tx_site(path, tx):
@@ -426,96 +432,81 @@ def save_tx_site(path, tx):
 
 
 def load_tx_site(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return tx_site_from_dict(json.load(fh))
+    return _load_record(TxSiteFile, path, "tx site").site
 
 
 # ---------------------------------------------------------------------------
 # model files: one JSON header line, then the weight grid (bias in last row)
 
+@dataclass
+class ModelHeader:
+    """A model file's header line: the file's magic, the model's dims,
+    loss settings and seed, the feature schema version and the weight
+    grid's shape. __post_init__ builds the model's LossConfig, whose checks
+    are the config's `loss` section's."""
+
+    magic: str
+    dims: list[int]
+    loss_kind: str
+    sep: bool
+    seed: int
+    # the temperature of the entropic WS solver, which is gone; the key
+    # stays, written null and ignored on load, because
+    # stagebench/reference.json pins the model bytes
+    epsilon: float | None
+    floor_db: float
+    feature_version: int
+    features: int
+    outputs: int
+
+    def __post_init__(self):
+        if self.magic != MODEL_MAGIC.decode("ascii"):
+            raise ValueError(f"magic {self.magic!r} is not {MODEL_MAGIC.decode('ascii')!r}")
+        if self.feature_version != FEATURE_VERSION:
+            raise ValueError(f"feature schema v{self.feature_version} "
+                             f"does not match v{FEATURE_VERSION}")
+        if len(self.dims) != 3 or min(self.dims) < 1:
+            raise ValueError(f"dims must be three positive ints, got {self.dims!r}")
+        self.loss = LossConfig(self.loss_kind, self.sep, float(self.floor_db))
+
+
 def save_model(path, model):
-    header = {
-        "magic": MODEL_MAGIC.decode("ascii"),
-        "dims": list(model.dims),
-        "loss_kind": model.loss.kind,
-        "sep": bool(model.loss.sep),
-        "seed": int(model.seed),
-        # the temperature of the entropic WS solver, which is gone; the key
-        # stays, always null, because stagebench/reference.json pins the
-        # model bytes
-        "epsilon": None,
-        "floor_db": model.loss.floor_db,
-        "feature_version": FEATURE_VERSION,
-        "features": int(model.weights.shape[0]),
-        "outputs": int(model.weights.shape[1]),
-    }
+    header = ModelHeader(MODEL_MAGIC.decode("ascii"), list(model.dims), model.loss.kind,
+                         bool(model.loss.sep), int(model.seed), None, model.loss.floor_db,
+                         FEATURE_VERSION, int(model.weights.shape[0]),
+                         int(model.weights.shape[1]))
     stacked = np.vstack([model.weights, model.bias[None, :]])
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("ascii") + b"\n")
+        fh.write(json.dumps(asdict(header)).encode("ascii") + b"\n")
         _write_grid_to(fh, stacked, "f32")
 
 
-# load_model checks "epsilon" and ignores it (see save_model)
-_MODEL_KEYS = {"dims": "list[int]", "loss_kind": "str", "sep": "bool", "seed": "int",
-               "epsilon": "float | None", "floor_db": "float", "features": "int",
-               "outputs": "int"}
-
-
 def load_model(path):
-    """SoftmaxModel from a model file. A header that is not the object
-    save_model writes, a header that disagrees with the weight grid, an
-    outputs count that is not the score columns of the model's kind
+    """SoftmaxModel from a model file. A header that read_record rejects as
+    a ModelHeader, a header that disagrees with the weight grid, an outputs
+    count that is not the score columns of the model's kind
     (predictor.score_columns), or a non-finite weight raises
     GridParseError."""
+    where = f"model {path} header"
     with open(path, "rb") as fh:
-        header, loss = _model_header(fh.readline())
+        header = read_record(ModelHeader, _json_doc(fh.readline(), where, "ascii"), where)
         stacked = _read_grid_from(fh)
-    expect = (header["features"] + 1, header["outputs"], 1)  # bias in the last row
-    if header["features"] < 0 or stacked.shape != expect:
+    expect = (header.features + 1, header.outputs, 1)  # bias in the last row
+    if header.features < 0 or stacked.shape != expect:
         raise GridParseError(
             f"model weight grid {stacked.shape} does not match the header's "
-            f"{header['features']} features and {header['outputs']} outputs")
+            f"{header.features} features and {header.outputs} outputs")
     if stacked.size and not (np.isfinite(stacked.min()) and np.isfinite(stacked.max())):
         raise GridParseError(f"model {path} holds a non-finite weight")
     stacked = stacked[:, :, 0].astype(np.float64)
-    model = SoftmaxModel(weights=stacked[:-1], bias=stacked[-1], dims=tuple(header["dims"]),
-                         loss=loss, seed=header["seed"])
+    model = SoftmaxModel(weights=stacked[:-1], bias=stacked[-1], dims=tuple(header.dims),
+                         loss=header.loss, seed=header.seed)
     columns = score_columns(model.dims)[model.kind]
-    if header["outputs"] != columns:
+    if header.outputs != columns:
         raise GridParseError(
-            f"model header outputs {header['outputs']} is not the {columns} score "
+            f"model header outputs {header.outputs} is not the {columns} score "
             f"columns of a {model.kind} model over dims {list(model.dims)}")
     return model
-
-
-def _model_header(head_line):
-    """The header object of a model file and its LossConfig, checked."""
-    try:
-        header = json.loads(head_line.decode("ascii"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise GridParseError(f"model header at byte offset 0: {exc}") from exc
-    if not isinstance(header, dict):
-        raise GridParseError("model header at byte offset 0 is not a JSON object")
-    if header.get("magic") != MODEL_MAGIC.decode("ascii"):
-        raise GridParseError("model header magic mismatch at byte offset 0")
-    if header.get("feature_version") != FEATURE_VERSION:
-        raise GridParseError(
-            f"model feature schema v{header.get('feature_version')} "
-            f"does not match v{FEATURE_VERSION}")
-    missing = [k for k in _MODEL_KEYS if k not in header]
-    if missing:
-        raise GridParseError(f"model header lacks key(s) {missing}")
-    for key, kind in _MODEL_KEYS.items():
-        if not _json_type_ok(kind, header[key]):
-            raise GridParseError(f"model header {key} must be {kind}, got {header[key]!r}")
-    dims = header["dims"]
-    if len(dims) != 3 or min(dims) < 1:
-        raise GridParseError(f"model dims must be three positive ints, got {dims!r}")
-    try:
-        loss = LossConfig(header["loss_kind"], header["sep"], float(header["floor_db"]))
-    except ValueError as exc:
-        raise GridParseError(f"model header: {exc}") from exc
-    return header, loss
 
 
 def is_model_file(path):
@@ -529,17 +520,29 @@ def is_model_file(path):
 # evaluation reports
 
 REPORT_SCHEMA = "beamgrid-report-v1"
-_REPORT_KEYS = {"k_list": "list[int]", "accuracy": "list[float]", "tpr": "list[float]",
-                "samples": "int", "excluded": "int"}
+
+
+@dataclass
+class _Schema:
+    schema: str
+
+
+@dataclass
+class ReportFile(EvalReport, _Schema):
+    """A report file's object: the schema tag, then the EvalReport fields
+    (dataclass fields come from the bases in reverse order), with one
+    accuracy and one tpr value per k."""
+
+    def __post_init__(self):
+        if self.schema != REPORT_SCHEMA:
+            raise ValueError(f"schema {self.schema!r} is not {REPORT_SCHEMA!r}")
+        if not len(self.k_list) == len(self.accuracy) == len(self.tpr):
+            raise ValueError(f"{len(self.k_list)} k values, {len(self.accuracy)} "
+                             f"accuracies and {len(self.tpr)} tpr values")
 
 
 def report_to_dict(report):
-    return {"schema": REPORT_SCHEMA,
-            "k_list": [int(k) for k in report.k_list],
-            "accuracy": [float(a) for a in report.accuracy],
-            "tpr": [float(t) for t in report.tpr],
-            "samples": int(report.samples),
-            "excluded": int(report.excluded)}
+    return asdict(ReportFile(REPORT_SCHEMA, **asdict(report)))
 
 
 def save_report(path, report):
@@ -549,33 +552,8 @@ def save_report(path, report):
 
 
 def load_report(path):
-    """EvalReport from a report file. Anything but the object
-    report_to_dict writes (its schema and keys, integer k_list, samples
-    and excluded, finite accuracy and tpr with one value per k) raises
-    GridParseError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # invalid JSON or UTF-8
-        raise GridParseError(f"report {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise GridParseError(f"report {path} is not a JSON object")
-    keys = {"schema", *_REPORT_KEYS}
-    if set(doc) != keys:
-        raise GridParseError(f"report {path} keys {sorted(doc)} are not {sorted(keys)}")
-    if doc["schema"] != REPORT_SCHEMA:
-        raise GridParseError(f"report schema {doc['schema']!r} is not {REPORT_SCHEMA!r}")
-    for key, kind in _REPORT_KEYS.items():
-        if not _json_type_ok(kind, doc[key]):
-            raise GridParseError(
-                f"report {key} must be {kind} (finite numbers only), got {doc[key]!r}")
-    if not len(doc["k_list"]) == len(doc["accuracy"]) == len(doc["tpr"]):
-        raise GridParseError(
-            f"report has {len(doc['k_list'])} k values, {len(doc['accuracy'])} "
-            f"accuracies and {len(doc['tpr'])} tpr values")
-    return EvalReport(k_list=doc["k_list"], accuracy=doc["accuracy"],
-                      tpr=doc["tpr"], samples=doc["samples"],
-                      excluded=doc["excluded"])
+    record = _load_record(ReportFile, path, "report")
+    return EvalReport(**{f.name: getattr(record, f.name) for f in fields(EvalReport)})
 
 
 def render_table(report):

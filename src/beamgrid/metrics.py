@@ -70,11 +70,13 @@ def snr(rss_linear, budget):
 
 @dataclass
 class EvalReport:
-    """Per-k accuracy and throughput ratio over one evaluation run."""
+    """Per-k accuracy and throughput ratio over one evaluation run. The
+    annotations are the JSON types of a report file's keys
+    (gridio.ReportFile)."""
 
-    k_list: list
-    accuracy: list
-    tpr: list
+    k_list: list[int]
+    accuracy: list[float]
+    tpr: list[float]
     samples: int
     excluded: int
 

@@ -104,7 +104,7 @@ class TestGenerate:
         run_cli("generate", "--rows", 32, "--cols", 32, "--seed", 3,
                 "--out", tmp_path / "x.bgrd")
         doc = json.loads(capsys.readouterr().out)
-        assert {"pixel", "height_m", "boresight_azimuth", "downtilt"} <= set(doc)
+        assert set(doc) == {"pixel", "height_m", "boresight_azimuth", "downtilt"}
 
 
 class TestTrace:
@@ -166,6 +166,20 @@ class TestTrace:
         assert run_cli("trace", "--scene", tmp / "s.scene.bgrd",
                        "--tx", tmp / "bad.tx.json", "--config", cfg,
                        "--out", tmp / "bad.csv") == 3
+        assert not (tmp / "bad.csv").exists()
+
+    @pytest.mark.parametrize("what, data", [("tx", b'{"pixel": [3, 4'),
+                                            ("config", b'{"scene": {"rows": "\xff"}}')],
+                             ids=["invalid-json-tx-site", "invalid-utf8-config"])
+    def test_unreadable_json_names_file(self, pipeline, capsys, what, data):
+        # both exited 3 before, with a bare decoder message naming no file
+        tmp, cfg = pipeline
+        bad = tmp / f"bad.{what}.json"
+        bad.write_bytes(data)
+        args = {"tx": tmp / "s.tx.json", "config": cfg, what: bad}
+        assert run_cli("trace", "--scene", tmp / "s.scene.bgrd", "--tx", args["tx"],
+                       "--config", args["config"], "--out", tmp / "bad.csv") == 3
+        assert str(bad) in capsys.readouterr().err
         assert not (tmp / "bad.csv").exists()
 
     def test_one_channel_scene_exit_code(self, pipeline, capsys):

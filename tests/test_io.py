@@ -94,6 +94,11 @@ def codebook_file(tmp_path_factory):
     return tmp_path_factory.mktemp("codebook") / "cb.json"
 
 
+@pytest.fixture(scope="module")
+def tx_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("tx") / "tx.json"
+
+
 class TestGridFormat:
     def test_f32_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -271,7 +276,7 @@ class TestRunConfig:
         assert cfg.scene.carrier_hz == 3.9e9
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(GridParseError, match="unknown config section"):
+        with pytest.raises(GridParseError, match=r"unknown key\(s\) in config: \['scnee'\]"):
             io.parse_config({"scnee": {}})
 
     def test_unknown_key_rejected(self):
@@ -411,6 +416,52 @@ class TestTxSiteJson:
         back = io.load_tx_site(path)
         assert back == tx
 
+    def test_written_bytes(self, tmp_path):
+        path = tmp_path / "tx.json"
+        io.save_tx_site(path, sc.TxSite((3, 4), 21.5, ch.ArrayFrame(1.25, math.pi / 4)))
+        assert path.read_bytes() == (
+            b'{\n  "pixel": [\n    3,\n    4\n  ],\n  "height_m": 21.5,\n'
+            b'  "boresight_azimuth": 1.25,\n  "downtilt": 0.7853981633974483\n}\n')
+
+    @pytest.mark.parametrize("change, match", [
+        ({"extra": 1}, r"unknown key\(s\) in tx site .*tx\.json: \['extra'\]"),
+        ({"pixel": [3.0, 4.0]}, r"tx site .*tx\.json: pixel must be list\[int\]"),
+    ], ids=["extra_key", "float_pixel"])
+    def test_tightened_read_rejected(self, tmp_path, change, match):
+        # both loaded at exit 0 before tx sites went through read_record
+        doc = {"pixel": [3, 4], "height_m": 21.5, "boresight_azimuth": 1.25,
+               "downtilt": 0.5, **change}
+        path = tmp_path / "tx.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GridParseError, match=match):
+            io.load_tx_site(path)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_garbled_tx_site_raises_only_parse_error(self, tx_file, data):
+        io.save_tx_site(tx_file, sc.TxSite((3, 4), 21.5, ch.ArrayFrame(1.25, 0.5)))
+        doc = json.loads(tx_file.read_text())
+        how = data.draw(st.sampled_from(["drop", "replace", "whole", "cut"]))
+        key = data.draw(st.sampled_from(sorted(doc)))
+        if how == "drop":
+            del doc[key]
+        elif how == "replace":
+            doc[key] = data.draw(st.one_of(json_values, st.integers(-2, 9), st.floats()))
+        elif how == "whole":
+            doc = data.draw(json_values)
+        text = json.dumps(doc)
+        if how == "cut":
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        tx_file.write_text(text)
+        try:
+            back = io.load_tx_site(tx_file)
+        except GridParseError:
+            return
+        assert len(back.pixel) == 2 and all(type(p) is int for p in back.pixel)
+        assert type(back.height_m) is float and 0.0 <= back.height_m < math.inf
+        assert math.isfinite(back.frame.boresight_azimuth)
+        assert 0.0 <= back.frame.downtilt <= math.pi / 2
+
 
 class TestModelFile:
     def test_round_trip(self, tmp_path):
@@ -537,6 +588,25 @@ class TestModelFile:
         with pytest.raises(GridParseError, match="lacks key"):
             io.load_model(path)
 
+    def test_header_bytes(self, tmp_path):
+        path = tmp_path / "m.bgmdl"
+        io.save_model(path, pr.SoftmaxModel.create(4, (2, 2, 2), pr.LossConfig("WS"), seed=5))
+        assert path.read_bytes().split(b"\n", 1)[0] == (
+            b'{"magic": "BGMDL1", "dims": [2, 2, 2], "loss_kind": "WS", "sep": false, '
+            b'"seed": 5, "epsilon": null, "floor_db": -30.0, "feature_version": 1, '
+            b'"features": 4, "outputs": 8}')
+
+    def test_extra_header_key_rejected(self, tmp_path):
+        # loaded at exit 0 when the header check looked only for missing keys
+        path = tmp_path / "m.bgmdl"
+        io.save_model(path, pr.SoftmaxModel.create(4, (2, 2, 2)))
+        head, payload = path.read_bytes().split(b"\n", 1)
+        header = {**json.loads(head), "extra": 1}
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+        with pytest.raises(GridParseError,
+                           match=r"unknown key\(s\) in model .*m\.bgmdl header: \['extra'\]"):
+            io.load_model(path)
+
     def test_save_is_deterministic(self, tmp_path):
         model = pr.SoftmaxModel.create(4, (2, 2, 2), seed=5)
         io.save_model(tmp_path / "a", model)
@@ -573,6 +643,18 @@ class TestCodebookFile:
         with pytest.raises(GridParseError, match="do not match"):
             io.codebook_from_config(cfg)
 
+    def test_written_bytes(self, tmp_path):
+        # exact weights, so the digits do not hang on the platform's exp
+        az = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        el = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+        path = tmp_path / "cb.json"
+        io.save_codebook(path, ch.Codebook(az, el, 3))
+        assert path.read_bytes() == (
+            b'{"na": 2, "ne": 2, "nr": 3, "azimuth_re": [[0.7071067811865475, '
+            b'0.7071067811865475], [0.7071067811865475, -0.7071067811865475]], '
+            b'"azimuth_im": [[0.0, 0.0], [0.0, 0.0]], "elevation_re": [[0.6, 0.0], '
+            b'[0.0, 0.6]], "elevation_im": [[0.0, 0.8], [0.8, 0.0]]}\n')
+
     def test_default_is_dft(self):
         cfg = io.parse_config({})
         cb = io.codebook_from_config(cfg)
@@ -581,17 +663,17 @@ class TestCodebookFile:
     @pytest.mark.parametrize("text, match", [
         ("[]", "not a JSON object"),
         ("{nope", "codebook file"),
-        ('{"azimuth_re": "x"}', "azimuth_re must be rows"),
+        ('{"azimuth_re": "x"}', r"azimuth_re must be list\[list\[float\]\]"),
         ('{"azimuth_re": [[1.0], [0.0, 1.0]]}', "azimuth_re must be rows"),
         ('{"azimuth_im": [[0.0]]}', "azimuth real and imaginary parts differ"),
-        ('{"nr": 4.0}', "nr must be an integer"),
+        ('{"nr": 4.0}', "nr must be int"),
         ('{"nr": 0}', "at least one receive sector"),
         ('{"elevation_re": [[1.0, 1.0], [0.0, 0.0]]}', "not unitary"),
         ('{"na": 99}', "na 99 does not match the 2 azimuth beams"),
         ('{"ne": 1}', "ne 1 does not match the 2 elevation beams"),
-        ('{"ne": "x"}', "ne must be an integer"),
-        ('{"na": 2.0}', "na must be an integer"),
-        ('{"na": true}', "na must be an integer"),
+        ('{"ne": "x"}', "ne must be int"),
+        ('{"na": 2.0}', "na must be int"),
+        ('{"na": true}', "na must be int"),
         ('{"na": null}', r"lacks key\(s\) \['na'\]"),
         ('{"ne": null}', r"lacks key\(s\) \['ne'\]"),
     ], ids=["list", "invalid_json", "string", "ragged", "im_shape", "float_nr", "zero_nr",
@@ -646,6 +728,14 @@ class TestReport:
         io.save_report(path, rep)
         back = io.load_report(path)
         assert back == rep
+
+    def test_written_bytes(self, tmp_path):
+        path = tmp_path / "r.json"
+        io.save_report(path, EvalReport([1, 2], [0.5, 0.75], [0.8, 0.9], 100, 20))
+        assert path.read_bytes() == (
+            b'{\n  "schema": "beamgrid-report-v1",\n  "k_list": [\n    1,\n    2\n  ],\n'
+            b'  "accuracy": [\n    0.5,\n    0.75\n  ],\n  "tpr": [\n    0.8,\n    0.9\n'
+            b'  ],\n  "samples": 100,\n  "excluded": 20\n}\n')
 
     @given(st.data())
     @settings(max_examples=300)
