@@ -3,19 +3,17 @@
 One kernel per job, all NumPy array code: march_batch is the grid march
 (an Amanatides-Woo traversal over many rays at once), _surely_blocked the
 screen that culls segments the march would surely find blocked,
-_reflection_candidates the image-method screen, trace_count and
-trace_fill the tracer built on them, and accumulate_tensors the per-pixel
-tensor sum. Each repeats, in the same order, the floating-point operations
-of a scalar per-path loop kept in the tests (tests/conftest.py: march,
-mirror_hit and the accumulation loop), so its results equal that loop bit
-for bit; the cull only skips marches whose result is known. The
-math-library calls whose NumPy versions round differently (atan2, hypot,
-x ** y, and so _bearing) stay scalar math calls over the visible paths, a
-few thousand per scene.
+_reflection_candidates the image-method screen, trace the tracer built
+on them, and accumulate_tensors the per-pixel tensor sum. Each repeats,
+in the same order, the floating-point operations of a scalar per-path
+loop kept in the tests (tests/conftest.py: march, mirror_hit and the
+accumulation loop), so its results equal that loop bit for bit; the cull
+only skips marches whose result is known. The math-library calls whose
+NumPy versions round differently (atan2, hypot, x ** y, and so _bearing)
+stay scalar math calls over the visible paths, a few thousand per scene.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +31,7 @@ TWO_PI = 2.0 * math.pi
 # slower.
 MARCH_BATCH_RAYS = 1 << 14
 
-# The surely-blocked screen that trace_count runs before its march: the
+# The surely-blocked screen that trace runs before its march: the
 # number of evenly spaced points it tests on a segment, and the margin in
 # metres by which a point must lie inside its cell and below its roof.
 # 8 to 16 points traced 64x64 and 128x128 scenes equally fast; at 256x256,
@@ -288,14 +286,13 @@ def _reflection_candidates(walls, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z, eps):
     wall lies in a plane of constant x, axis 1 constant y. A (receiver,
     wall) pair passes when both endpoints lie strictly on the wall's
     outward side and the specular point stays on the wall rectangle.
-    Returns (receiver index, wall index, hx, hy, hz, path_len) of the pairs
-    that pass, in wall order, with each hit point moved eps off the wall to
-    its street side and path_len the unfolded image-to-receiver distance.
+    Returns (receiver index, hx, hy, hz, path_len) of the pairs that pass,
+    in wall order, with each hit point moved eps off the wall to its street
+    side and path_len the unfolded image-to-receiver distance.
     """
     hits = []
     rx_z_tx = rx_z - tx_z
-    for w in range(walls.shape[0]):
-        axis, plane, lo, hi, height, nrm = walls[w]
+    for axis, plane, lo, hi, height, nrm in walls:
         # (along, across) = (x, y) for axis 0, (y, x) for axis 1
         tx_al, tx_ac, rx_al, rx_ac = (tx_x, tx_y, rx_x, rx_y) if axis == 0.0 \
             else (tx_y, tx_x, rx_y, rx_x)
@@ -313,34 +310,22 @@ def _reflection_candidates(walls, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z, eps):
         path_len = np.sqrt(ddx * ddx + ddy * ddy + rx_z_tx * rx_z_tx)
         h_al = np.full(path_len.size, plane + eps * nrm)
         hx, hy = (h_al, h_ac[ok]) if axis == 0.0 else (h_ac[ok], h_al)
-        hits.append((side[ok], np.full(h_al.size, w), hx, hy, hz[ok], path_len))
+        hits.append((side[ok], hx, hy, hz[ok], path_len))
     if not hits:
-        return (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),) * 4
+        return (np.zeros(0, dtype=np.int64),) + (np.zeros(0),) * 4
     return tuple(np.concatenate(a) for a in zip(*hits))
 
 
-class VisiblePaths(NamedTuple):
-    """One entry per visible path, sorted pixel-major and, within a pixel,
-    by slot: 0 for the direct path, 1 + w for the reflection off wall w.
+def trace(building, vegetation, walls, tx_x, tx_y, tx_z, rx_z, res, lam, refl_amp,
+          veg_db_per_m):
+    """The visible paths from the transmitter to every street pixel, and
+    their values. Building pixels get no paths.
 
-    veg_len is the direct path's vegetated length (0 for reflections).
-    (x, y, z) is the point the path leaves the transmitter for: the
-    receiver of a direct path, the eps-offset hit point of a reflection.
-    length is the unfolded path length.
-    """
-
-    pixel: np.ndarray
-    slot: np.ndarray
-    veg_len: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    length: np.ndarray
-
-
-def trace_count(building, vegetation, walls, tx_x, tx_y, tx_z, rx_z, res):
-    """The visible paths to every street pixel, as VisiblePaths. Building
-    pixels get no paths.
+    Returns (pixel, direct, veg_len, amp, psi, aod_az, aod_el, aoa_az), one
+    entry per visible path, sorted pixel-major and, within a pixel, the
+    direct path first, then the reflections in wall order. direct flags the
+    direct paths, and veg_len is a direct path's vegetated length (0 for
+    reflections).
 
     The candidates are the direct path of each street pixel and the
     (pixel, wall) pairs that _reflection_candidates keeps, each reflection
@@ -350,8 +335,13 @@ def trace_count(building, vegetation, walls, tx_x, tx_y, tx_z, rx_z, res):
     one march_batch call marches every direct path and both legs of every
     reflection that survive; a reflection is visible when both legs are
     clear. So no candidate is marched twice, and a culled one not at all.
-    The list equals a per-pixel loop over the scalar march and mirror_hit of
+    The paths equal a per-pixel loop over the scalar march and mirror_hit of
     the tests bit for bit.
+
+    Amplitudes follow the free-space law lam/(4*pi*d) of the unfolded path
+    length d; the direct path is further attenuated by its vegetated length,
+    reflections by the fixed per-bounce gain refl_amp. The phase is the
+    carrier phase of the path length.
     """
     cols = building.shape[1]
     street = np.flatnonzero(~(building > 0.0).ravel())
@@ -359,7 +349,7 @@ def trace_count(building, vegetation, walls, tx_x, tx_y, tx_z, rx_z, res):
     rx_y = (street // cols + 0.5) * res
     d2 = (rx_x - tx_x) ** 2 + (rx_y - tx_y) ** 2 + (rx_z - tx_z) ** 2
     sel = np.flatnonzero(d2 > 0.0)
-    i, wall, hx, hy, hz, path_len = _reflection_candidates(
+    i, hx, hy, hz, path_len = _reflection_candidates(
         walls, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z, 1e-6 * res)
     # Screen out the surely blocked direct rays and reflection legs; a
     # reflection stays only when the screen keeps both of its legs.
@@ -378,53 +368,42 @@ def trace_count(building, vegetation, walls, tx_x, tx_y, tx_z, rx_z, res):
             np.concatenate([np.full(nd, rx_z), hz[pairs], np.full(nr, rx_z)])]
     clear, veg_len = march_batch(building, vegetation, *starts, *ends, res)
     lit = direct[clear[:nd]]
-    veg_len = veg_len[:nd][clear[:nd]]
     refl = pairs[clear[nd:nd + nr] & clear[nd + nr:]]
     n_dir = lit.size
+    # Per path: its receiver (an index into street), the point it leaves
+    # the transmitter for (the receiver of a direct path, the eps-offset
+    # hit point of a reflection), a reflection's unfolded length and a
+    # direct path's vegetated length. Direct entries come first and
+    # reflections wall-major, so a stable sort by pixel puts each pixel's
+    # paths in that order.
+    rx = np.concatenate([lit, i[refl]])
+    order = np.argsort(street[rx], kind="stable")
+    rx, x, y, z, length, veg_len = (a[order] for a in (
+        rx, np.concatenate([rx_x[lit], hx[refl]]), np.concatenate([rx_y[lit], hy[refl]]),
+        np.concatenate([np.full(n_dir, float(rx_z)), hz[refl]]),
+        np.concatenate([np.zeros(n_dir), path_len[refl]]),
+        np.concatenate([veg_len[:nd][clear[:nd]], np.zeros(refl.size)])))
+    direct = order < n_dir
+    # the candidates and the march are done with: free them before the
+    # scalar math calls below
+    del i, hx, hy, hz, path_len, pairs, starts, ends, clear
+
+    dep_x = x - tx_x
+    dep_y = y - tx_y
+    dep_z = z - tx_z
     # libm's pow(x, 2), which Python's ** calls, is not always x * x
-    dir_len = _math_map(lambda x, y, z: math.sqrt(x ** 2 + y ** 2 + z ** 2),
-                        rx_x[lit] - tx_x, rx_y[lit] - tx_y,
-                        np.full(n_dir, rx_z - tx_z))
-
-    paths = VisiblePaths(
-        pixel=np.concatenate([street[lit], street[i[refl]]]),
-        slot=np.concatenate([np.zeros(n_dir, dtype=np.int64), 1 + wall[refl]]),
-        veg_len=np.concatenate([veg_len, np.zeros(refl.size)]),
-        x=np.concatenate([rx_x[lit], hx[refl]]),
-        y=np.concatenate([rx_y[lit], hy[refl]]),
-        z=np.concatenate([np.full(n_dir, float(rx_z)), hz[refl]]),
-        length=np.concatenate([dir_len, path_len[refl]]))
-    # direct entries come first and reflections wall-major, so a stable sort
-    # by pixel puts each pixel's paths in slot order
-    order = np.argsort(paths.pixel, kind="stable")
-    return VisiblePaths(*(a[order] for a in paths))
-
-
-def trace_fill(paths, cols, tx_x, tx_y, tx_z, res, lam, refl_amp, veg_db_per_m):
-    """Values of the VisiblePaths: (amp, psi, aod_az, aod_el, aoa_az).
-
-    Amplitudes follow the free-space law lam/(4*pi*d); the direct path is
-    further attenuated by its vegetated length, reflections by the fixed
-    per-bounce loss. The phase is the carrier phase of the path length.
-    Nothing is marched and no hit point is recomputed.
-    """
-    direct = paths.slot == 0
+    length[direct] = _math_map(lambda x, y, z: math.sqrt(x ** 2 + y ** 2 + z ** 2),
+                               dep_x[direct], dep_y[direct], dep_z[direct])
     gain = np.full(direct.size, refl_amp)
-    gain[direct] = _math_map(lambda a: 10.0 ** a,
-                             -(veg_db_per_m * paths.veg_len[direct]) / 20.0)
-    amp = lam / (4.0 * math.pi * paths.length) * gain
-    psi = (-TWO_PI * paths.length / lam) % TWO_PI
-    dep_x = paths.x - tx_x
-    dep_y = paths.y - tx_y
+    gain[direct] = _math_map(lambda a: 10.0 ** a, -(veg_db_per_m * veg_len[direct]) / 20.0)
+    amp = lam / (4.0 * math.pi * length) * gain
+    psi = (-TWO_PI * length / lam) % TWO_PI
     aod_az = _math_map(_bearing, dep_x, dep_y)
-    aod_el = _math_map(lambda x, y, z: math.atan2(z, math.hypot(x, y)),
-                       dep_x, dep_y, paths.z - tx_z)
+    aod_el = _math_map(lambda x, y, z: math.atan2(z, math.hypot(x, y)), dep_x, dep_y, dep_z)
     # a direct path arrives from the transmitter, a reflection from its hit point
-    rx_x = (paths.pixel % cols + 0.5) * res
-    rx_y = (paths.pixel // cols + 0.5) * res
-    aoa_az = _math_map(_bearing, np.where(direct, -dep_x, paths.x - rx_x),
-                       np.where(direct, -dep_y, paths.y - rx_y))
-    return amp, psi, aod_az, aod_el, aoa_az
+    aoa_az = _math_map(_bearing, np.where(direct, -dep_x, x - rx_x[rx]),
+                       np.where(direct, -dep_y, y - rx_y[rx]))
+    return street[rx], direct, veg_len, amp, psi, aod_az, aod_el, aoa_az
 
 
 def accumulate_tensors(pixel_ids, sectors, c2, g_az, g_el, out):

@@ -95,18 +95,23 @@ def cmd_tensorize(args):
 
 
 def _read_site(scene_path, tx_path, cfg):
-    """The height map and tx site of one scene, the tx on the scene grid."""
+    """The height map and tx site of one scene, the tx on the scene grid;
+    every error names the file at fault."""
     grid = gridio.read_grid(scene_path)
     if grid.shape[2] != 2:
-        raise GridParseError(f"scene grid has {grid.shape[2]} channels; expected 2 "
-                             "(building, vegetation height)")
-    hm = scene.HeightMap(grid[:, :, 0].astype(np.float64), grid[:, :, 1].astype(np.float64),
-                         resolution_m=cfg.scene.resolution_m)
+        raise GridParseError(f"scene grid {scene_path}: {grid.shape[2]} channels; "
+                             "expected 2 (building, vegetation height)")
+    try:
+        hm = scene.HeightMap(grid[:, :, 0].astype(np.float64),
+                             grid[:, :, 1].astype(np.float64),
+                             resolution_m=cfg.scene.resolution_m)
+    except ValueError as exc:  # a negative or non-finite height
+        raise GridParseError(f"scene grid {scene_path}: {exc}") from exc
     tx = gridio.load_tx_site(tx_path)
     r, c = tx.pixel
     if not (0 <= r < hm.rows and 0 <= c < hm.cols):
-        raise GridParseError(
-            f"tx pixel {list(tx.pixel)} is off the {hm.rows}x{hm.cols} scene grid")
+        raise GridParseError(f"tx site {tx_path}: tx pixel {list(tx.pixel)} is off the "
+                             f"{hm.rows}x{hm.cols} scene grid of {scene_path}")
     return hm, tx
 
 
@@ -121,7 +126,7 @@ def _read_tensors(tensors_path, mask_path):
                              "infinite or negative power")
     mask = gridio.read_grid(mask_path)
     if mask.shape[2] != 1:
-        raise GridParseError(f"mask grid has {mask.shape[2]} channels; expected 1")
+        raise GridParseError(f"mask grid {mask_path}: {mask.shape[2]} channels; expected 1")
     valid = mask[:, :, 0].astype(bool)
     if valid.shape != tensors.shape[:2]:
         raise GridParseError(
@@ -241,14 +246,6 @@ def _split_scenes(stems, seed):
             ordered[n_train + n_val:])
 
 
-def _scene_site(stem, cfg):
-    """_read_site of one corpus scene; an error names the scene."""
-    try:
-        return _read_site(f"{stem}.scene.bgrd", f"{stem}.tx.json", cfg)
-    except GridParseError as exc:
-        raise GridParseError(f"{stem}: {exc}") from exc
-
-
 def _load_scene_samples(stem, site, model):
     """Features and training targets of one scene's valid pixels (tensor
     resolution); the scene's tensors are dropped once its targets are built."""
@@ -273,7 +270,7 @@ def cmd_train(args):
     unused = set(test_stems)
     sites = {}
     for stem in stems:
-        site = _scene_site(stem, cfg)
+        site = _read_site(f"{stem}.scene.bgrd", f"{stem}.tx.json", cfg)
         if stem not in unused:
             sites[stem] = site
 

@@ -63,31 +63,32 @@ def _write_grid_to(fh, array, dtype):
     fh.write(payload.data)
 
 
-def _read_grid_from(fh):
+def _read_grid_from(fh, where):
     """The grid at the position of a binary file: its header line, then a
     payload read straight into the array, with no bytes copy of it.
 
     A bad magic or header, a negative dimension, or a payload that is not
     exactly the header's size up to the end of the file raises
-    GridParseError.
+    GridParseError naming where ("grid s.mask.bgrd").
     """
     head = fh.readline()
     if not head.startswith(GRID_MAGIC):
         raise GridParseError(
-            f"bad magic at byte offset 0: expected {GRID_MAGIC!r}, got {head[:5]!r}")
+            f"{where}: bad magic at byte offset 0: expected {GRID_MAGIC!r}, got {head[:5]!r}")
     nl = len(head) - 1
     if not head.endswith(b"\n"):
-        raise GridParseError(f"header newline missing within {len(head)} bytes")
+        raise GridParseError(f"{where}: header newline missing within {len(head)} bytes")
     try:
         tokens = head[:nl].decode("ascii").split()
         _, rows, cols, ch, dtype = tokens
         rows, cols, ch = int(rows), int(cols), int(ch)
         itemsize = _DTYPES[dtype].itemsize
     except (ValueError, KeyError, UnicodeDecodeError) as exc:
-        raise GridParseError(f"malformed header before byte offset {nl}: {exc}") from exc
-    if min(rows, cols, ch) < 0:
         raise GridParseError(
-            f"negative dimension in header before byte offset {nl}: {rows}x{cols}x{ch}")
+            f"{where}: malformed header before byte offset {nl}: {exc}") from exc
+    if min(rows, cols, ch) < 0:
+        raise GridParseError(f"{where}: negative dimension in header before byte "
+                             f"offset {nl}: {rows}x{cols}x{ch}")
     expected = rows * cols * ch * itemsize
     start = fh.tell()
     size = fh.seek(0, 2) - start
@@ -97,11 +98,11 @@ def _read_grid_from(fh):
             arr = np.empty((rows, cols, ch), dtype=_DTYPES[dtype])
         except ValueError as exc:  # no payload, but a dimension beyond NumPy's range
             raise GridParseError(
-                f"malformed header before byte offset {nl}: {exc}") from exc
+                f"{where}: malformed header before byte offset {nl}: {exc}") from exc
         size = fh.readinto(arr)  # short only if the file shrank meanwhile
     if size != expected:
-        raise GridParseError(
-            f"payload at byte offset {nl + 1}: expected {expected} bytes, got {size}")
+        raise GridParseError(f"{where}: payload at byte offset {nl + 1}: expected "
+                             f"{expected} bytes, got {size}")
     return arr
 
 
@@ -112,7 +113,7 @@ def write_grid(path, array, dtype="f32"):
 
 def read_grid(path):
     with open(path, "rb") as fh:
-        return _read_grid_from(fh)
+        return _read_grid_from(fh, f"grid {path}")
 
 
 def write_paths_csv(path, channels):
@@ -132,38 +133,41 @@ def read_paths_csv(path, rows, cols):
     """Parse a path table back into SceneChannels (no direct-path metadata).
 
     A malformed line, a pixel off the grid, a non-finite value or a
-    non-ASCII byte raises GridParseError.
+    non-ASCII byte raises GridParseError naming the file.
     """
+    where = f"path file {path}"
     pr, pc, vals = [], [], [[], [], [], [], []]
     try:
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().strip()
             if header != PATH_HEADER:
                 raise GridParseError(
-                    f"path file header mismatch at byte offset 0: {header!r}")
+                    f"{where}: header mismatch at byte offset 0: {header!r}")
             for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
                     continue
                 parts = line.split(",")
                 if len(parts) != 7:
-                    raise GridParseError(f"line {lineno}: expected 7 fields, got {len(parts)}")
+                    raise GridParseError(
+                        f"{where}: line {lineno}: expected 7 fields, got {len(parts)}")
                 try:
                     r, c = int(parts[0]), int(parts[1])
                     nums = [float(x) for x in parts[2:]]
                 except ValueError as exc:
-                    raise GridParseError(f"line {lineno}: {exc}") from exc
+                    raise GridParseError(f"{where}: line {lineno}: {exc}") from exc
                 if not all(map(math.isfinite, nums)):
-                    raise GridParseError(f"line {lineno}: non-finite value in {line!r}")
-                if not (0 <= r < rows and 0 <= c < cols):
                     raise GridParseError(
-                        f"line {lineno}: pixel ({r},{c}) outside the {rows}x{cols} grid")
+                        f"{where}: line {lineno}: non-finite value in {line!r}")
+                if not (0 <= r < rows and 0 <= c < cols):
+                    raise GridParseError(f"{where}: line {lineno}: pixel ({r},{c}) "
+                                         f"outside the {rows}x{cols} grid")
                 pr.append(r)
                 pc.append(c)
                 for v, x in zip(vals, nums):
                     v.append(x)
     except UnicodeDecodeError as exc:
-        raise GridParseError(f"path file {path}: {exc}") from exc
+        raise GridParseError(f"{where}: {exc}") from exc
     pixel = np.asarray(pr, dtype=np.int64) * cols + np.asarray(pc, dtype=np.int64)
     order = np.argsort(pixel, kind="stable")  # group by pixel, keep file order
     arrs = [np.asarray(v, dtype=np.float64)[order] for v in vals]
@@ -490,11 +494,11 @@ def load_model(path):
     where = f"model {path} header"
     with open(path, "rb") as fh:
         header = read_record(ModelHeader, _json_doc(fh.readline(), where, "ascii"), where)
-        stacked = _read_grid_from(fh)
+        stacked = _read_grid_from(fh, f"model {path} weight grid")
     expect = (header.features + 1, header.outputs, 1)  # bias in the last row
     if header.features < 0 or stacked.shape != expect:
         raise GridParseError(
-            f"model weight grid {stacked.shape} does not match the header's "
+            f"model {path} weight grid {stacked.shape} does not match the header's "
             f"{header.features} features and {header.outputs} outputs")
     if stacked.size and not (np.isfinite(stacked.min()) and np.isfinite(stacked.max())):
         raise GridParseError(f"model {path} holds a non-finite weight")

@@ -252,7 +252,7 @@ def exterior_walls(building, res=1.0):
     Colinear unit faces merge only when the building height matches, so a
     wall is always a well-defined rectangle from the ground up. Rows come
     axis by axis, planes ascending, the +1 normal's walls before the -1
-    normal's, walls by start; the tracer's path slots follow this order.
+    normal's, walls by start; the tracer's reflections follow this order.
     """
     walls = []
     for axis, grid in enumerate((building, building.T)):
@@ -304,11 +304,11 @@ def trace_paths(hm, tx, cfg):
 
     Pixels inside buildings get zero paths. Deterministic: pure geometry,
     fixed wall enumeration order, direct path stored first per pixel.
-    trace_count lists the visible paths: it culls the candidate segments
-    that are surely blocked and marches the rest in one batch, none twice;
-    trace_fill computes their values. max_reflections=0 skips wall
-    extraction. Heights so large that path lengths would overflow float64
-    raise NumericError (_check_path_reach).
+    _kernels.trace finds the visible paths, culling the candidate segments
+    that are surely blocked and marching the rest in one batch, none twice,
+    and computes their values. max_reflections=0 skips wall extraction.
+    Heights so large that path lengths would overflow float64 raise
+    NumericError (_check_path_reach).
     """
     r, c = tx.pixel
     if not (0 <= r < hm.rows and 0 <= c < hm.cols):
@@ -319,19 +319,16 @@ def trace_paths(hm, tx, cfg):
         else np.zeros((0, 6))
     tx_x, tx_y = pixel_center(tx.pixel, res)
     refl_amp = 10.0 ** (-cfg.reflection_loss_db / 20.0)
-    paths = _kernels.trace_count(hm.building, hm.vegetation, walls,
-                                 tx_x, tx_y, tx.height_m, cfg.rx_height_m, res)
-    amp, psi, aod_az, aod_el, aoa_az = _kernels.trace_fill(
-        paths, hm.cols, tx_x, tx_y, tx.height_m, res, cfg.wavelength_m, refl_amp,
-        cfg.vegetation_db_per_m)
+    pixel, direct, veg_len, amp, psi, aod_az, aod_el, aoa_az = _kernels.trace(
+        hm.building, hm.vegetation, walls, tx_x, tx_y, tx.height_m, cfg.rx_height_m, res,
+        cfg.wavelength_m, refl_amp, cfg.vegetation_db_per_m)
     n_px = hm.rows * hm.cols
-    direct = paths.slot == 0
     has_direct = np.zeros(n_px, dtype=bool)
-    has_direct[paths.pixel[direct]] = True
+    has_direct[pixel[direct]] = True
     direct_veg_db = np.zeros(n_px)
-    direct_veg_db[paths.pixel[direct]] = cfg.vegetation_db_per_m * paths.veg_len[direct]
+    direct_veg_db[pixel[direct]] = cfg.vegetation_db_per_m * veg_len[direct]
     return SceneChannels(
-        rows=hm.rows, cols=hm.cols, pixel=paths.pixel,
+        rows=hm.rows, cols=hm.cols, pixel=pixel,
         magnitude=amp, phase=psi, aod_azimuth=aod_az,
         aod_elevation=aod_el, aoa_azimuth=aoa_az,
         has_direct=has_direct.reshape(hm.rows, hm.cols),

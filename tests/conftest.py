@@ -501,7 +501,7 @@ def grid_to_bytes(array, dtype="f32"):
 
 
 def grid_from_bytes(data):
-    return gridio._read_grid_from(io.BytesIO(data))
+    return gridio._read_grid_from(io.BytesIO(data), "grid bytes")
 
 
 # The prediction and ranking code that predictor.oracle_predictor, predict

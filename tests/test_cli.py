@@ -188,7 +188,8 @@ class TestTrace:
         io.write_grid(tmp / "one.bgrd", grid[:, :, :1])
         assert run_cli("trace", "--scene", tmp / "one.bgrd", "--tx", tmp / "s.tx.json",
                        "--config", cfg, "--out", tmp / "bad.csv") == 3
-        assert "scene grid has 1 channels; expected 2" in capsys.readouterr().err
+        assert f"scene grid {tmp / 'one.bgrd'}: 1 channels; expected 2" \
+            in capsys.readouterr().err
         assert not (tmp / "bad.csv").exists()
 
     @pytest.mark.parametrize("channel", [0, 1])
@@ -277,6 +278,17 @@ class TestTensorize:
         assert run_cli("tensorize", "--paths", tmp / "bad.paths.csv",
                        "--tx", tmp / "s.tx.json", "--config", cfg,
                        "--out", tmp / "bad", "--downscale", 1) == 3
+        assert not (tmp / "bad.tensors.bgrd").exists()
+
+    def test_malformed_line_names_file(self, pipeline, capsys):
+        # the error names the path file, not only the line
+        tmp, cfg = pipeline
+        bad = tmp / "bad.paths.csv"
+        bad.write_text(io.PATH_HEADER + "\n1,2,3\n")
+        assert run_cli("tensorize", "--paths", bad, "--tx", tmp / "s.tx.json",
+                       "--config", cfg, "--out", tmp / "bad", "--downscale", 1) == 3
+        assert f"path file {bad}: line 2: expected 7 fields, got 3" \
+            in capsys.readouterr().err
         assert not (tmp / "bad.tensors.bgrd").exists()
 
     def test_string_grid_size_exit_code(self, pipeline):
@@ -607,7 +619,18 @@ class TestEvaluate:
         assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd",
                        "--mask", tmp / "empty.mask.bgrd", "--pred", "oracle",
                        "--config", cfg, "--report", tmp / "r.json") == 3
-        assert "mask grid has 0 channels; expected 1" in capsys.readouterr().err
+        assert f"mask grid {tmp / 'empty.mask.bgrd'}: 0 channels; expected 1" \
+            in capsys.readouterr().err
+
+    def test_garbage_mask_names_file(self, tensorized, capsys):
+        # the error names the mask, not only the byte offset
+        tmp, cfg = tensorized
+        (tmp / "t.mask.bgrd").write_bytes(b"garbage")
+        assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd", "--pred", "oracle",
+                       "--config", cfg, "--report", tmp / "r.json") == 3
+        assert f"grid {tmp / 't.mask.bgrd'}: bad magic at byte offset 0" \
+            in capsys.readouterr().err
+        assert not (tmp / "r.json").exists()
 
     def test_shape_mismatch_names_shapes(self, tensorized, capsys):
         tmp, cfg = tensorized
@@ -933,6 +956,18 @@ class TestTrainCli:
         assert run_cli("train", "--scenes", scenes, "--config", cfg,
                        "--model-out", tmp / "m.bgmdl") == 3
         assert "tx pixel [-1, 5] is off the 32x32 scene grid" in capsys.readouterr().err
+        assert not (tmp / "m.bgmdl").exists()
+
+    def test_non_finite_height_names_scene(self, scene_dir, capsys):
+        # the error names the corpus scene whose height is not finite
+        tmp, cfg, scenes = scene_dir
+        grid = io.read_grid(scenes / "c1.scene.bgrd")
+        grid[3, 4, 0] = np.nan
+        io.write_grid(scenes / "c1.scene.bgrd", grid)
+        assert run_cli("train", "--scenes", scenes, "--config", cfg,
+                       "--model-out", tmp / "m.bgmdl") == 3
+        assert f"scene grid {scenes / 'c1.scene.bgrd'}: heights must be finite" \
+            in capsys.readouterr().err
         assert not (tmp / "m.bgmdl").exists()
 
     def test_loss_epsilon_exit_code(self, scene_dir, capsys):

@@ -108,7 +108,7 @@ def _screen_and_march(building, segs, res=1.0):
 
 
 class TestSurelyBlocked:
-    """The screen trace_count runs before each march: every segment it culls
+    """The screen trace runs before each march: every segment it culls
     is one that march_batch reports blocked."""
 
     @given(grids_and_segments(), st.sampled_from([1, 5, _kernels.MARCH_BATCH_RAYS]))

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -279,8 +279,31 @@ def assert_matches_reference(chans, hm, tx, cfg):
     assert np.array_equal(chans.direct_veg_db, direct_veg_db)
 
 
+def _no_street_scene():
+    """A 16x16 scene that is all roof: no pixel can receive a path."""
+    hm = sc.HeightMap(np.full((16, 16), 10.0), np.zeros((16, 16)))
+    return hm, sc.TxSite((3, 4), 12.0, ch.ArrayFrame(0.0, np.pi / 4))
+
+
+def _hidden_streets_scene():
+    """A 16x16 scene whose transmitter stands on a 1 m roof walled in by
+    50 m buildings: every street pixel lies outside the walls, so every
+    direct ray and every leg from the transmitter to the small building's
+    walls is blocked."""
+    building = np.zeros((16, 16))
+    building[1:3, 1:3] = 5.0
+    building[6:11, 6:11] = 50.0
+    building[8, 8] = 1.0
+    hm = sc.HeightMap(building, np.zeros((16, 16)))
+    return hm, sc.TxSite((8, 8), 1.5, ch.ArrayFrame(0.0, np.pi / 4))
+
+
 class TestTraceMatchesReference:
     @given(small_scenes(), scene_configs, st.sampled_from([0, 1]))
+    @example(scene=_no_street_scene(), cfg=sc.SceneConfig(), max_reflections=0)
+    @example(scene=_no_street_scene(), cfg=sc.SceneConfig(), max_reflections=1)
+    @example(scene=_hidden_streets_scene(), cfg=sc.SceneConfig(), max_reflections=0)
+    @example(scene=_hidden_streets_scene(), cfg=sc.SceneConfig(), max_reflections=1)
     @settings(deadline=None, max_examples=25)
     def test_paths_identical(self, scene, cfg, max_reflections):
         hm, tx = scene
