@@ -89,16 +89,14 @@ def beamspace_angles(phi, theta):
 
 
 def sector_index(aoa_azimuth, nr):
-    """Index of the half-open azimuth sector [2*pi*i/nr, 2*pi*(i+1)/nr)."""
+    """Index of the half-open azimuth sector [2*pi*i/nr, 2*pi*(i+1)/nr)
+    of each azimuth: an int64 array of the azimuths' shape."""
     if nr < 1:
         raise ValueError(f"sector count must be >= 1, got {nr}")
     a = np.asarray(aoa_azimuth, dtype=np.float64) % TWO_PI
     idx = (a * nr / TWO_PI).astype(np.int64)
     # a % 2pi can round up to exactly 2pi for tiny negative inputs
-    idx = np.where(idx >= nr, 0, idx)
-    if np.isscalar(aoa_azimuth) or idx.ndim == 0:
-        return int(idx)
-    return idx
+    return np.where(idx >= nr, 0, idx)
 
 
 @dataclass
@@ -156,12 +154,10 @@ def dft_codebook(na, ne, nr):
 def gain_profiles(varphi, vartheta, codebook):
     """Squared beam-matching gains of all azimuth/elevation beams.
 
-    For beamspace angles of shape (P,), returns (P, Na) and (P, Ne) arrays of
+    For 1-D arrays of P beamspace angles, returns (P, Na) and (P, Ne) arrays of
     |u^H a|^2 and |v^H a|^2. Shared by scene.effective_tensor_map and the
     geometry-only predictor so both rank beams identically.
     """
-    varphi = np.atleast_1d(np.asarray(varphi, dtype=np.float64))
-    vartheta = np.atleast_1d(np.asarray(vartheta, dtype=np.float64))
     a_az = np.exp(1j * varphi[:, None] * np.arange(codebook.na))
     a_el = np.exp(1j * vartheta[:, None] * np.arange(codebook.ne))
     g_az = np.abs(a_az @ codebook.tx_azimuth.conj()) ** 2

@@ -53,6 +53,9 @@ def cmd_generate(args):
 def cmd_trace(args):
     cfg = _load_config(args.config)
     hm, tx = _read_site(args.scene, args.tx, cfg)
+    if (hm.rows, hm.cols) != (cfg.scene.rows, cfg.scene.cols):  # tensorize's grid
+        raise GridParseError(f"scene grid {args.scene}: {hm.rows}x{hm.cols}; the config's "
+                             f"scene is {cfg.scene.rows}x{cfg.scene.cols}")
     channels = scene.trace_paths(hm, tx, cfg.scene)
     gridio.write_paths_csv(args.out, channels)
     streets = int(np.count_nonzero(hm.building == 0))
@@ -129,20 +132,20 @@ def _read_tensors(tensors_path, mask_path):
         raise GridParseError(f"mask grid {mask_path}: {mask.shape[2]} channels; expected 1")
     valid = mask[:, :, 0].astype(bool)
     if valid.shape != tensors.shape[:2]:
-        raise GridParseError(
-            f"mask grid {valid.shape} vs tensor grid {tensors.shape[:2]}")
+        raise GridParseError(f"mask grid {mask_path} {valid.shape} vs tensor grid "
+                             f"{tensors_path} {tensors.shape[:2]}")
     return tensors, valid
 
 
-def _site_features(hm, tx, valid):
+def _site_features(hm, tx, valid, scene_path):
     """Model features of the valid pixels of a tensor grid, one row each in
-    row-major order, from the scene pooled onto that grid."""
+    row-major order, from the scene at scene_path pooled onto that grid."""
     rows, cols = valid.shape
     factor = hm.rows // rows if rows else 0
     if factor < 1 or (factor * rows, factor * cols) != (hm.rows, hm.cols):
         raise GridParseError(
-            f"scene grid {hm.rows}x{hm.cols} is not an integer multiple of "
-            f"the tensor grid {rows}x{cols}")
+            f"scene grid {scene_path} {hm.rows}x{hm.cols} is not an integer multiple "
+            f"of the tensor grid {rows}x{cols}")
     return predictor.build_features(scene.pool_heightmap(hm, factor),
                                     scene.pool_tx(tx, factor))[valid]
 
@@ -167,7 +170,7 @@ def _prediction_from_args(args, cfg, valid, samples, site):
         if site is None:
             raise GridParseError(
                 "evaluating a model file needs --scene and --tx to build features")
-        scores = predictor.predict(model, _site_features(*site, valid))
+        scores = predictor.predict(model, _site_features(*site, valid, args.scene))
         kind = model.kind
     else:
         grid = gridio.read_grid(path)
@@ -249,11 +252,8 @@ def _split_scenes(stems, seed):
 def _load_scene_samples(stem, site, model):
     """Features and training targets of one scene's valid pixels (tensor
     resolution); the scene's tensors are dropped once its targets are built."""
-    try:
-        tensors, valid = _read_tensors(f"{stem}.tensors.bgrd", f"{stem}.mask.bgrd")
-        x = _site_features(*site, valid)
-    except GridParseError as exc:
-        raise GridParseError(f"{stem}: {exc}") from exc
+    tensors, valid = _read_tensors(f"{stem}.tensors.bgrd", f"{stem}.mask.bgrd")
+    x = _site_features(*site, valid, f"{stem}.scene.bgrd")
     return x, predictor.targets(model, tensors[valid].astype(np.float64))
 
 

@@ -1,5 +1,5 @@
-"""Training targets and the pieces of the loss arithmetic that the head
-loop of predictor._head_terms and predictor._batch_grad share.
+"""The pieces of the loss arithmetic that predictor.targets,
+predictor._head_terms and predictor._batch_grad share.
 
 The predictor trains five loss families, each on joint logits over all
 Na*Ne*Nr beams and (where meaningful) on factorised "sep" logits with
@@ -7,8 +7,7 @@ separate azimuth, elevation and sector heads:
 
 * ce:  cross entropy against the optimal beam index;
 * cep: cross entropy against a soft target derived from the beam power
-       tensor in dB (floored, shifted to be nonnegative, normalised):
-       cep_target and cep_target_sep;
+       tensor in dB (floored, shifted to be nonnegative, normalised);
 * ws:  the expected ground distance from the predicted distribution to the
        target beam, under the Euclidean distance between beam index
        triples (beam_distance_matrix). Against a one-hot target this is
@@ -16,15 +15,14 @@ separate azimuth, elevation and sector heads:
 * ir:  mean squared error on the index triple treated as three regression
        targets (sep only), ranked by predictor.flat_ranking;
 * gr:  mean squared error on the beam power tensor in dB (same flooring as
-       cep): gr_target_db and gr_target_db_sep.
+       cep).
 
-The per-sample reference losses and the finite-difference gradient checker
-that the batch code is tested against live in tests/conftest.py.
+predictor.targets builds the targets with _floored_db and _marginals. The
+per-sample reference targets and losses and the finite-difference gradient
+checker that the batch code is tested against live in tests/conftest.py.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -43,11 +41,11 @@ def softmax(z, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _floored_db(t, floor_db, what):
+def _floored_db(t, floor_db):
     """t in dB relative to its peak along the last axis, floored at floor_db."""
     peak = t.max(axis=-1, keepdims=True)
     if (peak <= 0.0).any():
-        raise ValueError(f"{what} undefined for an all-zero tensor")
+        raise ValueError("dB target undefined for an all-zero tensor")
     # in place, one sample x beam array at a time: the same bits as
     # maximum(10 * log10(where(t > 0, t / peak, 0)), floor_db)
     db = np.zeros_like(t)
@@ -58,40 +56,9 @@ def _floored_db(t, floor_db, what):
     return np.maximum(db, floor_db, out=db)
 
 
-def _samples(tensor):
-    """One row per sample: a 4-D input is a stack of (Na, Ne, Nr) tensors
-    along its first axis, any other shape is one tensor."""
-    t = np.asarray(tensor, dtype=np.float64)
-    # the beam count, not -1, which is ambiguous for a stack of no tensors
-    return t.reshape(len(t), math.prod(t.shape[1:])) if t.ndim == 4 else t.reshape(1, -1)
-
-
 def _marginals(t):
     """Sums of a (..., Na, Ne, Nr) array along each beam axis."""
     return tuple(t.sum(axis=axes) for axes in ((-2, -1), (-3, -1), (-3, -2)))
-
-
-def cep_target(tensor, floor_db):
-    """Soft target from a beam power tensor: dB relative to the peak,
-    floored at floor_db, shifted to be >= 0, normalised to sum 1.
-
-    Zero entries map to the floor share. Flattens in C order (flat beam
-    index order); a stack of tensors (n, Na, Ne, Nr) gives one row each.
-    """
-    t = np.asarray(tensor)
-    db = _floored_db(_samples(t), floor_db, "soft target")
-    if floor_db >= 0.0:
-        raise ValueError("floor must be below the 0 dB peak")
-    db -= floor_db
-    db /= db.sum(axis=1, keepdims=True)
-    return db if t.ndim == 4 else db[0]
-
-
-def cep_target_sep(tensor, floor_db):
-    """Marginals of the joint soft target along each beam axis (each with a
-    leading sample axis for a stack of tensors)."""
-    shape = np.shape(tensor)
-    return _marginals(cep_target(tensor, floor_db).reshape(shape))
 
 
 def beam_distance_matrix(dims):
@@ -101,17 +68,3 @@ def beam_distance_matrix(dims):
                                    indexing="ij"), axis=-1).reshape(-1, 3).astype(np.float64)
     diff = triples[:, None, :] - triples[None, :, :]
     return np.sqrt((diff**2).sum(axis=-1))
-
-
-def gr_target_db(tensor, floor_db):
-    """Beam power tensor in dB relative to its peak, floored (cep flooring);
-    a stack of tensors (n, Na, Ne, Nr) is taken relative to each peak."""
-    t = np.asarray(tensor, dtype=np.float64)
-    return _floored_db(_samples(t), floor_db, "dB target").reshape(t.shape)
-
-
-def gr_target_db_sep(tensor, floor_db):
-    """Per-axis dB targets: linear power marginals converted to floored dB
-    (each with a leading sample axis for a stack of tensors)."""
-    t = np.asarray(tensor, dtype=np.float64)
-    return tuple(_floored_db(m, floor_db, "dB target") for m in _marginals(t))

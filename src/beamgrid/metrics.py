@@ -57,15 +57,13 @@ def exclusion_mask(tensors, budget):
 
 
 def snr(rss_linear, budget):
-    """Linear SNR of a unit-transmit-power path gain under the budget."""
+    """Linear SNR of unit-transmit-power path gains under the budget, an
+    array of their shape."""
     rss = np.asarray(rss_linear, dtype=np.float64)
     pos = rss > 0.0
     with np.errstate(divide="ignore"):
         rx_dbm = budget.tx_power_dbm + 10.0 * np.log10(np.where(pos, rss, 1.0))
-    out = np.where(pos, 10.0 ** ((rx_dbm - noise_power_dbm(budget)) / 10.0), 0.0)
-    if np.isscalar(rss_linear):
-        return float(out)
-    return out
+    return np.where(pos, 10.0 ** ((rx_dbm - noise_power_dbm(budget)) / 10.0), 0.0)
 
 
 @dataclass

@@ -7,7 +7,8 @@ columns, one score per beam), "sep" (Na+Ne+Nr columns holding the three
 per-axis heads) or "ir" (3 columns, a regressed index triple).
 score_columns states the column count of each kind, and flat_ranking,
 the package's only ranking code, turns a prediction into beam orders,
-which metrics.evaluate_ranking scores.
+which metrics.evaluate_ranking scores. targets, the package's only target
+code, builds the training targets of a stack of beam power tensors.
 
 The classifier is a deliberate desk-scale stand-in for a convolutional
 model: it sees only per-pixel features (transmitter one-hot/distance/
@@ -111,7 +112,7 @@ def geometric_predictor(hm, tx, codebook, rx_height_m):
     bs = beamspace_angles(phi, theta)
     g_az, g_el = gain_profiles(bs.varphi, bs.vartheta, codebook)
     reverse = (az.ravel() + math.pi) % TWO_PI
-    sectors = np.atleast_1d(sector_index(reverse, codebook.nr))
+    sectors = sector_index(reverse, codebook.nr)
     sec_score = np.zeros((rows * cols, codebook.nr))
     sec_score[np.arange(rows * cols), sectors] = 1.0
     tiny = 1e-300
@@ -250,24 +251,32 @@ def targets(model, tensors):
     """Training targets of the samples, one row each, from their beam power
     tensors (a (n, Na*Ne*Nr) or (n, Na, Ne, Nr) array). Each row depends on
     its own sample alone, so the targets of a concatenation are the
-    concatenation of the targets; no samples give no rows."""
-    t = np.asarray(tensors).reshape(-1, *model.dims)
-    b = math.prod(model.dims)  # not -1: it is ambiguous for no samples
+    concatenation of the targets; no samples give no rows.
+
+    CE, WS: the strongest beam's index (sep: its index triple; IR: as
+    floats). GR: the powers in dB relative to the peak, floored at floor_db
+    (sep: the floored dB of the power marginals of each beam axis). CEP:
+    those dB shifted by -floor_db and normalised to sum 1 (sep: marginals).
+    """
+    t = np.asarray(tensors, dtype=np.float64).reshape(-1, *model.dims)
+    # the beam count, not -1, which is ambiguous for no samples
+    rows = t.reshape(len(t), math.prod(model.dims))
     kind, sep, floor_db = model.loss.kind, model.loss.sep, model.loss.floor_db
     if kind in ("CE", "WS", "IR"):
-        idx = np.argmax(t.reshape(len(t), b), axis=1)
+        idx = np.argmax(rows, axis=1)
         if not sep:
             return idx
         triples = np.stack(np.unravel_index(idx, model.dims), axis=1)
         return triples.astype(np.float64) if kind == "IR" else triples
-    if kind == "CEP":
-        if sep:
-            return np.concatenate(losses.cep_target_sep(t, floor_db), axis=1)
-        return losses.cep_target(t, floor_db)
-    # GR
-    if sep:
-        return np.concatenate(losses.gr_target_db_sep(t, floor_db), axis=1)
-    return losses.gr_target_db(t, floor_db).reshape(len(t), b)
+    if kind == "GR" and sep:
+        return np.concatenate([losses._floored_db(m, floor_db) for m in losses._marginals(t)],
+                              axis=1)
+    db = losses._floored_db(rows, floor_db)
+    if kind == "GR":
+        return db
+    db -= floor_db
+    db /= db.sum(axis=1, keepdims=True)
+    return np.concatenate(losses._marginals(db.reshape(t.shape)), axis=1) if sep else db
 
 
 @functools.lru_cache(maxsize=None)

@@ -352,7 +352,7 @@ def effective_tensor_map(channels, codebook, frame):
             channels.aod_azimuth, channels.aod_elevation, frame)
         bs = beamspace_angles(phi, theta)
         g_az, g_el = gain_profiles(bs.varphi, bs.vartheta, codebook)
-        sectors = np.atleast_1d(sector_index(channels.aoa_azimuth, codebook.nr))
+        sectors = sector_index(channels.aoa_azimuth, codebook.nr)
         _kernels.accumulate_tensors(row_of_path, sectors,
                                     channels.magnitude ** 2, g_az, g_el, rows)
     return pixel_ids, rows

@@ -743,7 +743,8 @@ def ir_loss(pred_triple, target_triple):
 def gr_loss(pred_db, target_tensor, floor_db=FLOOR_DB):
     """MSE between predicted and floored-dB tensors; grad = 2*(pred-t)/n."""
     pred = np.asarray(pred_db, dtype=np.float64)
-    target = losses.gr_target_db(target_tensor, floor_db)
+    t = np.asarray(target_tensor, dtype=np.float64)
+    target = floored_db_reference(t.reshape(1, -1), floor_db).reshape(t.shape)
     if pred.shape != target.shape:
         raise ValueError(f"prediction shape {pred.shape} vs target {target.shape}")
     diff = pred - target
@@ -770,53 +771,50 @@ def grad_check(fn, point, step=1e-5):
     return float(dev.max())
 
 
-# The loss code that predictor.targets, _epoch_loss and _batch_grad
-# replaced, kept as the reference they must match byte for byte (CE-sep
-# loss: to a few ulp, as it moved from -log(p + 1e-300) to log-softmax).
-# batch_loss_grad_reference needs dmat = losses.beam_distance_matrix(dims)
-# for joint WS.
+# The references predictor.targets, _epoch_loss and _batch_grad must match
+# byte for byte (CE-sep loss: to a few ulp, as it moved from
+# -log(p + 1e-300) to log-softmax): targets built one sample at a time from
+# the out-of-place formulas below, and the loss code the batch code
+# replaced. batch_loss_grad_reference needs
+# dmat = losses.beam_distance_matrix(dims) for joint WS.
 
 def targets_reference(model, tensors):
-    """Per-sample training targets derived from the beam power tensors."""
+    """Per-sample training targets derived from the beam power tensors, one
+    sample at a time, from the out-of-place target formulas below."""
     t = np.asarray(tensors)
     n = t.shape[0]
     flat = t.reshape(n, -1)
-    kind = model.loss.kind
-    na, ne, nr = model.dims
+    kind, floor_db = model.loss.kind, model.loss.floor_db
     if kind in ("CE", "WS"):
         idx = np.argmax(flat, axis=1)
         if not model.loss.sep:
             return idx
         triples = np.stack(np.unravel_index(idx, model.dims), axis=1)
         return triples
-    if kind == "CEP":
-        if model.loss.sep:
-            heads = [np.empty((n, na)), np.empty((n, ne)), np.empty((n, nr))]
-            for i in range(n):
-                pa, pe, pr = losses.cep_target_sep(
-                    flat[i].reshape(model.dims), model.loss.floor_db)
-                heads[0][i], heads[1][i], heads[2][i] = pa, pe, pr
-            return np.concatenate(heads, axis=1)
-        out = np.empty_like(flat)
-        for i in range(n):
-            out[i] = losses.cep_target(flat[i], model.loss.floor_db)
-        return out
     if kind == "IR":
         idx = np.argmax(flat, axis=1)
         return np.stack(np.unravel_index(idx, model.dims), axis=1).astype(np.float64)
-    if kind == "GR":
-        if model.loss.sep:
-            out = np.empty((n, na + ne + nr))
-            for i in range(n):
-                ga, ge, gr = losses.gr_target_db_sep(
-                    flat[i].reshape(model.dims), model.loss.floor_db)
-                out[i] = np.concatenate([ga, ge, gr])
-            return out
-        out = np.empty_like(flat)
-        for i in range(n):
-            out[i] = losses.gr_target_db(flat[i], model.loss.floor_db).ravel()
-        return out
-    raise ValueError(f"unknown loss kind {kind!r}")
+    if kind not in ("CEP", "GR"):
+        raise ValueError(f"unknown loss kind {kind!r}")
+    out = []
+    for row in flat.astype(np.float64):
+        if kind == "CEP":
+            target = cep_target_reference(row[None], floor_db)[0]
+            if model.loss.sep:
+                joint = target.reshape(model.dims)
+                target = np.concatenate([joint.sum(axis=(1, 2)), joint.sum(axis=(0, 2)),
+                                         joint.sum(axis=(0, 1))])
+        elif model.loss.sep:
+            power = row.reshape(model.dims)
+            target = np.concatenate([
+                floored_db_reference(m[None], floor_db)[0]
+                for m in (power.sum(axis=(1, 2)), power.sum(axis=(0, 2)),
+                          power.sum(axis=(0, 1)))])
+        else:
+            target = floored_db_reference(row[None], floor_db)[0]
+        out.append(target)
+    b = model.weights.shape[1]
+    return np.array(out).reshape(n, b)
 
 
 def _softmax_rows(z):
@@ -900,10 +898,12 @@ def batch_loss_grad_reference(model, z, targets, dmat=None):
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-# The out-of-place forms that losses._floored_db and the cep_target
-# normalisation replaced; the in-place code must match them byte for byte.
+# The out-of-place forms of the floored dB and CEP soft targets, one row of
+# beam powers per sample; predictor.targets, in place, must match them byte
+# for byte.
 
 def floored_db_reference(t, floor_db):
+    """t in dB relative to each row's peak, floored at floor_db."""
     peak = t.max(axis=-1, keepdims=True)
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(np.where(t > 0.0, t / peak, 0.0))
@@ -911,6 +911,7 @@ def floored_db_reference(t, floor_db):
 
 
 def cep_target_reference(t, floor_db):
+    """The floored dB rows shifted by -floor_db and normalised to sum 1."""
     shifted = floored_db_reference(t, floor_db) - floor_db
     return shifted / shifted.sum(axis=1, keepdims=True)
 

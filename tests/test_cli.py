@@ -213,6 +213,17 @@ class TestTrace:
                        "--out", tmp / "bad.csv") == 3
         assert not (tmp / "bad.csv").exists()
 
+    def test_scene_not_config_grid_exit_code(self, pipeline, capsys):
+        # a 32x32 scene under the default 64x64 config: tensorize would read
+        # its path table on the wrong grid and exit 0
+        tmp, _ = pipeline
+        (tmp / "empty.json").write_text("{}")
+        assert run_cli("trace", "--scene", tmp / "s.scene.bgrd", "--tx", tmp / "s.tx.json",
+                       "--config", tmp / "empty.json", "--out", tmp / "bad.csv") == 3
+        assert f"scene grid {tmp / 's.scene.bgrd'}: 32x32; the config's scene is 64x64" \
+            in capsys.readouterr().err
+        assert not (tmp / "bad.csv").exists()
+
     @pytest.mark.parametrize("where", ["config", "tx_site"])
     def test_overflowing_height_exit_code(self, pipeline, capsys, where):
         tmp, cfg = pipeline
@@ -917,6 +928,39 @@ class TestTrainCli:
         assert run_cli("train", "--scenes", scenes,
                        "--model-out", tmp_path / "m.bgmdl") == 3
         assert "not an integer multiple of the tensor grid 32x48" in capsys.readouterr().err
+
+    @staticmethod
+    def _first_train_stem(cfg, scenes):
+        stems = sorted(str(p)[:-len(".scene.bgrd")] for p in scenes.glob("*.scene.bgrd"))
+        return cli._split_scenes(stems, io.load_config(cfg).train.seed)[0][0]
+
+    def test_garbage_mask_named_once(self, scene_dir, capsys):
+        # the grid reader names the file; no scene stem is put before it
+        tmp, cfg, scenes = scene_dir
+        stem = self._first_train_stem(cfg, scenes)
+        Path(f"{stem}.mask.bgrd").write_bytes(b"garbage")
+        assert run_cli("train", "--scenes", scenes, "--config", cfg,
+                       "--model-out", tmp / "m.bgmdl") == 3
+        assert f"error: grid {stem}.mask.bgrd: bad magic at byte offset 0" \
+            in capsys.readouterr().err
+        assert not (tmp / "m.bgmdl").exists()
+
+    @pytest.mark.parametrize("tensor_rows, mask_rows, message", [
+        (8, 4, "mask grid {stem}.mask.bgrd (4, 4) vs tensor grid {stem}.tensors.bgrd (8, 8)"),
+        (5, 5, "scene grid {stem}.scene.bgrd 32x32 is not an integer multiple "
+               "of the tensor grid 5x5"),
+    ], ids=["mask-vs-tensors", "scene-vs-tensors"])
+    def test_grid_mismatch_names_files(self, scene_dir, capsys, tensor_rows, mask_rows,
+                                       message):
+        tmp, cfg, scenes = scene_dir
+        stem = self._first_train_stem(cfg, scenes)
+        io.write_grid(f"{stem}.tensors.bgrd",
+                      np.ones((tensor_rows, tensor_rows, 128), dtype=np.float32))
+        io.write_grid(f"{stem}.mask.bgrd", np.ones((mask_rows, mask_rows), dtype=np.uint8), "u8")
+        assert run_cli("train", "--scenes", scenes, "--config", cfg,
+                       "--model-out", tmp / "m.bgmdl") == 3
+        assert f"error: {message.format(stem=stem)}\n" == capsys.readouterr().err
+        assert not (tmp / "m.bgmdl").exists()
 
     @pytest.mark.parametrize("value", [np.nan, -1e-3], ids=["nan", "negative"])
     def test_bad_beam_power_exit_code(self, scene_dir, capsys, value):

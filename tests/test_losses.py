@@ -1,5 +1,6 @@
-"""The training targets of beamgrid.losses, and the per-sample reference
-losses of conftest that the batch code of predictor is held to."""
+"""The training targets of predictor.targets, one tensor at a time, the
+loss helpers of beamgrid.losses, and the per-sample reference losses of
+conftest that the batch code of predictor is held to."""
 
 import math
 
@@ -15,6 +16,16 @@ from conftest import FLOOR_DB, cep_loss, cep_target_reference, ce_loss, ce_loss_
 
 DIMS8 = (2, 2, 2)
 D8 = lo.beam_distance_matrix(DIMS8)
+
+
+def one_target(kind, tensor, sep=False, floor_db=FLOOR_DB):
+    """pr.targets of a kind model of the tensor's dims, a 1-D tensor's being
+    (len, 1, 1), for that one tensor: its row, or for sep its three heads."""
+    t = np.asarray(tensor, dtype=np.float64)
+    dims = t.shape if t.ndim == 3 else (t.size, 1, 1)
+    model = pr.SoftmaxModel.create(1, dims, pr.LossConfig(kind, sep, floor_db))
+    row = pr.targets(model, t[None])[0]
+    return tuple(np.split(row, np.cumsum(dims)[:2])) if sep else row
 
 
 class TestSoftmax:
@@ -77,28 +88,28 @@ class TestCepTarget:
     def test_peak_dominates(self):
         t = np.zeros((2, 2, 2))
         t[1, 0, 1] = 4.0
-        s = lo.cep_target(t, FLOOR_DB)
+        s = one_target("CEP", t)
         flat = (1 * 2 + 0) * 2 + 1
         assert s.argmax() == flat
         assert s[flat] > s.max(where=np.arange(8) != flat, initial=0)
 
     def test_constant_tensor_uniform(self):
-        s = lo.cep_target(np.full((2, 2, 2), 0.3), FLOOR_DB)
+        s = one_target("CEP", np.full((2, 2, 2), 0.3))
         np.testing.assert_allclose(s, 1 / 8, atol=1e-12)
 
     def test_two_entry_example(self):
-        s = lo.cep_target(np.array([1.0, 0.1]), floor_db=-30.0)
+        s = one_target("CEP", np.array([1.0, 0.1]), floor_db=-30.0)
         np.testing.assert_allclose(s, [0.6, 0.4], atol=1e-12)
 
     def test_zero_tensor_rejected(self):
         with pytest.raises(ValueError):
-            lo.cep_target(np.zeros(8), FLOOR_DB)
+            one_target("CEP", np.zeros(8))
 
     def test_sep_marginals(self):
         rng = np.random.default_rng(3)
         t = rng.uniform(0.01, 1.0, (8, 4, 4))
-        pa, pe, pr = lo.cep_target_sep(t, FLOOR_DB)
-        joint = lo.cep_target(t, FLOOR_DB).reshape(8, 4, 4)
+        pa, pe, pr = one_target("CEP", t, sep=True)
+        joint = one_target("CEP", t).reshape(8, 4, 4)
         np.testing.assert_allclose(pa, joint.sum(axis=(1, 2)), atol=1e-12)
         for v in (pa, pe, pr):
             assert v.sum() == pytest.approx(1.0, abs=1e-9)
@@ -123,7 +134,7 @@ class TestCepLoss:
 
     def test_gradient_finite_differences(self):
         rng = np.random.default_rng(6)
-        s = lo.cep_target(rng.uniform(0.01, 1, 16), FLOOR_DB)
+        s = one_target("CEP", rng.uniform(0.01, 1, 16))
         z = rng.normal(0, 1, 16)
         dev = grad_check(lambda zz: cep_loss(zz, s), z)
         assert dev < 1e-5
@@ -221,7 +232,7 @@ class TestGrLoss:
     def test_exact_prediction(self):
         rng = np.random.default_rng(15)
         t = rng.uniform(0.01, 1, (2, 2, 2))
-        target = lo.gr_target_db(t, FLOOR_DB)
+        target = one_target("GR", t).reshape(t.shape)
         loss, grad = gr_loss(target, t)
         assert loss == 0.0 and not grad.any()
 
@@ -229,7 +240,7 @@ class TestGrLoss:
         rng = np.random.default_rng(16)
         t = rng.uniform(0.01, 1, (2, 2, 2))
         c = 2.5
-        loss, _ = gr_loss(lo.gr_target_db(t, FLOOR_DB) + c, t)
+        loss, _ = gr_loss(one_target("GR", t).reshape(t.shape) + c, t)
         assert loss == pytest.approx(c * c, rel=1e-12)
 
     def test_gradient_finite_differences(self):
@@ -241,7 +252,7 @@ class TestGrLoss:
 
     def test_flooring_matches_cep(self):
         t = np.array([1.0, 1e-9, 0.0])
-        db = lo.gr_target_db(t, floor_db=-30.0)
+        db = one_target("GR", t, floor_db=-30.0)
         np.testing.assert_allclose(db, [0.0, -30.0, -30.0])
 
     @given(st.integers(1, 32), st.integers(1, 64), st.sampled_from([0.0, 0.5, 0.9]),
@@ -253,14 +264,16 @@ class TestGrLoss:
         t[rng.uniform(size=t.shape) < zeros] = 0.0
         t[np.arange(n), rng.integers(0, beams, n)] += 1e-12  # a positive peak
         stack = t.reshape(n, beams, 1, 1)
-        assert lo.gr_target_db(stack, floor).tobytes() == floored_db_reference(t, floor).tobytes()
-        assert lo.cep_target(stack, floor).tobytes() == cep_target_reference(t, floor).tobytes()
+        gr, cep = (pr.SoftmaxModel.create(1, (beams, 1, 1), pr.LossConfig(kind, floor_db=floor))
+                   for kind in ("GR", "CEP"))
+        assert pr.targets(gr, stack).tobytes() == floored_db_reference(t, floor).tobytes()
+        assert pr.targets(cep, stack).tobytes() == cep_target_reference(t, floor).tobytes()
 
     def test_sep_targets(self):
         rng = np.random.default_rng(18)
         t = rng.uniform(0.01, 1, (8, 4, 4))
-        ga, ge, gr = lo.gr_target_db_sep(t, FLOOR_DB)
-        np.testing.assert_allclose(ga, lo.gr_target_db(t.sum(axis=(1, 2)), FLOOR_DB))
+        ga, ge, gr = one_target("GR", t, sep=True)
+        np.testing.assert_allclose(ga, one_target("GR", t.sum(axis=(1, 2))))
         assert ge.shape == (4,) and gr.shape == (4,)
 
 
@@ -291,7 +304,7 @@ class TestGradCheckSuite:
         for _ in range(10):
             z = rng.normal(0, 1, 16)
             assert grad_check(lambda zz: ce_loss(zz, 4), z) < 1e-4
-            s = lo.cep_target(rng.uniform(0.01, 1, 16), FLOOR_DB)
+            s = one_target("CEP", rng.uniform(0.01, 1, 16))
             assert grad_check(lambda zz: cep_loss(zz, s), z) < 1e-4
 
     def test_ce_checker_tight_tolerance(self):

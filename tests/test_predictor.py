@@ -18,9 +18,9 @@ from beamgrid import scene as sc
 from beamgrid.errors import EmptyTrainingSetError
 
 from conftest import FLOOR_DB, batch_loss_grad_reference, batch_loss_reference, ce_loss, \
-    ce_loss_sep, cep_loss, cep_loss_sep, flat_ranking_reference, gr_loss, ir_loss, \
-    ir_ranking, oracle_reference, pixel_exclusion, predict_reference, targets_reference, tensor_grid, \
-    train_reference, validity_masks, ws_loss, ws_loss_sep
+    ce_loss_sep, cep_loss, cep_loss_sep, flat_ranking_reference, floored_db_reference, gr_loss, \
+    ir_loss, ir_ranking, oracle_reference, pixel_exclusion, predict_reference, \
+    targets_reference, tensor_grid, train_reference, validity_masks, ws_loss, ws_loss_sep
 
 
 def _lse(a, axis):
@@ -315,8 +315,9 @@ class TestBatchLossConsistency:
         diffs = z - targets
         expect = (diffs**2).mean(axis=1).mean()
         assert loss == pytest.approx(expect, rel=1e-12)
-        # targets are the floored-dB marginals from the losses module
-        ga, ge, gr_t = lo.gr_target_db_sep(tensors[0], FLOOR_DB)
+        # targets are the floored-dB marginals
+        ga, ge, gr_t = (floored_db_reference(tensors[0].sum(axis=axes)[None], FLOOR_DB)[0]
+                        for axes in ((1, 2), (0, 2), (0, 1)))
         np.testing.assert_allclose(targets[0], np.concatenate([ga, ge, gr_t]))
 
     def test_ir(self):
