@@ -8,7 +8,6 @@ failure (an undefined statistic, or path lengths beyond the float64 range).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import math
@@ -39,6 +38,16 @@ def _load_config(path):
     return gridio.load_config(path) if path else gridio.parse_config({})
 
 
+def _read_plane(path, what, top=None):
+    """The one channel of a grid file; with top, of a u8 grid of values <= top."""
+    grid = gridio.read_grid(path)
+    if grid.shape[2] != 1:
+        raise GridParseError(f"{what} grid {path}: {grid.shape[2]} channels; expected 1")
+    if top is not None and (grid.dtype != np.uint8 or grid.max(initial=0) > top):
+        raise GridParseError(f"{what} grid {path}: expected u8 values 0 to {top}")
+    return grid[:, :, 0]
+
+
 def cmd_generate(args):
     cfg = _load_config(args.config)
     hm = scene.generate_city(args.rows, args.cols, args.seed, cfg.scene)
@@ -53,11 +62,13 @@ def cmd_generate(args):
 def cmd_trace(args):
     cfg = _load_config(args.config)
     hm, tx = _read_site(args.scene, args.tx, cfg)
-    if (hm.rows, hm.cols) != (cfg.scene.rows, cfg.scene.cols):  # tensorize's grid
+    if (hm.rows, hm.cols) != (cfg.scene.rows, cfg.scene.cols):
         raise GridParseError(f"scene grid {args.scene}: {hm.rows}x{hm.cols}; the config's "
                              f"scene is {cfg.scene.rows}x{cfg.scene.cols}")
     channels = scene.trace_paths(hm, tx, cfg.scene)
     gridio.write_paths_csv(args.out, channels)
+    gridio.write_grid(args.out.removesuffix(".paths.csv") + ".los.bgrd",
+                      metrics.los_class_map(hm, channels), "u8")
     streets = int(np.count_nonzero(hm.building == 0))
     mean_paths = channels.n_paths / streets if streets else 0.0
     print(f"pixels={hm.rows * hm.cols} street_pixels={streets} "
@@ -67,7 +78,9 @@ def cmd_trace(args):
 
 def cmd_tensorize(args):
     cfg = _load_config(args.config)
-    shape = (cfg.scene.rows, cfg.scene.cols)
+    los = _read_plane(args.paths.removesuffix(".paths.csv") + ".los.bgrd", "LoS",
+                      metrics.LosClass.LOS_DOMINANT)
+    shape = los.shape  # the traced grid
     channels = gridio.read_paths_csv(args.paths, *shape)
     tx = gridio.load_tx_site(args.tx)
     codebook = gridio.codebook_from_config(cfg)
@@ -92,6 +105,7 @@ def cmd_tensorize(args):
     gridio.write_grid(str(out) + ".tensors.bgrd", flat, "f32")
     gridio.write_grid(str(out) + ".gt.bgrd", gt, "f32")
     gridio.write_grid(str(out) + ".mask.bgrd", valid.astype(np.uint8), "u8")
+    gridio.write_grid(str(out) + ".los.bgrd", los, "u8")
     print(f"tensors={flat.shape[0]}x{flat.shape[1]}x{flat.shape[2]} "
           f"valid={int(valid.sum())} excluded={int((~valid).sum())}")
     return 0
@@ -127,10 +141,7 @@ def _read_tensors(tensors_path, mask_path):
     if tensors.size and not (tensors.min() >= 0.0 and tensors.max() < np.inf):
         raise GridParseError(f"beam power grid {tensors_path} holds a NaN, "
                              "infinite or negative power")
-    mask = gridio.read_grid(mask_path)
-    if mask.shape[2] != 1:
-        raise GridParseError(f"mask grid {mask_path}: {mask.shape[2]} channels; expected 1")
-    valid = mask[:, :, 0].astype(bool)
+    valid = _read_plane(mask_path, "mask").astype(bool)
     if valid.shape != tensors.shape[:2]:
         raise GridParseError(f"mask grid {mask_path} {valid.shape} vs tensor grid "
                              f"{tensors_path} {tensors.shape[:2]}")
@@ -202,10 +213,16 @@ def cmd_evaluate(args):
     if (args.scene is None) != (args.tx is None):
         print("error: --scene and --tx must be given together", file=sys.stderr)
         return 2
-    mask_path = args.mask or args.tensors[:-len(".tensors.bgrd")] + ".mask.bgrd"
+    mask_path = args.mask or args.tensors.removesuffix(".tensors.bgrd") + ".mask.bgrd"
     tensors, valid = _read_tensors(args.tensors, mask_path)
     samples = tensors[valid].astype(np.float64)
     site = _read_site(args.scene, args.tx, cfg) if args.scene else None
+    if site is not None:  # the trace's LoS classes, read before any output is written
+        los_path = mask_path.removesuffix(".mask.bgrd") + ".los.bgrd"
+        los = _read_plane(los_path, "LoS", metrics.LosClass.LOS_DOMINANT)
+        if los.shape != site[0].building.shape:
+            raise GridParseError(f"LoS grid {los_path} {los.shape} vs scene grid "
+                                 f"{args.scene} {site[0].building.shape}")
     scores, kind = _prediction_from_args(args, cfg, valid, samples, site)
     dims = cfg.codebook.dims
     if math.prod(dims) != samples.shape[1]:
@@ -216,19 +233,15 @@ def cmd_evaluate(args):
                                             cfg.budget, excluded=int((~valid).sum()))
     gridio.save_report(args.report, report)
     print(gridio.render_table(report))
-    stem = args.report[:-5] if args.report.endswith(".json") else args.report
+    stem = args.report.removesuffix(".json")
     for k, hit in zip(cfg.eval.k_list, hits):
         img = np.zeros(valid.shape, dtype=np.uint8)
         img[valid] = np.where(hit, 255, 64)
         gridio.write_pgm(f"{stem}.top{k}.pgm", img)
     if site is not None:
-        hm, tx = site
-        direct_only = dataclasses.replace(cfg.scene, max_reflections=0)
-        channels = scene.trace_paths(hm, tx, direct_only)  # LoS needs no reflections
-        los = metrics.los_class_map(hm, channels)
         shades = np.array([64, 160, 255], dtype=np.uint8)  # nlos, attenuated, dominant
         img = shades[los]
-        img[hm.building > 0] = 0
+        img[site[0].building > 0] = 0
         gridio.write_pgm(f"{stem}.los.pgm", img)
     return 0
 
@@ -259,7 +272,7 @@ def _load_scene_samples(stem, site, model):
 
 def cmd_train(args):
     cfg = _load_config(args.config)
-    stems = sorted(str(p)[:-len(".scene.bgrd")]
+    stems = sorted(str(p).removesuffix(".scene.bgrd")
                    for p in Path(args.scenes).glob("*.scene.bgrd"))
     if len(stems) < 3:
         raise InsufficientDataError(

@@ -132,7 +132,8 @@ def los_class_map(hm, channels):
     than the direct path, and its loss is >= 0 dB. The map
     therefore depends on the direct path only, and channels traced with
     max_reflections=0 give the same map. Requires tracer-produced channels
-    (direct-path metadata).
+    (direct-path metadata). trace stores the map as the u8 grid
+    <stem>.los.bgrd, which tensorize and evaluate --scene read.
     """
     if channels.has_direct is None or channels.direct_veg_db is None:
         raise ValueError("channels lack direct-path metadata; re-trace the scene")

@@ -72,8 +72,8 @@ class TxSite:
 @dataclass(frozen=True)
 class SceneConfig:
     """The `scene` config section: propagation constants, receiver and
-    mast heights, and the city generator's knobs. Only tensorize reads rows
-    and cols, the grid of a path table; generate takes --rows and --cols."""
+    mast heights, and the city generator's knobs. Only trace reads rows and
+    cols, to check its scene grid; generate takes --rows and --cols."""
 
     rows: int = 64
     cols: int = 64

@@ -304,9 +304,9 @@ def test_cli_pipeline_byte_identical(tmp_path):
 
     a = run_pipeline(tmp_path / "run_a")
     b = run_pipeline(tmp_path / "run_b")
-    names = ["s.scene.bgrd", "s.tx.json", "s.paths.csv", "s.tensors.bgrd",
-             "s.gt.bgrd", "s.mask.bgrd", "report.json", "report.top1.pgm",
-             "report.los.pgm"]
+    names = ["s.scene.bgrd", "s.tx.json", "s.paths.csv", "s.los.bgrd",
+             "s.tensors.bgrd", "s.gt.bgrd", "s.mask.bgrd", "report.json",
+             "report.top1.pgm", "report.los.pgm"]
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     print("\nPASS  determinism: two full pipeline runs byte-identical "

@@ -37,6 +37,11 @@ def write_config(path, **scene_overrides):
     return path
 
 
+def write_los(path, rows, cols):
+    """An all-NLoS LoS grid, for a hand-written path table or tensors set."""
+    io.write_grid(path, np.zeros((rows, cols), dtype=np.uint8), "u8")
+
+
 @pytest.fixture()
 def pipeline(tmp_path):
     """generate + trace on a small scene; returns the working dir paths."""
@@ -128,6 +133,8 @@ class TestTrace:
                        "--tx", tmp / "s.tx.json", "--config", cfg,
                        "--out", tmp / "again.csv") == 0
         assert (tmp / "s.paths.csv").read_bytes() == (tmp / "again.csv").read_bytes()
+        # the LoS grid's stem is the whole --out unless it ends in .paths.csv
+        assert (tmp / "s.los.bgrd").read_bytes() == (tmp / "again.csv.los.bgrd").read_bytes()
 
     def test_path_count_bound(self, pipeline):
         tmp, cfg = pipeline
@@ -286,6 +293,7 @@ class TestTensorize:
         fields[column] = value
         lines[1] = ",".join(fields)
         (tmp / "bad.paths.csv").write_text("\n".join(lines) + "\n")
+        (tmp / "bad.los.bgrd").write_bytes((tmp / "s.los.bgrd").read_bytes())
         assert run_cli("tensorize", "--paths", tmp / "bad.paths.csv",
                        "--tx", tmp / "s.tx.json", "--config", cfg,
                        "--out", tmp / "bad", "--downscale", 1) == 3
@@ -296,6 +304,7 @@ class TestTensorize:
         tmp, cfg = pipeline
         bad = tmp / "bad.paths.csv"
         bad.write_text(io.PATH_HEADER + "\n1,2,3\n")
+        (tmp / "bad.los.bgrd").write_bytes((tmp / "s.los.bgrd").read_bytes())
         assert run_cli("tensorize", "--paths", bad, "--tx", tmp / "s.tx.json",
                        "--config", cfg, "--out", tmp / "bad", "--downscale", 1) == 3
         assert f"path file {bad}: line 2: expected 7 fields, got 3" \
@@ -336,7 +345,7 @@ class TestTensorize:
         """A 32x32 config, a tx site with an identity array frame and a path
         file of (row, col, magnitude, azimuth beam, arrival azimuth) paths
         that depart exactly on the given azimuth beam of the 8x4x4 default
-        codebook (elevation beam 0)."""
+        codebook (elevation beam 0), with its 32x32 LoS grid."""
         cfg = write_config(tmp / "cfg.json")
         io.save_tx_site(tmp / "tx.json", sc.TxSite((0, 0), 5.0, ch.ArrayFrame(0.0, 0.0)))
         lines = [io.PATH_HEADER]
@@ -344,6 +353,7 @@ class TestTensorize:
             az, el = on_grid_direction(ia, 0, 8, 4)
             lines.append(f"{r},{c},{mag!r},0.0,{az!r},{el!r},{aoa!r}")
         (tmp / "p.csv").write_text("\n".join(lines) + "\n")
+        write_los(tmp / "p.csv.los.bgrd", 32, 32)
         return cfg
 
     def test_block_mean_below_threshold_excluded(self, tmp_path):
@@ -416,6 +426,7 @@ class TestTensorize:
             cfg = write_config(tmp / "cfg.json", rows=rows, cols=cols)
             io.save_tx_site(tmp / "tx.json", sc.TxSite((0, 0), 5.0, frame))
             (tmp / "p.csv").write_text("\n".join(lines) + "\n")
+            write_los(tmp / "p.csv.los.bgrd", rows, cols)
             assert run_cli("tensorize", "--paths", tmp / "p.csv", "--tx", tmp / "tx.json",
                            "--config", cfg, "--out", tmp / "t",
                            "--downscale", factor) == 0
@@ -429,11 +440,40 @@ class TestTensorize:
     def test_non_divisible_downscale_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", rows=18, cols=18)
         (tmp_path / "p.csv").write_text(io.PATH_HEADER + "\n")
+        write_los(tmp_path / "p.csv.los.bgrd", 18, 18)
         io.save_tx_site(tmp_path / "tx.json",
                         sc.TxSite((0, 0), 5.0, ch.ArrayFrame(0, 0)))
         assert run_cli("tensorize", "--paths", tmp_path / "p.csv",
                        "--tx", tmp_path / "tx.json", "--config", cfg,
                        "--out", tmp_path / "t", "--downscale", 4) == 3
+
+    def test_grid_from_the_trace_not_the_config(self, tmp_path):
+        # the grid was the config's scene.rows/cols: under {} (64x64) a 32x32
+        # trace gave a 16x16 tensors set, whose oracle report excluded 217
+        # blocks instead of 25
+        cfg = write_config(tmp_path / "cfg.json")
+        (tmp_path / "empty.json").write_text("{}")
+        s = tmp_path / "s"
+        assert run_cli("generate", "--rows", 32, "--cols", 32, "--seed", 2, "--config", cfg,
+                       "--out", f"{s}.scene.bgrd", "--tx-out", f"{s}.tx.json") == 0
+        assert run_cli("trace", "--scene", f"{s}.scene.bgrd", "--tx", f"{s}.tx.json",
+                       "--config", cfg, "--out", f"{s}.paths.csv") == 0
+        for out, config in (("a", cfg), ("b", tmp_path / "empty.json")):
+            assert run_cli("tensorize", "--paths", f"{s}.paths.csv", "--tx", f"{s}.tx.json",
+                           "--config", config, "--out", tmp_path / out) == 0
+        for kind in ("tensors", "gt", "mask", "los"):
+            assert (tmp_path / f"a.{kind}.bgrd").read_bytes() \
+                == (tmp_path / f"b.{kind}.bgrd").read_bytes(), kind
+        assert io.read_grid(tmp_path / "b.tensors.bgrd").shape == (8, 8, 128)
+        assert (tmp_path / "b.los.bgrd").read_bytes() == (tmp_path / "s.los.bgrd").read_bytes()
+
+    def test_missing_los_grid_names_file(self, pipeline, capsys):
+        tmp, cfg = pipeline
+        (tmp / "s.los.bgrd").unlink()
+        assert run_cli("tensorize", "--paths", tmp / "s.paths.csv", "--tx", tmp / "s.tx.json",
+                       "--config", cfg, "--out", tmp / "t") == 3
+        assert str(tmp / "s.los.bgrd") in capsys.readouterr().err
+        assert not (tmp / "t.tensors.bgrd").exists()
 
 
 class TestEvaluate:
@@ -483,30 +523,75 @@ class TestEvaluate:
         los = (tmp / "r3.los.pgm").read_bytes()
         assert los.startswith(b"P5\n32 32\n255\n")
 
-    def test_los_map_traces_direct_paths_only(self, tensorized, monkeypatch):
+    def test_los_map_comes_from_the_trace(self, tensorized, monkeypatch):
         tmp, cfg = tensorized
         conf = io.load_config(cfg)
         grid = io.read_grid(tmp / "s.scene.bgrd")
         grid[:16, :, 1] = np.where(grid[:16, :, 0] > 0, 0.0, 12.0)  # canopy: attenuated LoS
         io.write_grid(tmp / "veg.scene.bgrd", grid)
+        assert run_cli("trace", "--scene", tmp / "veg.scene.bgrd", "--tx", tmp / "s.tx.json",
+                       "--config", cfg, "--out", tmp / "veg.paths.csv") == 0
+        assert run_cli("tensorize", "--paths", tmp / "veg.paths.csv", "--tx", tmp / "s.tx.json",
+                       "--config", cfg, "--out", tmp / "vt") == 0
         grid = grid.astype(np.float64)
         hm = sc.HeightMap(grid[:, :, 0], grid[:, :, 1], conf.scene.resolution_m)
-        tx = io.load_tx_site(tmp / "s.tx.json")
-        full = sc.trace_paths(hm, tx, conf.scene)
-        classes = los_class_reference(full)
+        classes = los_class_reference(sc.trace_paths(hm, io.load_tx_site(tmp / "s.tx.json"),
+                                                     conf.scene))
         assert set(np.unique(classes)) == {0, 1, 2}
         img = np.array([64, 160, 255], dtype=np.uint8)[classes]
         img[hm.building > 0] = 0
 
-        def no_walls(*args, **kwargs):
-            raise AssertionError("the LoS map needs no reflections")
+        def no_trace(*args, **kwargs):
+            raise AssertionError("evaluate reads the trace's LoS grid")
 
-        monkeypatch.setattr(sc, "exterior_walls", no_walls)
-        assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd",
+        monkeypatch.setattr(sc, "trace_paths", no_trace)
+        assert run_cli("evaluate", "--tensors", tmp / "vt.tensors.bgrd",
                        "--pred", "oracle", "--config", cfg,
                        "--report", tmp / "r6.json",
                        "--scene", tmp / "veg.scene.bgrd", "--tx", tmp / "s.tx.json") == 0
         assert (tmp / "r6.los.pgm").read_bytes() == b"P5\n32 32\n255\n" + img.tobytes()
+
+    @pytest.mark.parametrize("override", [{"rx_height_m": 6.0}, {"vegetation_db_per_m": 0.0}],
+                             ids=["rx-height", "no-vegetation-loss"])
+    def test_los_map_ignores_the_evaluate_config(self, tmp_path, override):
+        # evaluate re-traced the direct paths under its own config, so either
+        # value gave another LoS map of this scene at exit 0
+        cfg = write_config(tmp_path / "cfg.json")
+        other = write_config(tmp_path / "other.json", **override)
+        s = tmp_path / "s"
+        assert run_cli("generate", "--rows", 32, "--cols", 32, "--seed", 2, "--config", cfg,
+                       "--out", f"{s}.scene.bgrd", "--tx-out", f"{s}.tx.json") == 0
+        assert run_cli("trace", "--scene", f"{s}.scene.bgrd", "--tx", f"{s}.tx.json",
+                       "--config", cfg, "--out", f"{s}.paths.csv") == 0
+        assert run_cli("tensorize", "--paths", f"{s}.paths.csv", "--tx", f"{s}.tx.json",
+                       "--config", cfg, "--out", s) == 0
+        for report, config in (("a", cfg), ("b", other)):
+            assert run_cli("evaluate", "--tensors", f"{s}.tensors.bgrd", "--pred", "oracle",
+                           "--config", config, "--report", tmp_path / f"{report}.json",
+                           "--scene", f"{s}.scene.bgrd", "--tx", f"{s}.tx.json") == 0
+        assert (tmp_path / "a.los.pgm").read_bytes() == (tmp_path / "b.los.pgm").read_bytes()
+
+    @pytest.mark.parametrize("fault", ["missing", "two-channels", "class-3", "f32", "shape"])
+    def test_bad_los_grid_writes_nothing(self, tensorized, capsys, fault):
+        tmp, cfg = tensorized
+        los = tmp / "t.los.bgrd"
+        if fault == "missing":
+            los.unlink()
+        elif fault == "two-channels":
+            io.write_grid(los, np.zeros((32, 32, 2), dtype=np.uint8), "u8")
+        elif fault == "class-3":
+            grid = io.read_grid(los)
+            grid[5, 7] = 3
+            io.write_grid(los, grid, "u8")
+        elif fault == "f32":
+            io.write_grid(los, io.read_grid(los), "f32")
+        else:
+            write_los(los, 16, 16)
+        assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd", "--pred", "oracle",
+                       "--config", cfg, "--report", tmp / "r.json",
+                       "--scene", tmp / "s.scene.bgrd", "--tx", tmp / "s.tx.json") == 3
+        assert str(los) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp.glob("r*")) == []
 
     @pytest.mark.parametrize("pred", ["oracle", "grid", "model"])
     def test_beam_count_mismatch_exit_code(self, pipeline, capsys, pred):
@@ -812,6 +897,7 @@ class TestEvaluateMatchesReference:
                 "codebook": dict(zip(("Na", "Ne", "Nr"), dims)), "eval": {"k_list": k_list}}))
             io.write_grid(tmp / "t.tensors.bgrd", tensors)
             io.write_grid(tmp / "t.mask.bgrd", valid.astype(np.uint8), "u8")
+            write_los(tmp / "t.los.bgrd", rows * factor, cols * factor)
             site = []
             if source == "oracle":
                 pred, kind = "oracle", "joint"
