@@ -8,8 +8,7 @@ verified analytic gradients and a small trainable per-pixel classifier.
 
 from .channel import (ArrayFrame, BeamspaceAngles, Codebook, beamspace_angles,
                       dft_codebook, global_to_array_frame, sector_index)
-from .metrics import (EvalReport, LinkBudget, LosClass, exclusion_mask,
-                      los_class_map, noise_power_dbm, snr)
+from .metrics import EvalReport, LinkBudget, exclusion_mask, noise_power_dbm, snr
 from .scene import (HeightMap, SceneChannels, SceneConfig, TxSite,
                     downscale_tensor_map, effective_tensor_map, generate_city,
                     place_tx, trace_paths)

@@ -43,8 +43,7 @@ def _read_plane(path, what, top=None):
     grid = gridio.read_grid(path)
     if grid.shape[2] != 1:
         raise GridParseError(f"{what} grid {path}: {grid.shape[2]} channels; expected 1")
-    # int(top): comparing a NumPy scalar with an IntEnum costs 128 KB of peak RSS
-    if top is not None and (grid.dtype != np.uint8 or grid.max(initial=0) > int(top)):
+    if top is not None and (grid.dtype != np.uint8 or grid.max(initial=0) > top):
         raise GridParseError(f"{what} grid {path}: expected u8 values 0 to {top}")
     return grid[:, :, 0]
 
@@ -68,8 +67,7 @@ def cmd_trace(args):
                              f"scene is {cfg.scene.rows}x{cfg.scene.cols}")
     channels = scene.trace_paths(hm, tx, cfg.scene)
     gridio.write_paths_csv(args.out, channels)
-    gridio.write_grid(args.out.removesuffix(".paths.csv") + ".los.bgrd",
-                      metrics.los_class_map(hm, channels), "u8")
+    gridio.write_grid(args.out.removesuffix(".paths.csv") + ".los.bgrd", channels.los, "u8")
     streets = int(np.count_nonzero(hm.building == 0))
     mean_paths = channels.n_paths / streets if streets else 0.0
     print(f"pixels={hm.rows * hm.cols} street_pixels={streets} "
@@ -80,7 +78,7 @@ def cmd_trace(args):
 def cmd_tensorize(args):
     cfg = _load_config(args.config)
     los = _read_plane(args.paths.removesuffix(".paths.csv") + ".los.bgrd", "LoS",
-                      metrics.LosClass.LOS_DOMINANT)
+                      scene.LOS_DOMINANT)
     shape = los.shape  # the traced grid
     channels = gridio.read_paths_csv(args.paths, *shape)
     tx = gridio.load_tx_site(args.tx)
@@ -134,15 +132,15 @@ def _read_site(scene_path, tx_path, cfg):
 
 
 def _read_tensors(tensors_path, mask_path):
-    """Beam tensors, as stored (f32), and their validity mask, checked to
-    share one grid and to hold only finite, non-negative powers. A caller
-    converts to float64 only the valid rows."""
+    """Beam tensors, as stored (f32), and their validity mask (a u8 grid of
+    0 and 1), checked to share one grid and to hold only finite,
+    non-negative powers. A caller converts to float64 only the valid rows."""
     tensors = gridio.read_grid(tensors_path)
     # min and max propagate NaN, and make no grid-sized temporary
     if tensors.size and not (tensors.min() >= 0.0 and tensors.max() < np.inf):
         raise GridParseError(f"beam power grid {tensors_path} holds a NaN, "
                              "infinite or negative power")
-    valid = _read_plane(mask_path, "mask").astype(bool)
+    valid = _read_plane(mask_path, "mask", 1).astype(bool)
     if valid.shape != tensors.shape[:2]:
         raise GridParseError(f"mask grid {mask_path} {valid.shape} vs tensor grid "
                              f"{tensors_path} {tensors.shape[:2]}")
@@ -220,7 +218,7 @@ def cmd_evaluate(args):
     site = _read_site(args.scene, args.tx, cfg) if args.scene else None
     if site is not None:  # the trace's LoS classes, read before any output is written
         los_path = mask_path.removesuffix(".mask.bgrd") + ".los.bgrd"
-        los = _read_plane(los_path, "LoS", metrics.LosClass.LOS_DOMINANT)
+        los = _read_plane(los_path, "LoS", scene.LOS_DOMINANT)
         if los.shape != site[0].building.shape:
             raise GridParseError(f"LoS grid {los_path} {los.shape} vs scene grid "
                                  f"{args.scene} {site[0].building.shape}")
@@ -240,7 +238,8 @@ def cmd_evaluate(args):
         img[valid] = np.where(hit, 255, 64)
         gridio.write_pgm(f"{stem}.top{k}.pgm", img)
     if site is not None:
-        shades = np.array([64, 160, 255], dtype=np.uint8)  # nlos, attenuated, dominant
+        # the shades of scene.NLOS, LOS_ATTENUATED and LOS_DOMINANT
+        shades = np.array([64, 160, 255], dtype=np.uint8)
         img = shades[los]
         img[site[0].building > 0] = 0
         gridio.write_pgm(f"{stem}.los.pgm", img)
@@ -302,6 +301,10 @@ def cmd_train(args):
     x_train, t_train = gather(train_stems)
     x_val, t_val = gather(val_stems)
     trained, history = predictor.train(model, x_train, t_train, cfg.train, x_val, t_val)
+    with np.errstate(over="ignore"):  # the model file holds f32 weights
+        stored = [a.astype(np.float32) for a in (trained.weights, trained.bias)]
+    if not all(np.isfinite(a).all() for a in stored):
+        raise NumericError("the trained weights overflow the model file's f32")
     gridio.save_model(args.model_out, trained)
     history_path = args.history_out or args.model_out + ".history.csv"
     with open(history_path, "w", encoding="ascii", newline="\n") as fh:

@@ -118,19 +118,20 @@ def read_grid(path):
 
 def write_paths_csv(path, channels):
     """Write a SceneChannels path table; row order is pixel-major with the
-    tracer's per-pixel path order preserved."""
-    rows = channels.pixel // channels.cols
-    cols = channels.pixel % channels.cols
+    tracer's per-pixel path order preserved. Each value is its float's
+    repr, so the table reads back bit for bit; the LoS grid is not in it."""
+    rows, cols = np.divmod(channels.pixel, channels.cols)
+    columns = (rows, cols, channels.magnitude, channels.phase, channels.aod_azimuth,
+               channels.aod_elevation, channels.aoa_azimuth)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(PATH_HEADER + "\n")
-        for i in range(channels.n_paths):
-            fh.write(f"{rows[i]},{cols[i]},{float(channels.magnitude[i])!r},"
-                     f"{float(channels.phase[i])!r},{float(channels.aod_azimuth[i])!r},"
-                     f"{float(channels.aod_elevation[i])!r},{float(channels.aoa_azimuth[i])!r}\n")
+        fh.writelines("%d,%d,%r,%r,%r,%r,%r\n" % line
+                      for line in zip(*(column.tolist() for column in columns)))
 
 
 def read_paths_csv(path, rows, cols):
-    """Parse a path table back into SceneChannels (no direct-path metadata).
+    """Parse a path table back into SceneChannels, their los None: a path
+    table carries no LoS grid.
 
     A malformed line, a pixel off the grid, a non-finite value or a
     non-ASCII byte raises GridParseError naming the file.

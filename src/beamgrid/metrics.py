@@ -14,7 +14,6 @@ path gain, with inclusion at the exact boundary.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -113,32 +112,3 @@ def evaluate_ranking(tensors, rankings, k_list, budget, excluded=0):
                         tpr=tpr, samples=len(rankings), excluded=int(excluded))
     return report, hits
 
-
-class LosClass(enum.IntEnum):
-    NLOS = 0
-    LOS_ATTENUATED = 1
-    LOS_DOMINANT = 2
-
-
-def los_class_map(hm, channels):
-    """Classify each pixel by its direct-path status.
-
-    LOS_DOMINANT: unattenuated direct path that is also the strongest
-    arrival; LOS_ATTENUATED: direct path that crossed vegetation; NLOS: no
-    direct path (building interiors included). An unattenuated direct path
-    is always the strongest arrival: the tracer's reflection screen
-    (_kernels._reflection_candidates) keeps both endpoints strictly on a
-    wall's outward side, so every first-order reflection is strictly longer
-    than the direct path, and its loss is >= 0 dB. The map
-    therefore depends on the direct path only, and channels traced with
-    max_reflections=0 give the same map. Requires tracer-produced channels
-    (direct-path metadata). trace stores the map as the u8 grid
-    <stem>.los.bgrd, which tensorize and evaluate --scene read.
-    """
-    if channels.has_direct is None or channels.direct_veg_db is None:
-        raise ValueError("channels lack direct-path metadata; re-trace the scene")
-    if (hm.rows, hm.cols) != (channels.rows, channels.cols):
-        raise ValueError("height map and channels disagree on the grid shape")
-    los = np.where(channels.direct_veg_db > 0.0,
-                   LosClass.LOS_ATTENUATED, LosClass.LOS_DOMINANT)
-    return np.where(channels.has_direct, los, LosClass.NLOS).astype(np.int8)

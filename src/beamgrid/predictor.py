@@ -29,7 +29,7 @@ import numpy as np
 from . import losses
 from .channel import TWO_PI, beamspace_angles, gain_profiles, \
     global_to_array_frame, sector_index
-from .errors import EmptyTrainingSetError
+from .errors import EmptyTrainingSetError, NumericError
 
 FEATURE_VERSION = 1
 FEATURE_NAMES = (
@@ -408,7 +408,10 @@ def train(model, x_train, t_train, hyper=None, x_val=None, t_val=None):
     multiplied by lr_decay whenever the validation loss has not improved for
     `patience` consecutive epochs; training stops early once the rate falls
     below lr * MIN_LR_FACTOR. The returned model carries the weights of the
-    best validation epoch. Deterministic given the model seed.
+    best validation epoch. Deterministic given the model seed. Steps and
+    losses run with overflow and invalid-value warnings off: an epoch
+    whose validation loss they make infinite or NaN never wins, and when
+    no epoch's is finite, train raises NumericError.
 
     The train loss, which only the history reads, is scored on a copy of
     each epoch's weights by a worker thread while the next epoch runs.
@@ -436,10 +439,11 @@ def train(model, x_train, t_train, hyper=None, x_val=None, t_val=None):
     epochs = []  # (epoch, future of the train loss, val loss, lr)
 
     n = x_train.shape[0]
-    # the worker runs in the caller's context, so the caller's np.errstate
-    # holds for the train loss too
-    context = contextvars.copy_context()
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with np.errstate(over="ignore", invalid="ignore"), \
+            ThreadPoolExecutor(max_workers=1) as pool:
+        # the worker runs in this context, so the errstate holds for the
+        # train loss too
+        context = contextvars.copy_context()
         for epoch in range(hyper.epochs):
             order = rng.permutation(n)
             for start in range(0, n, hyper.batch):
@@ -472,5 +476,7 @@ def train(model, x_train, t_train, hyper=None, x_val=None, t_val=None):
                     if lr < hyper.lr * MIN_LR_FACTOR:
                         break
     history = [(epoch, loss.result(), val, rate) for epoch, loss, val, rate in epochs]
+    if not math.isfinite(best[0]):
+        raise NumericError("no epoch gave a finite validation loss")
     trained = replace(model, weights=best[1], bias=best[2])
     return trained, history

@@ -6,7 +6,9 @@ visibility with per-metre vegetation attenuation) and first-order specular
 reflections off exterior building walls found by mirroring the transmitter,
 each validated by two visibility tests. Diffraction is not modelled and
 reflections are limited to one bounce; at this scale that already produces
-the beam diversity in shadowed regions that the evaluation needs.
+the beam diversity in shadowed regions that the evaluation needs. The
+tracer also classes each pixel by its direct path (NLOS, LOS_ATTENUATED,
+LOS_DOMINANT): the u8 LoS grid that trace writes as <stem>.los.bgrd.
 
 SceneConfig is the `scene` section of a run config itself: generate_city,
 place_tx and trace_paths read their settings from it, and its
@@ -29,6 +31,12 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 # neighbour scan order used for tie-breaking: north, west, east, south
 _NEIGHBORS = ((-1, 0), (0, -1), (0, 1), (1, 0))
+
+# LoS classes of SceneChannels.los: no direct path (building interiors
+# included), a direct path that crossed vegetation, an unattenuated one
+NLOS = 0
+LOS_ATTENUATED = 1
+LOS_DOMINANT = 2
 
 
 @dataclass
@@ -117,10 +125,10 @@ class SceneChannels:
 
     pixel holds the row-major pixel id of each path and is non-decreasing,
     so each pixel's paths are one contiguous run; when a pixel has a direct
-    path it occupies the first slot. has_direct/direct_veg_db (direct path
-    flag and its vegetation loss in dB) come from the tracer alone, do not
-    depend on the reflections traced, and are None on channels loaded from
-    a paths CSV, which does not store them.
+    path it occupies the first slot. los is the tracer's u8 grid of LoS
+    classes (NLOS, LOS_ATTENUATED, LOS_DOMINANT), shape (rows, cols); it
+    does not depend on the reflections traced, and it is None on channels
+    read from a path table, which carries no LoS grid.
     """
 
     rows: int
@@ -131,8 +139,12 @@ class SceneChannels:
     aod_azimuth: np.ndarray
     aod_elevation: np.ndarray
     aoa_azimuth: np.ndarray
-    has_direct: np.ndarray | None = None
-    direct_veg_db: np.ndarray | None = None
+    los: np.ndarray | None = None
+
+    @property
+    def has_direct(self):
+        """Whether each pixel has a direct path, shape (rows, cols)."""
+        return self.los > NLOS
 
     @property
     def n_paths(self):
@@ -309,6 +321,16 @@ def trace_paths(hm, tx, cfg):
     and computes their values. max_reflections=0 skips wall extraction.
     Heights so large that path lengths would overflow float64 raise
     NumericError (_check_path_reach).
+
+    The LoS grid classes a pixel with a direct path LOS_ATTENUATED when
+    that path loses more than 0 dB in vegetation, else LOS_DOMINANT, and
+    every other pixel NLOS. An unattenuated direct path is always the
+    strongest arrival: the reflection screen
+    (_kernels._reflection_candidates) keeps both endpoints strictly on a
+    wall's outward side, so every first-order reflection is strictly
+    longer than the direct path, and its loss is >= 0 dB. The grid
+    therefore depends on the direct paths only, and max_reflections=0
+    gives the same grid.
     """
     r, c = tx.pixel
     if not (0 <= r < hm.rows and 0 <= c < hm.cols):
@@ -322,17 +344,13 @@ def trace_paths(hm, tx, cfg):
     pixel, direct, veg_len, amp, psi, aod_az, aod_el, aoa_az = _kernels.trace(
         hm.building, hm.vegetation, walls, tx_x, tx_y, tx.height_m, cfg.rx_height_m, res,
         cfg.wavelength_m, refl_amp, cfg.vegetation_db_per_m)
-    n_px = hm.rows * hm.cols
-    has_direct = np.zeros(n_px, dtype=bool)
-    has_direct[pixel[direct]] = True
-    direct_veg_db = np.zeros(n_px)
-    direct_veg_db[pixel[direct]] = cfg.vegetation_db_per_m * veg_len[direct]
+    los = np.zeros((hm.rows, hm.cols), dtype=np.uint8)
+    los.flat[pixel[direct]] = np.where(cfg.vegetation_db_per_m * veg_len[direct] > 0.0,
+                                       LOS_ATTENUATED, LOS_DOMINANT)
     return SceneChannels(
         rows=hm.rows, cols=hm.cols, pixel=pixel,
         magnitude=amp, phase=psi, aod_azimuth=aod_az,
-        aod_elevation=aod_el, aoa_azimuth=aoa_az,
-        has_direct=has_direct.reshape(hm.rows, hm.cols),
-        direct_veg_db=direct_veg_db.reshape(hm.rows, hm.cols))
+        aod_elevation=aod_el, aoa_azimuth=aoa_az, los=los)
 
 
 def effective_tensor_map(channels, codebook, frame):

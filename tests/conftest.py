@@ -383,19 +383,88 @@ def tensorize_reference(channels, codebook, frame, budget, factor):
     return flat, np.argmax(flat, axis=-1), valid
 
 
-def los_class_reference(channels):
-    """LoS classes by the per-pixel rule on the stored paths: a direct path
-    is dominant only when it crossed no vegetation and no other arrival of
-    the pixel is stronger."""
-    out = np.zeros((channels.rows, channels.cols), dtype=np.int8)
-    for r in range(channels.rows):
-        for c in range(channels.cols):
-            if not channels.has_direct[r, c]:
+def trace_reference(hm, tx, cfg):
+    """Per-pixel loop tracer: march each candidate and find specular points
+    with the scalar kernels of conftest (march, mirror_hit), using the
+    tracer's formulas.
+
+    Returns (counts, paths, has_direct, direct_veg_db): the path count of
+    each pixel, one (magnitude, phase, aod_az, aod_el, aoa_az) row per path
+    in storage order, and each pixel's direct path flag and its vegetation
+    loss in dB.
+    """
+    res = hm.resolution_m
+    walls = sc.exterior_walls(hm.building, res) if cfg.max_reflections else np.zeros((0, 6))
+    tx_x, tx_y = sc.pixel_center(tx.pixel, res)
+    tx_z = tx.height_m
+    rx_z = cfg.rx_height_m
+    lam = cfg.wavelength_m
+    refl_amp = 10.0 ** (-cfg.reflection_loss_db / 20.0)
+    eps = 1e-6 * res
+    counts = np.zeros((hm.rows, hm.cols), dtype=np.int64)
+    has_direct = np.zeros((hm.rows, hm.cols), dtype=bool)
+    direct_veg_db = np.zeros((hm.rows, hm.cols))
+    paths = []
+
+    def clear(x0, y0, z0, x1, y1, z1):
+        return march(hm.building, hm.vegetation, x0, y0, z0, x1, y1, z1, res)
+
+    def add(r, c, amp, length, toward, arrival):
+        # toward: the point the path leaves tx for; arrival: the horizontal
+        # vector from rx back along the arriving path
+        dx, dy = toward[0] - tx_x, toward[1] - tx_y
+        paths.append((amp, (-ch.TWO_PI * length / lam) % ch.TWO_PI,
+                      _kernels._bearing(dx, dy),
+                      math.atan2(toward[2] - tx_z, math.hypot(dx, dy)),
+                      _kernels._bearing(*arrival)))
+        counts[r, c] += 1
+
+    for r in range(hm.rows):
+        for c in range(hm.cols):
+            if hm.building[r, c] > 0.0:
                 continue
-            mags = channels.magnitude[paths_at(channels, r, c)]
-            attenuated = channels.direct_veg_db[r, c] > 0.0 or mags[0] < mags.max()
-            out[r, c] = mt.LosClass.LOS_ATTENUATED if attenuated \
-                else mt.LosClass.LOS_DOMINANT
+            rx_x, rx_y = sc.pixel_center((r, c), res)
+            d2 = (rx_x - tx_x) ** 2 + (rx_y - tx_y) ** 2 + (rx_z - tx_z) ** 2
+            if d2 > 0.0:
+                visible, veg_len = clear(tx_x, tx_y, tx_z, rx_x, rx_y, rx_z)
+                if visible:
+                    d = math.sqrt(d2)
+                    att_db = cfg.vegetation_db_per_m * veg_len
+                    has_direct[r, c] = True
+                    direct_veg_db[r, c] = att_db
+                    add(r, c, lam / (4.0 * math.pi * d) * 10.0 ** (-att_db / 20.0), d,
+                        (rx_x, rx_y, rx_z), (-(rx_x - tx_x), -(rx_y - tx_y)))
+            for wall in walls:
+                ok, hx, hy, hz, plen = mirror_hit(wall, tx_x, tx_y, tx_z,
+                                                  rx_x, rx_y, rx_z)
+                if not ok:
+                    continue
+                if wall[0] == 0.0:
+                    hx += eps * wall[5]
+                else:
+                    hy += eps * wall[5]
+                if (clear(tx_x, tx_y, tx_z, hx, hy, hz)[0]
+                        and clear(hx, hy, hz, rx_x, rx_y, rx_z)[0]):
+                    add(r, c, lam / (4.0 * math.pi * plen) * refl_amp, plen,
+                        (hx, hy, hz), (hx - rx_x, hy - rx_y))
+    return counts, np.array(paths).reshape(-1, 5), has_direct, direct_veg_db
+
+
+def los_class_reference(trace):
+    """LoS classes by the per-pixel rule on trace_reference's output: a
+    pixel with a direct path is LOS_DOMINANT only when that path crossed no
+    vegetation and no other arrival of the pixel is stronger, else
+    LOS_ATTENUATED; every other pixel is NLOS."""
+    counts, paths, has_direct, direct_veg_db = trace
+    ends = np.cumsum(counts).reshape(counts.shape)
+    out = np.full(counts.shape, sc.NLOS, dtype=np.uint8)
+    for r in range(counts.shape[0]):
+        for c in range(counts.shape[1]):
+            if not has_direct[r, c]:
+                continue
+            mags = paths[ends[r, c] - counts[r, c]:ends[r, c], 0]
+            attenuated = direct_veg_db[r, c] > 0.0 or mags[0] < mags.max()
+            out[r, c] = sc.LOS_ATTENUATED if attenuated else sc.LOS_DOMINANT
     return out
 
 

@@ -23,7 +23,7 @@ from beamgrid.cli import main
 
 from conftest import assert_report_matches, evaluate_reference, flat_ranking_reference, \
     grid_to_bytes, los_class_reference, on_grid_direction, oracle_reference, predict_reference, tensor_grid, tensorize_reference, \
-    validity_masks
+    trace_reference, validity_masks
 
 
 def run_cli(*args):
@@ -535,8 +535,8 @@ class TestEvaluate:
                        "--config", cfg, "--out", tmp / "vt") == 0
         grid = grid.astype(np.float64)
         hm = sc.HeightMap(grid[:, :, 0], grid[:, :, 1], conf.scene.resolution_m)
-        classes = los_class_reference(sc.trace_paths(hm, io.load_tx_site(tmp / "s.tx.json"),
-                                                     conf.scene))
+        classes = los_class_reference(trace_reference(hm, io.load_tx_site(tmp / "s.tx.json"),
+                                                      conf.scene))
         assert set(np.unique(classes)) == {0, 1, 2}
         img = np.array([64, 160, 255], dtype=np.uint8)[classes]
         img[hm.building > 0] = 0
@@ -717,6 +717,26 @@ class TestEvaluate:
                        "--config", cfg, "--report", tmp / "r.json") == 3
         assert f"mask grid {tmp / 'empty.mask.bgrd'}: 0 channels; expected 1" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["f32", "nan", "value-2"])
+    def test_bad_mask_writes_nothing(self, tensorized, capsys, fault):
+        # read with astype(bool), each was scored at exit 0: a NaN pixel
+        # counted as valid
+        tmp, cfg = tensorized
+        mask = tmp / "t.mask.bgrd"
+        grid = io.read_grid(mask)
+        if fault == "value-2":
+            grid[0, 0] = 2
+            io.write_grid(mask, grid, "u8")
+        else:
+            grid = grid.astype(np.float32)
+            if fault == "nan":
+                grid[grid == 0] = np.nan
+            io.write_grid(mask, grid, "f32")
+        assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd", "--pred", "oracle",
+                       "--config", cfg, "--report", tmp / "r.json") == 3
+        assert f"mask grid {mask}: expected u8 values 0 to 1" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp.glob("r*")) == []
 
     def test_garbage_mask_names_file(self, tensorized, capsys):
         # the error names the mask, not only the byte offset
@@ -1030,6 +1050,34 @@ class TestTrainCli:
         assert f"error: grid {stem}.mask.bgrd: bad magic at byte offset 0" \
             in capsys.readouterr().err
         assert not (tmp / "m.bgmdl").exists()
+
+    def test_nan_mask_exit_code(self, scene_dir, capsys):
+        tmp, cfg, scenes = scene_dir
+        stem = self._first_train_stem(cfg, scenes)
+        grid = io.read_grid(f"{stem}.mask.bgrd").astype(np.float32)
+        grid[grid == 0] = np.nan
+        io.write_grid(f"{stem}.mask.bgrd", grid, "f32")
+        assert run_cli("train", "--scenes", scenes, "--config", cfg,
+                       "--model-out", tmp / "m.bgmdl") == 3
+        assert f"mask grid {stem}.mask.bgrd: expected u8 values 0 to 1" \
+            in capsys.readouterr().err
+        assert not (tmp / "m.bgmdl").exists()
+
+    @pytest.mark.parametrize("kind, message", [
+        ("GR", "no epoch gave a finite validation loss"),
+        ("CE", "the trained weights overflow the model file's f32"),
+    ], ids=["no-finite-val-loss", "f32-overflow"])
+    def test_unusable_training_numeric_failure(self, scene_dir, capsys, kind, message):
+        # GR saved the untrained weights as best_epoch=0 val_loss=inf, CE
+        # wrote inf weights that evaluate rejects, both at exit 0
+        tmp, _, scenes = scene_dir
+        cfg = tmp / "huge-lr.json"
+        cfg.write_text(json.dumps({"scene": {"rows": 32, "cols": 32},
+                                   "train": {"lr": 1e300}, "loss": {"kind": kind}}))
+        assert run_cli("train", "--scenes", scenes, "--config", cfg,
+                       "--model-out", tmp / "m.bgmdl") == 4
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp.glob("m.*")) == []
 
     @pytest.mark.parametrize("tensor_rows, mask_rows, message", [
         (8, 4, "mask grid {stem}.mask.bgrd (4, 4) vs tensor grid {stem}.tensors.bgrd (8, 8)"),

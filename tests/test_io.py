@@ -212,7 +212,25 @@ class TestPathCsv:
         assert np.array_equal(back.magnitude, chans.magnitude)
         assert np.array_equal(back.phase, chans.phase)
         assert np.array_equal(back.aoa_azimuth, chans.aoa_azimuth)
-        assert back.has_direct is None  # metadata does not survive the CSV
+        assert back.los is None  # a path table carries no LoS grid
+
+    def test_written_text(self, tmp_path):
+        # every value is its float's repr: a signed zero, a subnormal,
+        # 1e-300, the smallest normal and 17-digit values survive as written
+        chans = sc.SceneChannels(
+            rows=2, cols=3, pixel=np.array([1, 1, 5]),
+            magnitude=np.array([0.1, 5e-324, 1e-300]),
+            phase=np.array([-0.0, 6.283185307179586, 0.5]),
+            aod_azimuth=np.array([0.30000000000000004, 1.0, 2.0]),
+            aod_elevation=np.array([-0.25, 0.0, 2.2250738585072014e-308]),
+            aoa_azimuth=np.array([3.0, 1.2345678901234567, 4.0]))
+        path = tmp_path / "p.csv"
+        io.write_paths_csv(path, chans)
+        assert path.read_bytes() == (
+            b"pixel_row,pixel_col,c,psi,aod_az,aod_el,aoa_az\n"
+            b"0,1,0.1,-0.0,0.30000000000000004,-0.25,3.0\n"
+            b"0,1,5e-324,6.283185307179586,1.0,0.0,1.2345678901234567\n"
+            b"1,2,1e-300,0.5,2.0,2.2250738585072014e-308,4.0\n")
 
     def test_out_of_grid_pixel_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

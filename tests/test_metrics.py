@@ -12,7 +12,8 @@ from beamgrid import scene as sc
 from beamgrid.errors import UndefinedResultError
 
 from conftest import assert_report_matches, evaluate_ranking_reference, \
-    los_class_reference, paths_at, ranking_from_scores, scene_configs, small_scenes
+    los_class_reference, paths_at, ranking_from_scores, scene_configs, small_scenes, \
+    trace_reference
 
 
 class TestNoisePower:
@@ -220,12 +221,14 @@ class TestEvaluateRanking:
 
 
 class TestLosClassMap:
+    """The tracer's LoS grid (SceneChannels.los), which trace writes as
+    <stem>.los.bgrd."""
+
     def test_empty_map_all_dominant(self):
         hm = sc.HeightMap(np.zeros((16, 16)), np.zeros((16, 16)))
         tx = sc.TxSite((8, 8), 10.0, ch.ArrayFrame(0.0, math.pi / 4))
         chans = sc.trace_paths(hm, tx, sc.SceneConfig(vegetation_db_per_m=0.0))
-        los = mt.los_class_map(hm, chans)
-        assert (los == mt.LosClass.LOS_DOMINANT).all()
+        assert (chans.los == sc.LOS_DOMINANT).all()
 
     def test_blocked_pixel_nlos(self):
         building = np.zeros((16, 16))
@@ -234,8 +237,7 @@ class TestLosClassMap:
         hm = sc.HeightMap(building, np.zeros((16, 16)))
         tx = sc.TxSite((8, 2), 12.0, ch.ArrayFrame(0.0, math.pi / 4))
         chans = sc.trace_paths(hm, tx, sc.SceneConfig())
-        los = mt.los_class_map(hm, chans)
-        assert los[8, 12] == mt.LosClass.NLOS
+        assert chans.los[8, 12] == sc.NLOS
 
     def test_attenuated_direct_weaker_than_reflection(self):
         # vegetated corridor on the direct line; strong reflector nearby
@@ -252,8 +254,7 @@ class TestLosClassMap:
         mags = chans.magnitude[paths_at(chans, r, c)]
         assert chans.has_direct[r, c] and mags.size >= 2
         assert mags[0] < mags[1:].max()  # reflection wins
-        los = mt.los_class_map(hm, chans)
-        assert los[r, c] == mt.LosClass.LOS_ATTENUATED
+        assert chans.los[r, c] == sc.LOS_ATTENUATED
 
     @given(small_scenes(), scene_configs)
     @settings(deadline=None, max_examples=25)
@@ -261,15 +262,6 @@ class TestLosClassMap:
         hm, tx = scene
         full = sc.trace_paths(hm, tx, cfg)
         direct = sc.trace_paths(hm, tx, dataclasses.replace(cfg, max_reflections=0))
-        expect = los_class_reference(full)
-        assert np.array_equal(mt.los_class_map(hm, full), expect)
-        assert np.array_equal(mt.los_class_map(hm, direct), expect)
-
-    def test_requires_trace_metadata(self):
-        hm = sc.HeightMap(np.zeros((4, 4)), np.zeros((4, 4)))
-        chans = sc.SceneChannels(
-            rows=4, cols=4, pixel=np.zeros(0, dtype=np.int64),
-            magnitude=np.zeros(0), phase=np.zeros(0), aod_azimuth=np.zeros(0),
-            aod_elevation=np.zeros(0), aoa_azimuth=np.zeros(0))
-        with pytest.raises(ValueError):
-            mt.los_class_map(hm, chans)
+        expect = los_class_reference(trace_reference(hm, tx, cfg))
+        assert np.array_equal(full.los, expect)
+        assert np.array_equal(direct.los, expect)

@@ -15,7 +15,7 @@ from beamgrid import losses as lo
 from beamgrid import metrics as mt
 from beamgrid import predictor as pr
 from beamgrid import scene as sc
-from beamgrid.errors import EmptyTrainingSetError
+from beamgrid.errors import EmptyTrainingSetError, NumericError
 
 from conftest import FLOOR_DB, batch_loss_grad_reference, batch_loss_reference, ce_loss, \
     ce_loss_sep, cep_loss, cep_loss_sep, flat_ranking_reference, floored_db_reference, gr_loss, \
@@ -788,6 +788,15 @@ class TestTrain:
         _, history = train_on_tensors(model, x, t, hyper)
         lrs = {row[3] for row in history}
         assert len(lrs) > 1  # decayed at least once
+
+    def test_no_finite_validation_loss_raises(self):
+        # the best state started at an infinite loss that no infinite loss
+        # beat, so the untrained weights were returned as the best epoch's
+        x, t = self._tiny_data(seed=7)
+        model = pr.SoftmaxModel.create(5, (2, 2, 2), pr.LossConfig("GR"), seed=1)
+        hyper = pr.TrainConfig(lr=1e300, epochs=5, batch=8)
+        with pytest.raises(NumericError, match="no epoch gave a finite validation loss"):
+            train_on_tensors(model, x, t, hyper, x, t)
 
 
 class TestTrainedBeatsChance:

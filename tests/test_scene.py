@@ -18,8 +18,8 @@ from conftest import (accumulate_tensors_reference, beam_tensor_reference,
                       building_edge_pixels_reference, downscale_consistency,
                       downscale_grid, downscale_tensor_map_reference,
                       effective_tensor_map_reference,
-                      exterior_walls_reference, march, march_one, mirror_hit, paths_at,
-                      scene_configs, small_scenes, tensor_grid)
+                      exterior_walls_reference, los_class_reference, march_one, paths_at,
+                      scene_configs, small_scenes, tensor_grid, trace_reference)
 
 NO_VEG = sc.SceneConfig(vegetation_db_per_m=0.0)
 
@@ -166,7 +166,7 @@ class TestTracePaths:
         d = math.sqrt(10.0**2 + (10.0 - 1.5) ** 2)
         expected = cfg.wavelength_m / (4 * math.pi * d) * 10 ** (-0.7 * d / 20.0)
         assert mags[0] == pytest.approx(expected, rel=1e-9)
-        assert chans.direct_veg_db[8, 12] == pytest.approx(0.7 * d, rel=1e-9)
+        assert chans.los[8, 12] == sc.LOS_ATTENUATED
 
     def test_ray_above_canopy_unattenuated(self):
         rows = cols = 16
@@ -204,79 +204,17 @@ class TestTracePaths:
                                                  ch.ArrayFrame(0, 0)), NO_VEG)
 
 
-def reference_trace(hm, tx, cfg, rx_z=1.5):
-    """Per-pixel loop tracer: march each candidate and find specular points
-    with the scalar kernels of conftest (march, mirror_hit), using the
-    tracer's formulas.
-
-    Returns (counts, paths, has_direct, direct_veg_db); paths holds one
-    (magnitude, phase, aod_az, aod_el, aoa_az) row per path in storage order.
-    """
-    res = hm.resolution_m
-    walls = sc.exterior_walls(hm.building, res) if cfg.max_reflections else np.zeros((0, 6))
-    tx_x, tx_y = sc.pixel_center(tx.pixel, res)
-    tx_z = tx.height_m
-    lam = cfg.wavelength_m
-    refl_amp = 10.0 ** (-cfg.reflection_loss_db / 20.0)
-    eps = 1e-6 * res
-    counts = np.zeros((hm.rows, hm.cols), dtype=np.int64)
-    has_direct = np.zeros((hm.rows, hm.cols), dtype=bool)
-    direct_veg_db = np.zeros((hm.rows, hm.cols))
-    paths = []
-
-    def clear(x0, y0, z0, x1, y1, z1):
-        return march(hm.building, hm.vegetation, x0, y0, z0, x1, y1, z1, res)
-
-    def add(r, c, amp, length, toward, arrival):
-        # toward: the point the path leaves tx for; arrival: the horizontal
-        # vector from rx back along the arriving path
-        dx, dy = toward[0] - tx_x, toward[1] - tx_y
-        paths.append((amp, (-ch.TWO_PI * length / lam) % ch.TWO_PI,
-                      _kernels._bearing(dx, dy),
-                      math.atan2(toward[2] - tx_z, math.hypot(dx, dy)),
-                      _kernels._bearing(*arrival)))
-        counts[r, c] += 1
-
-    for r in range(hm.rows):
-        for c in range(hm.cols):
-            if hm.building[r, c] > 0.0:
-                continue
-            rx_x, rx_y = sc.pixel_center((r, c), res)
-            d2 = (rx_x - tx_x) ** 2 + (rx_y - tx_y) ** 2 + (rx_z - tx_z) ** 2
-            if d2 > 0.0:
-                visible, veg_len = clear(tx_x, tx_y, tx_z, rx_x, rx_y, rx_z)
-                if visible:
-                    d = math.sqrt(d2)
-                    att_db = cfg.vegetation_db_per_m * veg_len
-                    has_direct[r, c] = True
-                    direct_veg_db[r, c] = att_db
-                    add(r, c, lam / (4.0 * math.pi * d) * 10.0 ** (-att_db / 20.0), d,
-                        (rx_x, rx_y, rx_z), (-(rx_x - tx_x), -(rx_y - tx_y)))
-            for wall in walls:
-                ok, hx, hy, hz, plen = mirror_hit(wall, tx_x, tx_y, tx_z,
-                                                  rx_x, rx_y, rx_z)
-                if not ok:
-                    continue
-                if wall[0] == 0.0:
-                    hx += eps * wall[5]
-                else:
-                    hy += eps * wall[5]
-                if (clear(tx_x, tx_y, tx_z, hx, hy, hz)[0]
-                        and clear(hx, hy, hz, rx_x, rx_y, rx_z)[0]):
-                    add(r, c, lam / (4.0 * math.pi * plen) * refl_amp, plen,
-                        (hx, hy, hz), (hx - rx_x, hy - rx_y))
-    return counts, np.array(paths).reshape(-1, 5), has_direct, direct_veg_db
-
-
 def assert_matches_reference(chans, hm, tx, cfg):
-    """chans equals reference_trace of the scene bit for bit."""
-    counts, paths, has_direct, direct_veg_db = reference_trace(hm, tx, cfg)
+    """chans equals trace_reference of the scene bit for bit, and its LoS
+    grid is the classes of the reference's direct paths."""
+    trace = trace_reference(hm, tx, cfg)
+    counts, paths = trace[:2]
     assert np.array_equal(chans.counts, counts)
     got = np.stack([chans.magnitude, chans.phase, chans.aod_azimuth,
                     chans.aod_elevation, chans.aoa_azimuth], axis=1)
     assert np.array_equal(got, paths)
-    assert np.array_equal(chans.has_direct, has_direct)
-    assert np.array_equal(chans.direct_veg_db, direct_veg_db)
+    assert chans.los.dtype == np.uint8
+    assert np.array_equal(chans.los, los_class_reference(trace))
 
 
 def _no_street_scene():
