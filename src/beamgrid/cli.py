@@ -38,12 +38,12 @@ def _load_config(path):
     return gridio.load_config(path) if path else gridio.parse_config({})
 
 
-def _read_plane(path, what, top=None):
-    """The one channel of a grid file; with top, of a u8 grid of values <= top."""
+def _read_plane(path, what, top):
+    """The one channel of a u8 grid file of values <= top."""
     grid = gridio.read_grid(path)
     if grid.shape[2] != 1:
         raise GridParseError(f"{what} grid {path}: {grid.shape[2]} channels; expected 1")
-    if top is not None and (grid.dtype != np.uint8 or grid.max(initial=0) > top):
+    if grid.dtype != np.uint8 or grid.max(initial=0) > top:
         raise GridParseError(f"{what} grid {path}: expected u8 values 0 to {top}")
     return grid[:, :, 0]
 
@@ -76,27 +76,25 @@ def cmd_trace(args):
 
 
 def cmd_tensorize(args):
+    """Write <out>.tensors/.gt/.mask/.los.bgrd: the rows of the pixels with
+    paths (of the blocks, at --downscale above 1) scattered once into one f32
+    grid, and the mask of the rows that pass the exclusion threshold."""
     cfg = _load_config(args.config)
     los = _read_plane(args.paths.removesuffix(".paths.csv") + ".los.bgrd", "LoS",
                       scene.LOS_DOMINANT)
-    shape = los.shape  # the traced grid
-    channels = gridio.read_paths_csv(args.paths, *shape)
+    grid = los.shape  # the traced grid
+    channels = gridio.read_paths_csv(args.paths, *grid)
     tx = gridio.load_tx_site(args.tx)
     codebook = gridio.codebook_from_config(cfg)
-    pixel_ids, rows = scene.effective_tensor_map(channels, codebook, tx.frame)
-    rows = rows.reshape(pixel_ids.size, math.prod(rows.shape[1:]))
-    kept = ~metrics.exclusion_mask(rows, cfg.budget)
+    ids, rows = scene.effective_tensor_map(channels, codebook, tx.frame)
+    rows = rows.reshape(ids.size, math.prod(rows.shape[1:]))
     if args.downscale > 1:
-        tensors, block_valid = scene.downscale_tensor_map(
-            pixel_ids, rows, shape, kept, args.downscale)
-        valid = block_valid & ~metrics.exclusion_mask(tensors, cfg.budget)
-        flat = tensors.astype(np.float32)
-    else:
-        flat = np.zeros((shape[0] * shape[1], rows.shape[1]), dtype=np.float32)
-        flat[pixel_ids] = rows
-        flat = flat.reshape(*shape, -1)
-        valid = np.zeros(flat.shape[:2], dtype=bool)
-        valid.flat[pixel_ids] = kept
+        ids, rows, grid = scene.downscale_tensor_map(
+            ids, rows, grid, ~metrics.exclusion_mask(rows, cfg.budget), args.downscale)
+    flat = np.zeros((*grid, rows.shape[1]), dtype=np.float32)
+    flat.reshape(-1, rows.shape[1])[ids] = rows
+    valid = np.zeros(grid, dtype=bool)
+    valid.flat[ids] = ~metrics.exclusion_mask(rows, cfg.budget)
     # ground truth from the stored (f32-quantised) values, so the emitted
     # artifacts stay mutually consistent under quantisation ties
     gt = np.argmax(flat, axis=-1).astype(np.float64)
@@ -131,10 +129,12 @@ def _read_site(scene_path, tx_path, cfg):
     return hm, tx
 
 
-def _read_tensors(tensors_path, mask_path):
-    """Beam tensors, as stored (f32), and their validity mask (a u8 grid of
-    0 and 1), checked to share one grid and to hold only finite,
-    non-negative powers. A caller converts to float64 only the valid rows."""
+def _read_tensors(stem):
+    """The beam tensors of the tensors set <stem>.tensors.bgrd, as stored
+    (f32), and its validity mask <stem>.mask.bgrd (a u8 grid of 0 and 1),
+    checked to share one grid and to hold only finite, non-negative powers.
+    A caller converts to float64 only the valid rows."""
+    tensors_path, mask_path = f"{stem}.tensors.bgrd", f"{stem}.mask.bgrd"
     tensors = gridio.read_grid(tensors_path)
     # min and max propagate NaN, and make no grid-sized temporary
     if tensors.size and not (tensors.min() >= 0.0 and tensors.max() < np.inf):
@@ -205,19 +205,19 @@ def _prediction_from_args(args, cfg, valid, samples, site):
 
 def cmd_evaluate(args):
     cfg = _load_config(args.config)
-    if args.mask is None and not args.tensors.endswith(".tensors.bgrd"):
-        print("error: --mask is required unless --tensors ends in .tensors.bgrd",
-              file=sys.stderr)
+    if not args.tensors.endswith(".tensors.bgrd"):
+        print("error: --tensors must name a <stem>.tensors.bgrd file, beside its "
+              "<stem>.mask.bgrd", file=sys.stderr)
         return 2
     if (args.scene is None) != (args.tx is None):
         print("error: --scene and --tx must be given together", file=sys.stderr)
         return 2
-    mask_path = args.mask or args.tensors.removesuffix(".tensors.bgrd") + ".mask.bgrd"
-    tensors, valid = _read_tensors(args.tensors, mask_path)
+    stem = args.tensors.removesuffix(".tensors.bgrd")
+    tensors, valid = _read_tensors(stem)
     samples = tensors[valid].astype(np.float64)
     site = _read_site(args.scene, args.tx, cfg) if args.scene else None
     if site is not None:  # the trace's LoS classes, read before any output is written
-        los_path = mask_path.removesuffix(".mask.bgrd") + ".los.bgrd"
+        los_path = stem + ".los.bgrd"
         los = _read_plane(los_path, "LoS", scene.LOS_DOMINANT)
         if los.shape != site[0].building.shape:
             raise GridParseError(f"LoS grid {los_path} {los.shape} vs scene grid "
@@ -232,17 +232,17 @@ def cmd_evaluate(args):
                                             cfg.budget, excluded=int((~valid).sum()))
     gridio.save_report(args.report, report)
     print(gridio.render_table(report))
-    stem = args.report.removesuffix(".json")
+    out = args.report.removesuffix(".json")
     for k, hit in zip(cfg.eval.k_list, hits):
         img = np.zeros(valid.shape, dtype=np.uint8)
         img[valid] = np.where(hit, 255, 64)
-        gridio.write_pgm(f"{stem}.top{k}.pgm", img)
+        gridio.write_pgm(f"{out}.top{k}.pgm", img)
     if site is not None:
         # the shades of scene.NLOS, LOS_ATTENUATED and LOS_DOMINANT
         shades = np.array([64, 160, 255], dtype=np.uint8)
         img = shades[los]
         img[site[0].building > 0] = 0
-        gridio.write_pgm(f"{stem}.los.pgm", img)
+        gridio.write_pgm(f"{out}.los.pgm", img)
     return 0
 
 
@@ -265,7 +265,7 @@ def _split_scenes(stems, seed):
 def _load_scene_samples(stem, site, model):
     """Features and training targets of one scene's valid pixels (tensor
     resolution); the scene's tensors are dropped once its targets are built."""
-    tensors, valid = _read_tensors(f"{stem}.tensors.bgrd", f"{stem}.mask.bgrd")
+    tensors, valid = _read_tensors(stem)
     x = _site_features(*site, valid, f"{stem}.scene.bgrd")
     return x, predictor.targets(model, tensors[valid].astype(np.float64))
 
@@ -306,8 +306,7 @@ def cmd_train(args):
     if not all(np.isfinite(a).all() for a in stored):
         raise NumericError("the trained weights overflow the model file's f32")
     gridio.save_model(args.model_out, trained)
-    history_path = args.history_out or args.model_out + ".history.csv"
-    with open(history_path, "w", encoding="ascii", newline="\n") as fh:
+    with open(args.model_out + ".history.csv", "w", encoding="ascii", newline="\n") as fh:
         fh.write("epoch,train_loss,val_loss,lr\n")
         for epoch, tr, va, lr in history:
             fh.write(f"{epoch},{tr!r},{va!r},{lr!r}\n")
@@ -357,9 +356,8 @@ def build_parser():
     p.set_defaults(func=cmd_tensorize)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
-    p.add_argument("--tensors", required=True)
-    p.add_argument("--mask", default=None,
-                   help="validity mask grid (default: sibling .mask.bgrd)")
+    p.add_argument("--tensors", required=True,
+                   help="<stem>.tensors.bgrd; <stem>.mask.bgrd is its mask")
     p.add_argument("--pred", required=True,
                    help="'oracle', a logits grid, or a model file")
     p.add_argument("--config", default=None)
@@ -372,8 +370,8 @@ def build_parser():
     p.add_argument("--scenes", required=True,
                    help="directory of <stem>.scene.bgrd/.tx.json/.tensors.bgrd/.mask.bgrd")
     p.add_argument("--config", default=None)
-    p.add_argument("--model-out", required=True)
-    p.add_argument("--history-out", default=None)
+    p.add_argument("--model-out", required=True,
+                   help="model file; the loss history goes to <model-out>.history.csv")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("report", help="render a report JSON as a text table")

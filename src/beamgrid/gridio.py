@@ -72,9 +72,10 @@ def _read_grid_from(fh, where):
     GridParseError naming where ("grid s.mask.bgrd").
     """
     head = fh.readline()
-    if not head.startswith(GRID_MAGIC):
+    magic = head[:len(GRID_MAGIC) + 1].rstrip()  # the whole first token
+    if magic != GRID_MAGIC:
         raise GridParseError(
-            f"{where}: bad magic at byte offset 0: expected {GRID_MAGIC!r}, got {head[:5]!r}")
+            f"{where}: bad magic at byte offset 0: expected {GRID_MAGIC!r}, got {magic[:8]!r}")
     nl = len(head) - 1
     if not head.endswith(b"\n"):
         raise GridParseError(f"{where}: header newline missing within {len(head)} bytes")

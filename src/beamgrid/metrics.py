@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedResultError
+from .errors import NumericError, UndefinedResultError
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,10 @@ def evaluate_ranking(tensors, rankings, k_list, budget, excluded=0):
     samples whose optimal beam is among their first k candidates; the
     throughput ratio is the sum over the samples of the best Shannon rate
     log2(1 + SNR) among the first k candidates, over the sum of the optimal
-    rates. The rates are computed once for every k. Returns the report and
-    the hits: per k, whether each sample's optimal beam is among its first
-    k candidates, a (len(k_list), n) bool array.
+    rates, computed once for every k; a sum that is not finite (an SNR
+    beyond float64) raises NumericError. Returns the report and the hits:
+    per k, whether each sample's optimal beam is among its first k
+    candidates, a (len(k_list), n) bool array.
     """
     if len(rankings) == 0:
         raise UndefinedResultError("no valid samples left to evaluate")
@@ -100,8 +101,11 @@ def evaluate_ranking(tensors, rankings, k_list, budget, excluded=0):
         if not 1 <= k <= rankings.shape[1]:
             raise ValueError(f"k={k} exceeds candidate list length {rankings.shape[1]}")
     flat = t.reshape(t.shape[0], -1)
-    rate = np.log2(1.0 + snr(flat, budget))
-    denom = rate.max(axis=1).sum()
+    with np.errstate(over="ignore"):  # an overflow is judged by its result
+        rate = np.log2(1.0 + snr(flat, budget))
+        denom = rate.max(axis=1).sum()
+    if not math.isfinite(denom):
+        raise NumericError("the summed optimal rate is not finite under the link budget")
     if denom <= 0.0:
         raise UndefinedResultError("all samples have zero optimal rate")
     tpr = [float(np.take_along_axis(rate, rankings[:, :k], axis=1).max(axis=1).sum() / denom)

@@ -365,14 +365,12 @@ def effective_tensor_map(channels, codebook, frame):
     """
     pixel_ids, row_of_path = np.unique(channels.pixel, return_inverse=True)
     rows = np.zeros((pixel_ids.size, codebook.na, codebook.ne, codebook.nr))
-    if channels.n_paths:
-        phi, theta = global_to_array_frame(
-            channels.aod_azimuth, channels.aod_elevation, frame)
-        bs = beamspace_angles(phi, theta)
-        g_az, g_el = gain_profiles(bs.varphi, bs.vartheta, codebook)
-        sectors = sector_index(channels.aoa_azimuth, codebook.nr)
-        _kernels.accumulate_tensors(row_of_path, sectors,
-                                    channels.magnitude ** 2, g_az, g_el, rows)
+    phi, theta = global_to_array_frame(channels.aod_azimuth, channels.aod_elevation, frame)
+    bs = beamspace_angles(phi, theta)
+    g_az, g_el = gain_profiles(bs.varphi, bs.vartheta, codebook)
+    sectors = sector_index(channels.aoa_azimuth, codebook.nr)
+    _kernels.accumulate_tensors(row_of_path, sectors,
+                                channels.magnitude ** 2, g_az, g_el, rows)
     return pixel_ids, rows
 
 
@@ -381,11 +379,12 @@ def downscale_tensor_map(pixel_ids, rows, shape, valid=None, factor=4):
 
     pixel_ids and rows are effective_tensor_map's output on a grid of the
     given (rows, cols) shape; valid flags the rows that count (all by
-    default), and a pixel without a row counts as invalid. Each output
-    tensor is the arithmetic mean of the valid tensors in its factor x
-    factor block; blocks without a valid pixel produce an invalid output
-    pixel (zero tensor). Returns (downscaled, out_valid), downscaled of
-    shape (shape[0] // factor, shape[1] // factor) + rows.shape[1:].
+    default), and a pixel without a row counts as invalid. Returns
+    (block_ids, means, grid): the sorted row-major ids of the factor x
+    factor blocks that hold a valid row, the arithmetic mean of each such
+    block's valid rows, shape (len(block_ids),) + rows.shape[1:], and the
+    (shape[0] // factor, shape[1] // factor) shape of the block grid. Every
+    other block has no valid pixel.
 
     The rows are added in pixel-id order, row-major within each block, so
     every mean is bit-identical to the sum over the dense grid with zeros
@@ -395,27 +394,24 @@ def downscale_tensor_map(pixel_ids, rows, shape, valid=None, factor=4):
     if n_rows % factor or n_cols % factor:
         raise ValueError(
             f"grid {n_rows}x{n_cols} not divisible by downscale factor {factor}")
-    lr, lc = n_rows // factor, n_cols // factor
-    n_blocks = lr * lc
+    grid = (n_rows // factor, n_cols // factor)
+    n_blocks = grid[0] * grid[1]
     r, c = np.divmod(np.asarray(pixel_ids), n_cols)
-    block = (r // factor) * lc + c // factor
+    block = (r // factor) * grid[1] + c // factor
     if valid is not None:
         # invalid rows go to a spare block past the grid's, dropped below
         block = np.where(valid, block, n_blocks)
-    beam_shape = rows.shape[1:]
-    sums = np.zeros((n_blocks + 1, math.prod(beam_shape)))
-    np.add.at(sums, block, rows.reshape(block.size, sums.shape[1]))
-    wsum = np.bincount(block, minlength=n_blocks + 1)[:n_blocks].astype(np.float64)
-    lo = sums[:n_blocks]
-    lo /= np.maximum(wsum, 1.0)[:, None]  # a block without valid pixels stays 0
-    return lo.reshape(lr, lc, *beam_shape), (wsum > 0).reshape(lr, lc)
+    block_ids, slot = np.unique(block, return_inverse=True)
+    sums = np.zeros((block_ids.size, math.prod(rows.shape[1:])))
+    np.add.at(sums, slot, rows.reshape(slot.size, sums.shape[1]))
+    sums /= np.bincount(slot)[:, None]  # every id in block_ids holds a row
+    n = np.searchsorted(block_ids, n_blocks)
+    return block_ids[:n], sums[:n].reshape(n, *rows.shape[1:]), grid
 
 
 def pool_heightmap(hm, factor):
     """Block-mean heights at a coarser resolution (feature alignment with
     downscaled tensor grids)."""
-    if factor == 1:
-        return hm
     rows, cols = hm.rows, hm.cols
     if rows % factor or cols % factor:
         raise ValueError(f"grid {rows}x{cols} not divisible by pool factor {factor}")
@@ -429,7 +425,5 @@ def pool_heightmap(hm, factor):
 
 def pool_tx(tx, factor):
     """Transmitter site re-indexed onto a pooled grid (frame unchanged)."""
-    if factor == 1:
-        return tx
     return TxSite(pixel=(tx.pixel[0] // factor, tx.pixel[1] // factor),
                   height_m=tx.height_m, frame=tx.frame)

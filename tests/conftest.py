@@ -300,13 +300,24 @@ def pixel_exclusion(tensors, budget):
     return mt.exclusion_mask(tensors.reshape(*tensors.shape[:2], -1), budget)
 
 
+def block_grid(block_ids, means, grid):
+    """scene.downscale_tensor_map's compact (block_ids, means, grid) on the
+    dense block grid: (downscaled, out_valid), downscaled of shape grid +
+    means.shape[1:], zero at the blocks without a valid row."""
+    dense = np.zeros((grid[0] * grid[1],) + means.shape[1:])
+    dense[block_ids] = means
+    out_valid = np.zeros(grid, dtype=bool)
+    out_valid.flat[block_ids] = True
+    return dense.reshape(*grid, *means.shape[1:]), out_valid
+
+
 def downscale_grid(tensors, valid=None, factor=4):
     """scene.downscale_tensor_map of a dense (rows, cols, ...) tensor grid,
-    every pixel a row."""
+    every pixel a row, on the dense block grid (block_grid)."""
     rows, cols = tensors.shape[:2]
-    return sc.downscale_tensor_map(
+    return block_grid(*sc.downscale_tensor_map(
         np.arange(rows * cols), tensors.reshape(rows * cols, *tensors.shape[2:]),
-        (rows, cols), None if valid is None else valid.ravel(), factor)
+        (rows, cols), None if valid is None else valid.ravel(), factor))
 
 
 def downscale_consistency(hi, lo, k, budget=None, hi_valid=None):

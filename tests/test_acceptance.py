@@ -17,8 +17,8 @@ from beamgrid import metrics as mt
 from beamgrid import predictor as pr
 from beamgrid import scene as sc
 
-from conftest import (FLOOR_DB, beam_tensor_reference, beam_weights, ce_loss, cep_loss,
-                      cep_target_reference,
+from conftest import (FLOOR_DB, beam_tensor_reference, beam_weights, block_grid, ce_loss,
+                      cep_loss, cep_target_reference,
                       downscale_consistency, downscale_grid, gr_loss, grad_check,
                       instantaneous_gain_reference, ir_loss, one_pixel_tensor,
                       path_gains_reference, pixel_exclusion, tensor_grid, ws_loss)
@@ -39,8 +39,8 @@ def scene_tensors(hm, tx, codebook, budget, downscale=None):
         return tensors, ~pixel_exclusion(tensors, budget)
     pixel_ids, rows = sc.effective_tensor_map(chans, codebook, tx.frame)
     kept = ~mt.exclusion_mask(rows.reshape(pixel_ids.size, -1), budget)
-    tensors, blocks = sc.downscale_tensor_map(pixel_ids, rows, (hm.rows, hm.cols),
-                                              kept, downscale)
+    tensors, blocks = block_grid(*sc.downscale_tensor_map(
+        pixel_ids, rows, (hm.rows, hm.cols), kept, downscale))
     return tensors, blocks & ~pixel_exclusion(tensors, budget)
 
 

@@ -633,15 +633,24 @@ class TestEvaluate:
         assert not (tmp / "r.json").exists()
 
     def test_tensors_without_suffix_need_mask(self, tensorized, capsys):
+        # a tensors set is <stem>.tensors.bgrd beside <stem>.mask.bgrd; no
+        # option names a mask elsewhere
         tmp, cfg = tensorized
         (tmp / "x.bgrd").write_bytes((tmp / "t.tensors.bgrd").read_bytes())
         code = run_cli("evaluate", "--tensors", tmp / "x.bgrd", "--pred", "oracle",
                        "--config", cfg, "--report", tmp / "rx.json")
         assert code == 2
-        assert "--mask" in capsys.readouterr().err
+        assert "--tensors must name a <stem>.tensors.bgrd file" in capsys.readouterr().err
         assert not (tmp / "rx.json").exists()
-        assert run_cli("evaluate", "--tensors", tmp / "x.bgrd",
-                       "--mask", tmp / "t.mask.bgrd", "--pred", "oracle",
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", "--tensors", tmp / "x.bgrd",
+                    "--mask", tmp / "t.mask.bgrd", "--pred", "oracle",
+                    "--config", cfg, "--report", tmp / "rx.json")
+        assert exc.value.code == 2
+        assert not (tmp / "rx.json").exists()
+        (tmp / "x.tensors.bgrd").write_bytes((tmp / "x.bgrd").read_bytes())
+        (tmp / "x.mask.bgrd").write_bytes((tmp / "t.mask.bgrd").read_bytes())
+        assert run_cli("evaluate", "--tensors", tmp / "x.tensors.bgrd", "--pred", "oracle",
                        "--config", cfg, "--report", tmp / "rx.json") == 0
         valid = io.read_grid(tmp / "t.mask.bgrd")[:, :, 0].astype(bool)
         assert io.load_report(tmp / "rx.json").samples == int(valid.sum())
@@ -663,11 +672,11 @@ class TestEvaluate:
     def test_all_excluded_numeric_failure(self, tensorized):
         tmp, cfg = tensorized
         tensors = io.read_grid(tmp / "t.tensors.bgrd")
-        io.write_grid(tmp / "nomask.bgrd",
+        io.write_grid(tmp / "nomask.tensors.bgrd", tensors)
+        io.write_grid(tmp / "nomask.mask.bgrd",
                       np.zeros(tensors.shape[:2], dtype=np.uint8), "u8")
-        code = run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd",
-                       "--mask", tmp / "nomask.bgrd", "--pred", "oracle",
-                       "--config", cfg, "--report", tmp / "r5.json")
+        code = run_cli("evaluate", "--tensors", tmp / "nomask.tensors.bgrd",
+                       "--pred", "oracle", "--config", cfg, "--report", tmp / "r5.json")
         assert code == 4
 
     def test_sep_and_ir_prediction_grids(self, tensorized):
@@ -711,10 +720,10 @@ class TestEvaluate:
 
     def test_zero_channel_mask_exit_code(self, tensorized, capsys):
         tmp, cfg = tensorized
+        (tmp / "empty.tensors.bgrd").write_bytes((tmp / "t.tensors.bgrd").read_bytes())
         io.write_grid(tmp / "empty.mask.bgrd", np.zeros((8, 8, 0)), "u8")
-        assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd",
-                       "--mask", tmp / "empty.mask.bgrd", "--pred", "oracle",
-                       "--config", cfg, "--report", tmp / "r.json") == 3
+        assert run_cli("evaluate", "--tensors", tmp / "empty.tensors.bgrd",
+                       "--pred", "oracle", "--config", cfg, "--report", tmp / "r.json") == 3
         assert f"mask grid {tmp / 'empty.mask.bgrd'}: 0 channels; expected 1" \
             in capsys.readouterr().err
 
@@ -747,6 +756,31 @@ class TestEvaluate:
         assert f"grid {tmp / 't.mask.bgrd'}: bad magic at byte offset 0" \
             in capsys.readouterr().err
         assert not (tmp / "r.json").exists()
+
+    def test_mask_magic_is_the_whole_first_token(self, tensorized, capsys):
+        # a header that only starts with BGRD1 was read as a BGRD1 grid
+        tmp, cfg = tensorized
+        mask = tmp / "t.mask.bgrd"
+        mask.write_bytes(b"BGRD10" + mask.read_bytes()[len(b"BGRD1"):])
+        assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd", "--pred", "oracle",
+                       "--config", cfg, "--report", tmp / "r.json") == 3
+        assert f"grid {mask}: bad magic at byte offset 0: expected b'BGRD1', got b'BGRD10'" \
+            in capsys.readouterr().err
+        assert sorted(p.name for p in tmp.glob("r*")) == []
+
+    def test_overflowing_link_budget_numeric_failure(self, tensorized, capsys):
+        # the oracle's rates overflowed to inf and the report held NaN tpr
+        # values at exit 0, which `report` then rejected
+        tmp, _ = tensorized
+        cfg = tmp / "loud.json"
+        cfg.write_text(json.dumps({"scene": {"rows": 32, "cols": 32},
+                                   "budget": {"tx_power_dbm": 4000}}))
+        assert run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd", "--pred", "oracle",
+                       "--config", cfg, "--report", tmp / "r.json",
+                       "--scene", tmp / "s.scene.bgrd", "--tx", tmp / "s.tx.json") == 4
+        assert "numeric failure: the summed optimal rate is not finite" \
+            in capsys.readouterr().err
+        assert sorted(p.name for p in tmp.glob("r*")) == []
 
     def test_shape_mismatch_names_shapes(self, tensorized, capsys):
         tmp, cfg = tensorized
@@ -996,11 +1030,16 @@ class TestTrainCli:
         assert (tmp / "m1.bgmdl").read_bytes() == (tmp / "m2.bgmdl").read_bytes()
 
     def test_history_and_best_epoch(self, scene_dir):
+        # the history always goes beside the model
         tmp, cfg, scenes = scene_dir
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--scenes", scenes, "--config", cfg,
+                    "--model-out", tmp / "m.bgmdl", "--history-out", tmp / "h.csv")
+        assert exc.value.code == 2
+        assert not (tmp / "h.csv").exists()
         run_cli("train", "--scenes", scenes, "--config", cfg,
-                "--model-out", tmp / "m.bgmdl",
-                "--history-out", tmp / "h.csv")
-        lines = (tmp / "h.csv").read_text().strip().splitlines()
+                "--model-out", tmp / "m.bgmdl")
+        lines = (tmp / "m.bgmdl.history.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,lr"
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) >= 1

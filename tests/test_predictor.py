@@ -17,9 +17,9 @@ from beamgrid import predictor as pr
 from beamgrid import scene as sc
 from beamgrid.errors import EmptyTrainingSetError, NumericError
 
-from conftest import FLOOR_DB, batch_loss_grad_reference, batch_loss_reference, ce_loss, \
-    ce_loss_sep, cep_loss, cep_loss_sep, flat_ranking_reference, floored_db_reference, gr_loss, \
-    ir_loss, ir_ranking, oracle_reference, pixel_exclusion, predict_reference, \
+from conftest import FLOOR_DB, batch_loss_grad_reference, batch_loss_reference, block_grid, \
+    ce_loss, ce_loss_sep, cep_loss, cep_loss_sep, flat_ranking_reference, floored_db_reference, \
+    gr_loss, ir_loss, ir_ranking, oracle_reference, pixel_exclusion, predict_reference, \
     targets_reference, tensor_grid, train_reference, validity_masks, ws_loss, ws_loss_sep
 
 
@@ -809,9 +809,9 @@ class TestTrainedBeatsChance:
             tx = sc.place_tx(hm, seed=seed)
             chans = sc.trace_paths(hm, tx, cfgs)
             pixel_ids, rows = sc.effective_tensor_map(chans, codebook, tx.frame)
-            lo_t, blocks = sc.downscale_tensor_map(
+            lo_t, blocks = block_grid(*sc.downscale_tensor_map(
                 pixel_ids, rows, (hm.rows, hm.cols),
-                ~mt.exclusion_mask(rows.reshape(pixel_ids.size, -1), budget), 4)
+                ~mt.exclusion_mask(rows.reshape(pixel_ids.size, -1), budget), 4))
             valid = blocks & ~pixel_exclusion(lo_t, budget)
             feats = pr.build_features(sc.pool_heightmap(hm, 4), sc.pool_tx(tx, 4))
             xs.append(feats[valid])

@@ -14,7 +14,7 @@ from beamgrid import metrics
 from beamgrid import scene as sc
 from beamgrid.errors import NoValidSiteError
 
-from conftest import (accumulate_tensors_reference, beam_tensor_reference,
+from conftest import (accumulate_tensors_reference, beam_tensor_reference, block_grid,
                       building_edge_pixels_reference, downscale_consistency,
                       downscale_grid, downscale_tensor_map_reference,
                       effective_tensor_map_reference,
@@ -365,6 +365,8 @@ class TestEffectiveTensorMap:
         assert got.tobytes() == expect.tobytes()
 
     @given(random_channels(), st.floats(0.0, 2 * np.pi), st.floats(0.0, np.pi / 2))
+    @example(chans=sc.SceneChannels(3, 4, np.zeros(0, dtype=np.int64), *[np.zeros(0)] * 5),
+             azimuth=0.5, tilt=0.2)  # no paths
     @settings(deadline=None, max_examples=100)
     def test_rows_match_dense_reference_bitwise(self, codebook, chans, azimuth, tilt):
         # one row per pixel with a path, in pixel order, each equal to that
@@ -438,7 +440,11 @@ class TestDownscale:
     def test_pixels_without_rows_invalid(self):
         # rows for pixels 0 and 5 only: both in block (0, 0) of a 4x4 grid
         t = np.array([[1.0, 3.0], [2.0, 0.5]])
-        lo, lo_valid = sc.downscale_tensor_map(np.array([0, 5]), t, (4, 4), factor=2)
+        block_ids, means, grid = sc.downscale_tensor_map(np.array([0, 5]), t, (4, 4),
+                                                         factor=2)
+        assert block_ids.tolist() == [0] and grid == (2, 2)
+        np.testing.assert_array_equal(means, [[1.5, 1.75]])
+        lo, lo_valid = block_grid(block_ids, means, grid)
         assert lo.shape == (2, 2, 2)
         np.testing.assert_array_equal(lo_valid, [[True, False], [False, False]])
         np.testing.assert_array_equal(lo[0, 0], [1.5, 1.75])
@@ -468,9 +474,9 @@ class TestDownscale:
         dense = 10.0 ** rng.uniform(-20.0, 0.0, (rows, cols, 3, 2))
         dense[state == 0] = 0.0
         pixel_ids = np.flatnonzero(state)
-        got, got_valid = sc.downscale_tensor_map(
+        got, got_valid = block_grid(*sc.downscale_tensor_map(
             pixel_ids, dense.reshape(rows * cols, 3, 2)[pixel_ids], (rows, cols),
-            state.ravel()[pixel_ids] == 2, factor)
+            state.ravel()[pixel_ids] == 2, factor))
         expect, expect_valid = downscale_tensor_map_reference(dense, state == 2, factor)
         assert got.tobytes() == expect.tobytes()
         assert np.array_equal(got_valid, expect_valid)
