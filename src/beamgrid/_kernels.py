@@ -4,13 +4,16 @@ One kernel per job, all NumPy array code: march_batch is the grid march
 (an Amanatides-Woo traversal over many rays at once), _surely_blocked the
 screen that culls segments the march would surely find blocked,
 _reflection_candidates the image-method screen, trace the tracer built
-on them, and accumulate_tensors the per-pixel tensor sum. Each repeats,
-in the same order, the floating-point operations of a scalar per-path
-loop kept in the tests (tests/conftest.py: march, mirror_hit and the
-accumulation loop), so its results equal that loop bit for bit; the cull
-only skips marches whose result is known. The math-library calls whose
-NumPy versions round differently (atan2, hypot, x ** y, and so _bearing)
-stay scalar math calls over the visible paths, a few thousand per scene.
+on them, and accumulate_tensors the per-pixel tensor sum. The march and
+the screen share one segment driver (_in_batches: broadcasting, batching
+and the canonical endpoint order) and one cell rule (_cell), on which the
+screen's soundness rests. Each kernel repeats, in the same order, the
+floating-point operations of a scalar per-path loop kept in the tests
+(tests/conftest.py: march, mirror_hit and the accumulation loop), so its
+results equal that loop bit for bit; the cull only skips marches whose
+result is known. The math-library calls whose NumPy versions round
+differently (atan2, hypot, x ** y, and so _bearing) stay scalar math
+calls over the visible paths, a few thousand per scene.
 """
 
 import math
@@ -33,7 +36,7 @@ MARCH_BATCH_RAYS = 1 << 14
 
 # The surely-blocked screen that trace runs before its march: the
 # number of evenly spaced points it tests on a segment, and the margin in
-# metres by which a point must lie inside its cell and below its roof.
+# metres by which a point must lie inside its cell on both plan axes.
 # 8 to 16 points traced 64x64 and 128x128 scenes equally fast; at 256x256,
 # 12 and 16 were ~12 % faster than 8 and 24.
 CULL_SAMPLES = 12
@@ -48,28 +51,49 @@ def march_batch(building, vegetation, x0, y0, z0, x1, y1, z1, res):
     inside the cell; the two endpoint cells never block (antennas sit on or
     next to structures). Vegetated length integrates the 3D length spent
     below the canopy height and counts every cell, endpoints included; it
-    is only meaningful when the segment is clear. Endpoints are put in
-    canonical order first, so each result is exactly symmetric under
-    swapping them.
-
-    The endpoint coordinates broadcast to one 1-D shape (pass 1-element
-    arrays for a single segment). Rays run in batches of MARCH_BATCH_RAYS;
-    a ray leaves the active set once it is blocked or its step reaches
-    t >= 1.
+    is only meaningful when the segment is clear. The segments run through
+    _in_batches, which puts their endpoints in canonical order, so each
+    result is exactly symmetric under swapping them.
     """
-    ends = np.broadcast_arrays(
-        *(np.asarray(a, dtype=np.float64) for a in (x0, y0, z0, x1, y1, z1)))
     # Cells outside the grid neither block nor hold canopy: every cell index
-    # is clipped onto a one-cell border of -inf buildings and no vegetation.
-    bld = _bordered(building, -np.inf)
-    veg = _bordered(vegetation, 0.0)
-    n = ends[0].size
-    clear = np.zeros(n, dtype=bool)
-    veg_len = np.zeros(n)
-    for start in range(0, n, MARCH_BATCH_RAYS):
-        part = slice(start, start + MARCH_BATCH_RAYS)
-        clear[part], veg_len[part] = _march_rays(bld, veg, *(a[part] for a in ends), res)
-    return clear, veg_len
+    # is clamped onto a one-cell border of -inf buildings and no vegetation.
+    return _in_batches(_march_rays, (_bordered(building, -np.inf), _bordered(vegetation, 0.0)),
+                       (x0, y0, z0, x1, y1, z1), res)
+
+
+def _surely_blocked(building, x0, y0, z0, x1, y1, z1, res):
+    """Which segments march_batch is sure to report blocked, as a bool array.
+
+    A segment is culled when, at one of CULL_SAMPLES evenly spaced points,
+    the point lies at least CULL_MARGIN_M inside a grid cell that is not an
+    endpoint cell, on both plan axes, and below that cell's building
+    height. As the margin exceeds the march's rounding of its cell
+    crossings, the march then visits that cell over a t-interval of nonzero
+    length that contains the point. The screen and the march share
+    _in_batches, so they see the same canonical endpoints, and both compute
+    heights as z0 + dz * t; rounding is monotone, so the lower of the
+    march's heights at the ends of that t-interval is at most the point's:
+    the march finds the cell blocking. A culled segment is always blocked;
+    a kept one may be either.
+    """
+    return _in_batches(_screen_rays, (_bordered(building, -np.inf),),
+                       (x0, y0, z0, x1, y1, z1), res)[0]
+
+
+def _in_batches(kernel, grids, ends, res):
+    """kernel(*grids, x0, y0, z0, x1, y1, z1, res) over the segments whose
+    endpoint coordinates are ends: a tuple with one array per kernel output,
+    one entry per segment.
+
+    The six coordinates broadcast to one 1-D float64 shape (pass 1-element
+    arrays for a single segment). The kernel sees MARCH_BATCH_RAYS segments
+    at a time, in canonical order. Zero segments run it once on empty
+    arrays, which gives empty outputs of its dtypes.
+    """
+    ends = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in ends))
+    outs = [kernel(*grids, *_canonical(*(a[start:start + MARCH_BATCH_RAYS] for a in ends)), res)
+            for start in range(0, max(ends[0].size, 1), MARCH_BATCH_RAYS)]
+    return tuple(np.concatenate(parts) for parts in zip(*outs))
 
 
 def _bordered(grid, value):
@@ -77,6 +101,15 @@ def _bordered(grid, value):
     out = np.full((grid.shape[0] + 2, grid.shape[1] + 2), value)
     out[1:-1, 1:-1] = grid
     return out
+
+
+def _cell(shape, r, c):
+    """The flat indices of the cells (r, c), ints or floored floats, in a
+    grid of the given shape that is padded by a one-cell border; off-grid
+    cells clamp to the border."""
+    rows, cols = shape
+    return (np.clip(r, -1, rows - 2) * cols + np.clip(c, -1, cols - 2)
+            + (cols + 1)).astype(np.int64, copy=False)
 
 
 def _canonical(x0, y0, z0, x1, y1, z1):
@@ -88,8 +121,9 @@ def _canonical(x0, y0, z0, x1, y1, z1):
 
 
 def _march_rays(bld, veg, x0, y0, z0, x1, y1, z1, res):
-    """march_batch on one batch, over grids padded by a one-cell border."""
-    x0, y0, z0, x1, y1, z1 = _canonical(x0, y0, z0, x1, y1, z1)
+    """march_batch on one batch of canonical segments, over grids padded by
+    a one-cell border. A ray leaves the active set once it is blocked or
+    its step reaches t >= 1."""
     dx = x1 - x0
     dy = y1 - y0
     dz = z1 - z0
@@ -100,27 +134,22 @@ def _march_rays(bld, veg, x0, y0, z0, x1, y1, z1, res):
     r1 = np.floor(y1 / res).astype(np.int64)
     step_c, t_mx, t_dx = _traversal_setup(c0, x0, dx, res)
     step_r, t_my, t_dy = _traversal_setup(r0, y0, dy, res)
-    rows, cols = bld.shape
+    shape = bld.shape
     bld = bld.ravel()
     veg = veg.ravel()
-
-    def cell(r, c):
-        # flat index into the padded grids; off-grid cells clamp to the border
-        return np.clip(r + 1, 0, rows - 1) * cols + np.clip(c + 1, 0, cols - 1)
-
     n = x0.size
     clear = np.zeros(n, dtype=bool)
     veg_out = np.zeros(n)
     ray = np.arange(n)
-    end0 = cell(r0, c0)
-    end1 = cell(r1, c1)
+    end0 = _cell(shape, r0, c0)
+    end1 = _cell(shape, r1, c1)
     c, r = c0, r0
     veg_len = np.zeros(n)
     t_prev = np.zeros(n)
     while ray.size:
         t_next = np.where(t_mx < t_my, t_mx, t_my)
         np.minimum(t_next, 1.0, out=t_next)
-        here = cell(r, c)
+        here = _cell(shape, r, c)
         za = z0 + dz * t_prev
         zb = z0 + dz * t_next
         zmin = np.where(za < zb, za, zb)
@@ -150,46 +179,9 @@ def _march_rays(bld, veg, x0, y0, z0, x1, y1, z1, res):
     return clear, veg_out
 
 
-def _surely_blocked(building, x0, y0, z0, x1, y1, z1, res):
-    """Which segments march_batch is sure to report blocked, as a bool array.
-
-    A segment is culled when, at one of CULL_SAMPLES evenly spaced points,
-    the point lies at least CULL_MARGIN_M inside a grid cell that is not an
-    endpoint cell, on both plan axes, and more than CULL_MARGIN_M below
-    that cell's building height. As the margin exceeds the march's
-    rounding of its cell crossings, the march then visits that cell over a
-    t-interval of nonzero length that contains the point; and as both the
-    screen and the march compute heights as z0 + dz * t after the same
-    endpoint swap, the segment's lowest height in the cell is no higher
-    than the point's: the march finds the cell blocking. A culled segment
-    is always blocked; a kept one may be either. The endpoint coordinates
-    broadcast to one 1-D shape, as for march_batch, and segments are
-    screened in batches of MARCH_BATCH_RAYS.
-
-    The height margin is not needed for that: rounding is monotone, so
-    z0 + dz * t is monotone in t, and the lower of the march's heights at
-    the ends of the cell's t-interval is at most the point's; a point
-    strictly below the roof already puts it below the roof. A margin of 0
-    would cull more segments, all of them blocked, and change no output.
-    The margin is kept so that the screen stays sound should the march
-    compute its heights in another way, one that rounds differently by
-    less than CULL_MARGIN_M.
-    """
-    ends = np.broadcast_arrays(
-        *(np.asarray(a, dtype=np.float64) for a in (x0, y0, z0, x1, y1, z1)))
-    bld = _bordered(building, -np.inf)
-    n = ends[0].size
-    culled = np.zeros(n, dtype=bool)
-    for start in range(0, n, MARCH_BATCH_RAYS):
-        part = slice(start, start + MARCH_BATCH_RAYS)
-        culled[part] = _screen_rays(bld, *(a[part] for a in ends), res)
-    return culled
-
-
 def _screen_rays(bld, x0, y0, z0, x1, y1, z1, res):
-    """_surely_blocked on one batch, over the building grid padded by a
-    one-cell border of -inf."""
-    x0, y0, z0, x1, y1, z1 = _canonical(x0, y0, z0, x1, y1, z1)
+    """_surely_blocked on one batch of canonical segments, over the building
+    grid padded by a one-cell border of -inf, as a 1-tuple."""
     dz = z1 - z0
     # plan positions in cell units
     u0 = x0 / res
@@ -201,16 +193,9 @@ def _screen_rays(bld, x0, y0, z0, x1, y1, z1, res):
     # margin adds four times that to CULL_MARGIN_M.
     e = (np.abs(x0) + np.abs(x1) + np.abs(y0) + np.abs(y1)) / res
     margin = CULL_MARGIN_M / res + 2.0 ** -48 * (e + 4.0) * e
-    rows, cols = bld.shape
-
-    def cell(v, u):
-        # flat index into the padded grid of the cells floor(v), floor(u);
-        # off-grid cells clamp to the border
-        return (np.clip(v, -1.0, rows - 2.0) * cols + np.clip(u, -1.0, cols - 2.0)
-                + (cols + 1)).astype(np.int64)
-
-    end0 = cell(np.floor(v0), np.floor(u0))
-    end1 = cell(np.floor(y1 / res), np.floor(x1 / res))
+    shape = bld.shape
+    end0 = _cell(shape, np.floor(v0), np.floor(u0))
+    end1 = _cell(shape, np.floor(y1 / res), np.floor(x1 / res))
     bld = bld.ravel()
     culled = np.zeros(x0.size, dtype=bool)
     for k in range(CULL_SAMPLES):
@@ -219,28 +204,21 @@ def _screen_rays(bld, x0, y0, z0, x1, y1, z1, res):
         v = v0 + dv * t
         cu = np.floor(u)
         cv = np.floor(v)
-        here = cell(cv, cu)
+        here = _cell(shape, cv, cu)
         inside = ((np.abs(u - cu - 0.5) <= 0.5 - margin)
                   & (np.abs(v - cv - 0.5) <= 0.5 - margin))
-        culled |= (inside & (here != end0) & (here != end1)
-                   & (bld[here] - (z0 + dz * t) > CULL_MARGIN_M))
-    return culled
+        culled |= inside & (here != end0) & (here != end1) & (bld[here] > z0 + dz * t)
+    return (culled,)
 
 
 def _traversal_setup(cell0, p0, d, res):
-    """A ray's per-axis step, first cell crossing and crossing spacing in t."""
-    step = np.zeros(d.size, dtype=np.int64)
-    t_m = np.full(d.size, math.inf)
-    t_d = np.full(d.size, math.inf)
-    pos = d > 0.0
-    neg = d < 0.0
-    step[pos] = 1
-    t_m[pos] = ((cell0[pos] + 1) * res - p0[pos]) / d[pos]
-    t_d[pos] = res / d[pos]
-    step[neg] = -1
-    t_m[neg] = (cell0[neg] * res - p0[neg]) / d[neg]
-    t_d[neg] = -res / d[neg]
-    return step, t_m, t_d
+    """A ray's per-axis step, first cell crossing and crossing spacing in t;
+    an axis the ray does not move along never crosses (inf)."""
+    moving = d != 0.0
+    t_m = np.divide((cell0 + (d > 0.0)) * res - p0, d, out=np.full(d.size, math.inf),
+                    where=moving)
+    t_d = np.divide(res, np.abs(d), out=np.full(d.size, math.inf), where=moving)
+    return np.sign(d).astype(np.int64), t_m, t_d
 
 
 def _vegetated_length(v, z0, dz, t_prev, t_next, seg_len):
@@ -290,7 +268,7 @@ def _reflection_candidates(walls, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z, eps):
     in wall order, with each hit point moved eps off the wall to its street
     side and path_len the unfolded image-to-receiver distance.
     """
-    hits = []
+    hits = [(np.zeros(0, dtype=np.int64),) + (np.zeros(0),) * 4]
     rx_z_tx = rx_z - tx_z
     for axis, plane, lo, hi, height, nrm in walls:
         # (along, across) = (x, y) for axis 0, (y, x) for axis 1
@@ -306,13 +284,11 @@ def _reflection_candidates(walls, tx_x, tx_y, tx_z, rx_x, rx_y, rx_z, eps):
         h_ac = tx_ac + t * d_ac
         hz = tx_z + t * rx_z_tx
         ok = ~((h_ac < lo) | (h_ac > hi) | (hz < 0.0) | (hz > height))
-        ddx, ddy = (d_al[ok], d_ac[ok]) if axis == 0.0 else (d_ac[ok], d_al[ok])
-        path_len = np.sqrt(ddx * ddx + ddy * ddy + rx_z_tx * rx_z_tx)
+        d_al, d_ac = d_al[ok], d_ac[ok]
+        path_len = np.sqrt(d_al * d_al + d_ac * d_ac + rx_z_tx * rx_z_tx)
         h_al = np.full(path_len.size, plane + eps * nrm)
         hx, hy = (h_al, h_ac[ok]) if axis == 0.0 else (h_ac[ok], h_al)
         hits.append((side[ok], hx, hy, hz[ok], path_len))
-    if not hits:
-        return (np.zeros(0, dtype=np.int64),) + (np.zeros(0),) * 4
     return tuple(np.concatenate(a) for a in zip(*hits))
 
 

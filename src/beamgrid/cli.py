@@ -34,6 +34,13 @@ def _positive(value):
     return iv
 
 
+def _non_negative(value):
+    iv = int(value)
+    if iv < 0:
+        raise argparse.ArgumentTypeError(f"value must be >= 0, got {iv}")
+    return iv
+
+
 def _load_config(path):
     return gridio.load_config(path) if path else gridio.parse_config({})
 
@@ -334,7 +341,7 @@ def build_parser():
     p = sub.add_parser("generate", help="synthesise a city height map and tx site")
     p.add_argument("--rows", type=_dim, required=True)
     p.add_argument("--cols", type=_dim, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--out", required=True, help="scene grid output (.scene.bgrd)")
     p.add_argument("--config", default=None)
     p.add_argument("--tx-out", default=None, help="also save the tx site JSON here")

@@ -258,9 +258,18 @@ _JSON_KINDS = {
 
 def _json_doc(data, where, encoding="utf-8"):
     """The JSON document in the bytes data; text that is not valid in the
-    encoding or not JSON raises GridParseError naming where."""
+    encoding, not JSON or with a key repeated in one object raises
+    GridParseError naming where."""
+    def unique_keys(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise GridParseError(f"{where}: repeated key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
-        return json.loads(data.decode(encoding))
+        return json.loads(data.decode(encoding), object_pairs_hook=unique_keys)
     except UnicodeDecodeError as exc:
         raise GridParseError(f"{where}: invalid {encoding} at byte offset {exc.start}") from exc
     except json.JSONDecodeError as exc:

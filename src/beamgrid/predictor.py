@@ -245,6 +245,8 @@ class TrainConfig:
             raise ValueError("hyper-parameters must be positive")
         if not 0 < self.lr_decay <= 1 or self.patience < 1:
             raise ValueError("invalid decay/patience")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def targets(model, tensors):

@@ -107,7 +107,9 @@ class SceneConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         for name in ("rx_height_m", "tx_mast_m", "reflection_loss_db",
-                     "vegetation_db_per_m", "street_width"):
+                     "vegetation_db_per_m", "street_width", "building_height_min",
+                     "building_height_max", "vegetation_height_min",
+                     "vegetation_height_max"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.max_reflections not in (0, 1):

@@ -78,7 +78,10 @@ class TestGenerate:
         ("tx_mast_m", -20.0, 3, "tx_mast_m must be >= 0"),
         ("block_size", -20, 3, "block_size must be > 0"),
         ("tx_mast_m", 1e300, 4, "path lengths overflow float64"),
-    ], ids=["negative-mast", "negative-block", "overflowing-mast"])
+        ("vegetation_height_min", -3.0, 3, "vegetation_height_min must be >= 0"),
+        ("building_height_max", -1.0, 3, "building_height_max must be >= 0"),
+    ], ids=["negative-mast", "negative-block", "overflowing-mast", "negative-canopy",
+            "negative-roof"])
     def test_bad_scene_value_exit_code(self, tmp_path, capsys, key, value, code, message):
         cfg = write_config(tmp_path / "cfg.json", **{key: value})
         assert run_cli("generate", "--rows", 32, "--cols", 32, "--seed", 3,
@@ -104,6 +107,14 @@ class TestGenerate:
             run_cli("generate", "--rows", 0, "--cols", 32,
                     "--out", tmp_path / "x.bgrd")
         assert exc.value.code == 2
+
+    def test_negative_seed_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("generate", "--rows", 32, "--cols", 32, "--seed", -1,
+                    "--out", tmp_path / "x.bgrd")
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "x.bgrd").exists()
 
     def test_prints_tx_site_json(self, tmp_path, capsys):
         run_cli("generate", "--rows", 32, "--cols", 32, "--seed", 3,

@@ -344,6 +344,11 @@ class TestRunConfig:
         ({"scene": {"max_reflections": 2}}, "at most one reflection bounce"),
         ({"scene": {"resolution_m": 0}}, "resolution_m must be > 0"),
         ({"train": {"epochs": 0}}, "hyper-parameters must be positive"),
+        ({"train": {"seed": -1}}, "seed must be >= 0"),
+        ({"scene": {"building_height_min": -3}}, "building_height_min must be >= 0"),
+        ({"scene": {"building_height_max": -1}}, "building_height_max must be >= 0"),
+        ({"scene": {"vegetation_height_min": -3}}, "vegetation_height_min must be >= 0"),
+        ({"scene": {"vegetation_height_max": -1}}, "vegetation_height_max must be >= 0"),
     ])
     def test_out_of_range_value_rejected(self, doc, message):
         # checked whatever stage loads the config; generate's street lattice
@@ -374,6 +379,22 @@ class TestRunConfig:
         path.write_text(json.dumps(dataclasses.asdict(cfg)))
         again = io.load_config(path)
         assert again == cfg
+
+    @pytest.mark.parametrize("load, text, match", [
+        (io.load_config, '{"loss": {"kind": "WS"}, "loss": {"kind": "CE"}}',
+         r"config .*doc\.json: repeated key 'loss'"),
+        (io.load_config, '{"train": {"seed": 1, "seed": 2}}',
+         r"config .*doc\.json: repeated key 'seed'"),
+        (io.load_tx_site, '{"pixel": [3, 4], "height_m": 21.5, "height_m": 2.0, '
+                          '"boresight_azimuth": 1.25, "downtilt": 0.5}',
+         r"tx site .*doc\.json: repeated key 'height_m'"),
+    ], ids=["config_section", "nested_key", "tx_site"])
+    def test_repeated_key_rejected(self, tmp_path, load, text, match):
+        # json keeps the last of two equal keys, which loaded the second loss
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        with pytest.raises(GridParseError, match=match):
+            load(path)
 
     def test_invalid_json_offset(self, tmp_path):
         path = tmp_path / "bad.json"

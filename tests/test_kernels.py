@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamgrid import _kernels
@@ -78,11 +78,16 @@ def grids_and_segments(draw):
     return sc.HeightMap(building, vegetation, resolution_m=res), np.array(segs)
 
 
+# zero segments: empty outputs of the kernels' dtypes
+NO_SEGMENTS = (sc.HeightMap(np.zeros((2, 3)), np.zeros((2, 3))), np.zeros((0, 6)))
+
+
 class TestMarchBatch:
     """march_batch against the scalar march of conftest: the same values bit
     for bit, whatever the batch size."""
 
     @given(grids_and_segments(), st.sampled_from([1, 5, _kernels.MARCH_BATCH_RAYS]))
+    @example(NO_SEGMENTS, 5)
     @settings(deadline=None, max_examples=200)
     def test_matches_scalar_march(self, case, batch_rays):
         hm, segs = case
@@ -93,6 +98,7 @@ class TestMarchBatch:
                                                   hm.resolution_m)
             expect = [march(hm.building, hm.vegetation, *seg.tolist(), hm.resolution_m)
                       for seg in segs]
+        assert clear.dtype == bool and veg.dtype == np.float64
         assert clear.tolist() == [e[0] for e in expect]
         assert veg.tobytes() == np.array([e[1] for e in expect]).tobytes()
 
@@ -112,17 +118,28 @@ class TestSurelyBlocked:
     is one that march_batch reports blocked."""
 
     @given(grids_and_segments(), st.sampled_from([1, 5, _kernels.MARCH_BATCH_RAYS]))
+    @example(NO_SEGMENTS, 5)
     @settings(deadline=None, max_examples=300)
     def test_culls_only_blocked_segments(self, case, batch_rays):
         hm, segs = case
         with mock.patch.object(_kernels, "MARCH_BATCH_RAYS", batch_rays):
             culled, clear = _screen_and_march(hm.building, segs, hm.resolution_m)
+        assert culled.dtype == bool and culled.shape == clear.shape == (len(segs),)
         assert not (culled & clear).any()
 
     def test_culls_segment_through_a_roof(self):
         building = np.zeros((3, 5))
         building[1, 2] = 10.0
         culled, clear = _screen_and_march(building, np.array([[0.5, 1.5, 2.0, 4.5, 1.5, 2.0]]))
+        assert culled[0] and not clear[0]
+
+    def test_culls_level_segment_grazing_a_roof(self):
+        # any height below the roof culls: the march's lowest height in the
+        # cell is at most the sample's, as both round z0 + dz * t alike
+        building = np.zeros((1, 3))
+        building[0, 1] = 10.0
+        z = 10.0 - 1e-9
+        culled, clear = _screen_and_march(building, np.array([[0.5, 0.5, z, 2.5, 0.5, z]]))
         assert culled[0] and not clear[0]
 
     def test_keeps_level_segment_at_roof_height(self):
