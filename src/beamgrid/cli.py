@@ -136,13 +136,16 @@ def _read_site(scene_path, tx_path, cfg):
     return hm, tx
 
 
-def _read_tensors(stem):
-    """The beam tensors of the tensors set <stem>.tensors.bgrd, as stored
-    (f32), and its validity mask <stem>.mask.bgrd (a u8 grid of 0 and 1),
-    checked to share one grid and to hold only finite, non-negative powers.
-    A caller converts to float64 only the valid rows."""
+def _read_tensors(stem, dims):
+    """The beam tensors of the tensors set <stem>.tensors.bgrd as stored
+    (f32), one channel per beam of dims, and its mask <stem>.mask.bgrd (a
+    u8 grid of 0 and 1), checked to share one grid and to hold only finite,
+    non-negative powers. A caller converts to float64 only the valid rows."""
     tensors_path, mask_path = f"{stem}.tensors.bgrd", f"{stem}.mask.bgrd"
     tensors = gridio.read_grid(tensors_path)
+    if tensors.shape[2] != math.prod(dims):
+        raise GridParseError(f"beam power grid {tensors_path}: {tensors.shape[2]} channels; "
+                             f"expected {math.prod(dims)} (codebook dims {list(dims)})")
     # min and max propagate NaN, and make no grid-sized temporary
     if tensors.size and not (tensors.min() >= 0.0 and tensors.max() < np.inf):
         raise GridParseError(f"beam power grid {tensors_path} holds a NaN, "
@@ -211,6 +214,9 @@ def _prediction_from_args(args, cfg, valid, samples, site):
 
 
 def cmd_evaluate(args):
+    """Write the report, <report stem>.rank.bgrd and, with --scene/--tx,
+    <report stem>.los.pgm. The f32 rank grid holds each valid pixel's rank of
+    its optimal beam in the predicted order (a top-k hit: 1 to k), else 0."""
     cfg = _load_config(args.config)
     if not args.tensors.endswith(".tensors.bgrd"):
         print("error: --tensors must name a <stem>.tensors.bgrd file, beside its "
@@ -220,7 +226,7 @@ def cmd_evaluate(args):
         print("error: --scene and --tx must be given together", file=sys.stderr)
         return 2
     stem = args.tensors.removesuffix(".tensors.bgrd")
-    tensors, valid = _read_tensors(stem)
+    tensors, valid = _read_tensors(stem, cfg.codebook.dims)
     samples = tensors[valid].astype(np.float64)
     site = _read_site(args.scene, args.tx, cfg) if args.scene else None
     if site is not None:  # the trace's LoS classes, read before any output is written
@@ -230,20 +236,15 @@ def cmd_evaluate(args):
             raise GridParseError(f"LoS grid {los_path} {los.shape} vs scene grid "
                                  f"{args.scene} {site[0].building.shape}")
     scores, kind = _prediction_from_args(args, cfg, valid, samples, site)
-    dims = cfg.codebook.dims
-    if math.prod(dims) != samples.shape[1]:
-        raise GridParseError(f"the prediction ranks {math.prod(dims)} beams; "
-                             f"the tensors hold {samples.shape[1]}")
-    rankings = predictor.flat_ranking(scores, dims, kind)
-    report, hits = metrics.evaluate_ranking(samples, rankings, cfg.eval.k_list,
+    rankings = predictor.flat_ranking(scores, cfg.codebook.dims, kind)
+    report, rank = metrics.evaluate_ranking(samples, rankings, cfg.eval.k_list,
                                             cfg.budget, excluded=int((~valid).sum()))
     gridio.save_report(args.report, report)
     print(gridio.render_table(report))
     out = args.report.removesuffix(".json")
-    for k, hit in zip(cfg.eval.k_list, hits):
-        img = np.zeros(valid.shape, dtype=np.uint8)
-        img[valid] = np.where(hit, 255, 64)
-        gridio.write_pgm(f"{out}.top{k}.pgm", img)
+    ranks = np.zeros(valid.shape, dtype=np.float32)
+    ranks[valid] = rank
+    gridio.write_grid(f"{out}.rank.bgrd", ranks, "f32")
     if site is not None:
         # the shades of scene.NLOS, LOS_ATTENUATED and LOS_DOMINANT
         shades = np.array([64, 160, 255], dtype=np.uint8)
@@ -272,7 +273,7 @@ def _split_scenes(stems, seed):
 def _load_scene_samples(stem, site, model):
     """Features and training targets of one scene's valid pixels (tensor
     resolution); the scene's tensors are dropped once its targets are built."""
-    tensors, valid = _read_tensors(stem)
+    tensors, valid = _read_tensors(stem, model.dims)
     x = _site_features(*site, valid, f"{stem}.scene.bgrd")
     return x, predictor.targets(model, tensors[valid].astype(np.float64))
 

@@ -1,5 +1,5 @@
-"""Evaluation protocol: exclusion mask, SNR, and the top-k accuracy and
-throughput ratio of a beam ranking (evaluate_ranking, the only scorer).
+"""Evaluation protocol: exclusion mask, SNR, and the ranks, top-k accuracy
+and throughput ratio of a beam ranking (evaluate_ranking, the only scorer).
 
 Beam tensors hold unit-transmit-power path gains; the link budget applies
 the transmit power and noise floor when converting to SNR. Locations whose
@@ -82,14 +82,13 @@ def evaluate_ranking(tensors, rankings, k_list, budget, excluded=0):
     """Score a full beam ranking at every requested depth k.
 
     tensors hold each sample's beam powers, rankings its candidate beams
-    (flat indices), best first. The top-k accuracy is the fraction of
-    samples whose optimal beam is among their first k candidates; the
-    throughput ratio is the sum over the samples of the best Shannon rate
-    log2(1 + SNR) among the first k candidates, over the sum of the optimal
-    rates, computed once for every k; a sum that is not finite (an SNR
-    beyond float64) raises NumericError. Returns the report and the hits:
-    per k, whether each sample's optimal beam is among its first k
-    candidates, a (len(k_list), n) bool array.
+    (flat indices), best first. A sample's rank is the 1-based place of its
+    optimal beam (the first, on ties) among its candidates, one past them
+    if they lack it; the top-k accuracy is the fraction of ranks at most k.
+    The throughput ratio is the sum over the samples of the best Shannon
+    rate log2(1 + SNR) among the first k candidates, over the sum of the
+    optimal rates, computed once for every k; a sum that is not finite (an
+    SNR beyond float64) raises NumericError. Returns the report and the ranks.
     """
     if len(rankings) == 0:
         raise UndefinedResultError("no valid samples left to evaluate")
@@ -110,9 +109,8 @@ def evaluate_ranking(tensors, rankings, k_list, budget, excluded=0):
         raise UndefinedResultError("all samples have zero optimal rate")
     tpr = [float(np.take_along_axis(rate, rankings[:, :k], axis=1).max(axis=1).sum() / denom)
            for k in k_list]
-    truths = np.argmax(flat, axis=1)
-    hits = np.stack([(rankings[:, :k] == truths[:, None]).any(axis=1) for k in k_list])
-    report = EvalReport(k_list=list(k_list), accuracy=[float(h.mean()) for h in hits],
+    found = rankings == np.argmax(flat, axis=1)[:, None]
+    rank = np.where(found.any(axis=1), found.argmax(axis=1) + 1, rankings.shape[1] + 1)
+    report = EvalReport(k_list=list(k_list), accuracy=[float((rank <= k).mean()) for k in k_list],
                         tpr=tpr, samples=len(rankings), excluded=int(excluded))
-    return report, hits
-
+    return report, rank

@@ -306,7 +306,7 @@ def test_cli_pipeline_byte_identical(tmp_path):
     b = run_pipeline(tmp_path / "run_b")
     names = ["s.scene.bgrd", "s.tx.json", "s.paths.csv", "s.los.bgrd",
              "s.tensors.bgrd", "s.gt.bgrd", "s.mask.bgrd", "report.json",
-             "report.top1.pgm", "report.los.pgm"]
+             "report.rank.bgrd", "report.los.pgm"]
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     print("\nPASS  determinism: two full pipeline runs byte-identical "

@@ -42,6 +42,19 @@ def write_los(path, rows, cols):
     io.write_grid(path, np.zeros((rows, cols), dtype=np.uint8), "u8")
 
 
+def assert_rank_grid_matches(path, k_list, images):
+    """The rank grid evaluate wrote at path, thresholded at each k, is the
+    reference top-k hit map of that k (evaluate_reference): its pixels of
+    rank 1 to k are the image's hits (255), those of a rank above k its
+    misses (64), and so its pixels of rank 0 those left out (0)."""
+    grid = io.read_grid(path)
+    assert grid.dtype == np.float32 and grid.shape[2] == 1
+    rank = grid[:, :, 0]
+    for k, img in zip(k_list, images):
+        assert np.array_equal((rank > 0) & (rank <= k), img == 255), k
+        assert np.array_equal(rank > k, img == 64), k
+
+
 @pytest.fixture()
 def pipeline(tmp_path):
     """generate + trace on a small scene; returns the working dir paths."""
@@ -523,14 +536,19 @@ class TestEvaluate:
         np.testing.assert_allclose(rep.tpr, expect.tpr, atol=1e-12)
 
     def test_emits_hit_maps_and_los_map(self, tensorized):
+        # the hit maps are one rank grid: the oracle ranks every valid
+        # pixel's optimal beam first, and the other pixels read 0
         tmp, cfg = tensorized
         run_cli("evaluate", "--tensors", tmp / "t.tensors.bgrd",
                 "--pred", "oracle", "--config", cfg,
                 "--report", tmp / "r3.json",
                 "--scene", tmp / "s.scene.bgrd", "--tx", tmp / "s.tx.json")
-        for k in (1, 2, 4, 8, 16, 32):
-            data = (tmp / f"r3.top{k}.pgm").read_bytes()
-            assert data.startswith(b"P5\n8 8\n255\n")
+        rank = io.read_grid(tmp / "r3.rank.bgrd")
+        valid = io.read_grid(tmp / "t.mask.bgrd")
+        assert rank.shape == (8, 8, 1) and rank.dtype == np.float32
+        assert valid.any() and np.array_equal(rank, valid.astype(np.float32))
+        assert sorted(p.name for p in tmp.glob("r3.*")) == \
+            ["r3.json", "r3.los.pgm", "r3.rank.bgrd"]
         los = (tmp / "r3.los.pgm").read_bytes()
         assert los.startswith(b"P5\n32 32\n255\n")
 
@@ -623,7 +641,8 @@ class TestEvaluate:
             site = ["--scene", tmp / "s.scene.bgrd", "--tx", tmp / "s.tx.json"]
         assert run_cli("evaluate", "--tensors", tmp / "t64.tensors.bgrd", "--pred", pred,
                        "--config", cfg, "--report", tmp / "r.json", *site) == 3
-        assert "the prediction ranks 128 beams; the tensors hold 64" in capsys.readouterr().err
+        assert f"beam power grid {tmp / 't64.tensors.bgrd'}: 64 channels; expected 128 " \
+            "(codebook dims [8, 4, 4])" in capsys.readouterr().err
         assert not (tmp / "r.json").exists()
 
     def test_ambiguous_grid_kind_exit_code(self, pipeline, capsys):
@@ -913,9 +932,7 @@ class TestEvaluate:
         report, images = evaluate_reference(tensors, valid, grid.astype(np.float64), dims,
                                             "joint", k_list, mt.LinkBudget())
         assert_report_matches(io.load_report(tmp_path / "r.json"), report)
-        for k, img in zip(k_list, images):
-            io.write_pgm(tmp_path / "ref.pgm", img)
-            assert (tmp_path / f"r.top{k}.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
+        assert_rank_grid_matches(tmp_path / "r.rank.bgrd", k_list, images)
 
 
 @st.composite
@@ -940,12 +957,14 @@ def evaluate_inputs(draw, source):
 
 
 class TestEvaluateMatchesReference:
-    """evaluate scores and ranks the valid pixels alone; its report and hit
-    maps must keep the bytes of the whole-grid code it replaced (conftest),
-    for every kind of prediction and with no, one or every pixel valid: the
-    hit maps and the report those of the sample-by-sample reference scorer
-    (the throughput ratios to its tolerance), and the report's bytes those
-    of metrics.evaluate_ranking on the whole-grid ranking."""
+    """evaluate scores and ranks the valid pixels alone; its report must
+    keep the bytes of the whole-grid code it replaced (conftest), and its
+    rank grid the hit maps of that code at every k, for every kind of
+    prediction and with no, one or every pixel valid: the rank grid
+    thresholded at each k the hit map and the report those of the
+    sample-by-sample reference scorer (the throughput ratios to its
+    tolerance), and the report's bytes those of metrics.evaluate_ranking on
+    the whole-grid ranking."""
 
     @pytest.mark.parametrize("source", ["oracle", "joint", "sep", "ir",
                                         "model-CE", "model-CE-sep", "model-IR"])
@@ -955,7 +974,7 @@ class TestEvaluateMatchesReference:
         dims, tensors, valid, factor, seed = data.draw(evaluate_inputs(source))
         rows, cols, b = tensors.shape
         rng = np.random.default_rng(seed + 1)
-        k_list = [1, b] if b > 1 else [1]
+        k_list = list(range(1, b + 1))
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             (tmp / "cfg.json").write_text(json.dumps({
@@ -1009,9 +1028,7 @@ class TestEvaluateMatchesReference:
                 excluded=int((~valid).sum()))
             io.save_report(tmp / "ref.json", ref)
             assert (tmp / "r.json").read_bytes() == (tmp / "ref.json").read_bytes()
-            for k, img in zip(k_list, images):
-                io.write_pgm(tmp / "ref.pgm", img)
-                assert (tmp / f"r.top{k}.pgm").read_bytes() == (tmp / "ref.pgm").read_bytes()
+            assert_rank_grid_matches(tmp / "r.rank.bgrd", k_list, images)
 
 
 class TestTrainCli:
@@ -1040,7 +1057,7 @@ class TestTrainCli:
                            "--model-out", tmp / f"{stem}.bgmdl") == 0
         assert (tmp / "m1.bgmdl").read_bytes() == (tmp / "m2.bgmdl").read_bytes()
 
-    def test_history_and_best_epoch(self, scene_dir):
+    def test_history_and_best_epoch(self, scene_dir, capsys):
         # the history always goes beside the model
         tmp, cfg, scenes = scene_dir
         with pytest.raises(SystemExit) as exc:
@@ -1048,15 +1065,40 @@ class TestTrainCli:
                     "--model-out", tmp / "m.bgmdl", "--history-out", tmp / "h.csv")
         assert exc.value.code == 2
         assert not (tmp / "h.csv").exists()
-        run_cli("train", "--scenes", scenes, "--config", cfg,
-                "--model-out", tmp / "m.bgmdl")
+        capsys.readouterr()
+        assert run_cli("train", "--scenes", scenes, "--config", cfg,
+                       "--model-out", tmp / "m.bgmdl") == 0
+        best_epoch = int(capsys.readouterr().out.split("best_epoch=")[1].split()[0])
         lines = (tmp / "m.bgmdl.history.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,lr"
         rows = [line.split(",") for line in lines[1:]]
-        assert len(rows) >= 1
+        assert [int(r[0]) for r in rows] == list(range(len(rows)))
         val = [float(r[2]) for r in rows]
-        # best-state selection: the reported minimum is the history minimum
-        assert min(val) == min(val[int(r[0])] for r in rows)
+        # best-state selection: the printed best epoch is the first minimum
+        # of the history's val_loss, and the model holds that epoch's
+        # weights, so training stopped right after it writes the same file
+        assert best_epoch == val.index(min(val)) and best_epoch + 1 < len(rows)
+        doc = json.loads(cfg.read_text())
+        doc["train"] = {"epochs": best_epoch + 1}
+        (tmp / "stop.json").write_text(json.dumps(doc))
+        assert run_cli("train", "--scenes", scenes, "--config", tmp / "stop.json",
+                       "--model-out", tmp / "stop.bgmdl") == 0
+        assert (tmp / "stop.bgmdl").read_bytes() == (tmp / "m.bgmdl").read_bytes()
+
+    def test_tensors_of_another_codebook_exit_code(self, scene_dir, capsys):
+        # 8x4x4 tensors (128 beams) trained under a 4x4x4 codebook: each row
+        # was read as two samples of 64 beams, and a model was written at
+        # exit 0
+        tmp, _, scenes = scene_dir
+        cfg = tmp / "cb64.json"
+        cfg.write_text(json.dumps({"scene": {"rows": 32, "cols": 32},
+                                   "codebook": {"Na": 4, "Ne": 4, "Nr": 4}}))
+        stem = self._first_train_stem(cfg, scenes)
+        assert run_cli("train", "--scenes", scenes, "--config", cfg,
+                       "--model-out", tmp / "m.bgmdl") == 3
+        assert f"beam power grid {stem}.tensors.bgrd: 128 channels; expected 64 " \
+            "(codebook dims [4, 4, 4])" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp.glob("m.*")) == []
 
     @pytest.mark.parametrize("n, sizes", [(3, (1, 1, 1)), (12, (9, 1, 2)), (20, (16, 2, 2))])
     def test_split_sizes(self, n, sizes):

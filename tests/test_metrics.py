@@ -195,18 +195,25 @@ class TestEvaluateRanking:
         rng = np.random.default_rng(5)
         t = rng.uniform(1e-13, 1e-12, (30, 16))
         preds = ranking_from_scores(t + rng.normal(0, 1e-13, t.shape))
-        rep, hits = mt.evaluate_ranking(t, preds, [1, 4, 16], mt.LinkBudget(), excluded=7)
+        rep, rank = mt.evaluate_ranking(t, preds, [1, 4, 16], mt.LinkBudget(), excluded=7)
         assert rep.samples == 30 and rep.excluded == 7
-        assert hits.shape == (3, 30) and hits.dtype == bool
+        assert rank.shape == (30,) and 1 <= rank.min() and rank.max() <= 16
         assert rep.accuracy[-1] == 1.0 and rep.tpr[-1] == 1.0
         assert all(b >= a for a, b in zip(rep.accuracy, rep.accuracy[1:]))
+
+    def test_rank_past_a_truncated_list(self):
+        # a sample whose candidates lack its optimal beam ranks one past them
+        _, rank = mt.evaluate_ranking(peaked([5, 1], 8), np.array([[0, 1, 2], [1, 0, 2]]),
+                                      [1, 3], mt.LinkBudget())
+        assert rank.tolist() == [4, 1]
 
     @given(st.integers(1, 40), st.integers(1, 64), st.integers(0, 2**32 - 1),
            st.sampled_from([0.0, 0.5, 0.9]), st.floats(-60.0, 60.0))
     @settings(deadline=None, max_examples=200)
     def test_matches_per_k_reference(self, n, b, seed, zeros, tx_power_dbm):
-        # the rates are computed once for every k; the report and hits must
-        # be those of the sample-by-sample reference at each k
+        # the rates and ranks are computed once for every k; the report and
+        # the hits (rank <= k) must be those of the sample-by-sample
+        # reference at each k
         rng = np.random.default_rng(seed)
         t = rng.uniform(0.0, 1e-11, (n, b))
         t[rng.uniform(size=(n, b)) < zeros] = 0.0
@@ -214,10 +221,11 @@ class TestEvaluateRanking:
         preds = np.array([rng.permutation(b) for _ in range(n)])
         k_list = sorted(set(rng.integers(1, b + 1, rng.integers(1, 7)).tolist()))
         budget = mt.LinkBudget(tx_power_dbm=tx_power_dbm)
-        rep, hits = mt.evaluate_ranking(t, preds, k_list, budget, excluded=3)
+        rep, rank = mt.evaluate_ranking(t, preds, k_list, budget, excluded=3)
         ref, ref_hits = evaluate_ranking_reference(t, preds, k_list, budget, excluded=3)
         assert_report_matches(rep, ref)
-        assert hits.tolist() == ref_hits
+        assert rank.shape == (n,) and 1 <= rank.min() and rank.max() <= b
+        assert [(rank <= k).tolist() for k in k_list] == ref_hits
 
 
 class TestLosClassMap:
