@@ -85,10 +85,11 @@ def cmd_trace(args):
 def cmd_tensorize(args):
     """Write <out>.tensors/.gt/.mask/.los.bgrd: the rows of the pixels with
     paths (of the blocks, at --downscale above 1) scattered once into one f32
-    grid, and the mask of the rows that pass the exclusion threshold."""
+    grid, the mask of the rows that pass the exclusion threshold, and the
+    trace's LoS grid unless <out> is the paths stem, where it is already."""
     cfg = _load_config(args.config)
-    los = _read_plane(args.paths.removesuffix(".paths.csv") + ".los.bgrd", "LoS",
-                      scene.LOS_DOMINANT)
+    los_path = args.paths.removesuffix(".paths.csv") + ".los.bgrd"
+    los = _read_plane(los_path, "LoS", scene.LOS_DOMINANT)
     grid = los.shape  # the traced grid
     channels = gridio.read_paths_csv(args.paths, *grid)
     tx = gridio.load_tx_site(args.tx)
@@ -104,12 +105,14 @@ def cmd_tensorize(args):
     valid.flat[ids] = ~metrics.exclusion_mask(rows, cfg.budget)
     # ground truth from the stored (f32-quantised) values, so the emitted
     # artifacts stay mutually consistent under quantisation ties
-    gt = np.argmax(flat, axis=-1).astype(np.float64)
+    gt = np.argmax(flat, axis=-1)
     out = Path(args.out)
     gridio.write_grid(str(out) + ".tensors.bgrd", flat, "f32")
     gridio.write_grid(str(out) + ".gt.bgrd", gt, "f32")
     gridio.write_grid(str(out) + ".mask.bgrd", valid.astype(np.uint8), "u8")
-    gridio.write_grid(str(out) + ".los.bgrd", los, "u8")
+    los_out = Path(str(out) + ".los.bgrd")
+    if not (los_out.exists() and los_out.samefile(los_path)):
+        gridio.write_grid(los_out, los, "u8")
     print(f"tensors={flat.shape[0]}x{flat.shape[1]}x{flat.shape[2]} "
           f"valid={int(valid.sum())} excluded={int((~valid).sum())}")
     return 0

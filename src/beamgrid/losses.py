@@ -1,5 +1,7 @@
 """The pieces of the loss arithmetic that predictor.targets,
-predictor._head_terms and predictor._batch_grad share.
+predictor._heads and predictor._batch_grad share. predictor._head_terms,
+which scores the epoch losses on a worker thread, calls none of them: it
+writes the steps of softmax out, in place in its score block.
 
 The predictor trains five loss families, each on joint logits over all
 Na*Ne*Nr beams and (where meaningful) on factorised "sep" logits with
@@ -27,17 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def _shifted_exp(z, axis):
-    """z less its maximum along axis, and the exponential of that: the steps
-    softmax and the log-softmax of predictor._head_terms share."""
-    shifted = z - z.max(axis=axis, keepdims=True)
-    return shifted, np.exp(shifted)
-
-
 def softmax(z, axis=-1):
     """Numerically stable exponential normalisation."""
-    # the shifted scores are freed before the division
-    e = _shifted_exp(np.asarray(z, dtype=np.float64), axis)[1]
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
 
 

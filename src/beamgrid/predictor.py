@@ -19,7 +19,6 @@ build_features and emit a score grid whose valid rows are the prediction.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -311,35 +310,28 @@ def _head_terms(kind, zh, th, dist):
     """Per-sample loss terms of one head, each row on its own: the loss of
     the sample, negated for CE and CEP.
 
-    With the shared steps of losses.softmax (losses._shifted_exp) but not
-    softmax itself: _epoch_loss runs this on a worker thread, which must
-    call no public package function.
+    Computed in place in zh, a view of the score block that _epoch_loss has
+    made for this call. The steps of losses.softmax are written out:
+    _epoch_loss runs this on a worker thread, which must call no public
+    package function.
     """
     if kind in ("IR", "GR"):
-        return ((zh - th) ** 2).mean(axis=1)
-    shifted, e = losses._shifted_exp(zh, 1)
-    if kind == "WS":
-        # dist is bitwise symmetric, so its rows are the columns picked
-        # in place, so each thread holds one score block less
-        e /= e.sum(axis=1, keepdims=True)
-        e *= dist[th]
-        return e.sum(axis=1)
-    lse = np.log(e.sum(axis=1, keepdims=True))
+        zh -= th
+        zh *= zh
+        return zh.mean(axis=1)
+    zh -= zh.max(axis=1, keepdims=True)
+    if kind == "CEP":
+        zh -= np.log(np.exp(zh).sum(axis=1, keepdims=True))
+        zh *= th
+        return zh.sum(axis=1)
     if kind == "CE":
-        return shifted[np.arange(len(shifted)), th] - lse[:, 0]
-    return (th * (shifted - lse)).sum(axis=1)
-
-
-def _loss_of_terms(model, terms):
-    """The loss from the (heads, n) per-sample terms: per head the mean over
-    the samples, summed over the heads."""
-    negated = model.loss.kind in ("CE", "CEP")
-    parts = [-t.mean() if negated else t.mean() for t in terms]
-    # one head is kept as is: 0.0 + -0.0 would flip the sign of a zero loss
-    loss = sum(parts) if len(parts) > 1 else parts[0]
-    # NumPy scalar for CE-sep and CEP-sep: stagebench/reference.json pins the
-    # CEP-sep history text "np.float64(...)"
-    return loss if model.loss.sep and negated else float(loss)
+        picked = zh[np.arange(len(zh)), th]
+        return picked - np.log(np.exp(zh, out=zh).sum(axis=1))
+    np.exp(zh, out=zh)
+    zh /= zh.sum(axis=1, keepdims=True)
+    # dist is bitwise symmetric, so its rows are the columns picked
+    zh *= dist[th]
+    return zh.sum(axis=1)
 
 
 def _row_scores(x, w, b, start, stop):
@@ -360,19 +352,28 @@ def _epoch_loss(model, x, w, b, targets):
     The scores are computed in blocks of LOSS_BLOCK_VALUES // C rows, with
     the bits of one pass over the whole score matrix (_row_scores). BLAS
     also rounds the rows of a one-column product by their place in it, so a
-    one-column model is one block.
+    one-column model is one block. Overflow and invalid values pass
+    silently, under an error state of its own: train runs it on a worker
+    thread, which does not inherit the caller's.
     """
     n, c = len(x), w.shape[1]
     heads = _heads(model.dims, model.loss.kind, model.loss.sep)
     terms = np.empty((len(heads), n))
     rows = max(2, LOSS_BLOCK_VALUES // c) if c > 1 else max(n, 1)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        z = _row_scores(x, w, b, start, stop)
-        for h, (cols, tcols, dist) in enumerate(heads):
-            terms[h, start:stop] = _head_terms(model.loss.kind, z[:, cols],
-                                               targets[start:stop, tcols], dist)
-    return _loss_of_terms(model, terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            z = _row_scores(x, w, b, start, stop)
+            for h, (cols, tcols, dist) in enumerate(heads):
+                terms[h, start:stop] = _head_terms(model.loss.kind, z[:, cols],
+                                                   targets[start:stop, tcols], dist)
+        negated = model.loss.kind in ("CE", "CEP")
+        parts = [-t.mean() if negated else t.mean() for t in terms]
+        # one head is kept as is: 0.0 + -0.0 would flip the sign of a zero loss
+        loss = sum(parts) if len(parts) > 1 else parts[0]
+    # NumPy scalar for CE-sep and CEP-sep: stagebench/reference.json pins the
+    # CEP-sep history text "np.float64(...)"
+    return loss if model.loss.sep and negated else float(loss)
 
 
 def _batch_grad(model, z, targets):
@@ -443,9 +444,6 @@ def train(model, x_train, t_train, hyper=None, x_val=None, t_val=None):
     n = x_train.shape[0]
     with np.errstate(over="ignore", invalid="ignore"), \
             ThreadPoolExecutor(max_workers=1) as pool:
-        # the worker runs in this context, so the errstate holds for the
-        # train loss too
-        context = contextvars.copy_context()
         for epoch in range(hyper.epochs):
             order = rng.permutation(n)
             for start in range(0, n, hyper.batch):
@@ -459,7 +457,7 @@ def train(model, x_train, t_train, hyper=None, x_val=None, t_val=None):
             # best state read this copy. _batch_grad has cached the head
             # layout, so the worker calls no public package function.
             wc, bc = w.copy(), b.copy()
-            train_loss = pool.submit(context.run, _epoch_loss, model, x_train, wc, bc, t_train)
+            train_loss = pool.submit(_epoch_loss, model, x_train, wc, bc, t_train)
             val_loss = (_epoch_loss(model, x_val, wc, bc, t_val) if has_val
                         else train_loss.result())
             if epochs:

@@ -28,6 +28,7 @@ from .channel import (ArrayFrame, TWO_PI, beamspace_angles, gain_profiles,
 from .errors import NoValidSiteError, NumericError
 
 SPEED_OF_LIGHT = 299_792_458.0
+DOWNTILT = math.pi / 4  # radians, of every transmitter panel place_tx places
 
 # neighbour scan order used for tie-breaking: north, west, east, south
 _NEIGHBORS = ((-1, 0), (0, -1), (0, 1), (1, 0))
@@ -233,7 +234,7 @@ def building_edge_pixels(hm):
     return list(zip(rows.tolist(), cols.tolist()))
 
 
-def place_tx(hm, seed, cfg=None, downtilt=math.pi / 4):
+def place_tx(hm, seed, cfg=None):
     """Sample a rooftop-edge pixel, put the panel cfg.tx_mast_m above its
     roof and orient it toward the street.
 
@@ -254,7 +255,7 @@ def place_tx(hm, seed, cfg=None, downtilt=math.pi / 4):
             break
     height_m = float(hm.building[r, c]) + cfg.tx_mast_m
     _check_path_reach(hm, height_m, cfg.rx_height_m)
-    return TxSite(pixel=(r, c), height_m=height_m, frame=ArrayFrame(azimuth, downtilt))
+    return TxSite(pixel=(r, c), height_m=height_m, frame=ArrayFrame(azimuth, DOWNTILT))
 
 
 def exterior_walls(building, res=1.0):

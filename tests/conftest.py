@@ -746,8 +746,9 @@ FLOOR_DB = pr.LossConfig().floor_db
 # references the batch code of predictor is tested against.
 
 def log_softmax(z, axis=-1):
-    shifted, e = losses._shifted_exp(np.asarray(z, dtype=np.float64), axis)
-    return shifted - np.log(e.sum(axis=axis, keepdims=True))
+    z = np.asarray(z, dtype=np.float64)
+    shifted = z - z.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 def ce_loss(logits, target_index):

@@ -308,6 +308,29 @@ class TestTensorize:
         flat = np.argmax(tensors, axis=2)
         assert np.array_equal(gt[:, :, 0].astype(int), flat)
 
+    def test_los_grid_not_rewritten_at_paths_stem(self, pipeline, monkeypatch):
+        # at the paths stem the trace's LoS grid is both the input and the
+        # output; rewriting it would truncate it first. At another stem
+        # tensorize writes a copy of it.
+        tmp, cfg = pipeline
+        los = (tmp / "s.los.bgrd").read_bytes()
+        written = []
+        write_grid = io.write_grid
+
+        def recorded(path, *args):
+            written.append(Path(path).name)
+            return write_grid(path, *args)
+
+        monkeypatch.setattr(io, "write_grid", recorded)
+        for stem in ("s", "t"):
+            assert run_cli("tensorize", "--paths", tmp / "s.paths.csv",
+                           "--tx", tmp / "s.tx.json", "--config", cfg,
+                           "--out", tmp / stem) == 0
+        assert written == ["s.tensors.bgrd", "s.gt.bgrd", "s.mask.bgrd",
+                           "t.tensors.bgrd", "t.gt.bgrd", "t.mask.bgrd", "t.los.bgrd"]
+        assert (tmp / "s.los.bgrd").read_bytes() == los
+        assert (tmp / "t.los.bgrd").read_bytes() == los
+
     @pytest.mark.parametrize("column, value", [(2, "nan"), (4, "inf")])
     def test_non_finite_path_value_exit_code(self, pipeline, column, value):
         # column 2 is the amplitude, column 4 the departure azimuth

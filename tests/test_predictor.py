@@ -2,7 +2,9 @@ import concurrent.futures
 import functools
 import math
 import sys
+import threading
 import types
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -490,6 +492,29 @@ class TestEpochLoss:
                 w, b = rng.normal(0.0, 1.0, (9, 1)), rng.normal(0.0, 1.0, 1)
                 targets = rng.normal(0.0, 1.0, (n, 1))
                 self._check(model, x, w, b, targets)
+
+    def test_sets_its_own_errstate(self):
+        # train scores the train loss on a worker thread, which starts with
+        # NumPy's default error state: scores that overflow there must give
+        # a NaN loss, not a warning turned into an error
+        model = pr.SoftmaxModel.create(2, (2, 2, 2))
+        x, w, b = np.full((4, 2), 1e300), np.full((2, 8), 1e300), np.zeros(8)
+        outcome = []
+
+        def score():
+            try:
+                outcome.append(pr._epoch_loss(model, x, w, b, np.arange(4)))
+            except Exception as exc:
+                outcome.append(exc)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            thread = threading.Thread(target=score)
+            thread.start()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(outcome) == 1 and type(outcome[0]) is float, outcome
+        assert math.isnan(outcome[0])
 
 
 @st.composite
