@@ -1,7 +1,6 @@
-"""The pieces of the loss arithmetic that predictor.targets,
-predictor._heads and predictor._batch_grad share. predictor._head_terms,
-which scores the epoch losses on a worker thread, calls none of them: it
-writes the steps of softmax out, in place in its score block.
+"""The pieces of the loss arithmetic that predictor.targets and
+predictor._heads share. predictor._batch_grad and predictor._head_terms
+write the steps of softmax out, in place in their score blocks.
 
 The predictor trains five loss families, each on joint logits over all
 Na*Ne*Nr beams and (where meaningful) on factorised "sep" logits with
@@ -27,13 +26,6 @@ checker that the batch code is tested against live in tests/conftest.py.
 from __future__ import annotations
 
 import numpy as np
-
-
-def softmax(z, axis=-1):
-    """Numerically stable exponential normalisation."""
-    z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
 
 
 def _floored_db(t, floor_db):

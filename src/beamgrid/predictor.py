@@ -311,9 +311,8 @@ def _head_terms(kind, zh, th, dist):
     the sample, negated for CE and CEP.
 
     Computed in place in zh, a view of the score block that _epoch_loss has
-    made for this call. The steps of losses.softmax are written out:
-    _epoch_loss runs this on a worker thread, which must call no public
-    package function.
+    made for this call, with the softmax steps of _batch_grad. It calls no
+    public package function: _epoch_loss runs it on a worker thread.
     """
     if kind in ("IR", "GR"):
         zh -= th
@@ -378,28 +377,33 @@ def _epoch_loss(model, x, w, b, targets):
 
 def _batch_grad(model, z, targets):
     """Gradient of the mean loss of the score matrix z (_epoch_loss) with
-    respect to z."""
+    respect to z, written into z, which it returns.
+
+    Each softmax head is shifted by its row maximum, exponentiated and
+    normalised in place; WS makes its picked distances and their product.
+    """
     n = z.shape[0]
     kind = model.loss.kind
-    grad = np.empty_like(z)
     for cols, tcols, dist in _heads(model.dims, kind, model.loss.sep):
         zh, th = z[:, cols], targets[:, tcols]
         if kind in ("IR", "GR"):
-            diff = zh - th
-            diff *= 2.0
-            np.divide(diff, diff.shape[1] * n, out=grad[:, cols])
+            zh -= th
+            zh *= 2.0
+            zh /= zh.shape[1] * n
             continue
-        p = losses.softmax(zh, axis=1)
+        zh -= zh.max(axis=1, keepdims=True)
+        np.exp(zh, out=zh)
+        zh /= zh.sum(axis=1, keepdims=True)
         if kind == "WS":
             d = dist[th]
-            d -= (p * d).sum(axis=1)[:, None]
-            p *= d
+            d -= (zh * d).sum(axis=1)[:, None]
+            zh *= d
         elif kind == "CE":
-            p[np.arange(n), th] -= 1.0
+            zh[np.arange(n), th] -= 1.0
         else:
-            p -= th
-        np.divide(p, n, out=grad[:, cols])
-    return grad
+            zh -= th
+        zh /= n
+    return z
 
 
 def train(model, x_train, t_train, hyper=None, x_val=None, t_val=None):

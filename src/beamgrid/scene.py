@@ -5,8 +5,8 @@ grid. The tracer computes, for every street pixel, the direct path (grid
 visibility with per-metre vegetation attenuation) and first-order specular
 reflections off exterior building walls found by mirroring the transmitter,
 each validated by two visibility tests. Diffraction is not modelled and
-reflections are limited to one bounce; at this scale that already produces
-the beam diversity in shadowed regions that the evaluation needs. The
+every reflection is one bounce; at this scale that already produces the
+beam diversity in shadowed regions that the evaluation needs. The
 tracer also classes each pixel by its direct path (NLOS, LOS_ATTENUATED,
 LOS_DOMINANT): the u8 LoS grid that trace writes as <stem>.los.bgrd.
 
@@ -91,7 +91,6 @@ class SceneConfig:
     carrier_hz: float = 3.9e9
     reflection_loss_db: float = 6.0
     vegetation_db_per_m: float = 0.5
-    max_reflections: int = 1
     tx_mast_m: float = 2.0
     building_fraction: float = 0.3
     vegetation_fraction: float = 0.08
@@ -113,9 +112,12 @@ class SceneConfig:
                      "vegetation_height_max"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        if self.max_reflections not in (0, 1):
-            raise ValueError("at most one reflection bounce is supported, "
-                             f"got max_reflections {self.max_reflections!r}")
+
+    @property
+    def max_reflections(self):
+        """Bounces per path: always 1, and no config key. The stage
+        benchmark's path counter (stagebench/inproc.py) reads it."""
+        return 1
 
     @property
     def wavelength_m(self):
@@ -130,7 +132,7 @@ class SceneChannels:
     so each pixel's paths are one contiguous run; when a pixel has a direct
     path it occupies the first slot. los is the tracer's u8 grid of LoS
     classes (NLOS, LOS_ATTENUATED, LOS_DOMINANT), shape (rows, cols); it
-    does not depend on the reflections traced, and it is None on channels
+    depends on the direct paths only, and it is None on channels
     read from a path table, which carries no LoS grid.
     """
 
@@ -321,7 +323,7 @@ def trace_paths(hm, tx, cfg):
     fixed wall enumeration order, direct path stored first per pixel.
     _kernels.trace finds the visible paths, culling the candidate segments
     that are surely blocked and marching the rest in one batch, none twice,
-    and computes their values. max_reflections=0 skips wall extraction.
+    and computes their values.
     Heights so large that path lengths would overflow float64 raise
     NumericError (_check_path_reach).
 
@@ -332,16 +334,14 @@ def trace_paths(hm, tx, cfg):
     (_kernels._reflection_candidates) keeps both endpoints strictly on a
     wall's outward side, so every first-order reflection is strictly
     longer than the direct path, and its loss is >= 0 dB. The grid
-    therefore depends on the direct paths only, and max_reflections=0
-    gives the same grid.
+    therefore depends on the direct paths only.
     """
     r, c = tx.pixel
     if not (0 <= r < hm.rows and 0 <= c < hm.cols):
         raise ValueError(f"tx pixel {tx.pixel} outside the {hm.rows}x{hm.cols} grid")
     res = hm.resolution_m
     _check_path_reach(hm, tx.height_m, cfg.rx_height_m)
-    walls = exterior_walls(hm.building, res) if cfg.max_reflections >= 1 \
-        else np.zeros((0, 6))
+    walls = exterior_walls(hm.building, res)
     tx_x, tx_y = pixel_center(tx.pixel, res)
     refl_amp = 10.0 ** (-cfg.reflection_loss_db / 20.0)
     pixel, direct, veg_len, amp, psi, aod_az, aod_el, aoa_az = _kernels.trace(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from beamgrid import _kernels
 from beamgrid import channel as ch
 from beamgrid import gridio
-from beamgrid import losses
 from beamgrid import metrics as mt
 from beamgrid import predictor as pr
 from beamgrid import scene as sc
@@ -405,7 +404,7 @@ def trace_reference(hm, tx, cfg):
     loss in dB.
     """
     res = hm.resolution_m
-    walls = sc.exterior_walls(hm.building, res) if cfg.max_reflections else np.zeros((0, 6))
+    walls = sc.exterior_walls(hm.building, res)
     tx_x, tx_y = sc.pixel_center(tx.pixel, res)
     tx_z = tx.height_m
     rx_z = cfg.rx_height_m
@@ -745,6 +744,14 @@ FLOOR_DB = pr.LossConfig().floor_db
 # logit vector) at a time, and a finite-difference checker for them: the
 # references the batch code of predictor is tested against.
 
+def softmax(z, axis=-1):
+    """Exponential normalisation, shifted by the maximum: the steps that
+    predictor._batch_grad runs in place, in the same order."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def log_softmax(z, axis=-1):
     z = np.asarray(z, dtype=np.float64)
     shifted = z - z.max(axis=axis, keepdims=True)
@@ -753,7 +760,7 @@ def log_softmax(z, axis=-1):
 
 def ce_loss(logits, target_index):
     """Cross entropy of a one-hot target; grad = softmax(logits) - one_hot."""
-    p = losses.softmax(logits)
+    p = softmax(logits)
     loss = -log_softmax(logits)[target_index]
     grad = p.copy()
     grad[target_index] -= 1.0
@@ -773,7 +780,7 @@ def cep_loss(logits, soft_target):
         raise ValueError("logits and soft target shapes differ")
     logp = log_softmax(logits)
     loss = -float(np.dot(soft_target, logp))
-    grad = losses.softmax(logits) - soft_target
+    grad = softmax(logits) - soft_target
     return loss, grad
 
 
@@ -789,7 +796,7 @@ def ws_loss(logits, target_index, distances):
     single target atom the transport plan is forced. The gradient flows
     through the softmax.
     """
-    p = losses.softmax(logits)
+    p = softmax(logits)
     d = np.asarray(distances, dtype=np.float64)[:, target_index]
     expected = float(p @ d)
     return expected, p * (d - expected)
@@ -898,11 +905,6 @@ def targets_reference(model, tensors):
     return np.array(out).reshape(n, b)
 
 
-def _softmax_rows(z):
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _head_slices(model):
     na, ne, nr = model.dims
     return (slice(0, na), slice(na, na + ne), slice(na + ne, na + ne + nr))
@@ -922,7 +924,7 @@ def batch_loss_grad_reference(model, z, targets, dmat=None):
             loss = 0.0
             grad = np.zeros_like(z)
             for axis, sl in enumerate(_head_slices(model)):
-                p = _softmax_rows(z[:, sl])
+                p = softmax(z[:, sl])
                 t = targets[:, axis]
                 loss += -np.log(p[np.arange(n), t] + 1e-300).mean()
                 g = p
@@ -933,14 +935,14 @@ def batch_loss_grad_reference(model, z, targets, dmat=None):
             loss = 0.0
             grad = np.zeros_like(z)
             for sl in _head_slices(model):
-                p = _softmax_rows(z[:, sl])
+                p = softmax(z[:, sl])
                 s = targets[:, sl]
                 logp = z[:, sl] - z[:, sl].max(axis=1, keepdims=True)
                 logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
                 loss += -(s * logp).sum(axis=1).mean()
                 grad[:, sl] = (p - s) / n
             return loss, grad
-        p = _softmax_rows(z)
+        p = softmax(z)
         logp = z - z.max(axis=1, keepdims=True)
         logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
         if kind == "CE":
@@ -958,13 +960,13 @@ def batch_loss_grad_reference(model, z, targets, dmat=None):
                 m = sl.stop - sl.start
                 d1 = np.abs(np.subtract.outer(np.arange(m, dtype=np.float64),
                                               np.arange(m, dtype=np.float64)))
-                p = _softmax_rows(z[:, sl])
+                p = softmax(z[:, sl])
                 d = d1[:, targets[:, axis]].T
                 expected = (p * d).sum(axis=1)
                 loss += expected.mean()
                 grad[:, sl] = p * (d - expected[:, None]) / n
             return float(loss), grad
-        p = _softmax_rows(z)
+        p = softmax(z)
         d = dmat[:, targets].T
         expected = (p * d).sum(axis=1)
         grad = p * (d - expected[:, None]) / n
@@ -1013,7 +1015,7 @@ def batch_loss_reference(model, z, targets):
         if kind in ("IR", "GR"):
             parts.append(((zh - th) ** 2).mean(axis=1).mean())
         elif kind == "WS":
-            parts.append((losses.softmax(zh, axis=1) * dist[:, th].T).sum(axis=1).mean())
+            parts.append((softmax(zh, axis=1) * dist[:, th].T).sum(axis=1).mean())
         elif kind == "CE":
             parts.append(-log_softmax(zh, axis=1)[np.arange(n), th].mean())
         else:
@@ -1036,7 +1038,7 @@ def batch_grad_reference(model, z, targets):
             diff = zh - th
             grad[:, cols] = 2.0 * diff / (diff.shape[1] * n)
             continue
-        p = losses.softmax(zh, axis=1)
+        p = softmax(zh, axis=1)
         if kind == "WS":
             d = dist[:, th].T
             expected = (p * d).sum(axis=1)

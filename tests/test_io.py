@@ -316,11 +316,10 @@ class TestRunConfig:
                 for section in dataclasses.fields(cfg)}
         assert keys == {
             "scene": {"rows", "cols", "resolution_m", "rx_height_m", "carrier_hz",
-                      "reflection_loss_db", "vegetation_db_per_m", "max_reflections",
-                      "tx_mast_m", "building_fraction", "vegetation_fraction",
-                      "street_width", "block_size", "building_height_min",
-                      "building_height_max", "vegetation_height_min",
-                      "vegetation_height_max"},
+                      "reflection_loss_db", "vegetation_db_per_m", "tx_mast_m",
+                      "building_fraction", "vegetation_fraction", "street_width",
+                      "block_size", "building_height_min", "building_height_max",
+                      "vegetation_height_min", "vegetation_height_max"},
             "codebook": {"Na", "Ne", "Nr", "tx_weights"},
             "budget": {"tx_power_dbm", "noise_psd_dbm_hz", "bandwidth_hz",
                        "noise_figure_db", "exclusion_threshold_db"},
@@ -341,7 +340,7 @@ class TestRunConfig:
         ({"scene": {"block_size": 0}}, "block_size must be > 0"),
         ({"scene": {"street_width": -1}}, "street_width must be >= 0"),
         ({"scene": {"carrier_hz": 0}}, "carrier_hz must be > 0"),
-        ({"scene": {"max_reflections": 2}}, "at most one reflection bounce"),
+        ({"scene": {"reflection_loss_db": -1}}, "reflection_loss_db must be >= 0"),
         ({"scene": {"resolution_m": 0}}, "resolution_m must be > 0"),
         ({"train": {"epochs": 0}}, "hyper-parameters must be positive"),
         ({"train": {"seed": -1}}, "seed must be >= 0"),
@@ -371,6 +370,13 @@ class TestRunConfig:
         with pytest.raises(GridParseError,
                            match=r"unknown key\(s\) in config section 'scene': \['seed'\]"):
             io.parse_config({"scene": {"seed": 1}})
+
+    @pytest.mark.parametrize("value", [0, 1, 2])
+    def test_max_reflections_rejected(self, value):
+        # the tracer always traces one bounce; the key is unknown
+        with pytest.raises(GridParseError, match=r"unknown key\(s\) in config section "
+                                                 r"'scene': \['max_reflections'\]"):
+            io.parse_config({"scene": {"max_reflections": value}})
 
     def test_round_trip(self, tmp_path):
         cfg = io.parse_config({"scene": {"rows": 32, "cols": 48},

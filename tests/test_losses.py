@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from beamgrid import losses as lo
 from beamgrid import predictor as pr
 from conftest import FLOOR_DB, cep_loss, cep_target_reference, ce_loss, ce_loss_sep, \
-    floored_db_reference, gr_loss, grad_check, ir_loss, ws_loss, ws_loss_sep
+    floored_db_reference, gr_loss, grad_check, ir_loss, softmax, ws_loss, ws_loss_sep
 
 DIMS8 = (2, 2, 2)
 D8 = lo.beam_distance_matrix(DIMS8)
@@ -26,24 +26,6 @@ def one_target(kind, tensor, sep=False, floor_db=FLOOR_DB):
     model = pr.SoftmaxModel.create(1, dims, pr.LossConfig(kind, sep, floor_db))
     row = pr.targets(model, t[None])[0]
     return tuple(np.split(row, np.cumsum(dims)[:2])) if sep else row
-
-
-class TestSoftmax:
-    def test_uniform(self):
-        np.testing.assert_allclose(lo.softmax(np.zeros(4)), 0.25)
-
-    def test_saturation(self):
-        z = np.zeros(8)
-        z[5] = 1e3
-        p = lo.softmax(z)
-        assert p[5] > 1 - 1e-10
-
-    @given(st.lists(st.floats(-30, 30), min_size=2, max_size=16),
-           st.floats(-100, 100))
-    @settings(deadline=None, max_examples=50)
-    def test_shift_invariance(self, zs, c):
-        z = np.array(zs)
-        np.testing.assert_allclose(lo.softmax(z), lo.softmax(z + c), atol=1e-12)
 
 
 class TestCrossEntropy:
@@ -119,7 +101,7 @@ class TestCepLoss:
     def test_matching_soft_target(self):
         rng = np.random.default_rng(4)
         z = rng.normal(0, 1, 16)
-        s = lo.softmax(z)
+        s = softmax(z)
         loss, grad = cep_loss(z, s)
         entropy = -float(np.sum(s * np.log(s)))
         assert loss == pytest.approx(entropy, rel=1e-12)
@@ -143,7 +125,7 @@ class TestCepLoss:
         # both analytic and numeric gradients vanish; compare absolutely
         rng = np.random.default_rng(7)
         z = rng.normal(0, 1, 8)
-        s = lo.softmax(z)
+        s = softmax(z)
         _, grad = cep_loss(z, s)
         step = 1e-5
         for i in range(8):
@@ -282,7 +264,7 @@ class TestGradCheckSuite:
         rng = np.random.default_rng(19)
         z = rng.normal(0, 1, 8)
         assert ce_loss(z, 3)[0] >= 0
-        assert cep_loss(z, lo.softmax(rng.normal(0, 1, 8)))[0] >= 0
+        assert cep_loss(z, softmax(rng.normal(0, 1, 8)))[0] >= 0
         assert ws_loss(z, 3, D8)[0] >= 0
         assert ir_loss(rng.normal(0, 1, 3), np.zeros(3))[0] >= 0
         t = rng.uniform(0.01, 1, 8)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from unittest import mock
 
@@ -159,7 +158,7 @@ class TestTracePaths:
         veg = np.zeros((rows, cols))
         veg[:, :] = 30.0  # canopy above the whole segment
         hm = sc.HeightMap(np.zeros((rows, cols)), veg)
-        cfg = sc.SceneConfig(vegetation_db_per_m=0.7, max_reflections=0)
+        cfg = sc.SceneConfig(vegetation_db_per_m=0.7)
         tx = sc.TxSite((8, 2), 10.0, ch.ArrayFrame(0.0, math.pi / 4))
         chans = sc.trace_paths(hm, tx, cfg)
         mags = chans.magnitude[paths_at(chans, 8, 12)]
@@ -173,7 +172,7 @@ class TestTracePaths:
         veg = np.zeros((rows, cols))
         veg[:, 5:8] = 3.0  # low canopy; segment passes above
         hm = sc.HeightMap(np.zeros((rows, cols)), veg)
-        cfg = sc.SceneConfig(vegetation_db_per_m=0.7, max_reflections=0)
+        cfg = sc.SceneConfig(vegetation_db_per_m=0.7)
         tx = sc.TxSite((8, 2), 40.0, ch.ArrayFrame(0.0, math.pi / 4))
         chans = sc.trace_paths(hm, tx, cfg)
         mags = chans.magnitude[paths_at(chans, 8, 12)]
@@ -237,15 +236,12 @@ def _hidden_streets_scene():
 
 
 class TestTraceMatchesReference:
-    @given(small_scenes(), scene_configs, st.sampled_from([0, 1]))
-    @example(scene=_no_street_scene(), cfg=sc.SceneConfig(), max_reflections=0)
-    @example(scene=_no_street_scene(), cfg=sc.SceneConfig(), max_reflections=1)
-    @example(scene=_hidden_streets_scene(), cfg=sc.SceneConfig(), max_reflections=0)
-    @example(scene=_hidden_streets_scene(), cfg=sc.SceneConfig(), max_reflections=1)
+    @given(small_scenes(), scene_configs)
+    @example(scene=_no_street_scene(), cfg=sc.SceneConfig())
+    @example(scene=_hidden_streets_scene(), cfg=sc.SceneConfig())
     @settings(deadline=None, max_examples=25)
-    def test_paths_identical(self, scene, cfg, max_reflections):
+    def test_paths_identical(self, scene, cfg):
         hm, tx = scene
-        cfg = dataclasses.replace(cfg, max_reflections=max_reflections)
         assert_matches_reference(sc.trace_paths(hm, tx, cfg), hm, tx, cfg)
 
 
