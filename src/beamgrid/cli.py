@@ -140,12 +140,14 @@ def _read_site(scene_path, tx_path, cfg):
 
 
 def _read_tensors(stem, dims):
-    """The beam tensors of the tensors set <stem>.tensors.bgrd as stored
-    (f32), one channel per beam of dims, and its mask <stem>.mask.bgrd (a
+    """The beam tensors of the tensors set <stem>.tensors.bgrd, an f32 grid
+    as stored, one channel per beam of dims, and its mask <stem>.mask.bgrd (a
     u8 grid of 0 and 1), checked to share one grid and to hold only finite,
     non-negative powers. A caller converts to float64 only the valid rows."""
     tensors_path, mask_path = f"{stem}.tensors.bgrd", f"{stem}.mask.bgrd"
     tensors = gridio.read_grid(tensors_path)
+    if tensors.dtype != np.float32:
+        raise GridParseError(f"beam power grid {tensors_path}: expected f32 powers")
     if tensors.shape[2] != math.prod(dims):
         raise GridParseError(f"beam power grid {tensors_path}: {tensors.shape[2]} channels; "
                              f"expected {math.prod(dims)} (codebook dims {list(dims)})")

@@ -230,7 +230,8 @@ MIN_LR_FACTOR = 1e-3  # train stops once the rate decays below lr * this
 
 @dataclass
 class TrainConfig:
-    """The `train` config section; seed seeds the model and the scene split."""
+    """The `train` config section: lr, epochs, batch and patience > 0 and
+    lr_decay in (0, 1]; seed seeds the model and the scene split."""
 
     lr: float = 0.3
     epochs: int = 150
@@ -240,10 +241,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0 or self.epochs < 1 or self.batch < 1:
-            raise ValueError("hyper-parameters must be positive")
-        if not 0 < self.lr_decay <= 1 or self.patience < 1:
-            raise ValueError("invalid decay/patience")
+        for name in ("lr", "epochs", "batch", "patience"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if not 0 < self.lr_decay <= 1:
+            raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
@@ -406,10 +408,10 @@ def _batch_grad(model, z, targets):
     return z
 
 
-def train(model, x_train, t_train, hyper=None, x_val=None, t_val=None):
+def train(model, x_train, t_train, hyper, x_val, t_val):
     """Mini-batch gradient descent on the features x_train and their
     targets t_train (targets(model, tensors)); returns (trained model,
-    history rows).
+    history rows). Empty x_train or x_val raises EmptyTrainingSetError.
 
     History rows are (epoch, train_loss, val_loss, lr). The learning rate is
     multiplied by lr_decay whenever the validation loss has not improved for
@@ -429,17 +431,15 @@ def train(model, x_train, t_train, hyper=None, x_val=None, t_val=None):
     # every CLI stage
     from concurrent.futures import ThreadPoolExecutor
 
-    hyper = hyper or TrainConfig()
     x_train = np.asarray(x_train, dtype=np.float64)
+    x_val = np.asarray(x_val, dtype=np.float64)
     if x_train.shape[0] == 0:
         raise EmptyTrainingSetError("no valid pixels to train on")
-    has_val = x_val is not None and len(x_val) > 0
-    if has_val:
-        x_val = np.asarray(x_val, dtype=np.float64)
+    if x_val.shape[0] == 0:
+        raise EmptyTrainingSetError("no valid pixels to validate on")
 
     rng = np.random.default_rng(model.seed)
-    w = model.weights.copy()
-    b = model.bias.copy()
+    w, b = model.weights.copy(), model.bias.copy()
     lr = hyper.lr
     best = (math.inf, w.copy(), b.copy())
     since_improve = 0
@@ -454,16 +454,14 @@ def train(model, x_train, t_train, hyper=None, x_val=None, t_val=None):
                 idx = order[start:start + hyper.batch]
                 xb = x_train[idx]
                 gz = _batch_grad(model, xb @ w + b, t_train[idx])
-                if lr > 0.0:
-                    w -= lr * (xb.T @ gz)
-                    b -= lr * gz.sum(axis=0)
+                w -= lr * (xb.T @ gz)
+                b -= lr * gz.sum(axis=0)
             # the next epoch updates w and b in place; the worker and the
             # best state read this copy. _batch_grad has cached the head
             # layout, so the worker calls no public package function.
             wc, bc = w.copy(), b.copy()
             train_loss = pool.submit(_epoch_loss, model, x_train, wc, bc, t_train)
-            val_loss = (_epoch_loss(model, x_val, wc, bc, t_val) if has_val
-                        else train_loss.result())
+            val_loss = _epoch_loss(model, x_val, wc, bc, t_val)
             if epochs:
                 # the previous epoch's train loss: one loss waits at most,
                 # and an error in the worker is raised an epoch late at most

@@ -13,7 +13,7 @@ from beamgrid import metrics as mt
 from beamgrid import predictor as pr
 from beamgrid import scene as sc
 from beamgrid.errors import EmptyTrainingSetError
-from beamgrid.predictor import TrainConfig, _heads
+from beamgrid.predictor import _heads
 
 
 @pytest.fixture(scope="session")
@@ -1051,8 +1051,9 @@ def batch_grad_reference(model, z, targets):
     return grad
 
 
-def train_reference(model, x_train, tensors_train, hyper=None, x_val=None, tensors_val=None):
+def train_reference(model, x_train, tensors_train, hyper, x_val, tensors_val):
     """Mini-batch gradient descent; returns (trained model, history rows).
+    Empty x_train or x_val raises EmptyTrainingSetError.
 
     History rows are (epoch, train_loss, val_loss, lr). The learning rate is
     multiplied by lr_decay whenever the validation loss has not improved for
@@ -1062,15 +1063,14 @@ def train_reference(model, x_train, tensors_train, hyper=None, x_val=None, tenso
     returned model carries the weights of the best validation epoch.
     Deterministic given the model seed.
     """
-    hyper = hyper or TrainConfig()
     x_train = np.asarray(x_train, dtype=np.float64)
+    x_val = np.asarray(x_val, dtype=np.float64)
     if x_train.shape[0] == 0:
         raise EmptyTrainingSetError("no valid pixels to train on")
+    if x_val.shape[0] == 0:
+        raise EmptyTrainingSetError("no valid pixels to validate on")
     t_train = pr.targets(model, tensors_train)
-    has_val = x_val is not None and len(x_val) > 0
-    if has_val:
-        x_val = np.asarray(x_val, dtype=np.float64)
-        t_val = pr.targets(model, tensors_val)
+    t_val = pr.targets(model, tensors_val)
 
     rng = np.random.default_rng(model.seed)
     w = model.weights.copy()
@@ -1087,11 +1087,10 @@ def train_reference(model, x_train, tensors_train, hyper=None, x_val=None, tenso
             idx = order[start:start + hyper.batch]
             xb = x_train[idx]
             gz = batch_grad_reference(model, xb @ w + b, t_train[idx])
-            if lr > 0.0:
-                w -= lr * (xb.T @ gz)
-                b -= lr * gz.sum(axis=0)
+            w -= lr * (xb.T @ gz)
+            b -= lr * gz.sum(axis=0)
         train_loss = batch_loss_reference(model, x_train @ w + b, t_train)
-        val_loss = batch_loss_reference(model, x_val @ w + b, t_val) if has_val else train_loss
+        val_loss = batch_loss_reference(model, x_val @ w + b, t_val)
         history.append((epoch, train_loss, val_loss, lr))
         if val_loss < best[0]:
             best = (val_loss, w.copy(), b.copy())

@@ -872,24 +872,28 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("where, value", [
         ("one_valid", np.nan), ("one_valid", -1e-3), ("one_valid", np.inf), ("all", np.nan),
-    ], ids=["nan", "negative", "inf", "all-nan"])
+        ("all", np.uint8(7)),
+    ], ids=["nan", "negative", "inf", "all-nan", "u8"])
     def test_bad_beam_power_exit_code(self, tensorized, capsys, where, value):
         # before: NaN scored a top-1 accuracy below 1 at exit 0, -1e-3 gave a
-        # log10 warning at exit 0, and an all-NaN grid exited 4
+        # log10 warning at exit 0, an all-NaN grid exited 4, and a u8 grid
+        # of 7s wrote a full report at exit 0
         tmp, cfg = tensorized
         tensors = io.read_grid(tmp / "t.tensors.bgrd")
         valid = io.read_grid(tmp / "t.mask.bgrd")[:, :, 0].astype(bool)
         if where == "all":
-            tensors[:] = value
+            tensors = np.full(tensors.shape, value)
         else:
             r, c = np.argwhere(valid)[0]
             tensors[r, c, 9] = value
-        io.write_grid(tmp / "bad.tensors.bgrd", tensors)
+        u8 = tensors.dtype == np.uint8
+        io.write_grid(tmp / "bad.tensors.bgrd", tensors, "u8" if u8 else "f32")
         (tmp / "bad.mask.bgrd").write_bytes((tmp / "t.mask.bgrd").read_bytes())
         assert run_cli("evaluate", "--tensors", tmp / "bad.tensors.bgrd",
                        "--pred", "oracle", "--config", cfg,
                        "--report", tmp / "bad.json") == 3
-        assert "bad.tensors.bgrd holds a NaN, infinite or negative power" \
+        assert ("bad.tensors.bgrd: expected f32 powers" if u8 else
+                "bad.tensors.bgrd holds a NaN, infinite or negative power") \
             in capsys.readouterr().err
         assert not (tmp / "bad.json").exists()
 
@@ -1211,22 +1215,41 @@ class TestTrainCli:
         assert f"error: {message.format(stem=stem)}\n" == capsys.readouterr().err
         assert not (tmp / "m.bgmdl").exists()
 
-    @pytest.mark.parametrize("value", [np.nan, -1e-3], ids=["nan", "negative"])
+    @pytest.mark.parametrize("value", [np.nan, -1e-3, np.uint8(7)],
+                             ids=["nan", "negative", "u8"])
     def test_bad_beam_power_exit_code(self, scene_dir, capsys, value):
-        # a scene that train reads samples of
+        # a scene that train reads samples of; a u8 grid of 7s trained a
+        # model at exit 0
         tmp, cfg, scenes = scene_dir
-        stems = sorted(str(p)[:-len(".scene.bgrd")] for p in scenes.glob("*.scene.bgrd"))
-        stem = cli._split_scenes(stems, io.load_config(cfg).train.seed)[0][0]
+        stem = self._first_train_stem(cfg, scenes)
         tensors = io.read_grid(f"{stem}.tensors.bgrd")
         valid = io.read_grid(f"{stem}.mask.bgrd")[:, :, 0].astype(bool)
-        r, c = np.argwhere(valid)[0]
-        tensors[r, c, 0] = value
-        io.write_grid(f"{stem}.tensors.bgrd", tensors)
+        u8 = isinstance(value, np.uint8)
+        if u8:
+            tensors = np.full(tensors.shape, value)
+        else:
+            r, c = np.argwhere(valid)[0]
+            tensors[r, c, 0] = value
+        io.write_grid(f"{stem}.tensors.bgrd", tensors, "u8" if u8 else "f32")
         assert run_cli("train", "--scenes", scenes, "--config", cfg,
                        "--model-out", tmp / "m.bgmdl") == 3
-        assert f"{stem}.tensors.bgrd holds a NaN, infinite or negative power" \
+        assert (f"{stem}.tensors.bgrd: expected f32 powers" if u8 else
+                f"{stem}.tensors.bgrd holds a NaN, infinite or negative power") \
             in capsys.readouterr().err
         assert not (tmp / "m.bgmdl").exists()
+
+    def test_empty_validation_split_exit_code(self, scene_dir, capsys):
+        # the epoch was chosen by the train loss, printed as val_loss, and
+        # the model written at exit 0
+        tmp, cfg, scenes = scene_dir
+        stems = sorted(str(p).removesuffix(".scene.bgrd") for p in scenes.glob("*.scene.bgrd"))
+        stem = cli._split_scenes(stems, io.load_config(cfg).train.seed)[1][0]
+        mask = io.read_grid(f"{stem}.mask.bgrd")
+        io.write_grid(f"{stem}.mask.bgrd", np.zeros_like(mask), "u8")
+        assert run_cli("train", "--scenes", scenes, "--config", cfg,
+                       "--model-out", tmp / "m.bgmdl") == 3
+        assert "error: no valid pixels to validate on" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp.glob("m.*")) == []
 
     def test_tx_off_grid_exit_code(self, scene_dir, capsys):
         tmp, cfg, scenes = scene_dir

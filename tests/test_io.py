@@ -342,12 +342,14 @@ class TestRunConfig:
         ({"scene": {"carrier_hz": 0}}, "carrier_hz must be > 0"),
         ({"scene": {"reflection_loss_db": -1}}, "reflection_loss_db must be >= 0"),
         ({"scene": {"resolution_m": 0}}, "resolution_m must be > 0"),
-        ({"train": {"epochs": 0}}, "hyper-parameters must be positive"),
+        ({"train": {"epochs": 0}}, "epochs must be > 0"),
         ({"train": {"seed": -1}}, "seed must be >= 0"),
         ({"scene": {"building_height_min": -3}}, "building_height_min must be >= 0"),
         ({"scene": {"building_height_max": -1}}, "building_height_max must be >= 0"),
         ({"scene": {"vegetation_height_min": -3}}, "vegetation_height_min must be >= 0"),
         ({"scene": {"vegetation_height_max": -1}}, "vegetation_height_max must be >= 0"),
+        ({"train": {"lr": 0}}, "lr must be > 0, got 0"),
+        ({"train": {"lr_decay": 2}}, r"lr_decay must be in \(0, 1\], got 2"),
     ])
     def test_out_of_range_value_rejected(self, doc, message):
         # checked whatever stage loads the config; generate's street lattice

@@ -39,10 +39,10 @@ def loss_of_scores(model, z, targets):
     return pr._epoch_loss(model, z, np.eye(c), np.zeros(c), targets)
 
 
-def train_on_tensors(model, x, tensors, hyper=None, x_val=None, tensors_val=None):
+def train_on_tensors(model, x, tensors, hyper, x_val, tensors_val):
     """pr.train on the targets of the given beam power tensors."""
-    t_val = None if tensors_val is None else pr.targets(model, tensors_val)
-    return pr.train(model, x, pr.targets(model, tensors), hyper, x_val, t_val)
+    return pr.train(model, x, pr.targets(model, tensors), hyper,
+                    x_val, pr.targets(model, tensors_val))
 
 
 ALL_LOSSES = [("CE", False), ("CE", True), ("CEP", False), ("CEP", True),
@@ -522,26 +522,26 @@ class TestEpochLoss:
 @st.composite
 def training_runs(draw):
     """One loss configuration, 1-4 beams per axis, 1-48 training samples of
-    1-10 features, no validation set or one of 1-16 samples, a rate of 0 or
-    up to 3, and a patience of 1-3 epochs, so that the rate decays and, with
+    1-10 features, a validation set of 1-16 samples, a rate of up to 3, and
+    a patience of 1-3 epochs, so that the rate decays and, with
     MIN_LR_FACTOR patched to 0.2, training can stop early."""
     kind, sep = draw(st.sampled_from(ALL_LOSSES))
     dims = tuple(draw(st.integers(1, 4)) for _ in range(3))
     features = draw(st.integers(1, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, n_val = draw(st.integers(1, 48)), draw(st.sampled_from([0, 1, 5, 16]))
+    n, n_val = draw(st.integers(1, 48)), draw(st.sampled_from([1, 5, 16]))
 
     def samples(count):
         tensors = rng.uniform(0.0, 1.0, (count, *dims))
         tensors.reshape(count, -1)[:, 0] += 0.5  # a positive peak in every sample
         return rng.normal(0.0, 1.0, (count, features)), tensors
 
-    hyper = pr.TrainConfig(lr=draw(st.sampled_from([0.0, 0.05, 0.5, 3.0])),
+    hyper = pr.TrainConfig(lr=draw(st.sampled_from([0.05, 0.5, 3.0])),
                            epochs=draw(st.integers(1, 12)), batch=draw(st.integers(1, 16)),
                            patience=draw(st.integers(1, 3)))
     model = pr.SoftmaxModel.create(features, dims, pr.LossConfig(kind, sep),
                                    seed=draw(st.integers(0, 3)))
-    return model, samples(n), samples(n_val) if n_val else (None, None), hyper
+    return model, samples(n), samples(n_val), hyper
 
 
 class TestTrainMatchesReference:
@@ -569,8 +569,8 @@ class TestTrainMatchesReference:
         assert repr(history) == repr(ref_history)
 
     def test_worker_follows_callers_errstate(self):
-        # without a validation set only the worker squares the diverging
-        # scores, and it must overflow as quietly as the caller asked
+        # validated on its training rows, both the worker and the caller
+        # square the diverging scores, and both must overflow quietly
         rng = np.random.default_rng(0)
         x = rng.normal(0.0, 1.0, (48, 10))
         t = rng.uniform(0.0, 1.0, (48, 1, 1, 2))
@@ -579,8 +579,8 @@ class TestTrainMatchesReference:
         hyper = pr.TrainConfig(lr=3.0, epochs=12, batch=1, patience=3)
         with mock.patch.object(pr, "MIN_LR_FACTOR", 0.2), \
                 np.errstate(over="ignore", invalid="ignore"):
-            ref, ref_history = train_reference(model, x, t, hyper)
-            trained, history = train_on_tensors(model, x, t, hyper)
+            ref, ref_history = train_reference(model, x, t, hyper, x, t)
+            trained, history = train_on_tensors(model, x, t, hyper, x, t)
         assert not np.isfinite([row[1] for row in ref_history]).all()
         assert trained.weights.tobytes() == ref.weights.tobytes()
         assert repr(history) == repr(ref_history)
@@ -602,7 +602,7 @@ class TestTrainMatchesReference:
 
         with mock.patch.object(pr, "_epoch_loss", epoch_loss), \
                 pytest.raises(FloatingPointError, match="overflow in the train loss"):
-            train_on_tensors(model, x, t, pr.TrainConfig(lr=0.0, epochs=10), xv, tv)
+            train_on_tensors(model, x, t, pr.TrainConfig(lr=0.3, epochs=10), xv, tv)
         assert val_epochs == [0, 1]
 
     def test_thread_switches_every_microsecond(self):
@@ -743,7 +743,7 @@ class TestTrainAllLossKinds:
         tensors = rng.uniform(0.01, 1.0, (n, *dims))
         model = pr.SoftmaxModel.create(6, dims, pr.LossConfig(kind, sep), seed=1)
         hyper = pr.TrainConfig(lr=0.1, epochs=15, batch=16)
-        trained, history = train_on_tensors(model, x, tensors, hyper)
+        trained, history = train_on_tensors(model, x, tensors, hyper, x, tensors)
         assert history[-1][1] <= history[0][1] + 1e-9
         order = pr.flat_ranking(pr.predict(trained, x), dims, trained.kind)
         b = dims[0] * dims[1] * dims[2]
@@ -758,15 +758,6 @@ class TestTrain:
         tensors = rng.uniform(0.01, 1.0, (n, *dims))
         return x, tensors
 
-    def test_zero_lr_keeps_weights(self):
-        x, t = self._tiny_data()
-        model = pr.SoftmaxModel.create(5, (2, 2, 2), seed=1)
-        hyper = pr.TrainConfig(lr=0.0, epochs=5, batch=16)
-        trained, history = train_on_tensors(model, x, t, hyper)
-        assert not trained.weights.any() and not trained.bias.any()
-        losses_seen = {row[1] for row in history}
-        assert len(losses_seen) == 1  # flat history
-
     def test_single_sample_overfit(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, (1, 5))
@@ -774,7 +765,7 @@ class TestTrain:
         t[0, 1, 0, 1] = 1.0
         model = pr.SoftmaxModel.create(5, (2, 2, 2), seed=0)
         hyper = pr.TrainConfig(lr=1.0, epochs=500, batch=1, patience=1000)
-        trained, history = train_on_tensors(model, x, t, hyper)
+        trained, history = train_on_tensors(model, x, t, hyper, x, t)
         assert history[-1][1] < 0.01
 
     def test_deterministic_given_seed(self):
@@ -783,15 +774,23 @@ class TestTrain:
         runs = []
         for _ in range(2):
             model = pr.SoftmaxModel.create(5, (2, 2, 2), seed=7)
-            trained, _ = train_on_tensors(model, x, t, hyper)
+            trained, _ = train_on_tensors(model, x, t, hyper, x, t)
             runs.append((trained.weights.copy(), trained.bias.copy()))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
 
     def test_empty_training_set_rejected(self):
         model = pr.SoftmaxModel.create(5, (2, 2, 2))
-        with pytest.raises(EmptyTrainingSetError):
-            pr.train(model, np.zeros((0, 5)), pr.targets(model, np.zeros((0, 2, 2, 2))))
+        x, t = np.zeros((0, 5)), pr.targets(model, np.zeros((0, 2, 2, 2)))
+        with pytest.raises(EmptyTrainingSetError, match="no valid pixels to train on"):
+            pr.train(model, x, t, pr.TrainConfig(), x, t)
+
+    def test_empty_validation_set_rejected(self):
+        # the epoch was chosen by the train loss, reported as val_loss
+        x, t = self._tiny_data()
+        model = pr.SoftmaxModel.create(5, (2, 2, 2))
+        with pytest.raises(EmptyTrainingSetError, match="no valid pixels to validate on"):
+            train_on_tensors(model, x, t, pr.TrainConfig(epochs=5), x[:0], t[:0])
 
     def test_best_validation_state_returned(self):
         x, t = self._tiny_data(seed=4, n=64)
@@ -812,7 +811,7 @@ class TestTrain:
         t = rng.uniform(0.01, 1.0, (8, 2, 2, 2))
         model = pr.SoftmaxModel.create(5, (2, 2, 2), seed=3)
         hyper = pr.TrainConfig(lr=150.0, epochs=40, batch=4, patience=3)
-        _, history = train_on_tensors(model, x, t, hyper)
+        _, history = train_on_tensors(model, x, t, hyper, x, t)
         lrs = {row[3] for row in history}
         assert len(lrs) > 1  # decayed at least once
 
@@ -845,8 +844,8 @@ class TestTrainedBeatsChance:
             ts.append(lo_t[valid])
         model = pr.SoftmaxModel.create(xs[0].shape[1], (8, 4, 4), seed=0)
         hyper = pr.TrainConfig(lr=0.5, epochs=80, batch=64)
-        trained, _ = train_on_tensors(model, np.concatenate(xs[:3]),
-                              np.concatenate(ts[:3]), hyper)
+        x, t = np.concatenate(xs[:3]), np.concatenate(ts[:3])
+        trained, _ = train_on_tensors(model, x, t, hyper, x, t)
         z = xs[3] @ trained.weights + trained.bias
         preds = pr.flat_ranking(z, (8, 4, 4), "joint")
         report, _ = mt.evaluate_ranking(ts[3], preds, [1], mt.LinkBudget())
